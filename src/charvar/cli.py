@@ -1,10 +1,8 @@
 """Command-line front end: sampling, flowing, involutions, verification.
 
 Formats: JSONL for representation streams, CSV for point clouds, JSON for
-reports.  Every run is a deterministic function of its flags — all randomness
-flows from ``--seed``, and parallel verification (``--jobs``) shards trials by
-spawning independent child seeds whose partial results merge by sum/max, so
-the merged report is independent of scheduling order.
+reports.  Every run is a deterministic function of its flags: all randomness
+flows from ``--seed``.
 
 Exit codes: 0 success, 1 verification failures, 2 flag errors, 3 solve
 failures.
@@ -16,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import IO, Iterator, Optional, Sequence
 
@@ -42,8 +39,8 @@ from .polytope import (
     mu_lambda_coordinates,
     write_simplex_csv,
 )
-from .repvar import Representation, class_equal, relation_residual
-from .sampler import SampleSpec, Target, density_witness, sample
+from .repvar import Representation, class_equal, is_abelian, relation_residual
+from .sampler import SampleSpec, Target, _diag, _random_torus, density_witness, sample
 from .sigma import (
     Piece,
     Stratum,
@@ -89,13 +86,20 @@ def rep_to_obj(rho: Representation) -> dict:
 
 
 def rep_from_obj(obj: dict) -> Representation:
+    if not isinstance(obj, dict):
+        raise PreconditionViolated("input line is not a JSON object")
     slots = []
     for key in _SLOTS:
         if key not in obj:
             raise PreconditionViolated(f"input line lacks slot {key!r}")
-        q = np.asarray(obj[key], dtype=float)
+        try:
+            q = np.asarray(obj[key], dtype=float)
+        except (TypeError, ValueError):
+            raise PreconditionViolated(f"slot {key!r} must hold numbers") from None
         if q.shape != (4,):
             raise PreconditionViolated(f"slot {key!r} must hold four components")
+        if not np.all(np.isfinite(q)):
+            raise PreconditionViolated(f"slot {key!r} has a non-finite component")
         if abs(float(q @ q) - 1.0) > 1e-9:
             raise PreconditionViolated(f"slot {key!r} is not a unit quaternion")
         # keep the parsed bits verbatim so parse/serialize round-trips exactly
@@ -104,10 +108,15 @@ def rep_from_obj(obj: dict) -> Representation:
 
 
 def read_jsonl(stream: IO[str]) -> Iterator[Representation]:
-    for line in stream:
+    for lineno, line in enumerate(stream, start=1):
         line = line.strip()
-        if line:
-            yield rep_from_obj(json.loads(line))
+        if not line:
+            continue
+        try:
+            rho = rep_from_obj(json.loads(line))
+        except (json.JSONDecodeError, PreconditionViolated) as bad:
+            raise PreconditionViolated(f"line {lineno}: {bad}") from None
+        yield rho
 
 
 def _write_line(stream: IO[str], obj: dict) -> None:
@@ -143,11 +152,6 @@ class VerifyReport:
 def _interior_stream(n: int, rng: np.random.Generator) -> Iterator[Representation]:
     spec = SampleSpec(count=n, seed=0, target=Target.INTERIOR_UNIFORM_BASE, conjugate=True)
     return sample(spec, rng)
-
-
-def _random_torus(rng: np.random.Generator) -> TorusElement:
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    return TorusElement(float(phi[0]), float(phi[1]), float(phi[2]))
 
 
 def _nonkernel_torus(rng: np.random.Generator) -> TorusElement:
@@ -186,10 +190,6 @@ def _flows_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
             ok &= not class_equal(act(_nonkernel_torus(rng), rho), rho, tol=tol.mat)
         failures += 0 if ok else 1
     return n, failures, res
-
-
-def _diag(angle: float) -> GroupElement:
-    return exp_alg(AlgebraElement(np.array([0.0, 0.0, angle])))
 
 
 def _near_boundary_pair(rng: np.random.Generator, eps: float) -> tuple[GroupElement, GroupElement]:
@@ -333,8 +333,6 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
 
 
 def _density_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    from .repvar import is_abelian
-
     failures = 0
     res = {"witness-approach": 0.0}
     for _ in range(n):
@@ -359,35 +357,11 @@ _SUITES = {
 }
 
 
-def _run_sharded(suite_fn, samples: int, seed: int, tol: Tolerances, jobs: int):
-    if jobs <= 1:
-        return suite_fn(samples, np.random.default_rng(seed), tol)
-    children = np.random.SeedSequence(seed).spawn(jobs)
-    share = [samples // jobs] * jobs
-    for i in range(samples % jobs):
-        share[i] += 1
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(
-            pool.map(
-                lambda args: suite_fn(args[0], np.random.default_rng(args[1]), tol),
-                [(c, s) for c, s in zip(share, children) if c > 0],
-            )
-        )
-    trials = sum(p[0] for p in parts)
-    failures = sum(p[1] for p in parts)
-    merged: dict = {}
-    for _, _, res in parts:
-        for key, val in res.items():
-            merged[key] = max(merged.get(key, -np.inf), val)
-    return trials, failures, merged
-
-
 def run_verify(
     suite: str,
     samples: int = 1000,
     seed: int = 0,
     tol: Optional[Tolerances] = None,
-    jobs: int = 1,
 ) -> VerifyReport:
     """Run one named verification suite (or ``"all"``) and build its report."""
     tol = tol or DEFAULT
@@ -399,7 +373,7 @@ def run_verify(
     failures = 0
     residuals: dict = {}
     for offset, name in enumerate(names):
-        t, f, res = _run_sharded(_SUITES[name], samples, seed + offset, tol, jobs)
+        t, f, res = _SUITES[name](samples, np.random.default_rng(seed + offset), tol)
         trials += t
         failures += f
         prefix = f"{name}." if suite == "all" else ""
@@ -612,9 +586,7 @@ def cmd_certify_sigma(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_verify(
-        args.suite, samples=args.samples, seed=args.seed, tol=_tolerances(args), jobs=args.jobs
-    )
+    report = run_verify(args.suite, samples=args.samples, seed=args.seed, tol=_tolerances(args))
     sys.stdout.write(report.to_json() + "\n")
     return 0 if report.passed else 1
 
@@ -623,11 +595,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+
+def _flag(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
 _CONFIG_KEYS = {
     "count": int,
     "seed": int,
     "samples": int,
-    "jobs": int,
     "grid": int,
     "tol": float,
     "target": str,
@@ -636,9 +617,9 @@ _CONFIG_KEYS = {
     "suite": str,
     "out": str,
     "in": str,
-    "conjugate": bool,
-    "check": bool,
-    "quotient": bool,
+    "conjugate": _flag,
+    "check": _flag,
+    "quotient": _flag,
 }
 
 _COMMAND_KEYS = {
@@ -648,7 +629,7 @@ _COMMAND_KEYS = {
     "tau": {"in", "out", "check", "tol"},
     "fixed-points": {"count", "seed", "out", "tol"},
     "certify-sigma": {"samples", "seed", "grid", "out", "tol"},
-    "verify": {"suite", "samples", "seed", "tol", "jobs"},
+    "verify": {"suite", "samples", "seed", "tol"},
 }
 
 _DESTS = {"in": "infile"}
@@ -667,16 +648,12 @@ def _load_config(path: str) -> dict:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_KEYS:
                 raise PreconditionViolated(f"{path}:{lineno}: unknown key {key!r}")
-            kind = _CONFIG_KEYS[key]
-            if kind is bool:
-                values[key] = val.lower() in ("1", "true", "yes", "on")
-            else:
-                try:
-                    values[key] = kind(val)
-                except ValueError:
-                    raise PreconditionViolated(
-                        f"{path}:{lineno}: bad value for {key}: {val!r}"
-                    ) from None
+            try:
+                values[key] = _CONFIG_KEYS[key](val)
+            except ValueError:
+                raise PreconditionViolated(
+                    f"{path}:{lineno}: bad value for {key}: {val!r}"
+                ) from None
     return values
 
 
@@ -749,7 +726,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     vp.add_argument("--samples", type=int, default=200)
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--tol", type=float)
-    vp.add_argument("--jobs", type=int, default=1)
     vp.set_defaults(handler=cmd_verify)
     registry["verify"] = vp
 

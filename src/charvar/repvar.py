@@ -81,10 +81,14 @@ class F2Pair:
     b: GroupElement
 
 
+def _relation_word(rho: Representation) -> GroupElement:
+    """The surface word [g1,h1][g2,h2]; the identity on solutions."""
+    return mul(commutator(rho.g1, rho.h1), commutator(rho.g2, rho.h2))
+
+
 def relation_residual(rho: Representation) -> np.ndarray:
     """Frobenius distance of [g1,h1][g2,h2] from the identity; 0 on solutions."""
-    word = mul(commutator(rho.g1, rho.h1), commutator(rho.g2, rho.h2))
-    return distance(word, GroupElement.identity(rho.batch_shape))
+    return distance(_relation_word(rho), GroupElement.identity(rho.batch_shape))
 
 
 def new_checked(

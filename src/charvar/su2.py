@@ -367,6 +367,15 @@ def _right_mul_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
+def _conjugation_system(as_: Sequence[GroupElement], bs: Sequence[GroupElement]) -> np.ndarray:
+    """The stacked 4n x 4 linear system k a_i - b_i k = 0 in the coordinates of k."""
+    if len(as_) != len(bs) or len(as_) == 0:
+        raise ValueError("need equally sized, non-empty element lists")
+    return np.concatenate(
+        [_right_mul_matrix(a.q) - _left_mul_matrix(b.q) for a, b in zip(as_, bs)], axis=0
+    )
+
+
 def conjugator_nullspace(
     as_: Sequence[GroupElement],
     bs: Sequence[GroupElement],
@@ -379,11 +388,7 @@ def conjugator_nullspace(
     Nonzero quaternions are invertible, so any unit-norm element of an exact
     nullspace is a valid conjugator.
     """
-    if len(as_) != len(bs) or len(as_) == 0:
-        raise ValueError("need equally sized, non-empty element lists")
-    blocks = [_right_mul_matrix(a.q) - _left_mul_matrix(b.q) for a, b in zip(as_, bs)]
-    m = np.concatenate(blocks, axis=0)
-    _, svals, vt = np.linalg.svd(m)
+    _, svals, vt = np.linalg.svd(_conjugation_system(as_, bs))
     small = svals < s_tol
     return vt[small].T
 
@@ -400,11 +405,7 @@ def find_conjugator(
     residual (Frobenius) is below tol.  Absence is a valid return: traces are
     conjugation invariants, so mismatched traces simply yield None.
     """
-    if len(as_) != len(bs) or len(as_) == 0:
-        raise ValueError("need equally sized, non-empty element lists")
-    blocks = [_right_mul_matrix(a.q) - _left_mul_matrix(b.q) for a, b in zip(as_, bs)]
-    m = np.concatenate(blocks, axis=0)
-    _, _, vt = np.linalg.svd(m)
+    _, _, vt = np.linalg.svd(_conjugation_system(as_, bs))
     k = GroupElement.from_quaternion(vt[-1])
     worst = max(float(distance(conjugate(k, a), b)) for a, b in zip(as_, bs))
     if worst < tol:
@@ -437,13 +438,3 @@ def stabilizer_type(
         if np.linalg.norm(np.cross(axes[0], axis)) > axis_tol:
             return StabilizerType.CENTER
     return StabilizerType.TORUS
-
-
-# ---------------------------------------------------------------------------
-# batch helpers
-# ---------------------------------------------------------------------------
-
-
-def stack(elements: Sequence[GroupElement]) -> GroupElement:
-    """Stack single elements into one batched GroupElement."""
-    return GroupElement(np.stack([e.q for e in elements], axis=0))

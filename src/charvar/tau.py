@@ -51,16 +51,8 @@ from .errors import (
 )
 from .flows import TorusElement, act, generators
 from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda
-from .repvar import Representation, relation_residual
-from .su2 import (
-    AlgebraElement,
-    GroupElement,
-    conjugate,
-    distance,
-    exp_alg,
-    find_conjugator,
-    mul,
-)
+from .repvar import Representation, _relation_word, relation_residual
+from .su2 import GroupElement, conjugate, distance, exp_alg, find_conjugator, mul
 from .tolerances import EPS_MAT, EPS_REL
 
 __all__ = ["FiberCoordinates", "section", "fiber_coordinates", "tau"]
@@ -181,8 +173,8 @@ def section(x, tol: float = EPS_REL) -> Representation:
     if res < tol:
         return rho
 
-    # Gauss-Newton polish on the two phases (closed form should not need it;
-    # kept as the convergence contract for ill-conditioned corners)
+    # Gauss-Newton polish on the two phases: within ~1e-9 of an edge the
+    # closed form can leave a residual just above tol
     rng = np.random.default_rng(0)
     budget = NEWTON_BUDGET
     best = (res, rho)
@@ -194,18 +186,8 @@ def section(x, tol: float = EPS_REL) -> Representation:
         while budget > 0:
             budget -= 1
             current = _build(theta[0], theta[1], phi, c1, c2, p1, p2)
-            word = mul(
-                mul(current.g1, current.h1),
-                mul(current.g1.inverse(), current.h1.inverse()),
-            )
             # residual of [g1,h1][g2,h2] against identity, as a 4-vector
-            full = mul(
-                word,
-                mul(
-                    mul(current.g2, current.h2),
-                    mul(current.g2.inverse(), current.h2.inverse()),
-                ),
-            )
+            full = _relation_word(current)
             r_vec = full.q - np.array([1.0, 0.0, 0.0, 0.0])
             res = float(np.sqrt(2.0) * np.linalg.norm(r_vec))
             if res < tol:
@@ -216,17 +198,7 @@ def section(x, tol: float = EPS_REL) -> Representation:
             jac = np.empty((4, 2))
             for j, (d1, d2) in enumerate(((step, 0.0), (0.0, step))):
                 bumped = _build(theta[0], theta[1], phi, c1, c2, p1 + d1, p2 + d2)
-                w2 = mul(
-                    mul(
-                        mul(bumped.g1, bumped.h1),
-                        mul(bumped.g1.inverse(), bumped.h1.inverse()),
-                    ),
-                    mul(
-                        mul(bumped.g2, bumped.h2),
-                        mul(bumped.g2.inverse(), bumped.h2.inverse()),
-                    ),
-                )
-                jac[:, j] = (w2.q - full.q) / step
+                jac[:, j] = (_relation_word(bumped).q - full.q) / step
             delta, *_ = np.linalg.lstsq(jac, -r_vec, rcond=None)
             norm = float(np.linalg.norm(delta))
             if norm > 0.5:  # damping

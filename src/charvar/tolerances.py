@@ -4,22 +4,21 @@ All closed-form operations on SU(2) stay within a few ulp of exact, so the
 defaults leave generous headroom for composed flows while still catching real
 violations:
 
-    EPS_NORM    unit-norm drift allowed on stored quaternions
     EPS_MAT     matrix-level residuals (products, conjugation solves)
-    EPS_ALG     algebra-level residuals (exp/log round trips)
     EPS_F       trace-angle comparisons
     EPS_CENTER  distance to +-I below which an element counts as central
     EPS_REL     commutator-relation residual accepted on representations
     EPS_POLY    polytope membership / active-constraint detection
+
+EPS_CENTER is a module constant only; the other four are the fields of
+`Tolerances`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-EPS_NORM = 1e-12
 EPS_MAT = 1e-9
-EPS_ALG = 1e-8
 EPS_F = 1e-9
 EPS_CENTER = 1e-9
 EPS_REL = 1e-8
@@ -30,11 +29,8 @@ EPS_POLY = 1e-9
 class Tolerances:
     """A coherent bundle of tolerances; scale all of them with one knob."""
 
-    norm: float = EPS_NORM
     mat: float = EPS_MAT
-    alg: float = EPS_ALG
     f: float = EPS_F
-    center: float = EPS_CENTER
     rel: float = EPS_REL
     poly: float = EPS_POLY
 
@@ -42,11 +38,8 @@ class Tolerances:
         if factor <= 0.0:
             raise ValueError("tolerance scale factor must be positive")
         return Tolerances(
-            norm=self.norm * factor,
             mat=self.mat * factor,
-            alg=self.alg * factor,
             f=self.f * factor,
-            center=self.center * factor,
             rel=self.rel * factor,
             poly=self.poly * factor,
         )

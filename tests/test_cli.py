@@ -11,9 +11,8 @@ import pytest
 
 from charvar.cli import main, rep_from_obj, rep_to_obj, run_sigma_certification, run_verify
 from charvar.errors import PreconditionViolated
-from charvar.polytope import moment_coordinates
 from charvar.repvar import Representation, relation_residual
-from charvar.su2 import GroupElement, haar_sample
+from charvar.su2 import haar_sample
 
 
 def run(argv) -> tuple[int, str]:
@@ -21,6 +20,14 @@ def run(argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def run_err(argv) -> tuple[int, str]:
+    """Exit code and stderr of one run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 def sample_lines(argv) -> list[dict]:
@@ -53,6 +60,28 @@ class TestSerialization:
         bad["g1"] = [2.0, 0.0, 0.0, 0.0]
         with pytest.raises(PreconditionViolated):
             rep_from_obj(bad)
+        for value in (float("nan"), float("inf")):
+            bad["g1"] = [value] * 4
+            with pytest.raises(PreconditionViolated, match="non-finite"):
+                rep_from_obj(bad)
+
+    @pytest.mark.parametrize("command", [["flow", "--t", "0,0,0"], ["moment"]])
+    def test_non_finite_line_exit_2(self, tmp_path, command):
+        bad = dict(PILLOW_OBJ)
+        bad["g1"] = [float("nan")] * 4
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps(PILLOW_OBJ) + "\n" + json.dumps(bad) + "\n")
+        code, err = run_err([*command, "--in", str(src)])
+        assert code == 2
+        assert "line 2:" in err
+
+    @pytest.mark.parametrize("line", ['{"g1": [1, 0, 0', "5", '{"g1": "abcd"}'])
+    def test_malformed_line_exit_2(self, tmp_path, line):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps(PILLOW_OBJ) + "\n\n" + line + "\n")
+        code, err = run_err(["moment", "--in", str(src)])
+        assert code == 2
+        assert "line 3:" in err
 
 
 class TestSample:
@@ -224,16 +253,23 @@ class TestVerify:
         assert code == 1
         assert rep["failures"] > 0
 
-    def test_jobs_deterministic(self):
+    def test_serial_deterministic(self):
         reports = []
         for _ in range(2):
-            _, out = run(
-                ["verify", "--suite", "flows", "--samples", "30", "--seed", "9", "--jobs", "3"]
-            )
+            _, out = run(["verify", "--suite", "all", "--samples", "30", "--seed", "9"])
             rep = json.loads(out)
             rep.pop("wall_time_s")
             reports.append(json.dumps(rep, sort_keys=True))
         assert reports[0] == reports[1]
+
+    def test_jobs_is_gone(self, tmp_path):
+        code, _ = run_err(["verify", "--suite", "density", "--samples", "2", "--jobs", "2"])
+        assert code == 2
+        cfg = tmp_path / "jobs.cfg"
+        cfg.write_text("jobs=2\n")
+        code, err = run_err(["--config", str(cfg), "verify", "--suite", "density"])
+        assert code == 2
+        assert "unknown key 'jobs'" in err
 
     def test_library_entry_point(self):
         rep = run_verify("tau", samples=10, seed=5)
@@ -255,6 +291,21 @@ class TestConfig:
         cfg.write_text("frobnicate=1\n")
         code, _ = run(["--config", str(cfg), "sample"])
         assert code == 2
+
+    def test_bool_values(self, tmp_path):
+        cfg = tmp_path / "flags.cfg"
+        for word, expect in (("ON", True), ("yes", True), ("0", False), ("off", False)):
+            cfg.write_text(f"count=1\nconjugate={word}\n")
+            plain = sample_lines(["sample", "--count", "1"])
+            lines = sample_lines(["--config", str(cfg), "sample"])
+            assert (lines != plain) is expect
+
+    def test_bad_bool_exit_2(self, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("# flags\nconjugate=ture\n")
+        code, err = run_err(["--config", str(cfg), "sample"])
+        assert code == 2
+        assert f"{cfg}:2: bad value" in err
 
     def test_missing_file_exit_2(self):
         code, _ = run(["--config", "/nonexistent/path.cfg", "sample"])

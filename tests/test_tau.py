@@ -75,6 +75,15 @@ class TestSection:
         assert float(relation_residual(rho)) < 1e-12
         assert np.max(np.abs(mu_lambda(rho).x - x)) < 1e-10
 
+    def test_polish_rescues_near_edge(self):
+        # 8.5e-13 from an edge the closed form leaves a relation residual of
+        # 1.04e-8 (above EPS_REL); only the Gauss-Newton polish on the two
+        # phases brings it below 1e-12
+        x = np.array([0.7516873116435345, 8.52419461182091e-13, 0.24831268835465775])
+        rho = section(x)
+        assert float(relation_residual(rho)) < 1e-12
+        assert np.max(np.abs(mu_lambda(rho).x - x)) < 1e-10
+
     def test_moment_exact_on_h_slots(self):
         # the h-slots realize the trace angles by construction
         rng = np.random.default_rng(51)
