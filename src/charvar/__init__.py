@@ -27,6 +27,7 @@ from .errors import (
     FiberSolveFailure,
     OutsidePolytope,
     PreconditionViolated,
+    RelationViolated,
     SectionSolveFailure,
     ZeroVector,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "SectionSolveFailure",
     "FiberSolveFailure",
     "PreconditionViolated",
+    "RelationViolated",
     "ClassificationAmbiguity",
     # su2
     "GroupElement",

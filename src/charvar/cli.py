@@ -24,6 +24,7 @@ from .errors import (
     FiberSolveFailure,
     OutsidePolytope,
     PreconditionViolated,
+    RelationViolated,
     SectionSolveFailure,
 )
 from .flows import TorusElement, act, verify_flow_identities
@@ -56,6 +57,7 @@ from .sigma import (
 from .su2 import (
     AlgebraElement,
     GroupElement,
+    _cross,
     commutator,
     conjugate,
     distance,
@@ -80,8 +82,9 @@ def rep_to_obj(rho: Representation) -> dict:
     """JSON-ready dict for one representation, plus residual and moment columns."""
     obj = {name: [float(v) for v in x.q] for name, x in zip(_SLOTS, rho.elements())}
     obj["residual"] = float(relation_residual(rho))
-    obj["mu"] = [float(v) for v in moment_coordinates(rho)]
-    obj["mu_lambda"] = [float(v) for v in mu_lambda_coordinates(rho)]
+    mu = moment_coordinates(rho)
+    obj["mu"] = [float(v) for v in mu]
+    obj["mu_lambda"] = [float(v) for v in M_P.apply_inverse(mu)]
     return obj
 
 
@@ -107,7 +110,8 @@ def rep_from_obj(obj: dict) -> Representation:
     return Representation(*slots)
 
 
-def read_jsonl(stream: IO[str]) -> Iterator[Representation]:
+def read_jsonl(stream: IO[str], rel_tol: float) -> Iterator[Representation]:
+    """Representations from JSONL lines, each a solution of the relation to rel_tol."""
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -116,6 +120,12 @@ def read_jsonl(stream: IO[str]) -> Iterator[Representation]:
             rho = rep_from_obj(json.loads(line))
         except (json.JSONDecodeError, PreconditionViolated) as bad:
             raise PreconditionViolated(f"line {lineno}: {bad}") from None
+        residual = float(relation_residual(rho))
+        if not residual < rel_tol:
+            raise RelationViolated(
+                f"line {lineno}: surface relation violated: residual {residual:.3e}"
+                f" >= {rel_tol:.3e}"
+            )
         yield rho
 
 
@@ -305,7 +315,7 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
         k1, k2 = _pure_unit(rng), _pure_unit(rng)
         if not class_equal(rp2_fiber_point(k1), rp2_fiber_point(-k1), tol=tol.mat):
             failures += 1
-        if float(np.linalg.norm(np.cross(k1.vec, k2.vec))) > 1e-2:
+        if float(np.linalg.norm(_cross(k1.vec, k2.vec))) > 1e-2:
             if class_equal(rp2_fiber_point(k1), rp2_fiber_point(k2), tol=tol.mat):
                 failures += 1
 
@@ -520,7 +530,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     src = _open_in(args.infile)
     out = _open_out(args.out)
     try:
-        for rho in read_jsonl(src):
+        for rho in read_jsonl(src, DEFAULT.rel):
             _write_line(out, rep_to_obj(act(t, rho)))
     finally:
         _close(src, args.infile)
@@ -534,7 +544,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
     src = _open_in(args.infile)
     out = _open_out(args.out)
     try:
-        points = (mapper(rho, tol=tol.poly) for rho in read_jsonl(src))
+        points = (mapper(rho, tol=tol.poly) for rho in read_jsonl(src, tol.rel))
         write_simplex_csv(points, out)
     finally:
         _close(src, args.infile)
@@ -548,7 +558,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
     out = _open_out(args.out)
     bad = 0
     try:
-        for rho in read_jsonl(src):
+        for rho in read_jsonl(src, tol.rel):
             image = tau(rho, tol=tol.rel)
             if args.check and not class_equal(tau(image, tol=tol.rel), rho, tol=tol.mat):
                 bad += 1
@@ -759,7 +769,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PreconditionViolated as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
-    except (SectionSolveFailure, FiberSolveFailure, OutsidePolytope, DegenerateGenerator) as bad:
+    except (
+        RelationViolated,
+        SectionSolveFailure,
+        FiberSolveFailure,
+        OutsidePolytope,
+        DegenerateGenerator,
+    ) as bad:
         print(f"solve failure: {bad}", file=sys.stderr)
         return 3
     except FileNotFoundError as bad:

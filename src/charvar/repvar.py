@@ -20,6 +20,11 @@ from .polytope import TILDE_DELTA, SimplexPoint
 from .su2 import (
     AlgebraElement,
     GroupElement,
+    _commutator,
+    _cross,
+    _pack,
+    _qmul,
+    _split,
     commutator,
     conjugate,
     distance,
@@ -83,7 +88,8 @@ class F2Pair:
 
 def _relation_word(rho: Representation) -> GroupElement:
     """The surface word [g1,h1][g2,h2]; the identity on solutions."""
-    return mul(commutator(rho.g1, rho.h1), commutator(rho.g2, rho.h2))
+    g1, h1, g2, h2 = (_split(x.q) for x in rho.elements())
+    return GroupElement(_pack(*_qmul(_commutator(g1, h1), _commutator(g2, h2))))
 
 
 def relation_residual(rho: Representation) -> np.ndarray:
@@ -191,7 +197,7 @@ def diagonalize_abelian(
     elif c < -1.0 + 1e-14:
         k = GroupElement(np.array([0.0, 1.0, 0.0, 0.0]))  # half-turn about x
     else:
-        axis = np.cross(n, z)
+        axis = np.array(_cross(n, z))
         axis /= np.linalg.norm(axis)
         beta = float(np.arccos(np.clip(c, -1.0, 1.0)))
         k = exp_alg(AlgebraElement(0.5 * beta * axis))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionViolated
 from .repvar import Representation, is_abelian
-from .su2 import AlgebraElement, GroupElement, conjugate, exp_alg, haar_sample, is_central
+from .su2 import AlgebraElement, GroupElement, _cross, conjugate, exp_alg, haar_sample, is_central
 from .flows import TorusElement, act
 from .polytope import STD_DELTA
 from .tau import section
@@ -213,7 +213,7 @@ def _deformation_direction(rho: Representation) -> AlgebraElement:
     pick = int(np.argmin(np.abs(axis)))
     e = np.zeros(3)
     e[pick] = 1.0
-    d = np.cross(axis, e)
+    d = np.array(_cross(axis, e))
     return AlgebraElement(d).unit()
 
 

@@ -30,6 +30,14 @@
 # below SNAP_TOL at multiples of pi/2.  Together these make identities like
 # exp(pi * n) = -I and (-I) g (-I) = g hold bitwise, which downstream modules
 # assert (torus kernel, interval endpoints).
+#
+# The order of operations in the kernels (_qmul, conjugate, _cross) is part
+# of the exactness contract: every component is computed by the expression
+# written there, grouped as written, and fixed-seed outputs are reproducible
+# bit for bit only because of it.  Regrouping the arithmetic (a "simpler"
+# sum, a fused dot product, a matrix form) changes output bits and is a
+# regression; tests/test_su2.py checks the kernels bitwise against the
+# vector/cross-product formulation they replaced.
 
 from __future__ import annotations
 
@@ -216,8 +224,72 @@ class StabilizerType(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _all_exact_center(q: np.ndarray) -> bool:
-    return bool(np.all(q[..., 1:] == 0.0) and np.all(np.abs(q[..., 0]) == 1.0))
+def _split(q: np.ndarray) -> np.ndarray:
+    """The components (w, x, y, z) of quaternion(s) q, stacked on axis 0.
+
+    Unpacking the result gives four arrays of the batch shape (numpy scalars
+    for a single quaternion), so the kernels below broadcast like q does.
+    """
+    return q.transpose(-1, *range(q.ndim - 1))
+
+
+def _pack(w, x, y, z) -> np.ndarray:
+    """The (..., 4) array with components w, x, y, z; w has the full batch shape."""
+    q = np.empty(w.shape + (4,))
+    q[..., 0] = w
+    q[..., 1] = x
+    q[..., 2] = y
+    q[..., 3] = z
+    return q
+
+
+def _cross(a, b) -> tuple:
+    """a x b from component triples (a length-3 vector unpacks to one).
+
+    The operations and their order are NumPy's cross product's:
+    (a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0).
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _exact_center(w, x, y, z) -> bool:
+    """Is every element exactly +-I (vector part all zero, |w| exactly 1)?"""
+    if np.count_nonzero(x) or np.count_nonzero(y) or np.count_nonzero(z):
+        return False
+    return not np.count_nonzero(abs(w) != 1.0)
+
+
+def _qmul(a: tuple, b: tuple) -> tuple:
+    """Renormalized product of component quadruples a = (w, x, y, z) and b.
+
+    The one quaternion-product kernel; see the exactness note in the header.
+    """
+    if _exact_center(*b):
+        s = b[0]
+        return a[0] * s, a[1] * s, a[2] * s, a[3] * s
+    if _exact_center(*a):
+        s = a[0]
+        return b[0] * s, b[1] * s, b[2] * s, b[3] * s
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    cx, cy, cz = _cross((ax, ay, az), (bx, by, bz))
+    # the dot starts from +0.0, as a NumPy sum does: an all -0.0 dot is +0.0
+    w = aw * bw - (((0.0 + ax * bx) + ay * by) + az * bz)
+    x = (aw * bx + bw * ax) + cx
+    y = (aw * by + bw * ay) + cy
+    z = (aw * bz + bw * az) + cz
+    # a product with |q|^2 == 1.0 is divided by exactly 1: sqrt(1.0) == 1.0
+    n = np.sqrt(((w * w + x * x) + y * y) + z * z)
+    return w / n, x / n, y / n, z / n
+
+
+def _commutator(g: tuple, h: tuple) -> tuple:
+    """[g, h] = (g h)(g^-1 h^-1) on component quadruples."""
+    gw, gx, gy, gz = g
+    hw, hx, hy, hz = h
+    return _qmul(_qmul(g, h), _qmul((gw, -gx, -gy, -gz), (hw, -hx, -hy, -hz)))
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -226,19 +298,7 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     Products with an exactly central operand (+-I) are exact sign flips and
     skip renormalization, so central factors never perturb bits.
     """
-    qa, qb = a.q, b.q
-    if _all_exact_center(qb):
-        return GroupElement(qa * qb[..., 0:1])
-    if _all_exact_center(qa):
-        return GroupElement(qb * qa[..., 0:1])
-    aw, av = qa[..., 0], qa[..., 1:]
-    bw, bv = qb[..., 0], qb[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1)
-    v = aw[..., None] * bv + bw[..., None] * av + np.cross(av, bv)
-    q = np.concatenate([w[..., None], v], axis=-1)
-    n2 = np.sum(q * q, axis=-1)
-    div = np.where(n2 == 1.0, 1.0, np.sqrt(n2))
-    return GroupElement(q / div[..., None])
+    return GroupElement(_pack(*_qmul(_split(a.q), _split(b.q))))
 
 
 def conjugate(k: GroupElement, g: GroupElement) -> GroupElement:
@@ -247,16 +307,16 @@ def conjugate(k: GroupElement, g: GroupElement) -> GroupElement:
     Preserves the scalar part w bitwise (conjugation fixes the trace), which
     keeps trace-based coordinates of conjugated elements exactly stable.
     """
-    kw, kv = k.q[..., 0], k.q[..., 1:]
-    gv = g.q[..., 1:]
-    t = 2.0 * np.cross(kv, gv)
-    v = gv + kw[..., None] * t + np.cross(kv, t)
-    return GroupElement(np.concatenate([g.q[..., 0:1], v], axis=-1))
+    kw, kx, ky, kz = _split(k.q)
+    gw, gx, gy, gz = _split(g.q)
+    tx, ty, tz = (2.0 * c for c in _cross((kx, ky, kz), (gx, gy, gz)))
+    cx, cy, cz = _cross((kx, ky, kz), (tx, ty, tz))
+    return GroupElement(_pack(gw, (gx + kw * tx) + cx, (gy + kw * ty) + cy, (gz + kw * tz) + cz))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     """[g, h] = g h g^-1 h^-1."""
-    return mul(mul(g, h), mul(g.inverse(), h.inverse()))
+    return GroupElement(_pack(*_commutator(_split(g.q), _split(h.q))))
 
 
 def distance(a: GroupElement, b: GroupElement) -> np.ndarray:
@@ -435,6 +495,6 @@ def stabilizer_type(
     if not axes:
         return StabilizerType.FULL
     for axis in axes[1:]:
-        if np.linalg.norm(np.cross(axes[0], axis)) > axis_tol:
+        if np.linalg.norm(_cross(axes[0], axis)) > axis_tol:
             return StabilizerType.CENTER
     return StabilizerType.TORUS

@@ -52,7 +52,7 @@ from .errors import (
 from .flows import TorusElement, act, generators
 from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda
 from .repvar import Representation, _relation_word, relation_residual
-from .su2 import GroupElement, conjugate, distance, exp_alg, find_conjugator, mul
+from .su2 import GroupElement, _cross, conjugate, distance, exp_alg, find_conjugator, mul
 from .tolerances import EPS_MAT, EPS_REL
 
 __all__ = ["FiberCoordinates", "section", "fiber_coordinates", "tau"]
@@ -214,9 +214,9 @@ def section(x, tol: float = EPS_REL) -> Representation:
 def _perp_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     probe = np.zeros(3)
     probe[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = np.cross(n, probe)
+    e1 = np.array(_cross(n, probe))
     e1 /= np.linalg.norm(e1)
-    return e1, np.cross(n, e1)
+    return e1, np.array(_cross(n, e1))
 
 
 def _canonical_angles(l1: float, l2: float, l3: float) -> TorusElement:

@@ -36,6 +36,17 @@ def sample_lines(argv) -> list[dict]:
     return [json.loads(line) for line in out.strip().split("\n")]
 
 
+def non_solution() -> Representation:
+    """Four Haar slots far off the surface relation."""
+    rng = np.random.default_rng(31)
+    while True:
+        rho = Representation(
+            haar_sample(rng), haar_sample(rng), haar_sample(rng), haar_sample(rng)
+        )
+        if float(relation_residual(rho)) > 1e-2:
+            return rho
+
+
 PILLOW_OBJ = {
     "g1": [0.0, 0.0, 0.0, 1.0],
     "h1": [0.0, -1.0, 0.0, 0.0],
@@ -74,6 +85,15 @@ class TestSerialization:
         code, err = run_err([*command, "--in", str(src)])
         assert code == 2
         assert "line 2:" in err
+
+    @pytest.mark.parametrize("command", [["flow", "--t", "0,0,0"], ["moment"]])
+    def test_non_solution_line_exit_3(self, tmp_path, command):
+        src = tmp_path / "in.jsonl"
+        bad = json.dumps(rep_to_obj(non_solution()))
+        src.write_text(json.dumps(PILLOW_OBJ) + "\n" + bad + "\n")
+        code, err = run_err([*command, "--in", str(src)])
+        assert code == 3
+        assert "line 2: surface relation violated" in err
 
     @pytest.mark.parametrize("line", ['{"g1": [1, 0, 0', "5", '{"g1": "abcd"}'])
     def test_malformed_line_exit_2(self, tmp_path, line):
@@ -182,19 +202,12 @@ class TestTau:
             assert y["residual"] < 1e-8
 
     def test_solve_failure_exit_3(self, tmp_path):
-        # interior moment but not a relation solution: the fiber recovery
-        # cannot verify and must report a solve failure
-        rng = np.random.default_rng(31)
-        while True:
-            rho = Representation(
-                haar_sample(rng), haar_sample(rng), haar_sample(rng), haar_sample(rng)
-            )
-            if float(relation_residual(rho)) > 1e-2:
-                break
+        # not a relation solution: rejected where the line is read
         src = tmp_path / "in.jsonl"
-        src.write_text(json.dumps(rep_to_obj(rho)) + "\n")
-        code, _ = run(["tau", "--in", str(src)])
+        src.write_text(json.dumps(rep_to_obj(non_solution())) + "\n")
+        code, err = run_err(["tau", "--in", str(src)])
         assert code == 3
+        assert "line 1: surface relation violated" in err
 
 
 class TestFixedPoints:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from charvar import su2
 from charvar.errors import CenterAmbiguity, ZeroVector
+from charvar.repvar import Representation, relation_residual
 from charvar.su2 import (
     AlgebraElement,
     GroupElement,
@@ -93,6 +95,15 @@ def test_mul_batched_matches_scalar():
         np.testing.assert_array_equal(batched.q[i], mul(a[i], b[i]).q)
 
 
+@pytest.mark.parametrize("op", [conjugate, commutator])
+def test_conjugate_and_commutator_batched_match_scalar(op):
+    rng = np.random.default_rng(3)
+    a, b = haar_sample(rng, (64,)), haar_sample(rng, (64,))
+    batched = op(a, b)
+    for i in range(64):
+        np.testing.assert_array_equal(batched.q[i], op(a[i], b[i]).q)
+
+
 def test_central_products_are_exact_sign_flips():
     (g,) = rand_elements(4)
     assert np.array_equal(mul(MINUS_I2, g).q, -g.q)
@@ -133,6 +144,98 @@ def test_conjugate_matches_mul_chain():
         chain = mul(mul(k, g), k.inverse())
         assert distance(conjugate(k, g), chain) < EPS_MAT
         assert conjugate(k, g).w == g.w  # scalar part preserved bitwise
+
+
+# ---------------------------------------------------------------------------
+# bitwise equivalence with the np.cross formulation the kernels replaced
+# ---------------------------------------------------------------------------
+
+
+def _cross_oracle_mul(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    def exact_center(q):
+        return bool(np.all(q[..., 1:] == 0.0) and np.all(np.abs(q[..., 0]) == 1.0))
+
+    if exact_center(qb):
+        return qa * qb[..., 0:1]
+    if exact_center(qa):
+        return qb * qa[..., 0:1]
+    aw, av = qa[..., 0], qa[..., 1:]
+    bw, bv = qb[..., 0], qb[..., 1:]
+    w = aw * bw - np.sum(av * bv, axis=-1)
+    v = aw[..., None] * bv + bw[..., None] * av + np.cross(av, bv)
+    q = np.concatenate([w[..., None], v], axis=-1)
+    n2 = np.sum(q * q, axis=-1)
+    div = np.where(n2 == 1.0, 1.0, np.sqrt(n2))
+    return q / div[..., None]
+
+
+def _cross_oracle_conjugate(qk: np.ndarray, qg: np.ndarray) -> np.ndarray:
+    kw, kv = qk[..., 0], qk[..., 1:]
+    gv = qg[..., 1:]
+    t = 2.0 * np.cross(kv, gv)
+    v = gv + kw[..., None] * t + np.cross(kv, t)
+    return np.concatenate([qg[..., 0:1], v], axis=-1)
+
+
+def _cross_oracle_commutator(qg: np.ndarray, qh: np.ndarray) -> np.ndarray:
+    inv = np.array([1.0, -1.0, -1.0, -1.0])
+    return _cross_oracle_mul(_cross_oracle_mul(qg, qh), _cross_oracle_mul(qg * inv, qh * inv))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _normalized(raw: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(raw, axis=-1, keepdims=True)
+    return np.where(n > 0.0, raw / np.where(n > 0.0, n, 1.0), [1.0, 0.0, 0.0, 0.0])
+
+
+def quaternions(shape: tuple) -> st.SearchStrategy:
+    """Unit quaternions of the given batch shape: random, with signed-zero and
+    +-1 components, or every element exactly +-I (signed zeros included)."""
+    component = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    center = st.tuples(st.sampled_from([1.0, -1.0]), *[st.sampled_from([0.0, -0.0])] * 3)
+    return st.one_of(
+        hnp.arrays(np.float64, shape + (4,), elements=component).map(_normalized),
+        center.map(lambda c: np.broadcast_to(np.array(c), shape + (4,)).copy()),
+    )
+
+
+# scalar x scalar, batch x batch, and scalar x batch broadcast both ways
+PAIR_SHAPES = st.sampled_from([((), ()), ((5,), (5,)), ((), (5,)), ((5,), ())])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernels_match_cross_oracle_bitwise(data):
+    sa, sb = data.draw(PAIR_SHAPES)
+    qa, qb = data.draw(quaternions(sa)), data.draw(quaternions(sb))
+    a, b = GroupElement(qa), GroupElement(qb)
+    assert _same_bits(mul(a, b).q, _cross_oracle_mul(qa, qb))
+    assert _same_bits(commutator(a, b).q, _cross_oracle_commutator(qa, qb))
+    if len(sa) <= len(sb):  # the scalar part comes from g, so g carries the batch
+        assert _same_bits(conjugate(a, b).q, _cross_oracle_conjugate(qa, qb))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_relation_residual_matches_cross_oracle_bitwise(data):
+    shape = data.draw(st.sampled_from([(), (5,)]))
+    g1, h1, g2, h2 = (data.draw(quaternions(shape)) for _ in range(4))
+    word = _cross_oracle_mul(_cross_oracle_commutator(g1, h1), _cross_oracle_commutator(g2, h2))
+    oracle = distance(GroupElement(word), GroupElement.identity(shape))
+    rho = Representation(*(GroupElement(q) for q in (g1, h1, g2, h2)))
+    assert _same_bits(np.asarray(relation_residual(rho)), np.asarray(oracle))
+
+
+def test_mul_all_negative_zero_dot_keeps_the_sign_of_zero():
+    # every product in w is -0.0: np.sum starts from +0.0, so w is -0.0 - (+0.0)
+    qa = np.array([-0.0, 1.0, -0.0, -0.0])
+    qb = np.array([0.6, -0.0, 0.8, 0.0])
+    got = mul(GroupElement(qa), GroupElement(qb)).q
+    assert _same_bits(got, _cross_oracle_mul(qa, qb))
+    assert np.signbit(got[0])
 
 
 # ---------------------------------------------------------------------------
