@@ -40,7 +40,7 @@ from .polytope import (
     mu_lambda_coordinates,
     write_simplex_csv,
 )
-from .repvar import Representation, class_equal, is_abelian, relation_residual
+from .repvar import Representation, class_equal, is_abelian, new_checked, relation_residual
 from .sampler import SampleSpec, Target, _diag, _random_torus, density_witness, sample
 from .sigma import (
     Piece,
@@ -117,15 +117,11 @@ def read_jsonl(stream: IO[str], rel_tol: float) -> Iterator[Representation]:
         if not line:
             continue
         try:
-            rho = rep_from_obj(json.loads(line))
+            rho = new_checked(*rep_from_obj(json.loads(line)).elements(), rel_tol)
+        except RelationViolated as bad:
+            raise RelationViolated(f"line {lineno}: {bad}") from None
         except (json.JSONDecodeError, PreconditionViolated) as bad:
             raise PreconditionViolated(f"line {lineno}: {bad}") from None
-        residual = float(relation_residual(rho))
-        if not residual < rel_tol:
-            raise RelationViolated(
-                f"line {lineno}: surface relation violated: residual {residual:.3e}"
-                f" >= {rel_tol:.3e}"
-            )
         yield rho
 
 
@@ -766,9 +762,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as stop:  # argparse reports flag errors with code 2
         code = stop.code
         return code if isinstance(code, int) else 2
-    except PreconditionViolated as bad:
-        print(f"error: {bad}", file=sys.stderr)
-        return 2
     except (
         RelationViolated,
         SectionSolveFailure,
@@ -778,6 +771,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as bad:
         print(f"solve failure: {bad}", file=sys.stderr)
         return 3
+    except PreconditionViolated as bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 2
     except FileNotFoundError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2

@@ -33,12 +33,12 @@ class FiberSolveFailure(CharVarError):
     """Fiber-coordinate recovery did not reach the required residual."""
 
 
-class RelationViolated(CharVarError):
-    """A tuple read as a class representative does not solve the surface relation."""
-
-
 class PreconditionViolated(CharVarError):
     """An operation was called outside its documented domain."""
+
+
+class RelationViolated(PreconditionViolated):
+    """A tuple required to be a class representative does not solve the surface relation."""
 
 
 class ClassificationAmbiguity(CharVarError):

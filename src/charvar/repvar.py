@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, RelationViolated
 from .polytope import TILDE_DELTA, SimplexPoint
 from .su2 import (
     AlgebraElement,
     GroupElement,
-    _commutator,
     _cross,
-    _pack,
-    _qmul,
-    _split,
+    _surface_word,
     commutator,
     conjugate,
     distance,
@@ -88,8 +85,7 @@ class F2Pair:
 
 def _relation_word(rho: Representation) -> GroupElement:
     """The surface word [g1,h1][g2,h2]; the identity on solutions."""
-    g1, h1, g2, h2 = (_split(x.q) for x in rho.elements())
-    return GroupElement(_pack(*_qmul(_commutator(g1, h1), _commutator(g2, h2))))
+    return _surface_word(*rho.elements())
 
 
 def relation_residual(rho: Representation) -> np.ndarray:
@@ -104,12 +100,15 @@ def new_checked(
     h2: GroupElement,
     tol: float = EPS_REL,
 ) -> Representation:
-    """Build a Representation, insisting the surface relation holds to `tol`."""
+    """Build a Representation, insisting the surface relation holds to `tol`.
+
+    RelationViolated (a PreconditionViolated) if it does not.
+    """
     rho = Representation(g1, h1, g2, h2)
     res = relation_residual(rho)
     worst = float(np.max(res))
     if worst >= tol:
-        raise PreconditionViolated(
+        raise RelationViolated(
             f"surface relation violated: residual {worst:.3e} >= {tol:.3e}"
         )
     return rho

@@ -319,6 +319,14 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(_pack(*_commutator(_split(g.q), _split(h.q))))
 
 
+def _surface_word(
+    g1: GroupElement, h1: GroupElement, g2: GroupElement, h2: GroupElement
+) -> GroupElement:
+    """The genus-2 surface word [g1, h1][g2, h2], fused on components."""
+    a, b, c, d = (_split(x.q) for x in (g1, h1, g2, h2))
+    return GroupElement(_pack(*_qmul(_commutator(a, b), _commutator(c, d))))
+
+
 def distance(a: GroupElement, b: GroupElement) -> np.ndarray:
     """Frobenius norm of the matrix difference (= sqrt(2) * quaternion distance)."""
     return np.sqrt(2.0) * np.linalg.norm(a.q - b.q, axis=-1)

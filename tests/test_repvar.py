@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from charvar.errors import PreconditionViolated
+from charvar.errors import PreconditionViolated, RelationViolated
 from charvar.polytope import RegionKind
 from charvar.repvar import (
     F2Pair,
@@ -105,10 +105,11 @@ class TestRelation:
 
     def test_new_checked_rejects_random_quadruple(self):
         rng = np.random.default_rng(5)
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(RelationViolated):
             new_checked(
                 haar_sample(rng), haar_sample(rng), haar_sample(rng), haar_sample(rng)
             )
+        assert issubclass(RelationViolated, PreconditionViolated)
 
     def test_mismatched_batch_shapes_rejected(self):
         rng = np.random.default_rng(6)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from charvar.errors import PreconditionViolated
+from charvar.errors import FiberSolveFailure, PreconditionViolated
 from charvar.flows import TorusElement, act
 from charvar.polytope import M_P, STD_DELTA, mu_lambda
 from charvar.repvar import Representation, class_equal, relation_residual
@@ -173,6 +173,22 @@ class TestFiberCoordinates:
         rho = Representation(g, g, g, g)
         with pytest.raises(PreconditionViolated):
             fiber_coordinates(rho)
+
+    def test_non_solution_fails_verification(self):
+        # interior moment but not a relation solution: no angles over the
+        # section reproduce it, so the recovery must report a solve failure
+        rng = np.random.default_rng(31)
+        while True:
+            rho = Representation(
+                haar_sample(rng), haar_sample(rng), haar_sample(rng), haar_sample(rng)
+            )
+            if float(relation_residual(rho)) > 1e-2:
+                break
+        assert mu_lambda(rho).is_interior
+        with pytest.raises(FiberSolveFailure):
+            fiber_coordinates(rho)
+        with pytest.raises(FiberSolveFailure):
+            tau(rho)
 
     def test_returns_dataclass(self):
         fc = fiber_coordinates(section(np.array([0.3, 0.2, 0.2])))
