@@ -5,9 +5,10 @@
 # residual, abelianness, class equality (= conjugacy of quadruples), the
 # trace vector Phi, and the trace-angle map psi on free pairs.
 #
-# All slots share one batch shape; constructors and invariant maps broadcast,
-# while decision procedures that need a conjugator solve (class_equal on
-# irreducible quadruples, diagonalize_abelian) are scalar-only.
+# All slots share one batch shape; constructors, invariant maps, is_abelian
+# and the simultaneous-conjugacy test _conjugators run over a batch, while
+# class_equal (whose abelian branch diagonalizes) and diagonalize_abelian take
+# single quadruples.
 
 from __future__ import annotations
 
@@ -21,12 +22,12 @@ from .su2 import (
     AlgebraElement,
     GroupElement,
     _cross,
+    _find_conjugators,
     _surface_word,
     commutator,
     conjugate,
     distance,
     exp_alg,
-    find_conjugator,
     mul,
     trace_angle,
 )
@@ -148,16 +149,23 @@ def new_projected(
     return new_checked(g1, h1, g2, h2_new, tol)
 
 
+# the six slot pairs (i, j), i < j, as index arrays
+_PAIR_I = np.array([0, 0, 0, 1, 1, 2])
+_PAIR_J = np.array([1, 2, 3, 2, 3, 3])
+
+
+def _abelian(slots: np.ndarray, tol: float) -> np.ndarray:
+    """is_abelian on slot quaternions stacked on axis 0, shape (4, ..., 4).
+
+    The six slot-pair commutators are one commutator over a leading axis of
+    six pairs."""
+    comm = commutator(GroupElement(slots[_PAIR_I]), GroupElement(slots[_PAIR_J]))
+    return np.max(distance(comm, GroupElement.identity()), axis=0) < tol
+
+
 def is_abelian(rho: Representation, tol: float = EPS_MAT):
     """Do all four slots pairwise commute?  Batched; scalar input -> bool."""
-    xs = rho.elements()
-    ident = GroupElement.identity(rho.batch_shape)
-    worst = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            res = distance(commutator(xs[i], xs[j]), ident)
-            worst = res if worst is None else np.maximum(worst, res)
-    out = worst < tol
+    out = _abelian(np.stack([x.q for x in rho.elements()]), tol)
     return bool(out) if rho.batch_shape == () else out
 
 
@@ -229,7 +237,9 @@ def class_equal(
     """
     if rho.batch_shape != () or other.batch_shape != ():
         raise ValueError("class_equal is scalar-only")
-    ab1, ab2 = is_abelian(rho, tol), is_abelian(other, tol)
+    # (4, 2, 4): slots[:, 0] lists rho's elements, slots[:, 1] other's
+    slots = np.array([[a.q, b.q] for a, b in zip(rho.elements(), other.elements())])
+    ab1, ab2 = _abelian(slots, tol)
     if ab1 != ab2:
         return False
     if ab1:
@@ -237,8 +247,21 @@ def class_equal(
         _, d2 = diagonalize_abelian(other, tol)
         a1, a2 = _diagonal_angles(d1), _diagonal_angles(d2)
         return _angles_close(a1, a2, tol) or _angles_close(a1, -a2, tol)
-    k = find_conjugator(list(rho.elements()), list(other.elements()), tol)
-    return k is not None
+    return bool(_find_conjugators(slots[:, 0], slots[:, 1], tol)[1])
+
+
+def _conjugators(
+    rho: Representation, other: Representation, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One conjugator solve for every quadruple pair of a batch.
+
+    Returns (k, found) over the common batch shape, as su2._find_conjugators:
+    found is True where a single k conjugates all four slots of rho onto
+    those of other.  Only the irreducible-side decision of class_equal;
+    abelian pairs need its diagonalization branch.
+    """
+    a, b = (np.stack([x.q for x in r.elements()], axis=-2) for r in (rho, other))
+    return _find_conjugators(a, b, tol)
 
 
 def goldman_Phi(rho: Representation) -> np.ndarray:

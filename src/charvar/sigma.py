@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ClassificationAmbiguity, PreconditionViolated
-from .repvar import Representation, class_equal, relation_residual
+from .repvar import Representation, _conjugators, class_equal, is_abelian, relation_residual
 from .su2 import (
     GroupElement,
     StabilizerType,
@@ -107,7 +107,7 @@ def sigma(rho: Representation, tol: float = EPS_REL) -> Representation:
     Preserves the relation, so a residual above `tol` on the output means the
     input was off the relation manifold to begin with."""
     swapped = Representation(rho.h2, rho.g2, rho.h1, rho.g1)
-    res = float(np.max(relation_residual(swapped)))
+    res = float(np.max(relation_residual(swapped), initial=0.0))
     if res >= tol:
         raise PreconditionViolated(
             f"sigma input violates the relation (output residual {res:.3e})"
@@ -276,7 +276,7 @@ def _snapped_diag(angle: float) -> GroupElement:
     return GroupElement(np.array([float(c), 0.0, 0.0, float(s)]))
 
 
-def n2_interval(theta: float, s: float, alpha: float) -> Representation:
+def n2_interval(theta: float, s: float, alpha: float | np.ndarray) -> Representation:
     """The explicit arc of sigma-fixed classes over a commuting pair.
 
     g = diag(e^{i theta}), h = diag(e^{i s}), and
@@ -284,12 +284,14 @@ def n2_interval(theta: float, s: float, alpha: float) -> Representation:
         k(alpha) = [[i cos a, sin a], [-sin a, -i cos a]]
                  = (0, sin a, 0, cos a)   (unit, trace 0, k^2 = -1),
 
-    returns (g, h, k h k^{-1}, k g k^{-1}) for alpha in [0, pi/2].  At
-    alpha = 0 this is the swap quadruple (g,h,h,g) (pillow surface, bitwise);
-    at alpha = pi/2 it is (g,h,h^{-1},g^{-1}) (the other surface, bitwise).
-    PreconditionViolated when theta and s are both multiples of pi (the four
-    degenerate central arcs) or alpha leaves [0, pi/2]."""
-    if not 0.0 <= alpha <= np.pi / 2:
+    returns (g, h, k h k^{-1}, k g k^{-1}) for alpha in [0, pi/2], batched
+    over the shape of alpha.  At alpha = 0 this is the swap quadruple
+    (g,h,h,g) (pillow surface, bitwise); at alpha = pi/2 it is
+    (g,h,h^{-1},g^{-1}) (the other surface, bitwise).  PreconditionViolated
+    when theta and s are both multiples of pi (the four degenerate central
+    arcs) or some alpha leaves [0, pi/2]."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all((0.0 <= alpha) & (alpha <= np.pi / 2)):
         raise PreconditionViolated("interval parameter must lie in [0, pi/2]")
     g = _snapped_diag(theta)
     h = _snapped_diag(s)
@@ -298,8 +300,10 @@ def n2_interval(theta: float, s: float, alpha: float) -> Representation:
             "degenerate arc: both angles are multiples of pi (central pair)"
         )
     ca, sa = _snap_trig(np.cos(alpha), np.sin(alpha))
-    k = GroupElement(np.array([0.0, float(sa), 0.0, float(ca)]))
-    return Representation(g, h, conjugate(k, h), conjugate(k, g))
+    zero = np.zeros(alpha.shape)
+    k = GroupElement(np.stack([zero, sa, zero, ca], axis=-1))
+    g1, h1 = (GroupElement(np.broadcast_to(x.q, alpha.shape + (4,))) for x in (g, h))
+    return Representation(g1, h1, conjugate(k, h), conjugate(k, g))
 
 
 @dataclass(frozen=True)
@@ -321,23 +325,29 @@ def certify_interval_injectivity(
     theta: float, s: float, grid: int, tol: float = EPS_MAT
 ) -> InjectivityReport:
     """Certify one arc pointwise: every grid point sigma-fixed, all pairs of
-    distinct parameters in distinct classes."""
+    distinct parameters in distinct classes.
+
+    The grid is one batch: one conjugator solve decides fixedness, one
+    is_abelian splits the points, and one solve decides every pair of
+    irreducible points.  The decisions are class_equal's: pairs with one
+    abelian point are distinct, and pairs of two abelian points (the arc's
+    endpoints) go through class_equal itself."""
     alphas = np.linspace(0.0, np.pi / 2, grid)
-    points = [n2_interval(theta, s, float(a)) for a in alphas]
-    fixed_failures = tuple(
-        float(a)
-        for a, p in zip(alphas, points)
-        if sigma_fixed_conjugator(p, tol) is None
-    )
-    collisions = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if class_equal(points[i], points[j], tol):
-                collisions.append((float(alphas[i]), float(alphas[j])))
+    points = n2_interval(theta, s, alphas)
+    _, fixed = _conjugators(points, sigma(points), tol)
+    abelian = is_abelian(points, tol)
+    i, j = np.triu_indices(grid, 1)
+    equal = np.zeros(i.shape, dtype=bool)
+    irreducible = ~abelian[i] & ~abelian[j]
+    equal[irreducible] = _conjugators(points[i[irreducible]], points[j[irreducible]], tol)[1]
+    for p in np.flatnonzero(abelian[i] & abelian[j]):
+        equal[p] = class_equal(points[i[p]], points[j[p]], tol)
     return InjectivityReport(
         theta=float(theta),
         s=float(s),
         alphas=alphas,
-        fixed_failures=fixed_failures,
-        collisions=tuple(collisions),
+        fixed_failures=tuple(float(a) for a in alphas[~fixed]),
+        collisions=tuple(
+            (float(alphas[a]), float(alphas[b])) for a, b in zip(i[equal], j[equal])
+        ),
     )

@@ -22,8 +22,10 @@
 # All types are immutable values (arrays are frozen); every operation is a
 # pure function, safe under concurrency.  Operations broadcast: a GroupElement
 # may hold a single quaternion (shape (4,)) or a batch (shape (..., 4)), and
-# the arithmetic applies elementwise.  Solvers (find_conjugator,
-# stabilizer_type) are single-element only.
+# the arithmetic applies elementwise.  The simultaneous-conjugator solve is
+# one batched kernel (_find_conjugators) over stacks of element lists;
+# find_conjugator is its entry point for one list of single elements, and
+# stabilizer_type takes single elements only.
 #
 # Exactness: products where one operand is exactly +-I are computed as exact
 # sign flips (no renormalization), and the exponential snaps cos/sin residue
@@ -234,8 +236,12 @@ def _split(q: np.ndarray) -> np.ndarray:
 
 
 def _pack(w, x, y, z) -> np.ndarray:
-    """The (..., 4) array with components w, x, y, z; w has the full batch shape."""
-    q = np.empty(w.shape + (4,))
+    """The (..., 4) array with components w, x, y, z.
+
+    x has the full batch shape; w may have fewer axes (conjugate passes g's
+    scalar part unchanged) and is broadcast.
+    """
+    q = np.empty(x.shape + (4,))
     q[..., 0] = w
     q[..., 1] = x
     q[..., 2] = y
@@ -411,37 +417,58 @@ def haar_sample(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupE
 # ---------------------------------------------------------------------------
 
 
+# Quaternion products as 4 x 4 matrices on the other factor's coordinates:
+# _left_mul_matrix(q) @ k = q k and _right_mul_matrix(q) @ k = k q, with
+# entry [r, c] = SIGN[r, c] * q[_MUL_INDEX[r, c]].  A sign of +-1.0 is exact,
+# so the entries are the components of q bit for bit.
+_MUL_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array(
+    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]
+)
+_RIGHT_SIGN = np.array(
+    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]]
+)
+
+
 def _left_mul_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
+    """(..., 4, 4) matrices of k -> q k for quaternions q of shape (..., 4)."""
+    return q[..., _MUL_INDEX] * _LEFT_SIGN
 
 
 def _right_mul_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, z, -y],
-            [y, -z, w, x],
-            [z, y, -x, w],
-        ]
-    )
+    """(..., 4, 4) matrices of k -> k q for quaternions q of shape (..., 4)."""
+    return q[..., _MUL_INDEX] * _RIGHT_SIGN
 
 
-def _conjugation_system(as_: Sequence[GroupElement], bs: Sequence[GroupElement]) -> np.ndarray:
-    """The stacked 4n x 4 linear system k a_i - b_i k = 0 in the coordinates of k."""
+def _conjugation_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stacked (..., 4n, 4) linear system k a_i - b_i k = 0 in the
+    coordinates of k, for element lists a, b of shape (..., n, 4)."""
+    m = _right_mul_matrix(a) - _left_mul_matrix(b)
+    return m.reshape(m.shape[:-3] + (4 * m.shape[-3], 4))
+
+
+def _element_lists(
+    as_: Sequence[GroupElement], bs: Sequence[GroupElement]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two equally long, non-empty element lists as (..., n, 4) arrays."""
     if len(as_) != len(bs) or len(as_) == 0:
         raise ValueError("need equally sized, non-empty element lists")
-    return np.concatenate(
-        [_right_mul_matrix(a.q) - _left_mul_matrix(b.q) for a, b in zip(as_, bs)], axis=0
-    )
+    return np.stack([a.q for a in as_], axis=-2), np.stack([b.q for b in bs], axis=-2)
+
+
+def _find_conjugators(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """find_conjugator over a batch of element lists a, b of shape (..., n, 4).
+
+    Returns (k, found) over the common batch shape: k is the unit candidate
+    (..., 4) of each system and found is True where its worst conjugation
+    residual is below tol.  One stacked SVD serves the whole batch, and every
+    row is bit for bit the solve of that row alone.
+    """
+    _, _, vt = np.linalg.svd(_conjugation_system(a, b))
+    k = GroupElement.from_quaternion(vt[..., -1, :])
+    moved = conjugate(GroupElement(k.q[..., None, :]), GroupElement(a))
+    worst = np.max(distance(moved, GroupElement(b)), axis=-1)
+    return k.q, worst < tol
 
 
 def conjugator_nullspace(
@@ -456,7 +483,7 @@ def conjugator_nullspace(
     Nonzero quaternions are invertible, so any unit-norm element of an exact
     nullspace is a valid conjugator.
     """
-    _, svals, vt = np.linalg.svd(_conjugation_system(as_, bs))
+    _, svals, vt = np.linalg.svd(_conjugation_system(*_element_lists(as_, bs)))
     small = svals < s_tol
     return vt[small].T
 
@@ -473,12 +500,8 @@ def find_conjugator(
     residual (Frobenius) is below tol.  Absence is a valid return: traces are
     conjugation invariants, so mismatched traces simply yield None.
     """
-    _, _, vt = np.linalg.svd(_conjugation_system(as_, bs))
-    k = GroupElement.from_quaternion(vt[-1])
-    worst = max(float(distance(conjugate(k, a), b)) for a, b in zip(as_, bs))
-    if worst < tol:
-        return k
-    return None
+    k, found = _find_conjugators(*_element_lists(as_, bs), tol)
+    return GroupElement(k) if found else None
 
 
 def stabilizer_type(

@@ -236,6 +236,14 @@ def fiber_coordinates(
     recovered angles satisfy act(angles, section(base)) == rho up to overall
     conjugation, verified to `tol`; FiberSolveFailure otherwise.
     """
+    return _fiber_solve(rho, tol, frame_tol)[0]
+
+
+def _fiber_solve(
+    rho: Representation, tol: float, frame_tol: float
+) -> tuple[FiberCoordinates, Representation]:
+    """fiber_coordinates plus the section over its base point, which tau
+    reuses instead of solving it again."""
     if rho.batch_shape != ():
         raise ValueError("fiber_coordinates is scalar-only")
     base = mu_lambda(rho)
@@ -285,7 +293,7 @@ def fiber_coordinates(
         raise FiberSolveFailure(
             f"angle solve residual {worst:.3e} exceeds {tol:.1e}"
         )
-    return FiberCoordinates(base=base, angles=angles)
+    return FiberCoordinates(base=base, angles=angles), s_rho
 
 
 def tau(rho: Representation, tol: float = EPS_REL) -> Representation:
@@ -294,5 +302,5 @@ def tau(rho: Representation, tol: float = EPS_REL) -> Representation:
     Fixes the moment point, squares to the identity at class level, and
     anti-commutes with the torus action (t-flow becomes (-t)-flow).
     """
-    fc = fiber_coordinates(rho, tol)
-    return act(fc.angles.inverse(), section(fc.base.x, tol))
+    fc, s_rho = _fiber_solve(rho, tol, EPS_MAT)
+    return act(fc.angles.inverse(), s_rho)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from charvar.errors import PreconditionViolated, RelationViolated
@@ -29,6 +31,8 @@ from charvar.repvar import (
 from charvar.su2 import (
     AlgebraElement,
     GroupElement,
+    commutator,
+    distance,
     exp_alg,
     haar_sample,
     mul,
@@ -174,6 +178,69 @@ class TestAbelian:
         )
         out = is_abelian(rho)
         assert out.tolist() == [False, True]
+
+
+def six_commutator_is_abelian(rho: Representation, tol: float = 1e-9):
+    """The reference is_abelian: one commutator per slot pair."""
+    xs = rho.elements()
+    ident = GroupElement.identity(rho.batch_shape)
+    worst = None
+    for i in range(4):
+        for j in range(i + 1, 4):
+            res = distance(commutator(xs[i], xs[j]), ident)
+            worst = res if worst is None else np.maximum(worst, res)
+    return worst < tol
+
+
+def _quadruple_slots(kind: str, rng, batch: tuple) -> list:
+    """Four slot arrays of shape batch + (4,): Haar-random, random slots
+    mixed with exact +-I (signed zeros), or a common-axis quadruple whose
+    slots are nudged off the axis by 1e-14..1e-6."""
+    if kind == "random":
+        return [haar_sample(rng, batch).q for _ in range(4)]
+    if kind == "center":
+        slots = [haar_sample(rng, batch).q for _ in range(4)]
+        for i in rng.choice(4, size=rng.integers(1, 5), replace=False):
+            center = np.array([rng.choice([1.0, -1.0]), *rng.choice([0.0, -0.0], size=3)])
+            slots[i] = np.broadcast_to(center, batch + (4,)).copy()
+        return slots
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    slots = []
+    for _ in range(4):
+        on_axis = exp_alg(AlgebraElement(rng.uniform(-np.pi, np.pi, size=batch + (1,)) * axis))
+        nudge = 10.0 ** rng.uniform(-14.0, -6.0, size=batch + (1,)) * rng.normal(size=batch + (3,))
+        slots.append(mul(exp_alg(AlgebraElement(nudge)), on_axis).q)
+    return slots
+
+
+@given(
+    st.sampled_from(["random", "center", "near"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(), (7,)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_fused_is_abelian_decides_like_six_commutators(kind, seed, batch):
+    rho = Representation(*(GroupElement(q) for q in _quadruple_slots(kind, np.random.default_rng(seed), batch)))
+    got = is_abelian(rho)
+    want = six_commutator_is_abelian(rho)
+    if batch == ():
+        assert got is bool(want)
+    else:
+        assert got.tolist() == want.tolist()
+        assert [is_abelian(rho[i]) for i in range(batch[0])] == want.tolist()
+
+
+@pytest.mark.parametrize("pair", [(i, j) for i in range(4) for j in range(i + 1, 4)])
+def test_every_slot_pair_is_checked(pair):
+    # two Haar slots that do not commute, the other two exactly -I: only
+    # this one pair's commutator is off the identity
+    rng = np.random.default_rng(10)
+    slots = [GroupElement.minus_identity() for _ in range(4)]
+    slots[pair[0]], slots[pair[1]] = haar_sample(rng), haar_sample(rng)
+    rho = Representation(*slots)
+    assert not six_commutator_is_abelian(rho)
+    assert is_abelian(rho) is False
 
 
 class TestDiagonalizeAbelian:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from charvar.errors import PreconditionViolated
@@ -18,6 +20,7 @@ from charvar.repvar import (
 from charvar.sigma import (
     DIAG_I,
     J,
+    InjectivityReport,
     Piece,
     Stratum,
     blowup_point,
@@ -315,6 +318,17 @@ class TestN2Interval:
             n2_interval(0.7, 1.3, -0.1)
         with pytest.raises(PreconditionViolated):
             n2_interval(0.7, 1.3, 2.0)
+        with pytest.raises(PreconditionViolated):
+            n2_interval(0.7, 1.3, np.array([0.1, np.nan, 0.2]))
+
+    def test_batched_rows_match_scalar_bitwise(self):
+        alphas = np.linspace(0.0, np.pi / 2, 11)
+        arc = n2_interval(0.7, np.pi / 2, alphas)
+        assert arc.batch_shape == (11,)
+        for i, alpha in enumerate(alphas):
+            one = n2_interval(0.7, np.pi / 2, float(alpha))
+            for a, b in zip(arc[i].elements(), one.elements()):
+                assert np.array_equal(a.q.view(np.int64), b.q.view(np.int64))
 
 
 class TestInjectivity:
@@ -331,6 +345,44 @@ class TestInjectivity:
     def test_degenerate_rejected(self):
         with pytest.raises(PreconditionViolated):
             certify_interval_injectivity(0.0, np.pi, grid=5)
+        with pytest.raises(PreconditionViolated):  # also with no grid point
+            certify_interval_injectivity(0.0, np.pi, grid=0)
+
+    @given(
+        st.one_of(st.floats(0.0, 2 * np.pi), st.sampled_from([0.0, np.pi / 2, np.pi, 1.5 * np.pi])),
+        st.one_of(st.floats(0.0, 2 * np.pi), st.sampled_from([0.0, np.pi / 2, np.pi, 1.5 * np.pi])),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_loop(self, theta, s, grid):
+        try:
+            want = loop_certify(theta, s, grid)
+        except PreconditionViolated:
+            with pytest.raises(PreconditionViolated):
+                certify_interval_injectivity(theta, s, grid)
+            return
+        got = certify_interval_injectivity(theta, s, grid)
+        assert (got.theta, got.s) == (want.theta, want.s)
+        assert np.array_equal(got.alphas, want.alphas)
+        assert got.fixed_failures == want.fixed_failures
+        assert got.collisions == want.collisions
+
+
+def loop_certify(theta: float, s: float, grid: int, tol: float = EPS_MAT) -> InjectivityReport:
+    """The reference certificate: one scalar fixedness solve per grid point
+    and one class_equal per pair."""
+    alphas = np.linspace(0.0, np.pi / 2, grid)
+    points = [n2_interval(theta, s, float(a)) for a in alphas]
+    fixed_failures = tuple(
+        float(a) for a, p in zip(alphas, points) if sigma_fixed_conjugator(p, tol) is None
+    )
+    collisions = tuple(
+        (float(alphas[i]), float(alphas[j]))
+        for i in range(grid)
+        for j in range(i + 1, grid)
+        if class_equal(points[i], points[j], tol)
+    )
+    return InjectivityReport(float(theta), float(s), alphas, fixed_failures, collisions)
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,73 @@ def test_find_conjugator_abelian_nullspace():
     assert k is not None
 
 
+def _array_left_mul(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = q
+    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+
+
+def _array_right_mul(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = q
+    return np.array([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
+
+
+def _loop_find_conjugator(qa: np.ndarray, qb: np.ndarray, tol: float = EPS_MAT):
+    """The per-element solve the batched kernel replaced: (candidate k, found)
+    for one pair of element lists of shape (n, 4)."""
+    system = np.concatenate(
+        [_array_right_mul(a) - _array_left_mul(b) for a, b in zip(qa, qb)], axis=0
+    )
+    _, _, vt = np.linalg.svd(system)
+    k = GroupElement.from_quaternion(vt[-1])
+    worst = max(
+        float(distance(conjugate(k, GroupElement(a)), GroupElement(b))) for a, b in zip(qa, qb)
+    )
+    return k.q, worst < tol
+
+
+@given(quaternions((7,)))
+@settings(max_examples=100, deadline=None)
+def test_mul_matrices_match_array_form_bitwise(qs):
+    k = GroupElement.from_quaternion([0.3, -0.5, 0.1, 0.8])
+    for q in qs:
+        assert _same_bits(su2._left_mul_matrix(q), _array_left_mul(q))
+        assert _same_bits(su2._right_mul_matrix(q), _array_right_mul(q))
+        g = GroupElement(q)
+        np.testing.assert_allclose(su2._left_mul_matrix(q) @ k.q, mul(g, k).q)
+        np.testing.assert_allclose(su2._right_mul_matrix(q) @ k.q, mul(k, g).q)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_batched_conjugator_rows_match_scalar_solve(data):
+    batch, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    qa = data.draw(quaternions((batch, n)))
+    if data.draw(st.booleans()):  # conjugate lists: a conjugator exists
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        qb = conjugate(haar_sample(rng, (batch, 1)), GroupElement(qa)).q
+    else:
+        qb = data.draw(quaternions((batch, n)))
+    k, found = su2._find_conjugators(qa, qb, EPS_MAT)
+    assert k.shape == (batch, 4) and found.shape == (batch,)
+    for r in range(batch):
+        k_ref, found_ref = _loop_find_conjugator(qa[r], qb[r])
+        assert _same_bits(k[r], k_ref)
+        assert found[r] == found_ref
+        got = find_conjugator([GroupElement(q) for q in qa[r]], [GroupElement(q) for q in qb[r]])
+        assert (got is not None) == found_ref
+        if got is not None:
+            assert _same_bits(got.q, k_ref)
+
+
+def test_conjugate_batched_k_single_g_matches_scalar():
+    rng = np.random.default_rng(24)
+    k, g = haar_sample(rng, (3,)), haar_sample(rng)
+    batched = conjugate(k, g)
+    assert batched.batch_shape == (3,)
+    for i in range(3):
+        assert _same_bits(batched.q[i], conjugate(k[i], g).q)
+
+
 def test_stabilizer_type_cases():
     assert stabilizer_type([I2, MINUS_I2]) is StabilizerType.FULL
     t1 = exp_alg(AlgebraElement([0.0, 0.0, 0.3]))

@@ -3,6 +3,8 @@ the section-negation involution."""
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -245,6 +247,25 @@ class TestTau:
                 continue
             moved = act(t, s)
             assert not class_equal(tau(moved), moved)
+
+    def test_solves_the_section_once(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        x = interior_points(rng, 1)[0]
+        rho = act(TorusElement.from_array(rng.uniform(0, TWO_PI, 3)), section(x))
+        fc = fiber_coordinates(rho)
+        want = act(fc.angles.inverse(), section(fc.base.x))
+        calls = []
+
+        def counting_section(*args):
+            calls.append(args)
+            return section(*args)
+
+        # the package re-exports the function tau under the module's name
+        monkeypatch.setattr(importlib.import_module("charvar.tau"), "section", counting_section)
+        got = tau(rho)
+        assert len(calls) == 1
+        for a, b in zip(got.elements(), want.elements()):
+            assert np.array_equal(a.q.view(np.int64), b.q.view(np.int64))
 
     def test_full_fixed_set_is_the_two_torsion(self):
         # the previous test samples generic fibers, which are all moved; the
