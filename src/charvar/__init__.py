@@ -54,13 +54,11 @@ from .polytope import (
     RegionKind,
     SimplexPoint,
     boundary_commutation_check,
-    delta_contains,
     moment_coordinates,
     moment_mu,
     mu_lambda,
     mu_lambda_coordinates,
     nu_P3,
-    tilde_delta_contains,
     write_simplex_csv,
 )
 from .repvar import (
@@ -169,8 +167,6 @@ __all__ = [
     "HALF_STD_DELTA",
     "M_P",
     "NU_NORMALIZATION_NOTE",
-    "tilde_delta_contains",
-    "delta_contains",
     "moment_coordinates",
     "moment_mu",
     "mu_lambda_coordinates",

@@ -63,6 +63,7 @@ from .su2 import (
     distance,
     exp_alg,
     haar_sample,
+    trace_angle,
 )
 from .tau import section, tau
 from .tolerances import DEFAULT, Tolerances
@@ -216,14 +217,7 @@ def _polytope_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[
     # Haar pairs land inside the trace tetrahedron
     a = haar_sample(rng, (n,))
     b = haar_sample(rng, (n,))
-    coords = np.stack(
-        [
-            np.arccos(np.clip(a.w, -1.0, 1.0)) / np.pi,
-            np.arccos(np.clip(b.w, -1.0, 1.0)) / np.pi,
-            np.arccos(np.clip((a * b).w, -1.0, 1.0)) / np.pi,
-        ],
-        axis=-1,
-    )
+    coords = np.stack([trace_angle(a), trace_angle(b), trace_angle(a * b)], axis=-1)
     margins = TILDE_DELTA.margin(coords)
     res["tetra-membership"] = float(np.max(margins))
     failures += int(np.count_nonzero(margins > tol.poly))
@@ -498,7 +492,12 @@ def _parse_triple(text: str, flag: str) -> np.ndarray:
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     tol = getattr(args, "tol", None)
-    return Tolerances.with_mat(tol) if tol is not None else DEFAULT
+    if tol is None:
+        return DEFAULT
+    # a NaN tolerance passes every "residual >= tol" check
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise PreconditionViolated(f"tol must be a positive finite number, got {tol!r}")
+    return Tolerances.with_mat(tol)
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -602,6 +601,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+_TARGETS = [t.value for t in Target if t is not Target.FIXED_BASE]
+
+
+def _target(text: str) -> str:
+    if text not in _TARGETS:
+        raise ValueError(text)
+    return text
+
+
 def _flag(text: str) -> bool:
     word = text.lower()
     if word in ("1", "true", "yes", "on"):
@@ -617,7 +625,7 @@ _CONFIG_KEYS = {
     "samples": int,
     "grid": int,
     "tol": float,
-    "target": str,
+    "target": _target,
     "base": str,
     "t": str,
     "suite": str,
@@ -678,7 +686,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
         "--target",
-        choices=[t.value for t in Target if t is not Target.FIXED_BASE],
+        choices=_TARGETS,
         default="interior",
     )
     sp.add_argument("--base", help="x1,x2,x3 interior base point (pins the fiber)")

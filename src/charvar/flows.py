@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateGenerator
 from .repvar import Representation, class_equal
-from .su2 import AlgebraElement, GroupElement, exp_alg, mul
+from .su2 import AlgebraElement, GroupElement, distance, exp_alg, mul
 from .tolerances import EPS_CENTER, EPS_MAT
 
 __all__ = [
@@ -206,14 +206,10 @@ def verify_flow_identities(rho: Representation, t: float) -> FlowIdentityReport:
     y_raw = AlgebraElement(2.0 * mul(rho.h1, rho.h2).vec)
     etx = exp_alg(_scaled(x_raw, t))
     ety = exp_alg(_scaled(y_raw, t))
-
-    def dist(a: GroupElement, b: GroupElement) -> float:
-        return float(np.sqrt(2.0) * np.linalg.norm(a.q - b.q))
-
     return FlowIdentityReport(
         t=float(t),
-        residual_h2=dist(mul(etx, rho.h2), mul(rho.h2, ety)),
-        residual_h1=dist(mul(rho.h1, etx), mul(ety, rho.h1)),
+        residual_h2=float(distance(mul(etx, rho.h2), mul(rho.h2, ety))),
+        residual_h1=float(distance(mul(rho.h1, etx), mul(ety, rho.h1))),
     )
 
 

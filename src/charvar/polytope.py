@@ -170,15 +170,6 @@ HALF_STD_DELTA = Polytope(
 )
 
 
-def tilde_delta_contains(x, tol: float = EPS_POLY) -> Optional[SimplexPoint]:
-    """Region-classified point of the trace tetrahedron, None if outside."""
-    return TILDE_DELTA.classify(x, tol)
-
-
-def delta_contains(x, tol: float = EPS_POLY) -> Optional[SimplexPoint]:
-    return STD_DELTA.classify(x, tol)
-
-
 # ---------------------------------------------------------------------------
 # quotient matrix
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@
 # residual, abelianness, class equality (= conjugacy of quadruples), the
 # trace vector Phi, and the trace-angle map psi on free pairs.
 #
-# All slots share one batch shape; constructors, invariant maps, is_abelian
-# and the simultaneous-conjugacy test _conjugators run over a batch, while
-# class_equal (whose abelian branch diagonalizes) and diagonalize_abelian take
-# single quadruples.
+# All slots share one batch shape, and Representation.slots() stacks them as
+# one (..., 4, 4) array, the layout every batched decision reads.
+# Constructors, invariant maps, is_abelian and the class-equality decision
+# _class_equal run over a batch; class_equal is _class_equal's entry point
+# for one pair of single quadruples, and diagonalize_abelian takes single
+# quadruples.
 
 from __future__ import annotations
 
@@ -68,6 +70,11 @@ class Representation:
 
     def elements(self) -> tuple[GroupElement, GroupElement, GroupElement, GroupElement]:
         return (self.g1, self.h1, self.g2, self.h2)
+
+    def slots(self) -> np.ndarray:
+        """The four slot quaternions as one (..., 4, 4) array, slots on axis -2."""
+        # np.stack builds the same array at twice the cost on single quadruples
+        return np.concatenate([x.q[..., None, :] for x in self.elements()], axis=-2)
 
     def conjugated(self, k: GroupElement) -> "Representation":
         return Representation(*(conjugate(k, x) for x in self.elements()))
@@ -155,17 +162,19 @@ _PAIR_J = np.array([1, 2, 3, 2, 3, 3])
 
 
 def _abelian(slots: np.ndarray, tol: float) -> np.ndarray:
-    """is_abelian on slot quaternions stacked on axis 0, shape (4, ..., 4).
+    """is_abelian on Representation.slots() arrays, shape (..., 4, 4).
 
-    The six slot-pair commutators are one commutator over a leading axis of
-    six pairs."""
-    comm = commutator(GroupElement(slots[_PAIR_I]), GroupElement(slots[_PAIR_J]))
-    return np.max(distance(comm, GroupElement.identity()), axis=0) < tol
+    The six slot-pair commutators are one commutator over an axis of six
+    pairs."""
+    comm = commutator(
+        GroupElement(slots[..., _PAIR_I, :]), GroupElement(slots[..., _PAIR_J, :])
+    )
+    return np.max(distance(comm, GroupElement.identity()), axis=-1) < tol
 
 
 def is_abelian(rho: Representation, tol: float = EPS_MAT):
     """Do all four slots pairwise commute?  Batched; scalar input -> bool."""
-    out = _abelian(np.stack([x.q for x in rho.elements()]), tol)
+    out = _abelian(rho.slots(), tol)
     return bool(out) if rho.batch_shape == () else out
 
 
@@ -175,7 +184,7 @@ def _common_axis(rho: Representation, tol: float) -> np.ndarray:
     All non-central slots of an abelian quadruple have parallel vector parts;
     returns the direction of the largest one, or +z if every slot is central.
     """
-    vecs = np.stack([x.vec for x in rho.elements()])  # (4, 3)
+    vecs = rho.slots()[:, 1:]  # (4, 3)
     norms = np.linalg.norm(vecs, axis=-1)
     i = int(np.argmax(norms))
     if norms[i] < tol:
@@ -224,44 +233,44 @@ def _angles_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(d)) < tol)
 
 
+def _class_equal(
+    rho: Representation, other: Representation, tol: float
+) -> np.ndarray:
+    """class_equal over every quadruple pair of one batch shape.
+
+    One is_abelian pass covers both sides and one conjugator solve decides
+    every irreducible pair.  Conjugators never mix the two cases, so unequal
+    abelianness means unequal classes; two abelian quadruples are compared by
+    simultaneous diagonalization -- conjugate iff the torus angle 4-tuples
+    agree up to one global sign flip (the Weyl element inverts the whole
+    torus at once).
+    """
+    a, b = rho.slots(), other.slots()
+    ab_rho, ab_other = _abelian(np.array([a, b]), tol)
+    irreducible, abelian = ~ab_rho & ~ab_other, ab_rho & ab_other
+    equal = np.zeros(irreducible.shape, dtype=bool)
+    # The solve runs on every pair and is read on the irreducible ones:
+    # picking those out first would slow the single-pair calls.  Each
+    # branch costs as much on no pairs as on one, so it is skipped then.
+    if irreducible.any():
+        equal[...] = irreducible & _find_conjugators(a, b, tol)[1]
+    if abelian.any():
+        for idx in map(tuple, np.argwhere(abelian)):
+            _, d1 = diagonalize_abelian(rho[idx], tol)
+            _, d2 = diagonalize_abelian(other[idx], tol)
+            a1, a2 = _diagonal_angles(d1), _diagonal_angles(d2)
+            equal[idx] = _angles_close(a1, a2, tol) or _angles_close(a1, -a2, tol)
+    return equal
+
+
 def class_equal(
     rho: Representation, other: Representation, tol: float = EPS_MAT
 ) -> bool:
-    """Are two quadruples conjugate by a single common element?
-
-    Irreducible side: delegate to the simultaneous-conjugator solve.  Abelian
-    side: conjugators never mix the two cases, so unequal abelianness is an
-    immediate False; two abelian quadruples are compared by simultaneous
-    diagonalization -- conjugate iff the torus angle 4-tuples agree up to one
-    global sign flip (the Weyl element inverts the whole torus at once).
-    """
+    """Are two single quadruples conjugate by one common element?  The
+    decision is _class_equal's, on a batch of one pair."""
     if rho.batch_shape != () or other.batch_shape != ():
         raise ValueError("class_equal is scalar-only")
-    # (4, 2, 4): slots[:, 0] lists rho's elements, slots[:, 1] other's
-    slots = np.array([[a.q, b.q] for a, b in zip(rho.elements(), other.elements())])
-    ab1, ab2 = _abelian(slots, tol)
-    if ab1 != ab2:
-        return False
-    if ab1:
-        _, d1 = diagonalize_abelian(rho, tol)
-        _, d2 = diagonalize_abelian(other, tol)
-        a1, a2 = _diagonal_angles(d1), _diagonal_angles(d2)
-        return _angles_close(a1, a2, tol) or _angles_close(a1, -a2, tol)
-    return bool(_find_conjugators(slots[:, 0], slots[:, 1], tol)[1])
-
-
-def _conjugators(
-    rho: Representation, other: Representation, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One conjugator solve for every quadruple pair of a batch.
-
-    Returns (k, found) over the common batch shape, as su2._find_conjugators:
-    found is True where a single k conjugates all four slots of rho onto
-    those of other.  Only the irreducible-side decision of class_equal;
-    abelian pairs need its diagonalization branch.
-    """
-    a, b = (np.stack([x.q for x in r.elements()], axis=-2) for r in (rho, other))
-    return _find_conjugators(a, b, tol)
+    return bool(_class_equal(rho, other, tol))
 
 
 def goldman_Phi(rho: Representation) -> np.ndarray:

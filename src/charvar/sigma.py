@@ -34,10 +34,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ClassificationAmbiguity, PreconditionViolated
-from .repvar import Representation, _conjugators, class_equal, is_abelian, relation_residual
+from .repvar import Representation, _class_equal, class_equal, relation_residual
 from .su2 import (
     GroupElement,
     StabilizerType,
+    _find_conjugators,
     _snap_trig,
     commutator,
     conjugate,
@@ -327,21 +328,13 @@ def certify_interval_injectivity(
     """Certify one arc pointwise: every grid point sigma-fixed, all pairs of
     distinct parameters in distinct classes.
 
-    The grid is one batch: one conjugator solve decides fixedness, one
-    is_abelian splits the points, and one solve decides every pair of
-    irreducible points.  The decisions are class_equal's: pairs with one
-    abelian point are distinct, and pairs of two abelian points (the arc's
-    endpoints) go through class_equal itself."""
+    The grid is one batch: one conjugator solve decides fixedness, and one
+    class-equality decision (repvar._class_equal) covers every pair i < j."""
     alphas = np.linspace(0.0, np.pi / 2, grid)
     points = n2_interval(theta, s, alphas)
-    _, fixed = _conjugators(points, sigma(points), tol)
-    abelian = is_abelian(points, tol)
+    _, fixed = _find_conjugators(points.slots(), sigma(points).slots(), tol)
     i, j = np.triu_indices(grid, 1)
-    equal = np.zeros(i.shape, dtype=bool)
-    irreducible = ~abelian[i] & ~abelian[j]
-    equal[irreducible] = _conjugators(points[i[irreducible]], points[j[irreducible]], tol)[1]
-    for p in np.flatnonzero(abelian[i] & abelian[j]):
-        equal[p] = class_equal(points[i[p]], points[j[p]], tol)
+    equal = _class_equal(points[i], points[j], tol)
     return InjectivityReport(
         theta=float(theta),
         s=float(s),

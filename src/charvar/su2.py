@@ -23,9 +23,11 @@
 # pure function, safe under concurrency.  Operations broadcast: a GroupElement
 # may hold a single quaternion (shape (4,)) or a batch (shape (..., 4)), and
 # the arithmetic applies elementwise.  The simultaneous-conjugator solve is
-# one batched kernel (_find_conjugators) over stacks of element lists;
-# find_conjugator is its entry point for one list of single elements, and
-# stabilizer_type takes single elements only.
+# one batched kernel (_find_conjugators) over element lists stacked as
+# (..., n, 4) arrays; quadruples reach it as repvar.Representation.slots()
+# (n = 4), and find_conjugator and conjugator_nullspace take a Python list of
+# single elements through _element_lists.  stabilizer_type takes single
+# elements only.
 #
 # Exactness: products where one operand is exactly +-I are computed as exact
 # sign flips (no renormalization), and the exponential snaps cos/sin residue
@@ -450,7 +452,9 @@ def _conjugation_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _element_lists(
     as_: Sequence[GroupElement], bs: Sequence[GroupElement]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two equally long, non-empty element lists as (..., n, 4) arrays."""
+    """Two equally long, non-empty element lists as (..., n, 4) arrays, the
+    layout of _find_conjugators; for a quadruple it equals
+    Representation.slots()."""
     if len(as_) != len(bs) or len(as_) == 0:
         raise ValueError("need equally sized, non-empty element lists")
     return np.stack([a.q for a in as_], axis=-2), np.stack([b.q for b in bs], axis=-2)

@@ -290,6 +290,26 @@ class TestVerify:
         assert rep.max_residual["moment-drift"] < 1e-7
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "command", [["moment"], ["tau", "--check"], ["verify", "--suite", "density", "--samples", "2"]]
+)
+def test_bad_tol_exit_2(tmp_path, command, value):
+    # the input line does not solve the relation; a NaN tolerance, which no
+    # residual reaches, would let moment accept it and exit 0
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(rep_to_obj(non_solution())) + "\n")
+    inputs = [] if command[0] == "verify" else ["--in", str(src)]
+    code, err = run_err([*command, *inputs, "--tol", value])
+    assert code == 2
+    assert "tol must be a positive finite number" in err
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(f"tol={value}\n")
+    code, err = run_err(["--config", str(cfg), *command, *inputs])
+    assert code == 2
+    assert "tol must be a positive finite number" in err
+
+
 class TestConfig:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "charvar.cfg"
@@ -319,6 +339,15 @@ class TestConfig:
         code, err = run_err(["--config", str(cfg), "sample"])
         assert code == 2
         assert f"{cfg}:2: bad value" in err
+
+    @pytest.mark.parametrize("value", ["bogus", "fixed-base"])
+    def test_bad_target_exit_2(self, tmp_path, value):
+        # config values skip argparse's choices; the converter checks them
+        cfg = tmp_path / "target.cfg"
+        cfg.write_text(f"count=1\ntarget={value}\n")
+        code, err = run_err(["--config", str(cfg), "sample"])
+        assert code == 2
+        assert f"{cfg}:2: bad value for target" in err
 
     def test_missing_file_exit_2(self):
         code, _ = run(["--config", "/nonexistent/path.cfg", "sample"])

@@ -19,6 +19,7 @@ from charvar.polytope import RegionKind
 from charvar.repvar import (
     F2Pair,
     Representation,
+    _class_equal,
     class_equal,
     diagonalize_abelian,
     goldman_Phi,
@@ -34,6 +35,7 @@ from charvar.su2 import (
     commutator,
     distance,
     exp_alg,
+    find_conjugator,
     haar_sample,
     mul,
 )
@@ -342,6 +344,96 @@ class TestClassEqual:
         rng = np.random.default_rng(15)
         rho = swap_rep(rng)
         assert class_equal(rho, rho)
+
+
+def reference_class_equal(rho: Representation, other: Representation, tol: float = 1e-9) -> bool:
+    """The reference class_equal, one pair at a time: the six-commutator
+    abelianness test, the scalar conjugator solve for irreducible pairs, and
+    torus angles up to one global sign for abelian pairs."""
+    ab1, ab2 = bool(six_commutator_is_abelian(rho, tol)), bool(six_commutator_is_abelian(other, tol))
+    if ab1 != ab2:
+        return False
+    if not ab1:
+        return find_conjugator(list(rho.elements()), list(other.elements()), tol) is not None
+    angles = []
+    for r in (rho, other):
+        _, d = diagonalize_abelian(r, tol)
+        angles.append(np.array([np.arctan2(x.q[3], x.q[0]) for x in d.elements()]))
+
+    def close(a, b):
+        return bool(np.max(np.abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)) < tol)
+
+    return close(angles[0], angles[1]) or close(angles[0], -angles[1])
+
+
+def _abelian_rep(rng, angles) -> Representation:
+    """Four torus elements with the given angles on one random axis."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    return Representation(*(exp_alg(AlgebraElement(t * axis)) for t in angles))
+
+
+def _class_pair(kind: str, rng) -> tuple[Representation, Representation, bool]:
+    """One quadruple pair of the given kind and whether it is one class."""
+    if kind == "irreducible":
+        return swap_rep(rng), swap_rep(rng), False
+    if kind == "conjugate":
+        rho = swap_rep(rng)
+        return rho, rho.conjugated(haar_sample(rng)), True
+    angles = rng.uniform(0.1, 3.0, size=4)
+    rho = _abelian_rep(rng, angles)
+    if kind == "abelian":
+        return rho, _abelian_rep(rng, angles), True
+    if kind == "weyl-flip":
+        return rho, _abelian_rep(rng, -angles), True
+    if kind == "partial-flip":
+        return rho, _abelian_rep(rng, angles * [-1.0, 1.0, 1.0, 1.0]), False
+    if kind == "tied-axis":
+        # the two largest slots point opposite ways with equal norm, so
+        # rounding picks the diagonalizing axis; about a third of these
+        # pairs are equal only through the Weyl flip
+        t = rng.uniform(1.0, 2.1)
+        tied = [t, t - np.pi, *rng.uniform(0.1, 0.6, size=2)]
+        return _abelian_rep(rng, tied), _abelian_rep(rng, tied), True
+    if kind == "abelian-vs-irreducible":
+        return rho, swap_rep(rng), False
+    return swap_rep(rng), rho, False  # irreducible-vs-abelian
+
+
+def _stack(reps: list) -> Representation:
+    return Representation(
+        *(GroupElement(np.array([r.elements()[k].q for r in reps]).reshape(-1, 4)) for k in range(4))
+    )
+
+
+@given(
+    st.lists(
+        st.sampled_from(
+            [
+                "irreducible",
+                "conjugate",
+                "abelian",
+                "weyl-flip",
+                "partial-flip",
+                "tied-axis",
+                "abelian-vs-irreducible",
+                "irreducible-vs-abelian",
+            ]
+        ),
+        max_size=8,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_class_equal_rows_match_reference(kinds, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [_class_pair(kind, rng) for kind in kinds]
+    got = _class_equal(_stack([p[0] for p in pairs]), _stack([p[1] for p in pairs]), 1e-9)
+    assert got.shape == (len(kinds),)
+    want = [reference_class_equal(rho, other) for rho, other, _ in pairs]
+    assert want == [same for _, _, same in pairs]
+    assert got.tolist() == want
+    assert [class_equal(rho, other) for rho, other, _ in pairs] == want
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from charvar.errors import PreconditionViolated
+from charvar.errors import ClassificationAmbiguity, PreconditionViolated
 from charvar.repvar import (
     Representation,
     class_equal,
@@ -38,6 +38,7 @@ from charvar.su2 import (
     commutator,
     conjugate,
     distance,
+    exp_alg,
     haar_sample,
     mul,
 )
@@ -491,6 +492,31 @@ class TestClassification:
         rho = act(TorusElement(0.9, 0.0, 0.0), swap_rep(rng))
         with pytest.raises(PreconditionViolated):
             classify_fixed_point(rho)
+
+    def test_centrality_gray_zone_raises(self):
+        # an exact swap quadruple whose [g1,h1] is 3.64e-9 from the identity,
+        # inside the gray zone (tol, 10*tol) of the N1/N2 split
+        h = mul(exp_alg(AlgebraElement(np.array([2e-9, 0.0, 0.0]))), diag(1.3))
+        with pytest.raises(ClassificationAmbiguity, match="centrality"):
+            classify_fixed_point(pillow_point(diag(0.7), h))
+
+    @pytest.mark.parametrize(
+        "eps, error", [(3e-10, None), (1e-9, ClassificationAmbiguity), (4e-9, PreconditionViolated)]
+    )
+    def test_fixedness_gray_zone(self, eps, error):
+        # (g, h, h, e g) is off the swap locus and off the relation by about
+        # |e|: at 3e-10 it classifies, at 1e-9 the fixedness residual lies in
+        # the gray zone (tol, 10*tol), and at 4e-9 sigma rejects it as off
+        # the relation
+        rng = np.random.default_rng(3)
+        g, h = haar_sample(rng), haar_sample(rng)
+        rho = Representation(g, h, h, mul(exp_alg(AlgebraElement(np.array([0.0, eps, 0.0]))), g))
+        if error is None:
+            assert classify_fixed_point(rho).piece is Piece.PILLOW_INTERIOR
+            return
+        with pytest.raises(error) as raised:
+            classify_fixed_point(rho)
+        assert type(raised.value) is error
 
     def test_conjugated_fixed_points_still_classified(self):
         rng = np.random.default_rng(92)
