@@ -35,7 +35,7 @@ from charvar import (
 rng = np.random.default_rng(7)
 
 # ------------------------------------------------------------------
-# tau: complex conjugation slot by slot
+# tau: the word map (h1 g1, h1^-1, h2 g2, h2^-1)
 # ------------------------------------------------------------------
 x = np.array([0.4, 0.15, 0.3])
 rho = section(x)

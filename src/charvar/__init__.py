@@ -11,8 +11,8 @@ unit quaternion ``(w, x, y, z)``, identified with the special unitary matrix
 - ``polytope``: the trace tetrahedron, the standard simplex, membership and
   moment maps;
 - ``flows``: the three commuting twist circle actions and their kernel;
-- ``tau``: the angle-reversing involution built from an explicit section of
-  the moment fibration;
+- ``tau``: an explicit section of the moment fibration, fiber coordinates,
+  and the anti-symplectic involution (h1 g1, h1^-1, h2 g2, h2^-1);
 - ``sigma``: the handle-swap involution, its fixed locus, and the
   stratum/piece classification;
 - ``sampler``: targeted random constructions, including density witnesses;

@@ -82,6 +82,10 @@ class Representation:
     def __getitem__(self, idx) -> "Representation":
         return Representation(*(x[idx] for x in self.elements()))
 
+    def slot_distance(self, other: "Representation") -> float:
+        """Worst distance between corresponding slots of two single quadruples."""
+        return max(float(distance(a, b)) for a, b in zip(self.elements(), other.elements()))
+
 
 @dataclass(frozen=True)
 class F2Pair:

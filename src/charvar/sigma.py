@@ -155,10 +155,7 @@ def _pure_imaginary_conjugator(
         reduced = basis @ vt[1:].T
     u, _, _ = np.linalg.svd(reduced, full_matrices=False)
     k = GroupElement(np.concatenate(([0.0], u[1:, 0] / np.linalg.norm(u[1:, 0]))))
-    worst = max(
-        float(distance(conjugate(k, a), b))
-        for a, b in zip(rho.elements(), swapped.elements())
-    )
+    worst = rho.conjugated(k).slot_distance(swapped)
     return _sign_canonical(k) if worst < tol else None
 
 

@@ -1,7 +1,7 @@
 # tau.py
 # Trivialization of the interior: an explicit section x -> rho over the open
-# simplex, fiber angle coordinates for the three twist circles, and the
-# anti-symplectic involution tau = "negate the fiber angles over the section".
+# simplex and fiber angle coordinates for the three twist circles; and the
+# anti-symplectic involution tau, the word map (h1 g1, h1^-1, h2 g2, h2^-1).
 #
 # Section construction (deterministic; every choice is fixed here):
 #   input x interior to the standard simplex; a = M_P x, theta_i = pi a_i.
@@ -52,7 +52,7 @@ from .errors import (
 from .flows import TorusElement, act, generators
 from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda
 from .repvar import Representation, _relation_word, relation_residual
-from .su2 import GroupElement, _cross, conjugate, distance, exp_alg, find_conjugator, mul
+from .su2 import GroupElement, _cross, conjugate, exp_alg, find_conjugator, mul
 from .tolerances import EPS_MAT, EPS_REL
 
 __all__ = ["FiberCoordinates", "section", "fiber_coordinates", "tau"]
@@ -236,14 +236,6 @@ def fiber_coordinates(
     recovered angles satisfy act(angles, section(base)) == rho up to overall
     conjugation, verified to `tol`; FiberSolveFailure otherwise.
     """
-    return _fiber_solve(rho, tol, frame_tol)[0]
-
-
-def _fiber_solve(
-    rho: Representation, tol: float, frame_tol: float
-) -> tuple[FiberCoordinates, Representation]:
-    """fiber_coordinates plus the section over its base point, which tau
-    reuses instead of solving it again."""
     if rho.batch_shape != ():
         raise ValueError("fiber_coordinates is scalar-only")
     base = mu_lambda(rho)
@@ -284,23 +276,21 @@ def _fiber_solve(
     l2 = float(np.arctan2(np.dot(g_q.vec, gen.xi2_hat.v), g_q.w))
 
     angles = _canonical_angles(l1, l2, l3)
-    recovered = act(angles, s_rho)
-    worst = max(
-        float(distance(p, q))
-        for p, q in zip(recovered.elements(), aligned.elements())
-    )
+    worst = act(angles, s_rho).slot_distance(aligned)
     if worst >= tol:
         raise FiberSolveFailure(
             f"angle solve residual {worst:.3e} exceeds {tol:.1e}"
         )
-    return FiberCoordinates(base=base, angles=angles), s_rho
+    return FiberCoordinates(base=base, angles=angles)
 
 
-def tau(rho: Representation, tol: float = EPS_REL) -> Representation:
-    """The section-negation involution: act(-angles, section(base)).
+def tau(rho: Representation) -> Representation:
+    """The anti-symplectic involution (g1, h1, g2, h2) -> (h1 g1, h1^-1, h2 g2, h2^-1).
 
-    Fixes the moment point, squares to the identity at class level, and
-    anti-commutes with the torus action (t-flow becomes (-t)-flow).
+    [h g, h^-1] = [g, h]^-1 inverts each handle's commutator, so the relation
+    holds; the traces of h1, h2 and h1 h2 are kept, so the moment point is
+    fixed; the generators (xi1, xi2, X, Y) go to (-xi1, -xi2, -Y, -X), so
+    tau(act(t, rho)) = act(-t, tau(rho)).  Batches and boundary classes work.
     """
-    fc, s_rho = _fiber_solve(rho, tol, EPS_MAT)
-    return act(fc.angles.inverse(), s_rho)
+    h1, h2 = rho.h1, rho.h2
+    return Representation(mul(h1, rho.g1), h1.inverse(), mul(h2, rho.g2), h2.inverse())

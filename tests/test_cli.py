@@ -9,8 +9,10 @@ import json
 import numpy as np
 import pytest
 
+from charvar import cli
 from charvar.cli import main, rep_from_obj, rep_to_obj, run_sigma_certification, run_verify
 from charvar.errors import PreconditionViolated
+from charvar.flows import TorusElement, act
 from charvar.repvar import Representation, relation_residual
 from charvar.su2 import haar_sample
 
@@ -200,6 +202,15 @@ class TestTau:
         for x, y in zip(before, after):
             np.testing.assert_allclose(y["mu_lambda"], x["mu_lambda"], atol=1e-7)
             assert y["residual"] < 1e-8
+        # an abelian diagonal line sits over the boundary; tau applies there too
+        diagonal = {
+            slot: [np.cos(a), 0.0, 0.0, np.sin(a)]
+            for slot, a in zip(("g1", "h1", "g2", "h2"), (0.3, 1.1, 2.0, 0.7))
+        }
+        src.write_text(json.dumps(diagonal) + "\n")
+        code, out = run(["tau", "--in", str(src), "--check"])
+        assert code == 0
+        np.testing.assert_allclose(json.loads(out)["h1"], [np.cos(1.1), 0.0, 0.0, -np.sin(1.1)])
 
     def test_solve_failure_exit_3(self, tmp_path):
         # not a relation solution: rejected where the line is read
@@ -289,6 +300,15 @@ class TestVerify:
         assert rep.passed
         assert rep.max_residual["moment-drift"] < 1e-7
 
+    def test_tau_residuals_are_measured(self, monkeypatch):
+        # a twist is no involution and does not reverse the flows; both
+        # residuals must report how far it misses, not just the failures
+        monkeypatch.setattr(cli, "tau", lambda rho: act(TorusElement(0.3, 0.0, 0.0), rho))
+        rep = run_verify("tau", samples=5, seed=5)
+        assert rep.failures == 5
+        assert rep.max_residual["involution"] > 0.1
+        assert rep.max_residual["reversal"] > 0.1
+
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize(
@@ -308,6 +328,31 @@ def test_bad_tol_exit_2(tmp_path, command, value):
     code, err = run_err(["--config", str(cfg), *command, *inputs])
     assert code == 2
     assert "tol must be a positive finite number" in err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (["certify-sigma", "--samples", "2"], "grid", "-1"),
+        (["certify-sigma", "--samples", "2"], "grid", "0"),
+        (["certify-sigma", "--samples", "2"], "grid", "1"),
+        (["certify-sigma"], "samples", "-3"),
+        (["verify", "--suite", "density"], "samples", "-2"),
+        (["verify", "--suite", "density"], "samples", "0"),
+        (["fixed-points"], "count", "-2"),
+        (["sample"], "count", "0"),
+    ],
+)
+def test_trial_count_below_minimum_exit_2(tmp_path, command, key, value):
+    # a run over no trials (or, for grid, no pair) would pass having checked nothing
+    code, err = run_err([*command, f"--{key}", value])
+    assert code == 2
+    assert f"argument --{key}: invalid integer >= " in err
+    cfg = tmp_path / "counts.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    code, err = run_err(["--config", str(cfg), *command])
+    assert code == 2
+    assert f"{cfg}:1: bad value for {key}" in err
 
 
 class TestConfig:
