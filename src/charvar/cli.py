@@ -39,8 +39,24 @@ from .polytope import (
     mu_lambda_coordinates,
     write_simplex_csv,
 )
-from .repvar import Representation, class_equal, is_abelian, new_checked, relation_residual
-from .sampler import SampleSpec, Target, _diag, _random_torus, density_witness, sample
+from .repvar import (
+    Representation,
+    _class_equal,
+    class_equal,
+    is_abelian,
+    new_checked,
+    relation_residual,
+)
+from .sampler import (
+    SampleSpec,
+    Target,
+    _diag,
+    _interior_build,
+    _interior_draw,
+    _random_torus,
+    density_witness,
+    sample,
+)
 from .sigma import (
     Piece,
     Stratum,
@@ -153,11 +169,6 @@ class VerifyReport:
         return self.failures == 0
 
 
-def _interior_stream(n: int, rng: np.random.Generator) -> Iterator[Representation]:
-    spec = SampleSpec(count=n, seed=0, target=Target.INTERIOR_UNIFORM_BASE, conjugate=True)
-    return sample(spec, rng)
-
-
 def _nonkernel_torus(rng: np.random.Generator) -> TorusElement:
     while True:
         t = _random_torus(rng)
@@ -165,34 +176,35 @@ def _nonkernel_torus(rng: np.random.Generator) -> TorusElement:
             return t
 
 
+def _worst(start: float, values: np.ndarray) -> float:
+    return max(start, float(np.max(values)))
+
+
 def _flows_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    failures = 0
-    res = {
-        "relation-after-flow": 0.0,
-        "intertwine-h2": 0.0,
-        "intertwine-h1": 0.0,
-        "kernel-fix": 0.0,
-    }
-    for i, rho in enumerate(_interior_stream(n, rng)):
-        ok = True
-        moved = act(_random_torus(rng), rho)
-        r = float(relation_residual(moved))
-        res["relation-after-flow"] = max(res["relation-after-flow"], r)
-        ok &= r < tol.mat
-
-        ident = verify_flow_identities(rho, float(rng.uniform(0.0, 2.0 * np.pi)))
-        res["intertwine-h2"] = max(res["intertwine-h2"], float(ident.residual_h2))
-        res["intertwine-h1"] = max(res["intertwine-h1"], float(ident.residual_h1))
-        ok &= ident.passed(tol.mat)
-
-        k = act(TorusElement.kernel(), rho).slot_distance(rho)
-        res["kernel-fix"] = max(res["kernel-fix"], k)
-        ok &= k == 0.0
-
+    # every draw first, in per-item order; then each check once over the batch
+    draws, turns, times, probes = [], [], [], []
+    for i in range(n):
+        draws.append(_interior_draw(rng))
+        turns.append(rng.uniform(0.0, 2.0 * np.pi, size=3))
+        times.append(rng.uniform(0.0, 2.0 * np.pi))
         if i % 10 == 0:
-            ok &= not class_equal(act(_nonkernel_torus(rng), rho), rho, tol=tol.mat)
-        failures += 0 if ok else 1
-    return n, failures, res
+            probes.append(_nonkernel_torus(rng).as_array())
+    rho = _interior_build(draws)
+
+    moved = act(TorusElement.from_array(turns), rho)
+    r = relation_residual(moved)
+    ident = verify_flow_identities(rho, np.array(times))
+    k = act(TorusElement.kernel(), rho).slot_distance(rho)
+    ok = (r < tol.mat) & ident.passed(tol.mat) & (k == 0.0)
+    every = rho[::10]
+    ok[::10] &= ~_class_equal(act(TorusElement.from_array(probes), every), every, tol.mat)
+    res = {
+        "relation-after-flow": _worst(0.0, r),
+        "intertwine-h2": _worst(0.0, ident.residual_h2),
+        "intertwine-h1": _worst(0.0, ident.residual_h1),
+        "kernel-fix": _worst(0.0, k),
+    }
+    return n, int(np.count_nonzero(~ok)), res
 
 
 def _near_boundary_pair(rng: np.random.Generator, eps: float) -> tuple[GroupElement, GroupElement]:
@@ -226,8 +238,11 @@ def _polytope_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[
         rho = Representation(_diag(0.1), h1, _diag(0.2), h2)
         if not boundary_commutation_check(rho, poly_tol=10.0 * eps, mat_tol=10.0 * eps):
             failures += 1
-    for rho in _interior_stream(small, rng):
-        if not boundary_commutation_check(rho, poly_tol=tol.poly, mat_tol=tol.mat):
+    # nothing is drawn between the two uses of interior samples below, so
+    # both halves are built as one batch
+    interior = _interior_build([_interior_draw(rng) for _ in range(2 * small)])
+    for i in range(small):
+        if not boundary_commutation_check(interior[i], poly_tol=tol.poly, mat_tol=tol.mat):
             failures += 1
 
     # integer vertex bijection, exact arithmetic
@@ -240,37 +255,38 @@ def _polytope_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[
 
     # quotient coordinates of interior samples stay strictly interior,
     # and the section inverts the quotient moment
-    for rho in _interior_stream(small, rng):
-        m = float(STD_DELTA.margin(mu_lambda_coordinates(rho)))
-        res["quotient-interior"] = max(res["quotient-interior"], m)
-        if m >= 0.0:
-            failures += 1
-    for _ in range(small):
-        x = rng.uniform(0.05, 0.45, size=3)
-        if float(STD_DELTA.margin(x)) > -0.02:
-            continue
-        err = float(np.max(np.abs(mu_lambda_coordinates(section(x)) - x)))
-        res["section-roundtrip"] = max(res["section-roundtrip"], err)
-        if err > 100.0 * tol.f:
-            failures += 1
+    m = STD_DELTA.margin(mu_lambda_coordinates(interior[small:]))
+    res["quotient-interior"] = _worst(res["quotient-interior"], m)
+    failures += int(np.count_nonzero(m >= 0.0))
+    xs = [rng.uniform(0.05, 0.45, size=3) for _ in range(small)]
+    xs = np.array([x for x in xs if float(STD_DELTA.margin(x)) <= -0.02])
+    if len(xs):
+        err = np.max(np.abs(mu_lambda_coordinates(section(xs)) - xs), axis=-1)
+        res["section-roundtrip"] = _worst(res["section-roundtrip"], err)
+        failures += int(np.count_nonzero(err > 100.0 * tol.f))
     return n + 3 * small, failures, res
 
 
 def _tau_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    failures = 0
-    res = {"moment-drift": 0.0, "involution": 0.0, "reversal": 0.0}
-    for rho in _interior_stream(n, rng):
-        image = tau(rho)
-        drift = float(np.max(np.abs(mu_lambda_coordinates(image) - mu_lambda_coordinates(rho))))
-        t = _random_torus(rng)
-        involution = tau(image).slot_distance(rho)
-        reversal = tau(act(t, rho)).slot_distance(act(t.inverse(), image))
-        res["moment-drift"] = max(res["moment-drift"], drift)
-        res["involution"] = max(res["involution"], involution)
-        res["reversal"] = max(res["reversal"], reversal)
-        ok = drift < 100.0 * tol.f and involution < tol.mat and reversal < tol.mat
-        failures += 0 if ok else 1
-    return n, failures, res
+    # every draw first, in per-item order; then each check once over the batch
+    draws, turns = [], []
+    for _ in range(n):
+        draws.append(_interior_draw(rng))
+        turns.append(rng.uniform(0.0, 2.0 * np.pi, size=3))
+    rho = _interior_build(draws)
+    t = TorusElement.from_array(turns)
+
+    image = tau(rho)
+    drift = np.max(np.abs(mu_lambda_coordinates(image) - mu_lambda_coordinates(rho)), axis=-1)
+    involution = tau(image).slot_distance(rho)
+    reversal = tau(act(t, rho)).slot_distance(act(t.inverse(), image))
+    ok = (drift < 100.0 * tol.f) & (involution < tol.mat) & (reversal < tol.mat)
+    res = {
+        "moment-drift": _worst(0.0, drift),
+        "involution": _worst(0.0, involution),
+        "reversal": _worst(0.0, reversal),
+    }
+    return n, int(np.count_nonzero(~ok)), res
 
 
 def _pure_unit(rng: np.random.Generator) -> GroupElement:
@@ -322,8 +338,9 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
         if classify_fixed_point(rho, tol=tol.mat).stratum is not Stratum.III:
             failures += 1
 
-    for rho in _interior_stream(small, rng):  # interior classes are never swap-fixed
-        if sigma_fixed_conjugator(rho, tol=tol.mat) is not None:
+    batch = _interior_build([_interior_draw(rng) for _ in range(small)])
+    for i in range(small):  # interior classes are never swap-fixed
+        if sigma_fixed_conjugator(batch[i], tol=tol.mat) is not None:
             failures += 1
     return n + 4 * small + 4, failures, res
 
@@ -361,6 +378,8 @@ def run_verify(
 ) -> VerifyReport:
     """Run one named verification suite (or ``"all"``) and build its report."""
     tol = tol or DEFAULT
+    if samples < 1:
+        raise PreconditionViolated(f"samples must be >= 1, got {samples}")
     names = list(_SUITES) if suite == "all" else [suite]
     if any(name not in _SUITES for name in names):
         raise PreconditionViolated(f"unknown suite {suite!r}")
@@ -420,6 +439,8 @@ def run_sigma_certification(
 ) -> dict:
     """Full certification of the swap fixed locus; returns a JSON-ready report."""
     tol = tol or DEFAULT
+    if samples < 1 or grid < 2:
+        raise PreconditionViolated(f"need samples >= 1 and grid >= 2, got {samples} and {grid}")
     rng = np.random.default_rng(seed)
     counts: dict = {piece.value: 0 for piece in Piece}
     violations: list[str] = []

@@ -8,9 +8,9 @@
 # All slots share one batch shape, and Representation.slots() stacks them as
 # one (..., 4, 4) array, the layout every batched decision reads.
 # Constructors, invariant maps, is_abelian and the class-equality decision
-# _class_equal run over a batch; class_equal is _class_equal's entry point
-# for one pair of single quadruples, and diagonalize_abelian takes single
-# quadruples.
+# _class_equal run over a batch, and so does slot_distance; class_equal is
+# _class_equal's entry point for one pair of single quadruples, and
+# diagonalize_abelian takes single quadruples.
 
 from __future__ import annotations
 
@@ -82,9 +82,11 @@ class Representation:
     def __getitem__(self, idx) -> "Representation":
         return Representation(*(x[idx] for x in self.elements()))
 
-    def slot_distance(self, other: "Representation") -> float:
-        """Worst distance between corresponding slots of two single quadruples."""
-        return max(float(distance(a, b)) for a, b in zip(self.elements(), other.elements()))
+    def slot_distance(self, other: "Representation"):
+        """Worst distance between corresponding slots: a float for two single
+        quadruples, the worst per quadruple over a batch."""
+        worst = np.max(distance(GroupElement(self.slots()), GroupElement(other.slots())), axis=-1)
+        return float(worst) if worst.ndim == 0 else worst
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,11 @@ def diagonalize_abelian(
         raise ValueError("diagonalize_abelian is scalar-only")
     if not is_abelian(rho, tol):
         raise PreconditionViolated("diagonalize_abelian needs an abelian quadruple")
+    return _diagonalize(rho, tol)
+
+
+def _diagonalize(rho: Representation, tol: float) -> tuple[GroupElement, Representation]:
+    """diagonalize_abelian on a single quadruple already known to be abelian."""
     n = _common_axis(rho, tol)
     z = np.array([0.0, 0.0, 1.0])
     c = float(np.dot(n, z))
@@ -260,8 +267,8 @@ def _class_equal(
         equal[...] = irreducible & _find_conjugators(a, b, tol)[1]
     if abelian.any():
         for idx in map(tuple, np.argwhere(abelian)):
-            _, d1 = diagonalize_abelian(rho[idx], tol)
-            _, d2 = diagonalize_abelian(other[idx], tol)
+            _, d1 = _diagonalize(rho[idx], tol)
+            _, d2 = _diagonalize(other[idx], tol)
             a1, a2 = _diagonal_angles(d1), _diagonal_angles(d2)
             equal[idx] = _angles_close(a1, a2, tol) or _angles_close(a1, -a2, tol)
     return equal

@@ -43,6 +43,9 @@ WITNESS_RATE = np.pi / 4.0
 
 _MAX_SEED = 2**64
 
+#: Interior items drawn and built per batch in ``sample``.
+_CHUNK = 256
+
 
 class Target(Enum):
     """What a sampling run should produce."""
@@ -123,9 +126,22 @@ def _interior_base(rng: np.random.Generator) -> np.ndarray:
             return x
 
 
-def _interior_sample(rng: np.random.Generator, base: Optional[np.ndarray]) -> Representation:
+def _interior_draw(
+    rng: np.random.Generator, base: Optional[np.ndarray] = None, conjugate: bool = True
+) -> tuple:
+    """One interior item's random inputs in stream order: the base point
+    (unless pinned), the torus angles, then the Haar conjugator (or None)."""
     x = _interior_base(rng) if base is None else base
-    return act(_random_torus(rng), section(x))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    return x, angles, haar_sample(rng).q if conjugate else None
+
+
+def _interior_build(draws: list) -> Representation:
+    """The interior quadruples of a list of draws as one batch: one section,
+    one act and one conjugation.  Row i is bit for bit the item built alone."""
+    x, angles, k = zip(*draws)
+    rho = act(TorusElement.from_array(np.array(angles)), section(np.array(x)))
+    return rho if k[0] is None else rho.conjugated(GroupElement(np.array(k)))
 
 
 def _face_sample(rng: np.random.Generator) -> Representation:
@@ -168,25 +184,31 @@ def _abelian_sample(rng: np.random.Generator) -> Representation:
     return Representation(*(_diag(float(a)) for a in angles))
 
 
-def sample(spec: SampleSpec, rng: Optional[np.random.Generator] = None) -> Iterator[Representation]:
+def sample(spec: SampleSpec) -> Iterator[Representation]:
     """Yield ``spec.count`` representations drawn per ``spec.target``.
 
-    The stream is a deterministic function of the spec: when ``rng`` is
-    omitted it is seeded from ``spec.seed``.  Passing an explicit generator
-    hands control of determinism to the caller (used for seed-split
-    parallel runs).
+    The stream is a deterministic function of the spec: its generator is
+    seeded from ``spec.seed``.  Interior targets are drawn and built in
+    batches of ``_CHUNK`` items; each item equals the one built alone from
+    the same draws, bit for bit.
 
     Raises
     ------
     SectionSolveFailure
         Propagated from the base-point section on interior targets.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
+    if spec.target in (Target.INTERIOR_UNIFORM_BASE, Target.FIXED_BASE):
+        for start in range(0, spec.count, _CHUNK):
+            size = min(_CHUNK, spec.count - start)
+            batch = _interior_build(
+                [_interior_draw(rng, spec.base, spec.conjugate) for _ in range(size)]
+            )
+            for i in range(size):
+                yield batch[i]
+        return
     for _ in range(spec.count):
-        if spec.target in (Target.INTERIOR_UNIFORM_BASE, Target.FIXED_BASE):
-            rho = _interior_sample(rng, spec.base)
-        elif spec.target is Target.BOUNDARY_FACE:
+        if spec.target is Target.BOUNDARY_FACE:
             rho = _face_sample(rng)
         elif spec.target is Target.BOUNDARY_EDGE:
             rho = _edge_sample(rng)

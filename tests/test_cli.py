@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -353,6 +354,38 @@ def test_trial_count_below_minimum_exit_2(tmp_path, command, key, value):
     code, err = run_err(["--config", str(cfg), *command])
     assert code == 2
     assert f"{cfg}:1: bad value for {key}" in err
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+@pytest.mark.parametrize("suite", ["all", "flows", "polytope", "tau", "sigma", "density"])
+def test_run_verify_rejects_no_trials(suite, samples):
+    # the library entry point checks what the flags check
+    with pytest.raises(PreconditionViolated, match="samples must be >= 1"):
+        run_verify(suite, samples=samples)
+
+
+@pytest.mark.parametrize("samples, grid", [(0, 10), (-3, 10), (2, 1), (2, 0), (2, -1)])
+def test_run_sigma_certification_rejects_no_trials(samples, grid):
+    with pytest.raises(PreconditionViolated, match="need samples >= 1 and grid >= 2"):
+        run_sigma_certification(samples, 0, grid=grid)
+
+
+# sha256 of the README pipeline's files (300 tuples: more than one sampler
+# batch), as written when every interior tuple was built on its own
+PIPELINE_SHA256 = {
+    "cloud.jsonl": "cfc2f84b6bfe0eec6c5421e9a2dd2fdaff65100c4b47e25c64cc0ed733351a82",
+    "twisted.jsonl": "d3987cdd2b92f1648ead66c3171cc1abb7e79858c00050f634a16560ea620eee",
+    "points.csv": "0b669650b5dd5ae68d02f79138e55d63fff4aaa9347db77d184f9b44ef85d711",
+}
+
+
+def test_readme_pipeline_output_pinned(tmp_path):
+    cloud, twisted, points = (str(tmp_path / name) for name in PIPELINE_SHA256)
+    assert main(["sample", "--count", "300", "--seed", "7", "--conjugate", "--out", cloud]) == 0
+    assert main(["flow", "--t", "0.3,1.2,0.5", "--in", cloud, "--out", twisted]) == 0
+    assert main(["moment", "--quotient", "--in", twisted, "--out", points]) == 0
+    for name, digest in PIPELINE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestConfig:

@@ -173,6 +173,18 @@ class TestAct:
             for a, b in zip(acted.elements(), rho.elements()):
                 assert np.array_equal(a.q, b.q)
 
+    def test_batch_rows_are_single_calls(self):
+        rng = np.random.default_rng(33)
+        rows = [swap_rep(rng).conjugated(haar_sample(rng)) for _ in range(40)]
+        batch = Representation(
+            *(GroupElement(np.stack([r.elements()[i].q for r in rows])) for i in range(4))
+        )
+        t = rng.uniform(0.0, TWO_PI, size=(40, 3))
+        moved = act(TorusElement.from_array(t), batch)
+        for i, rho in enumerate(rows):
+            alone = act(TorusElement.from_array(t[i]), rho)
+            assert np.array_equal(moved[i].slots().view(np.int64), alone.slots().view(np.int64))
+
     def test_relation_preserved(self):
         rng = np.random.default_rng(30)
         for _ in range(200):
@@ -272,6 +284,23 @@ class TestFlowIdentities:
         # and our quaternion exponential agrees with expm
         ours = exp_alg(AlgebraElement(t * x_raw.v)).matrix
         assert_allclose(ours, expm(t * x_raw.matrix), atol=1e-12)
+
+    def test_batch_rows_are_single_calls(self):
+        rng = np.random.default_rng(42)
+        rows = [swap_rep(rng) for _ in range(30)]
+        batch = Representation(
+            *(GroupElement(np.stack([r.elements()[i].q for r in rows])) for i in range(4))
+        )
+        times = rng.uniform(0.0, TWO_PI, size=30)
+        rep = verify_flow_identities(batch, times)
+        assert rep.residual_h1.shape == (30,)
+        for i, rho in enumerate(rows):
+            alone = verify_flow_identities(rho, float(times[i]))
+            assert isinstance(alone.residual_h2, float)
+            assert type(alone.max_residual) is float and type(alone.passed()) is bool
+            assert rep.residual_h2[i] == alone.residual_h2
+            assert rep.residual_h1[i] == alone.residual_h1
+            assert bool(rep.passed()[i]) == alone.passed()
 
     def test_commuting_pair_degenerate_but_defined(self):
         rng = np.random.default_rng(39)

@@ -199,6 +199,15 @@ class TestQuotientMatrix:
             )
             assert_allclose(M_P.apply_inverse(f), closed, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("apply", ["apply", "apply_inverse"])
+    def test_batch_rows_are_single_calls(self, apply):
+        # the batched section and suites rely on the matrix products of a
+        # batch equalling the row-by-row products bit for bit
+        f = np.random.default_rng(5).uniform(0.0, 1.0, size=(2000, 3))
+        batch = getattr(M_P, apply)(f)
+        rows = np.array([getattr(M_P, apply)(x) for x in f])
+        assert np.array_equal(batch.view(np.int64), rows.view(np.int64))
+
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         f = rng.uniform(0.0, 1.0, size=(50, 3))

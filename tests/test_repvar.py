@@ -128,6 +128,24 @@ class TestRelation:
             )
 
 
+class TestSlotDistance:
+    def test_single_is_worst_slot_float(self):
+        rng = np.random.default_rng(13)
+        a, b = swap_rep(rng), swap_rep(rng)
+        got = a.slot_distance(b)
+        assert isinstance(got, float)
+        assert got == max(float(distance(x, y)) for x, y in zip(a.elements(), b.elements()))
+
+    def test_batch_rows_are_single_calls(self):
+        rng = np.random.default_rng(14)
+        pairs = [(swap_rep(rng), swap_rep(rng)) for _ in range(20)]
+        lhs = Representation(*(GroupElement(np.stack([p[0].elements()[i].q for p in pairs])) for i in range(4)))
+        rhs = Representation(*(GroupElement(np.stack([p[1].elements()[i].q for p in pairs])) for i in range(4)))
+        got = lhs.slot_distance(rhs)
+        assert got.shape == (20,)
+        assert got.tolist() == [a.slot_distance(b) for a, b in pairs]
+
+
 class TestNewProjected:
     def test_repairs_roundoff_scale_drift(self):
         rng = np.random.default_rng(7)
@@ -284,6 +302,21 @@ class TestDiagonalizeAbelian:
     def test_rejects_nonabelian(self):
         with pytest.raises(PreconditionViolated):
             diagonalize_abelian(PILLOW)
+
+    def test_class_equal_checks_abelianness_once(self, monkeypatch):
+        # _class_equal has decided abelianness for the whole batch before it
+        # diagonalizes; the abelian branch must not run is_abelian again
+        import charvar.repvar as repvar
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("abelianness checked twice")
+
+        monkeypatch.setattr(repvar, "is_abelian", refuse)
+        rho = Representation(diag(0.3), diag(1.2), diag(2.8), diag(0.1))
+        flipped = Representation(diag(-0.3), diag(-1.2), diag(-2.8), diag(-0.1))
+        k = haar_sample(np.random.default_rng(12))
+        assert class_equal(rho.conjugated(k), flipped)
+        assert not class_equal(rho, Representation(diag(0.3), diag(1.2), diag(2.8), diag(0.2)))
 
 
 # ---------------------------------------------------------------------------

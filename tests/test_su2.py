@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -187,6 +187,11 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _normalized(raw: np.ndarray) -> np.ndarray:
+    # scale by the largest component first: squares below ~1e-308 are
+    # subnormal, and a norm taken from them leaves the result off the unit
+    # sphere (raw components of 1e-160 normalize to 0.495, not 0.5)
+    big = np.max(np.abs(raw), axis=-1, keepdims=True)
+    raw = raw / np.where(big > 0.0, big, 1.0)
     n = np.linalg.norm(raw, axis=-1, keepdims=True)
     return np.where(n > 0.0, raw / np.where(n > 0.0, n, 1.0), [1.0, 0.0, 0.0, 0.0])
 
@@ -247,6 +252,15 @@ def test_exp_trivial_cases():
     assert np.array_equal(exp_alg(AlgebraElement([0.0, 0.0, 0.0])).q, I2.q)
     n = np.array([2.0, -1.0, 2.0]) / 3.0
     assert np.array_equal(exp_alg(AlgebraElement(np.pi * n)).q, MINUS_I2.q)
+
+
+def test_exp_batch_rows_are_single_calls():
+    # the norm over axis -1 inside exp_alg reduces each row as it reduces
+    # one vector alone, so a batched exponential keeps every scalar bit
+    v = np.random.default_rng(10).normal(scale=3.0, size=(2000, 3))
+    batch = exp_alg(AlgebraElement(v)).q
+    rows = np.array([exp_alg(AlgebraElement(x)).q for x in v])
+    assert _same_bits(batch, rows)
 
 
 def test_exp_inverse_pairs():
@@ -394,6 +408,7 @@ def _loop_find_conjugator(qa: np.ndarray, qb: np.ndarray, tol: float = EPS_MAT):
 
 
 @given(quaternions((7,)))
+@example(_normalized(np.full((7, 4), 1e-160)))  # subnormal squares: see _normalized
 @settings(max_examples=100, deadline=None)
 def test_mul_matrices_match_array_form_bitwise(qs):
     k = GroupElement.from_quaternion([0.3, -0.5, 0.1, 0.8])

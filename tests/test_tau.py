@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from charvar.errors import FiberSolveFailure, PreconditionViolated
@@ -47,6 +49,33 @@ def angle_diff(a: np.ndarray, b: np.ndarray) -> float:
 # section
 # ---------------------------------------------------------------------------
 
+POLISH_RESCUE_POINT = np.array([0.7516873116435345, 8.52419461182091e-13, 0.24831268835465775])
+
+SQUARE_PIN = (
+    ("0x1.6a09e667f3bcdp-1", "0x1.388e281a31e8fp-2", "0x1.4692711a310b1p-1", "0x0.0p+0"),
+    ("-0x1.99018bd7f4127p-3", "0x0.0p+0", "0x0.0p+0", "0x1.f5af8fb99f150p-1"),
+    ("0x1.70a42c2b97e11p-1", "-0x1.491edaaecde64p-3", "-0x1.4bdc92daa415dp-1", "-0x1.82aff16a9b31fp-3"),
+    ("0x1.cefff526fb093p-5", "0x1.8545c35d4da77p-1", "0x0.0p+0", "-0x1.4b5225eb4d0e1p-1"),
+)
+
+# four positive weights: the first three, normalized, are interior
+_interior = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
+    lambda w: np.array(w[:3]) / sum(w)
+)
+
+
+@st.composite
+def _near_facet(draw):
+    x = draw(_interior)
+    d = 10.0 ** draw(st.floats(-9.0, -3.0))
+    facet = draw(st.integers(0, 3))
+    if facet < 3:
+        x[facet] = d
+    else:
+        x = x * ((1.0 - d) / x.sum())
+    return x
+
+
 
 class TestSection:
     def test_barycenter(self):
@@ -83,10 +112,9 @@ class TestSection:
         # 8.5e-13 from an edge the closed form leaves a relation residual of
         # 1.04e-8 (above EPS_REL); only the Gauss-Newton polish on the two
         # phases brings it below 1e-12
-        x = np.array([0.7516873116435345, 8.52419461182091e-13, 0.24831268835465775])
-        rho = section(x)
+        rho = section(POLISH_RESCUE_POINT)
         assert float(relation_residual(rho)) < 1e-12
-        assert np.max(np.abs(mu_lambda(rho).x - x)) < 1e-10
+        assert np.max(np.abs(mu_lambda(rho).x - POLISH_RESCUE_POINT)) < 1e-10
 
     def test_moment_exact_on_h_slots(self):
         # the h-slots realize the trace angles by construction
@@ -111,6 +139,41 @@ class TestSection:
         b = section(x)
         for p, q in zip(a.elements(), b.elements()):
             assert np.array_equal(p.q, q.q)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_rows_are_single_calls(self, data):
+        # uniform interior points, points 1e-9 to 1e-3 from a facet (many
+        # t* halvings, a different count per row) and the polish-rescue
+        # point, mixed in one batch
+        points = data.draw(st.lists(st.one_of(_interior, _near_facet()), min_size=1, max_size=12))
+        at = data.draw(st.integers(0, len(points)))
+        points.insert(at, POLISH_RESCUE_POINT)
+        batch = section(np.array(points))
+        assert batch.batch_shape == (len(points),)
+        for i, x in enumerate(points):
+            assert np.array_equal(batch[i].slots().view(np.int64), section(x).slots().view(np.int64))
+
+    def test_batch_keeps_leading_shape(self):
+        x = np.array([[[0.2, 0.3, 0.1], [0.25, 0.25, 0.25]]] * 3)
+        rho = section(x)
+        assert rho.batch_shape == (3, 2)
+        assert np.array_equal(rho[2, 1].slots(), section(x[2, 1]).slots())
+
+    def test_rejects_one_bad_row(self):
+        with pytest.raises(PreconditionViolated):
+            section(np.array([[0.2, 0.3, 0.1], [0.5, 0.5, 0.0]]))
+
+    def test_square_is_the_scalar_pow(self):
+        # at this base point sin(phi)**2 as an array multiply differs in the
+        # last bit from the pow() a scalar square calls; the slots pinned
+        # here are the scalar-era output, alone and inside a batch
+        x = np.array([0.184, 0.38, 0.102])
+        want = np.array([[float.fromhex(v) for v in row] for row in SQUARE_PIN])
+        alone = section(x).slots()
+        inside = section(np.array([[0.25, 0.25, 0.25], x]))[1].slots()
+        assert np.array_equal(alone.view(np.int64), want.view(np.int64))
+        assert np.array_equal(inside.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
