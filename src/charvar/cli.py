@@ -304,7 +304,7 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
     small = max(n // 10, 1)
 
     for _ in range(n):
-        k = sigma_fixed_conjugator(pillow_point(haar_sample(rng), haar_sample(rng)))
+        k = sigma_fixed_conjugator(pillow_point(haar_sample(rng), haar_sample(rng)), tol=tol.mat)
         if k is None:
             failures += 1
             continue
@@ -323,7 +323,7 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
 
     for _ in range(small):
         theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
-        report = certify_interval_injectivity(float(theta), float(s), grid=5)
+        report = certify_interval_injectivity(float(theta), float(s), grid=5, tol=tol.mat)
         if not report.passed:
             failures += 1
 
@@ -351,8 +351,8 @@ def _density_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[i
     for _ in range(n):
         angles = rng.uniform(0.3, np.pi - 0.3, size=4)
         rho = Representation(*(_diag(float(v)) for v in angles))
-        ok = not is_abelian(density_witness(rho, 0.5))
-        ok &= not is_abelian(density_witness(rho, 1.0))
+        ok = not is_abelian(density_witness(rho, 0.5), tol.mat)
+        ok &= not is_abelian(density_witness(rho, 1.0), tol.mat)
         near = density_witness(rho, 1e-4)
         gap = near.slot_distance(rho)
         res["witness-approach"] = max(res["witness-approach"], gap)
@@ -456,7 +456,7 @@ def run_sigma_certification(
 
     for _ in range(max(samples // 10, 1)):
         theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
-        report = certify_interval_injectivity(float(theta), float(s), grid=grid)
+        report = certify_interval_injectivity(float(theta), float(s), grid=grid, tol=tol.mat)
         if not report.passed:
             violations.append(
                 f"interval ({theta:.4f},{s:.4f}): "

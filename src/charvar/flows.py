@@ -114,19 +114,17 @@ class FlowGenerators:
     Y_hat: AlgebraElement
 
 
-def _axis(g: GroupElement, name: str, center_tol: float) -> AlgebraElement:
+def _axis(g: GroupElement, name: str) -> AlgebraElement:
     v = AlgebraElement(g.vec)
-    if np.any(v.norm < center_tol):
+    if np.any(v.norm < EPS_CENTER):
         raise DegenerateGenerator(
-            f"{name} is within {center_tol:g} of the center; "
+            f"{name} is within {EPS_CENTER:g} of the center; "
             "the twist flows are defined on interior classes only"
         )
     return v.unit()
 
 
-def generators(
-    rho: Representation, center_tol: float = EPS_CENTER
-) -> FlowGenerators:
+def generators(rho: Representation) -> FlowGenerators:
     """Unit generators of the three circles at rho.
 
     DegenerateGenerator if any of h1, h2, h1 h2 is (numerically) central --
@@ -136,10 +134,10 @@ def generators(
     h2h1 = mul(rho.h2, rho.h1)
     h1h2 = mul(rho.h1, rho.h2)
     return FlowGenerators(
-        xi1_hat=_axis(rho.h1, "h1", center_tol),
-        xi2_hat=_axis(rho.h2, "h2", center_tol),
-        X_hat=_axis(h2h1, "h2*h1", center_tol),
-        Y_hat=_axis(h1h2, "h1*h2", center_tol),
+        xi1_hat=_axis(rho.h1, "h1"),
+        xi2_hat=_axis(rho.h2, "h2"),
+        X_hat=_axis(h2h1, "h2*h1"),
+        Y_hat=_axis(h1h2, "h1*h2"),
     )
 
 
@@ -147,9 +145,7 @@ def _scaled(hat: AlgebraElement, phi: np.ndarray) -> AlgebraElement:
     return AlgebraElement(hat.v * np.asarray(phi, dtype=np.float64)[..., None])
 
 
-def act(
-    t: TorusElement, rho: Representation, center_tol: float = EPS_CENTER
-) -> Representation:
+def act(t: TorusElement, rho: Representation) -> Representation:
     """The torus action:
 
         (e^{phi3 X^} g1 e^{phi1 xi1^},  h1,  e^{phi3 Y^} g2 e^{phi2 xi2^},  h2).
@@ -158,7 +154,7 @@ def act(
     the relation is preserved to roundoff.  DegenerateGenerator on boundary
     classes, as for generators().
     """
-    gen = generators(rho, center_tol)
+    gen = generators(rho)
     g1 = mul(mul(exp_alg(_scaled(gen.X_hat, t.phi3)), rho.g1),
              exp_alg(_scaled(gen.xi1_hat, t.phi1)))
     g2 = mul(mul(exp_alg(_scaled(gen.Y_hat, t.phi3)), rho.g2),
@@ -229,15 +225,18 @@ class KernelFreenessReport:
         return self.kernel_fixes_exactly and not self.violations
 
 
+# Torus angles closer than this to the kernel (pi,pi,pi) are redrawn in
+# kernel_and_freeness_check: near the kernel a class moves too little to tell.
+_KERNEL_GAP = 1e-6
+
+
 def kernel_and_freeness_check(
     rho: Representation,
     trials: int,
     rng: np.random.Generator,
-    angle_tol: float = 1e-6,
-    class_tol: float = EPS_MAT,
 ) -> KernelFreenessReport:
     """(a) (pi,pi,pi) fixes the quadruple slot-by-slot, bitwise; (b) `trials`
-    random angles bounded away from the kernel all move the class."""
+    random angles at least _KERNEL_GAP from the kernel all move the class."""
     if rho.batch_shape != ():
         raise ValueError("kernel_and_freeness_check is scalar-only")
     acted = act(TorusElement.kernel(), rho)
@@ -248,10 +247,10 @@ def kernel_and_freeness_check(
     done = 0
     while done < trials:
         t = TorusElement.from_array(rng.uniform(0.0, TWO_PI, size=3))
-        if float(t.kernel_distance()) < angle_tol:
+        if float(t.kernel_distance()) < _KERNEL_GAP:
             continue
         done += 1
-        if class_equal(act(t, rho), rho, class_tol):
+        if class_equal(act(t, rho), rho, EPS_MAT):
             violations.append(t.as_array())
     return KernelFreenessReport(
         kernel_fixes_exactly=kernel_exact,

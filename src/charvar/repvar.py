@@ -10,7 +10,10 @@
 # Constructors, invariant maps, is_abelian and the class-equality decision
 # _class_equal run over a batch, and so does slot_distance; class_equal is
 # _class_equal's entry point for one pair of single quadruples, and
-# diagonalize_abelian takes single quadruples.
+# diagonalize_abelian takes single quadruples.  Class equality is one
+# conjugator solve (su2._find_conjugators) for every kind of pair, abelian
+# and central ones included; diagonalize_abelian is a constructive witness
+# for abelian quadruples, not part of that decision.
 
 from __future__ import annotations
 
@@ -167,20 +170,16 @@ _PAIR_I = np.array([0, 0, 0, 1, 1, 2])
 _PAIR_J = np.array([1, 2, 3, 2, 3, 3])
 
 
-def _abelian(slots: np.ndarray, tol: float) -> np.ndarray:
-    """is_abelian on Representation.slots() arrays, shape (..., 4, 4).
+def is_abelian(rho: Representation, tol: float = EPS_MAT):
+    """Do all four slots pairwise commute?  Batched; scalar input -> bool.
 
     The six slot-pair commutators are one commutator over an axis of six
     pairs."""
+    slots = rho.slots()
     comm = commutator(
         GroupElement(slots[..., _PAIR_I, :]), GroupElement(slots[..., _PAIR_J, :])
     )
-    return np.max(distance(comm, GroupElement.identity()), axis=-1) < tol
-
-
-def is_abelian(rho: Representation, tol: float = EPS_MAT):
-    """Do all four slots pairwise commute?  Batched; scalar input -> bool."""
-    out = _abelian(rho.slots(), tol)
+    out = np.max(distance(comm, GroupElement.identity()), axis=-1) < tol
     return bool(out) if rho.batch_shape == () else out
 
 
@@ -211,11 +210,6 @@ def diagonalize_abelian(
         raise ValueError("diagonalize_abelian is scalar-only")
     if not is_abelian(rho, tol):
         raise PreconditionViolated("diagonalize_abelian needs an abelian quadruple")
-    return _diagonalize(rho, tol)
-
-
-def _diagonalize(rho: Representation, tol: float) -> tuple[GroupElement, Representation]:
-    """diagonalize_abelian on a single quadruple already known to be abelian."""
     n = _common_axis(rho, tol)
     z = np.array([0.0, 0.0, 1.0])
     c = float(np.dot(n, z))
@@ -228,20 +222,7 @@ def _diagonalize(rho: Representation, tol: float) -> tuple[GroupElement, Represe
         axis /= np.linalg.norm(axis)
         beta = float(np.arccos(np.clip(c, -1.0, 1.0)))
         k = exp_alg(AlgebraElement(0.5 * beta * axis))
-    diag = rho.conjugated(k)
-    return k, diag
-
-
-def _diagonal_angles(rho: Representation) -> np.ndarray:
-    """Signed torus angles (atan2(z, w)) of a diagonalized quadruple."""
-    return np.stack(
-        [np.arctan2(x.q[..., 3], x.q[..., 0]) for x in rho.elements()], axis=-1
-    )
-
-
-def _angles_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    d = (a - b + np.pi) % (2.0 * np.pi) - np.pi
-    return bool(np.max(np.abs(d)) < tol)
+    return k, rho.conjugated(k)
 
 
 def _class_equal(
@@ -249,29 +230,15 @@ def _class_equal(
 ) -> np.ndarray:
     """class_equal over every quadruple pair of one batch shape.
 
-    One is_abelian pass covers both sides and one conjugator solve decides
-    every irreducible pair.  Conjugators never mix the two cases, so unequal
-    abelianness means unequal classes; two abelian quadruples are compared by
-    simultaneous diagonalization -- conjugate iff the torus angle 4-tuples
-    agree up to one global sign flip (the Weyl element inverts the whole
-    torus at once).
+    Two quadruples are one class iff some k conjugates each slot of one onto
+    the other, so the decision is one conjugator solve over the whole batch,
+    read against tol.  Abelian pairs need no case of their own: their
+    conjugators form a circle, or all of SU(2) for central quadruples, and
+    the solve returns one of them (a Weyl flip, which inverts the whole
+    torus, is one such conjugator).  Conjugation keeps commutators trivial,
+    so an abelian quadruple never matches an irreducible one.
     """
-    a, b = rho.slots(), other.slots()
-    ab_rho, ab_other = _abelian(np.array([a, b]), tol)
-    irreducible, abelian = ~ab_rho & ~ab_other, ab_rho & ab_other
-    equal = np.zeros(irreducible.shape, dtype=bool)
-    # The solve runs on every pair and is read on the irreducible ones:
-    # picking those out first would slow the single-pair calls.  Each
-    # branch costs as much on no pairs as on one, so it is skipped then.
-    if irreducible.any():
-        equal[...] = irreducible & _find_conjugators(a, b, tol)[1]
-    if abelian.any():
-        for idx in map(tuple, np.argwhere(abelian)):
-            _, d1 = _diagonalize(rho[idx], tol)
-            _, d2 = _diagonalize(other[idx], tol)
-            a1, a2 = _diagonal_angles(d1), _diagonal_angles(d2)
-            equal[idx] = _angles_close(a1, a2, tol) or _angles_close(a1, -a2, tol)
-    return equal
+    return _find_conjugators(rho.slots(), other.slots())[1] < tol
 
 
 def class_equal(

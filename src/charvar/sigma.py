@@ -44,7 +44,6 @@ from .su2 import (
     conjugate,
     conjugator_nullspace,
     distance,
-    find_conjugator,
     mul,
     stabilizer_type,
 )
@@ -121,6 +120,17 @@ def _sign_canonical(k: GroupElement) -> GroupElement:
     return GroupElement(-k.q) if k.q[i] < 0 else k
 
 
+def _fixedness_solve(rho: Representation) -> tuple[Representation, GroupElement, float]:
+    """The swap of a single quadruple, the sign-canonical candidate k for
+    k rho k^{-1} = sigma(rho), and its worst slot residual: one sigma and one
+    conjugator solve, read by each caller against its own tolerance."""
+    if rho.batch_shape != ():
+        raise ValueError("sigma_fixed_conjugator is scalar-only")
+    swapped = sigma(rho)
+    k, worst = _find_conjugators(rho.slots(), swapped.slots())
+    return swapped, _sign_canonical(GroupElement(k)), float(worst)
+
+
 def sigma_fixed_conjugator(
     rho: Representation, tol: float = EPS_MAT
 ) -> Optional[GroupElement]:
@@ -129,11 +139,8 @@ def sigma_fixed_conjugator(
     Works for abelian quadruples too (the nullspace solve decides either
     way).  The sign is canonicalized; pieces that need a pure-imaginary
     representative get one in classify_fixed_point."""
-    if rho.batch_shape != ():
-        raise ValueError("sigma_fixed_conjugator is scalar-only")
-    swapped = sigma(rho)
-    k = find_conjugator(list(rho.elements()), list(swapped.elements()), tol)
-    return None if k is None else _sign_canonical(k)
+    _, k, worst = _fixedness_solve(rho)
+    return k if worst < tol else None
 
 
 def _pure_imaginary_conjugator(
@@ -159,25 +166,25 @@ def _pure_imaginary_conjugator(
     return _sign_canonical(k) if worst < tol else None
 
 
-def classify_fixed_point(
-    rho: Representation,
-    tol: float = EPS_MAT,
-    center_tol: float = EPS_CENTER,
-) -> SigmaFixedPoint:
+def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixedPoint:
     """Locate a sigma-fixed class in the stratum/piece decomposition.
 
-    Raises PreconditionViolated when the class is not sigma-fixed at 10*tol,
-    and ClassificationAmbiguity when a deciding residual lands in the gray
-    zone (tol, 10*tol) -- such points are reported, never guessed."""
-    k = sigma_fixed_conjugator(rho, tol)
-    if k is None:
-        if sigma_fixed_conjugator(rho, 10 * tol) is not None:
+    The swap is built once and solved once: the worst residual of that one
+    conjugator candidate reads fixed (below tol), gray zone (below 10*tol)
+    or not fixed, and the N2 pieces reuse the same swap for their
+    pure-imaginary conjugator.  Raises PreconditionViolated when the class
+    is not sigma-fixed at 10*tol, and ClassificationAmbiguity when a deciding
+    residual lands in the gray zone [tol, 10*tol) -- such points are
+    reported, never guessed."""
+    swapped, k, worst = _fixedness_solve(rho)
+    if not worst < tol:  # a NaN residual reads as not fixed
+        if worst < 10 * tol:
             raise ClassificationAmbiguity(
                 "sigma-fixedness residual lies between tol and 10*tol"
             )
         raise PreconditionViolated("class is not sigma-fixed")
 
-    stratum = _STRATUM_OF[stabilizer_type(list(rho.elements()), center_tol, tol)]
+    stratum = _STRATUM_OF[stabilizer_type(list(rho.elements()), axis_tol=tol)]
 
     if stratum is Stratum.III:
         return SigmaFixedPoint(rho, DIAG_I, stratum, Piece.CENTRAL_VERTEX)
@@ -191,7 +198,7 @@ def classify_fixed_point(
 
     if comm_dist < tol:
         # N2: arcs between the two surfaces
-        pure_k = _pure_imaginary_conjugator(rho, sigma(rho), tol)
+        pure_k = _pure_imaginary_conjugator(rho, swapped, tol)
         if pure_k is not None:
             k = pure_k
         if class_equal(rho, pillow_point(rho.g1, rho.h1), tol):
@@ -211,7 +218,7 @@ def classify_fixed_point(
     k2 = mul(k, k)
     d_plus = float(distance(k2, GroupElement.identity()))
     d_minus = float(distance(k2, GroupElement.minus_identity()))
-    if min(d_plus, d_minus) >= center_tol:
+    if min(d_plus, d_minus) >= EPS_CENTER:
         raise ClassificationAmbiguity(
             f"k^2 is not numerically central (residuals {d_plus:.3e}/{d_minus:.3e})"
         )
@@ -232,39 +239,33 @@ def pillow_point(g: GroupElement, h: GroupElement) -> Representation:
     return Representation(g, h, h, g)
 
 
-def blowup_point(
-    g: GroupElement,
-    h: GroupElement,
-    k: GroupElement,
-    tol: float = EPS_MAT,
-    center_tol: float = EPS_CENTER,
-) -> Representation:
+def blowup_point(g: GroupElement, h: GroupElement, k: GroupElement) -> Representation:
     """(g, h, k h k^{-1}, k g k^{-1}) for k^2 = -1 commuting with [g,h].
 
     Relation: [g,h] [k h k^{-1}, k g k^{-1}] = [g,h] k [g,h]^{-1} k^{-1} = 1
     by the commuting hypothesis.  PreconditionViolated when k^2 != -1, when
     [g,h] = 1 (that regime belongs to the arcs), or when k fails to commute
     with the commutator."""
-    if float(distance(mul(k, k), GroupElement.minus_identity())) >= center_tol:
+    if float(distance(mul(k, k), GroupElement.minus_identity())) >= EPS_CENTER:
         raise PreconditionViolated("blowup_point needs k^2 = -1")
     comm = commutator(g, h)
-    if float(distance(comm, GroupElement.identity())) < tol:
+    if float(distance(comm, GroupElement.identity())) < EPS_MAT:
         raise PreconditionViolated("blowup_point needs [g,h] != 1")
-    if float(distance(commutator(comm, k), GroupElement.identity())) >= tol:
+    if float(distance(commutator(comm, k), GroupElement.identity())) >= EPS_MAT:
         raise PreconditionViolated("blowup_point needs k to commute with [g,h]")
     rho = Representation(g, h, conjugate(k, h), conjugate(k, g))
     assert float(relation_residual(rho)) < EPS_REL
     return rho
 
 
-def rp2_fiber_point(k: GroupElement, center_tol: float = EPS_CENTER) -> Representation:
+def rp2_fiber_point(k: GroupElement) -> Representation:
     """The canonical commutator-trace -2 family: with D = diag(i,-i) and
     J = [[0,-1],[1,0]] (so [D,J] = -1 exactly), the quadruple
 
         (D, J, k J k^{-1}, k D k^{-1}),   k^2 = -1.
 
     Classes depend on k only through +-k (an RP^2 of them)."""
-    if float(distance(mul(k, k), GroupElement.minus_identity())) >= center_tol:
+    if float(distance(mul(k, k), GroupElement.minus_identity())) >= EPS_CENTER:
         raise PreconditionViolated("rp2_fiber_point needs k^2 = -1")
     return Representation(DIAG_I, J, conjugate(k, J), conjugate(k, DIAG_I))
 
@@ -329,7 +330,7 @@ def certify_interval_injectivity(
     class-equality decision (repvar._class_equal) covers every pair i < j."""
     alphas = np.linspace(0.0, np.pi / 2, grid)
     points = n2_interval(theta, s, alphas)
-    _, fixed = _find_conjugators(points.slots(), sigma(points).slots(), tol)
+    fixed = _find_conjugators(points.slots(), sigma(points).slots())[1] < tol
     i, j = np.triu_indices(grid, 1)
     equal = _class_equal(points[i], points[j], tol)
     return InjectivityReport(

@@ -26,8 +26,13 @@
 # one batched kernel (_find_conjugators) over element lists stacked as
 # (..., n, 4) arrays; quadruples reach it as repvar.Representation.slots()
 # (n = 4), and find_conjugator and conjugator_nullspace take a Python list of
-# single elements through _element_lists.  stabilizer_type takes single
-# elements only.
+# single elements through _element_lists.  _find_conjugators decides nothing:
+# it returns each row's candidate k and worst conjugation residual, and every
+# caller (find_conjugator, the class-equality decision, sigma fixedness)
+# compares that residual with its own tolerance.  The solve needs no case
+# split: any nonzero null vector of k a_i = b_i k is a conjugator, so lists
+# with a one-, two- or four-dimensional solution space (irreducible, abelian
+# or central) are decided alike.  stabilizer_type takes single elements only.
 #
 # Exactness: products where one operand is exactly +-I are computed as exact
 # sign flips (no renormalization), and the exponential snaps cos/sin residue
@@ -378,15 +383,15 @@ def exp_alg(v: AlgebraElement) -> GroupElement:
     return GroupElement(q)
 
 
-def log_grp(g: GroupElement, center_tol: float = EPS_CENTER) -> AlgebraElement:
+def log_grp(g: GroupElement) -> AlgebraElement:
     """Principal-branch logarithm: the unique v with |v| in [0, pi), exp(v) = g.
 
-    Raises CenterAmbiguity where g is within center_tol of -I (no preferred
+    Raises CenterAmbiguity where g is within EPS_CENTER of -I (no preferred
     axis); g = +I maps to 0.
     """
     w, vec = g.w, g.vec
     vn = np.linalg.norm(vec, axis=-1)
-    if np.any((w < 0.0) & (vn < center_tol)):
+    if np.any((w < 0.0) & (vn < EPS_CENTER)):
         raise CenterAmbiguity("logarithm undefined within tolerance of -I")
     theta = np.arctan2(vn, w)
     safe = np.where(vn > 0.0, vn, 1.0)
@@ -460,36 +465,39 @@ def _element_lists(
     return np.stack([a.q for a in as_], axis=-2), np.stack([b.q for b in bs], axis=-2)
 
 
-def _find_conjugators(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """find_conjugator over a batch of element lists a, b of shape (..., n, 4).
+def _find_conjugators(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugator solve over a batch of element lists a, b of shape (..., n, 4).
 
-    Returns (k, found) over the common batch shape: k is the unit candidate
-    (..., 4) of each system and found is True where its worst conjugation
-    residual is below tol.  One stacked SVD serves the whole batch, and every
-    row is bit for bit the solve of that row alone.
+    Returns (k, worst) over the common batch shape: k is the unit candidate
+    (..., 4) of each system, its smallest right singular vector, and worst is
+    the largest Frobenius residual of k a_i k^-1 against b_i.  A conjugator
+    exists where worst is below the caller's tolerance.  One stacked SVD
+    serves the whole batch, and every row is bit for bit the solve of that
+    row alone.
     """
     _, _, vt = np.linalg.svd(_conjugation_system(a, b))
     k = GroupElement.from_quaternion(vt[..., -1, :])
     moved = conjugate(GroupElement(k.q[..., None, :]), GroupElement(a))
-    worst = np.max(distance(moved, GroupElement(b)), axis=-1)
-    return k.q, worst < tol
+    return k.q, np.max(distance(moved, GroupElement(b)), axis=-1)
+
+
+# Singular values below this bound span conjugator_nullspace's basis.
+_NULL_SVAL = 1e-7
 
 
 def conjugator_nullspace(
     as_: Sequence[GroupElement],
     bs: Sequence[GroupElement],
-    s_tol: float = 1e-7,
 ) -> np.ndarray:
     """Orthonormal basis (columns) of {k in R^4 : k a_i = b_i k for all i}.
 
     The constraints are linear in the quaternion coordinates of k; the basis
-    collects the right singular vectors with singular value below s_tol.
-    Nonzero quaternions are invertible, so any unit-norm element of an exact
-    nullspace is a valid conjugator.
+    collects the right singular vectors with singular value below
+    _NULL_SVAL.  Nonzero quaternions are invertible, so any unit-norm element
+    of an exact nullspace is a valid conjugator.
     """
     _, svals, vt = np.linalg.svd(_conjugation_system(*_element_lists(as_, bs)))
-    small = svals < s_tol
-    return vt[small].T
+    return vt[svals < _NULL_SVAL].T
 
 
 def find_conjugator(
@@ -504,18 +512,16 @@ def find_conjugator(
     residual (Frobenius) is below tol.  Absence is a valid return: traces are
     conjugation invariants, so mismatched traces simply yield None.
     """
-    k, found = _find_conjugators(*_element_lists(as_, bs), tol)
-    return GroupElement(k) if found else None
+    k, worst = _find_conjugators(*_element_lists(as_, bs))
+    return GroupElement(k) if worst < tol else None
 
 
 def stabilizer_type(
-    xs: Iterable[GroupElement],
-    center_tol: float = EPS_CENTER,
-    axis_tol: float = EPS_MAT,
+    xs: Iterable[GroupElement], axis_tol: float = EPS_MAT
 ) -> StabilizerType:
     """Common-stabilizer class of a list of elements.
 
-    FULL when every element is within center_tol of +-I; TORUS when the
+    FULL when every element is within EPS_CENTER of +-I; TORUS when the
     non-central elements share one axis (pairwise parallel vector parts, sine
     of the angle below axis_tol); CENTER otherwise.
     """
@@ -524,7 +530,7 @@ def stabilizer_type(
         if x.batch_shape:
             raise ValueError("stabilizer_type expects single elements")
         vn = float(np.linalg.norm(x.vec))
-        if vn < center_tol:
+        if vn < EPS_CENTER:
             continue
         axes.append(x.vec / vn)
     if not axes:

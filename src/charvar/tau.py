@@ -257,9 +257,7 @@ def _canonical_angles(l1: float, l2: float, l3: float) -> TorusElement:
     return TorusElement(arr[0], arr[1], arr[2])
 
 
-def fiber_coordinates(
-    rho: Representation, tol: float = EPS_REL, frame_tol: float = EPS_MAT
-) -> FiberCoordinates:
+def fiber_coordinates(rho: Representation, tol: float = EPS_REL) -> FiberCoordinates:
     """Base point and twist angles of an interior class over the section.
 
     Conjugates rho so its (h1, h2) agree with the section's, then reads the
@@ -275,9 +273,7 @@ def fiber_coordinates(
             "fiber coordinates exist over interior base points only"
         )
     s_rho = section(base.x, tol)
-    k = find_conjugator(
-        [rho.h1, rho.h2], [s_rho.h1, s_rho.h2], tol=frame_tol
-    )
+    k = find_conjugator([rho.h1, rho.h2], [s_rho.h1, s_rho.h2], EPS_MAT)
     if k is None:
         raise FiberSolveFailure("could not align the (h1, h2) frame")
     aligned = rho.conjugated(k)

@@ -19,7 +19,14 @@ from charvar.polytope import (
     boundary_commutation_check,
     mu_lambda_coordinates,
 )
-from charvar.repvar import Representation, class_equal, goldman_Phi, is_abelian, relation_residual
+from charvar.repvar import (
+    Representation,
+    _class_equal,
+    class_equal,
+    goldman_Phi,
+    is_abelian,
+    relation_residual,
+)
 from charvar.sampler import density_witness
 from charvar.sigma import (
     Piece,
@@ -40,6 +47,7 @@ from charvar.su2 import (
     haar_sample,
 )
 from charvar.tau import section, tau
+from charvar.tolerances import EPS_MAT
 from charvar.cli import run_verify
 
 RELATION_TOL = 1e-9  # criterion 1
@@ -79,6 +87,13 @@ def scalar_torus(rng: np.random.Generator) -> TorusElement:
     return TorusElement(float(phi[0]), float(phi[1]), float(phi[2]))
 
 
+def _concat(a: Representation, b: Representation) -> Representation:
+    """Two quadruple batches joined along the batch axis."""
+    return Representation(
+        *(GroupElement(np.concatenate([x.q, y.q])) for x, y in zip(a.elements(), b.elements()))
+    )
+
+
 def interior_fibers(rng: np.random.Generator, bases: int, per_base: int):
     """Batched interior representations, one batch per random fiber."""
     for _ in range(bases):
@@ -104,13 +119,11 @@ def test_criterion_1_relation_preserved_under_torus_action():
 
 def test_criterion_2_intertwining_identities():
     rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(100):
-        base = section(interior_base(rng))
-        for _ in range(100):
-            rho = act(scalar_torus(rng), base)
-            ident = verify_flow_identities(rho, float(rng.uniform(0.0, 2.0 * np.pi)))
-            worst = max(worst, float(ident.max_residual))
+    bases = section(np.array([interior_base(rng) for _ in range(100)]))
+    rho = act(batched_torus(rng, 10_000), bases[np.repeat(np.arange(100), 100)])
+    ident = verify_flow_identities(rho, rng.uniform(0.0, 2.0 * np.pi, size=10_000))
+    assert ident.max_residual.shape == (10_000,)
+    worst = float(np.max(ident.max_residual))
     assert worst < INTERTWINE_TOL
     _report("2", f"10000 (rho, t) pairs, both residuals <= {worst:.3e} < {INTERTWINE_TOL}")
 
@@ -209,17 +222,16 @@ def test_criterion_5_kernel_and_freeness():
 
 def test_criterion_6_tau_suite():
     rng = np.random.default_rng(106)
-    drift = 0.0
-    for _ in range(1000):
-        rho = act(scalar_torus(rng), section(interior_base(rng)))
-        image = tau(rho)
-        drift = max(
-            drift,
-            float(np.max(np.abs(mu_lambda_coordinates(image) - mu_lambda_coordinates(rho)))),
-        )
-        assert class_equal(tau(image), rho)
-        t = scalar_torus(rng)
-        assert class_equal(tau(act(t, rho)), act(t.inverse(), image))
+    rho = act(batched_torus(rng, 1000), section(np.array([interior_base(rng) for _ in range(1000)])))
+    image = tau(rho)
+    drift = float(np.max(np.abs(mu_lambda_coordinates(image) - mu_lambda_coordinates(rho))))
+    t = batched_torus(rng, 1000)
+    # involution and flow reversal: one class decision over both checks' pairs
+    equal = _class_equal(
+        _concat(tau(image), tau(act(t, rho))), _concat(rho, act(t.inverse(), image)), EPS_MAT
+    )
+    assert equal.shape == (2000,)
+    assert equal.all()
     assert drift < ROUNDTRIP_TOL
     _report(
         "6",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 
@@ -16,6 +17,7 @@ from charvar.errors import PreconditionViolated
 from charvar.flows import TorusElement, act
 from charvar.repvar import Representation, relation_residual
 from charvar.su2 import haar_sample
+from charvar.tolerances import Tolerances
 
 
 def run(argv) -> tuple[int, str]:
@@ -309,6 +311,41 @@ class TestVerify:
         assert rep.failures == 5
         assert rep.max_residual["involution"] > 0.1
         assert rep.max_residual["reversal"] > 0.1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--suite", "sigma", "--samples", "10"],
+        ["verify", "--suite", "density", "--samples", "2"],
+        ["certify-sigma", "--samples", "10", "--grid", "3"],
+    ],
+)
+def test_tol_reaches_every_check(monkeypatch, command):
+    # every decision a run makes reads the --tol matrix tolerance, never the
+    # library default
+    seen: dict = {}
+    for name in (
+        "certify_interval_injectivity",
+        "sigma_fixed_conjugator",
+        "classify_fixed_point",
+        "class_equal",
+        "_class_equal",
+        "is_abelian",
+    ):
+        fn = getattr(cli, name)
+
+        def recorded(*args, _fn=fn, _name=name, **kwargs):
+            bound = inspect.signature(_fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.setdefault(_name, set()).add(bound.arguments["tol"])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+    code, _ = run([*command, "--tol", "3e-9"])
+    assert code == 0
+    want = {Tolerances.with_mat(3e-9).mat}
+    assert seen and {name: tols for name, tols in seen.items() if tols != want} == {}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

@@ -303,21 +303,6 @@ class TestDiagonalizeAbelian:
         with pytest.raises(PreconditionViolated):
             diagonalize_abelian(PILLOW)
 
-    def test_class_equal_checks_abelianness_once(self, monkeypatch):
-        # _class_equal has decided abelianness for the whole batch before it
-        # diagonalizes; the abelian branch must not run is_abelian again
-        import charvar.repvar as repvar
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("abelianness checked twice")
-
-        monkeypatch.setattr(repvar, "is_abelian", refuse)
-        rho = Representation(diag(0.3), diag(1.2), diag(2.8), diag(0.1))
-        flipped = Representation(diag(-0.3), diag(-1.2), diag(-2.8), diag(-0.1))
-        k = haar_sample(np.random.default_rng(12))
-        assert class_equal(rho.conjugated(k), flipped)
-        assert not class_equal(rho, Representation(diag(0.3), diag(1.2), diag(2.8), diag(0.2)))
-
 
 # ---------------------------------------------------------------------------
 # class equality
@@ -378,6 +363,35 @@ class TestClassEqual:
         rho = swap_rep(rng)
         assert class_equal(rho, rho)
 
+    def test_class_equal_is_one_conjugator_solve(self, monkeypatch):
+        # abelian and irreducible pairs alike are decided by one solve, with
+        # no abelianness pass and no diagonalization beside it
+        import charvar.repvar as repvar
+
+        solve = repvar._find_conjugators
+        calls = []
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("class_equal left the conjugator solve")
+
+        monkeypatch.setattr(repvar, "_find_conjugators", counted)
+        monkeypatch.setattr(repvar, "is_abelian", refuse)
+        monkeypatch.setattr(repvar, "diagonalize_abelian", refuse)
+        rng = np.random.default_rng(12)
+        k = haar_sample(rng)
+        angles = (0.3, 1.2, 2.8, 0.1)
+        abelian = Representation(*(diag(t) for t in angles))
+        flipped = Representation(*(diag(-t) for t in angles))
+        irreducible = swap_rep(rng)
+        for rho, other in ((abelian.conjugated(k), flipped), (irreducible, irreducible.conjugated(k))):
+            calls.clear()
+            assert class_equal(rho, other)
+            assert calls == [(4, 4)]
+
 
 def reference_class_equal(rho: Representation, other: Representation, tol: float = 1e-9) -> bool:
     """The reference class_equal, one pair at a time: the six-commutator
@@ -406,8 +420,26 @@ def _abelian_rep(rng, angles) -> Representation:
     return Representation(*(exp_alg(AlgebraElement(t * axis)) for t in angles))
 
 
+def _central_rep(signs) -> Representation:
+    """The central quadruple with slots sign * I."""
+    return Representation(*(GroupElement(np.array([s, 0.0, 0.0, 0.0])) for s in signs))
+
+
 def _class_pair(kind: str, rng) -> tuple[Representation, Representation, bool]:
     """One quadruple pair of the given kind and whether it is one class."""
+    if kind in ("central", "central-flip"):
+        # every slot +-I: one class iff the signs agree slot by slot
+        signs = rng.choice([1.0, -1.0], size=4)
+        other = signs.copy()
+        if kind == "central-flip":
+            other[rng.integers(4)] *= -1.0
+        return _central_rep(signs), _central_rep(other), kind == "central"
+    if kind == "near-central":
+        # one slot about 7e-13 from -I, so its own axis is rounding noise;
+        # the partner is on another axis, Weyl-flipped or not
+        angles = rng.uniform(0.1, 3.0, size=4)
+        angles[rng.integers(4)] = np.pi - 5e-13
+        return _abelian_rep(rng, angles), _abelian_rep(rng, rng.choice([1.0, -1.0]) * angles), True
     if kind == "irreducible":
         return swap_rep(rng), swap_rep(rng), False
     if kind == "conjugate":
@@ -451,6 +483,9 @@ def _stack(reps: list) -> Representation:
                 "tied-axis",
                 "abelian-vs-irreducible",
                 "irreducible-vs-abelian",
+                "central",
+                "central-flip",
+                "near-central",
             ]
         ),
         max_size=8,

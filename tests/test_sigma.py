@@ -3,6 +3,8 @@ stratum/piece classification of the fixed locus."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -517,6 +519,36 @@ class TestClassification:
         with pytest.raises(error) as raised:
             classify_fixed_point(rho)
         assert type(raised.value) is error
+
+    @pytest.mark.parametrize("case", ["gray-zone", "interval"])
+    def test_one_swap_and_one_solve(self, monkeypatch, case):
+        # the fixedness solve reads fixed, gray zone and not fixed from one
+        # residual, and the N2 pieces reuse the swap it was built from
+        import charvar.su2 as su2
+
+        sigma_module = sys.modules["charvar.sigma"]  # the package exports a function of that name
+        counts = {"sigma": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(sigma_module, "sigma", counted("sigma", sigma))
+        solve = counted("solve", su2._find_conjugators)
+        monkeypatch.setattr(sigma_module, "_find_conjugators", solve)
+        monkeypatch.setattr(su2, "_find_conjugators", solve)
+        if case == "gray-zone":  # the eps = 1e-9 point of test_fixedness_gray_zone
+            rng = np.random.default_rng(3)
+            g, h = haar_sample(rng), haar_sample(rng)
+            rho = Representation(g, h, h, mul(exp_alg(AlgebraElement(np.array([0.0, 1e-9, 0.0]))), g))
+            with pytest.raises(ClassificationAmbiguity, match="sigma-fixedness"):
+                classify_fixed_point(rho)
+        else:
+            assert classify_fixed_point(n2_interval(0.7, 1.3, 0.4)).piece is Piece.INTERVAL_INTERIOR
+        assert counts == {"sigma": 1, "solve": 1}
 
     def test_conjugated_fixed_points_still_classified(self):
         rng = np.random.default_rng(92)

@@ -393,9 +393,9 @@ def _array_right_mul(q: np.ndarray) -> np.ndarray:
     return np.array([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
 
 
-def _loop_find_conjugator(qa: np.ndarray, qb: np.ndarray, tol: float = EPS_MAT):
-    """The per-element solve the batched kernel replaced: (candidate k, found)
-    for one pair of element lists of shape (n, 4)."""
+def _loop_find_conjugator(qa: np.ndarray, qb: np.ndarray):
+    """The per-element solve the batched kernel replaced: (candidate k, worst
+    residual) for one pair of element lists of shape (n, 4)."""
     system = np.concatenate(
         [_array_right_mul(a) - _array_left_mul(b) for a, b in zip(qa, qb)], axis=0
     )
@@ -404,7 +404,7 @@ def _loop_find_conjugator(qa: np.ndarray, qb: np.ndarray, tol: float = EPS_MAT):
     worst = max(
         float(distance(conjugate(k, GroupElement(a)), GroupElement(b))) for a, b in zip(qa, qb)
     )
-    return k.q, worst < tol
+    return k.q, worst
 
 
 @given(quaternions((7,)))
@@ -430,12 +430,13 @@ def test_batched_conjugator_rows_match_scalar_solve(data):
         qb = conjugate(haar_sample(rng, (batch, 1)), GroupElement(qa)).q
     else:
         qb = data.draw(quaternions((batch, n)))
-    k, found = su2._find_conjugators(qa, qb, EPS_MAT)
-    assert k.shape == (batch, 4) and found.shape == (batch,)
+    k, worst = su2._find_conjugators(qa, qb)
+    assert k.shape == (batch, 4) and worst.shape == (batch,)
     for r in range(batch):
-        k_ref, found_ref = _loop_find_conjugator(qa[r], qb[r])
+        k_ref, worst_ref = _loop_find_conjugator(qa[r], qb[r])
         assert _same_bits(k[r], k_ref)
-        assert found[r] == found_ref
+        assert worst[r] == worst_ref
+        found_ref = worst_ref < EPS_MAT
         got = find_conjugator([GroupElement(q) for q in qa[r]], [GroupElement(q) for q in qb[r]])
         assert (got is not None) == found_ref
         if got is not None:
