@@ -22,7 +22,6 @@ from charvar import (
     classify_fixed_point,
     commutator,
     exp_alg,
-    goldman_Phi,
     moment_coordinates,
     n2_interval,
     pillow_point,
@@ -61,9 +60,9 @@ moved = sigma(rho)
 print("generic class fixed by sigma    :", class_equal(moved, rho))
 
 # piece 1: the pillow.  Both handles carry the same pair, and the canonical
-# example maps to the very center of the trace cube.
+# example has trace zero in every coordinate: trace angle 1/2 throughout.
 pillow = pillow_point(DIAG_I, J)
-print("pillow trace triple             :", goldman_Phi(pillow))
+print("pillow trace angles             :", moment_coordinates(pillow))
 print("pillow classified as            :", classify_fixed_point(pillow).piece.value)
 
 # piece 2: the blow-up locus.  Take any non-commuting pair and twist the

@@ -67,7 +67,6 @@ from .repvar import (
     Representation,
     class_equal,
     diagonalize_abelian,
-    goldman_Phi,
     is_abelian,
     new_checked,
     new_projected,
@@ -154,7 +153,6 @@ __all__ = [
     "is_abelian",
     "diagonalize_abelian",
     "class_equal",
-    "goldman_Phi",
     "psi_F2",
     # polytope
     "Polytope",

@@ -2,8 +2,9 @@
 # Representation quadruples (g1, h1, g2, h2) subject to the surface relation
 #     [g1, h1] [g2, h2] = 1,
 # plus the conjugation-invariant features built on them: the relation
-# residual, abelianness, class equality (= conjugacy of quadruples), the
-# trace vector Phi, and the trace-angle map psi on free pairs.
+# residual, abelianness, class equality (= conjugacy of quadruples) and the
+# trace-angle map psi on free pairs.  The trace coordinates of quadruples are
+# polytope.moment_coordinates.
 #
 # All slots share one batch shape, and Representation.slots() stacks them as
 # one (..., 4, 4) array, the layout every batched decision reads.
@@ -47,7 +48,6 @@ __all__ = [
     "is_abelian",
     "class_equal",
     "diagonalize_abelian",
-    "goldman_Phi",
     "psi_F2",
 ]
 
@@ -249,18 +249,6 @@ def class_equal(
     if rho.batch_shape != () or other.batch_shape != ():
         raise ValueError("class_equal is scalar-only")
     return bool(_class_equal(rho, other, tol))
-
-
-def goldman_Phi(rho: Representation) -> np.ndarray:
-    """Trace vector (tr h1, tr h2, tr h1 h2) as a raw (..., 3) array."""
-    return np.stack(
-        [
-            rho.h1.trace(),
-            rho.h2.trace(),
-            mul(rho.h1, rho.h2).trace(),
-        ],
-        axis=-1,
-    )
 
 
 def psi_F2(pair: F2Pair, tol: float = 1e-9) -> SimplexPoint:

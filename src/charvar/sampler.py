@@ -9,6 +9,9 @@ witness density of the irreducible locus.
 The interior sampler draws the base uniformly on the open simplex.  That is a
 convenience measure chosen for coverage of the polytope, not a canonical
 volume on the class space.
+
+Interior items and density witnesses are built in batches, each row bit for
+bit the item built alone.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 
 from .errors import PreconditionViolated
 from .repvar import Representation, is_abelian
-from .su2 import AlgebraElement, GroupElement, _cross, conjugate, exp_alg, haar_sample, is_central
+from .su2 import AlgebraElement, GroupElement, _perpendicular, _vector_norm, conjugate, exp_alg
+from .su2 import haar_sample, is_central
 from .flows import TorusElement, act
 from .polytope import STD_DELTA
 from .tau import section
@@ -101,8 +105,10 @@ class SampleSpec:
             object.__setattr__(self, "base", x)
 
 
-def _diag(angle: float) -> GroupElement:
-    return exp_alg(AlgebraElement(np.array([0.0, 0.0, angle])))
+def _diag(angle) -> GroupElement:
+    """exp of angle * e_z, batched over the shape of angle."""
+    zero = np.zeros(np.shape(angle))
+    return exp_alg(AlgebraElement(np.stack([zero, zero, angle], axis=-1)))
 
 
 def _random_axis(rng: np.random.Generator) -> np.ndarray:
@@ -221,38 +227,31 @@ def sample(spec: SampleSpec) -> Iterator[Representation]:
         yield rho
 
 
-def _deformation_direction(rho: Representation) -> AlgebraElement:
-    """A fixed unit direction orthogonal to the common axis of ``rho``."""
-    axis = None
-    for x in rho.elements():
-        n = float(np.linalg.norm(x.vec))
-        if n > 1e-9:
-            axis = x.vec / n
-            break
-    if axis is None:  # pragma: no cover - excluded by the precondition
-        raise PreconditionViolated("no noncentral slot to read an axis from")
-    # deterministic perpendicular: cross with the least-aligned basis vector
-    pick = int(np.argmin(np.abs(axis)))
-    e = np.zeros(3)
-    e[pick] = 1.0
-    d = np.array(_cross(axis, e))
-    return AlgebraElement(d).unit()
+def _deformation_direction(rho: Representation) -> np.ndarray:
+    """A fixed unit direction orthogonal to the common axis of each quadruple,
+    the axis read from its first noncentral slot."""
+    vecs = rho.slots()[..., 1:]
+    norms = _vector_norm(vecs)
+    first = np.argmax(norms > 1e-9, axis=-1)[..., None]
+    axis = np.take_along_axis(vecs, first[..., None], axis=-2)[..., 0, :]
+    return _perpendicular(axis / np.take_along_axis(norms, first, axis=-1))
 
 
 def density_witness(rho: Representation, t: float) -> Representation:
-    """Deform an abelian quadruple off its torus along an explicit path.
+    """Deform abelian quadruples off their torus along an explicit path.
 
     Conjugates the first pair ``(g1, h1)`` by ``k(t) = exp(t * (pi/4) * d)``
     with ``d`` a fixed unit direction orthogonal to the common axis, leaving
     ``(g2, h2)`` untouched.  ``k(0)`` is the identity, and for every
     ``t in (0, 1]`` the rotated axis differs from the original, so the output
     is non-abelian while still solving the relation exactly (both pair
-    commutators stay trivial).
+    commutators stay trivial).  Batched over ``rho``; row i is bit for bit
+    the witness of quadruple i alone.
 
     Parameters
     ----------
     rho:
-        Abelian quadruple with no slot equal to plus or minus the identity.
+        Abelian quadruples with no slot equal to plus or minus the identity.
     t:
         Path parameter in [0, 1].
 
@@ -263,18 +262,13 @@ def density_witness(rho: Representation, t: float) -> Representation:
     """
     if not (0.0 <= t <= 1.0):
         raise PreconditionViolated(f"path parameter must lie in [0, 1], got {t}")
-    if not is_abelian(rho):
+    if not np.all(is_abelian(rho)):
         raise PreconditionViolated("density witness needs an abelian start point")
-    if any(bool(is_central(x, EPS_CENTER)) for x in rho.elements()):
+    if np.any(is_central(GroupElement(rho.slots()), EPS_CENTER)):
         raise PreconditionViolated("density witness needs every slot noncentral")
     d = _deformation_direction(rho)
-    k = exp_alg(AlgebraElement(t * WITNESS_RATE * d.v))
-    return Representation(
-        conjugate(k, rho.g1),
-        conjugate(k, rho.h1),
-        rho.g2,
-        rho.h2,
-    )
+    k = exp_alg(AlgebraElement(t * WITNESS_RATE * d))
+    return Representation(conjugate(k, rho.g1), conjugate(k, rho.h1), rho.g2, rho.h2)
 
 
 def strict_inclusion_witness() -> Representation:

@@ -24,6 +24,11 @@
 # conjugator (the N2 pieces and the central vertex) store one with w = 0
 # exactly, hence k^2 = -1 exactly; elsewhere the sign is fixed by making the
 # largest-magnitude component positive.
+#
+# Fixedness is one batched read, _sigma_fixed: one conjugator solve, each
+# row's residual read against the caller's tolerance.  sigma_fixed_conjugator
+# is its entry point for one quadruple.  sigma, rp2_fiber_point and n2_interval
+# run over batches; classify_fixed_point and blowup_point take single inputs.
 
 from __future__ import annotations
 
@@ -116,19 +121,27 @@ def sigma(rho: Representation, tol: float = EPS_REL) -> Representation:
 
 
 def _sign_canonical(k: GroupElement) -> GroupElement:
-    i = int(np.argmax(np.abs(k.q)))
-    return GroupElement(-k.q) if k.q[i] < 0 else k
+    """k, each row's sign chosen to make its largest-magnitude component positive."""
+    lead = np.take_along_axis(k.q, np.argmax(np.abs(k.q), axis=-1)[..., None], axis=-1)
+    return GroupElement(np.where(lead < 0, -k.q, k.q))
 
 
-def _fixedness_solve(rho: Representation) -> tuple[Representation, GroupElement, float]:
-    """The swap of a single quadruple, the sign-canonical candidate k for
+def _fixedness_solve(rho: Representation) -> tuple[Representation, GroupElement, np.ndarray]:
+    """The swap of each quadruple, the sign-canonical candidate k for
     k rho k^{-1} = sigma(rho), and its worst slot residual: one sigma and one
-    conjugator solve, read by each caller against its own tolerance."""
-    if rho.batch_shape != ():
-        raise ValueError("sigma_fixed_conjugator is scalar-only")
+    conjugator solve over the batch, read by each caller against its own
+    tolerance."""
     swapped = sigma(rho)
     k, worst = _find_conjugators(rho.slots(), swapped.slots())
-    return swapped, _sign_canonical(GroupElement(k)), float(worst)
+    return swapped, _sign_canonical(GroupElement(k)), worst
+
+
+def _sigma_fixed(rho: Representation, tol: float) -> tuple[GroupElement, np.ndarray]:
+    """sigma_fixed_conjugator over a batch: each quadruple's candidate k and
+    whether it conjugates the quadruple to its swap (worst residual below
+    tol).  Row i is bit for bit the read of quadruple i alone."""
+    _, k, worst = _fixedness_solve(rho)
+    return k, worst < tol
 
 
 def sigma_fixed_conjugator(
@@ -136,11 +149,14 @@ def sigma_fixed_conjugator(
 ) -> Optional[GroupElement]:
     """A k with k rho k^{-1} = sigma(rho), or None if the class is not fixed.
 
-    Works for abelian quadruples too (the nullspace solve decides either
-    way).  The sign is canonicalized; pieces that need a pure-imaginary
-    representative get one in classify_fixed_point."""
-    _, k, worst = _fixedness_solve(rho)
-    return k if worst < tol else None
+    The decision is _sigma_fixed's, on a batch of one quadruple.  Works for
+    abelian quadruples too (the nullspace solve decides either way).  The
+    sign is canonicalized; pieces that need a pure-imaginary representative
+    get one in classify_fixed_point."""
+    if rho.batch_shape != ():
+        raise ValueError("sigma_fixed_conjugator is scalar-only")
+    k, fixed = _sigma_fixed(rho, tol)
+    return k if fixed else None
 
 
 def _pure_imaginary_conjugator(
@@ -176,6 +192,8 @@ def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixe
     is not sigma-fixed at 10*tol, and ClassificationAmbiguity when a deciding
     residual lands in the gray zone [tol, 10*tol) -- such points are
     reported, never guessed."""
+    if rho.batch_shape != ():
+        raise ValueError("classify_fixed_point is scalar-only")
     swapped, k, worst = _fixedness_solve(rho)
     if not worst < tol:  # a NaN residual reads as not fixed
         if worst < 10 * tol:
@@ -262,12 +280,14 @@ def rp2_fiber_point(k: GroupElement) -> Representation:
     """The canonical commutator-trace -2 family: with D = diag(i,-i) and
     J = [[0,-1],[1,0]] (so [D,J] = -1 exactly), the quadruple
 
-        (D, J, k J k^{-1}, k D k^{-1}),   k^2 = -1.
+        (D, J, k J k^{-1}, k D k^{-1}),   k^2 = -1,
 
-    Classes depend on k only through +-k (an RP^2 of them)."""
-    if float(distance(mul(k, k), GroupElement.minus_identity())) >= EPS_CENTER:
+    batched over the shape of k.  Classes depend on k only through +-k (an
+    RP^2 of them)."""
+    if np.any(distance(mul(k, k), GroupElement.minus_identity()) >= EPS_CENTER):
         raise PreconditionViolated("rp2_fiber_point needs k^2 = -1")
-    return Representation(DIAG_I, J, conjugate(k, J), conjugate(k, DIAG_I))
+    d, j = (GroupElement(np.broadcast_to(x.q, k.batch_shape + (4,))) for x in (DIAG_I, J))
+    return Representation(d, j, conjugate(k, J), conjugate(k, DIAG_I))
 
 
 def _snapped_diag(angle: float) -> GroupElement:
@@ -326,11 +346,12 @@ def certify_interval_injectivity(
     """Certify one arc pointwise: every grid point sigma-fixed, all pairs of
     distinct parameters in distinct classes.
 
-    The grid is one batch: one conjugator solve decides fixedness, and one
-    class-equality decision (repvar._class_equal) covers every pair i < j."""
+    The grid is one batch: one fixedness read (_sigma_fixed) covers every
+    point, and one class-equality decision (repvar._class_equal) covers every
+    pair i < j."""
     alphas = np.linspace(0.0, np.pi / 2, grid)
     points = n2_interval(theta, s, alphas)
-    fixed = _find_conjugators(points.slots(), sigma(points).slots())[1] < tol
+    _, fixed = _sigma_fixed(points, tol)
     i, j = np.triu_indices(grid, 1)
     equal = _class_equal(points[i], points[j], tol)
     return InjectivityReport(

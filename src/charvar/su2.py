@@ -267,6 +267,20 @@ def _cross(a, b) -> tuple:
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
+def _perpendicular(n: np.ndarray) -> np.ndarray:
+    """A unit vector perpendicular to each row of n (..., 3): n x e_i, with e_i
+    the basis vector along the least-magnitude component of n, normalized."""
+    probe = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
+    d = np.stack(_cross(np.moveaxis(n, -1, 0), np.moveaxis(probe, -1, 0)), axis=-1)
+    return d / np.linalg.norm(d, axis=-1)[..., None]
+
+
+def _vector_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v with the arithmetic of np.linalg.norm
+    on one vector, a dot product (np.linalg.norm(axis=-1) sums differently)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def _exact_center(w, x, y, z) -> bool:
     """Is every element exactly +-I (vector part all zero, |w| exactly 1)?"""
     if np.count_nonzero(x) or np.count_nonzero(y) or np.count_nonzero(z):

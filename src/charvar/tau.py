@@ -62,7 +62,7 @@ from .errors import (
 from .flows import TorusElement, act, generators
 from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda
 from .repvar import Representation, _relation_word, relation_residual
-from .su2 import GroupElement, _cross, conjugate, exp_alg, find_conjugator, mul
+from .su2 import GroupElement, _cross, _perpendicular, conjugate, exp_alg, find_conjugator, mul
 from .tolerances import EPS_MAT, EPS_REL
 
 __all__ = ["FiberCoordinates", "section", "fiber_coordinates", "tau"]
@@ -242,14 +242,6 @@ def _polish(theta1, theta2, phi, c1, c2, psi1, psi2, tol) -> Representation:
     )
 
 
-def _perp_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    probe = np.zeros(3)
-    probe[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = np.array(_cross(n, probe))
-    e1 /= np.linalg.norm(e1)
-    return e1, np.array(_cross(n, e1))
-
-
 def _canonical_angles(l1: float, l2: float, l3: float) -> TorusElement:
     arr = np.mod(np.array([l1, l2, l3]), 2 * np.pi)
     if arr[2] >= np.pi:
@@ -284,7 +276,8 @@ def fiber_coordinates(rho: Representation, tol: float = EPS_REL) -> FiberCoordin
     a_q = mul(aligned.g1, s_rho.g1.inverse())
     xi1_q = GroupElement(np.concatenate(([0.0], gen.xi1_hat.v)))
     b_q = mul(mul(aligned.g1, xi1_q), s_rho.g1.inverse())
-    e1, e2 = _perp_basis(gen.X_hat.v)
+    e1 = _perpendicular(gen.X_hat.v)
+    e2 = np.array(_cross(gen.X_hat.v, e1))
     m = np.array(
         [
             [float(np.dot(a_q.vec, e1)), -float(np.dot(b_q.vec, e1))],

@@ -17,13 +17,13 @@ from charvar.polytope import (
     STD_DELTA,
     TILDE_DELTA,
     boundary_commutation_check,
+    moment_coordinates,
     mu_lambda_coordinates,
 )
 from charvar.repvar import (
     Representation,
     _class_equal,
     class_equal,
-    goldman_Phi,
     is_abelian,
     relation_residual,
 )
@@ -66,8 +66,10 @@ def _report(criterion: str, detail: str) -> None:
     print(f"criterion {criterion}: PASS — {detail}")
 
 
-def diag(theta: float) -> GroupElement:
-    return exp_alg(AlgebraElement(np.array([0.0, 0.0, theta])))
+def diag(theta) -> GroupElement:
+    """exp of theta * e_z, batched over the shape of theta."""
+    zero = np.zeros(np.shape(theta))
+    return exp_alg(AlgebraElement(np.stack([zero, zero, theta], axis=-1)))
 
 
 def interior_base(rng: np.random.Generator) -> np.ndarray:
@@ -207,15 +209,20 @@ def test_criterion_5_kernel_and_freeness():
         for a, b in zip(pinned.elements(), rho.elements()):
             assert np.array_equal(a.q, b.q)
 
-    moved = 0
+    # every draw in per-item order, then one section, one act per torus
+    # batch and one class decision
+    xs, angles, twists = [], [], []
     for _ in range(1000):
-        rho = act(scalar_torus(rng), section(interior_base(rng)))
+        xs.append(interior_base(rng))
+        angles.append(rng.uniform(0.0, 2.0 * np.pi, size=3))
         while True:
             t = scalar_torus(rng)
             if float(t.kernel_distance()) > 1e-3:
                 break
-        if not class_equal(act(t, rho), rho):
-            moved += 1
+        twists.append([t.phi1, t.phi2, t.phi3])
+    rho = act(TorusElement.from_array(angles), section(np.array(xs)))
+    twisted = act(TorusElement.from_array(twists), rho)
+    moved = int(np.count_nonzero(~_class_equal(twisted, rho, EPS_MAT)))
     assert moved == 1000
     _report("5", "kernel element fixes 1000 tuples bitwise; 1000 non-kernel twists all move the class")
 
@@ -251,7 +258,7 @@ def test_criterion_7_sigma_suite():
 
     # (b) canonical pillow point: zero trace triple, commutator exactly -1
     canon = pillow_point(DIAG_I, J)
-    assert np.array_equal(goldman_Phi(canon), np.zeros(3))
+    assert np.array_equal(moment_coordinates(canon), [0.5, 0.5, 0.5])  # trace 0 throughout
     assert float(distance(commutator(canon.g1, canon.h1), MINUS_I)) == 0.0
 
     # (c) the +-k identification, and no spurious identifications
@@ -293,15 +300,11 @@ def test_criterion_7_sigma_suite():
 
 def test_criterion_8_density_witnesses():
     rng = np.random.default_rng(108)
-    worst = 0.0
-    for _ in range(1000):
-        angles = rng.uniform(0.3, np.pi - 0.3, size=4)
-        rho = Representation(*(diag(float(v)) for v in angles))
-        for t in (1e-4, 0.5, 1.0):
-            assert not is_abelian(density_witness(rho, t))
-        near = density_witness(rho, 1e-4)
-        gap = max(float(distance(x, y)) for x, y in zip(near.elements(), rho.elements()))
-        worst = max(worst, gap)
+    angles = rng.uniform(0.3, np.pi - 0.3, size=(1000, 4))
+    rho = Representation(*(diag(angles[:, i]) for i in range(4)))
+    for t in (1e-4, 0.5, 1.0):
+        assert not np.any(is_abelian(density_witness(rho, t)))
+    worst = float(np.max(density_witness(rho, 1e-4).slot_distance(rho)))
     assert worst < DENSITY_TOL
     _report("8", f"1000 abelian starts leave the torus for t > 0; gap at t=1e-4 max {worst:.3e}")
 

@@ -1,10 +1,12 @@
-"""The batched flows and tau verify suites, and the chunked interior sampler,
-against the per-item loops they replaced.
+"""The batched flows, tau, sigma and density verify suites, the chunked
+interior sampler and the batched sigma and density constructions, against the
+per-item loops they replaced.
 
-The oracles below build one interior sample at a time (base point, torus
-angles, Haar conjugator, each drawn just before it is used) and check it
-before drawing the next.  The batched code must make the same draws in the
-same order and report the same trials, failures and residuals, bit for bit.
+The oracles below build one sample at a time (for interior samples: base
+point, torus angles, Haar conjugator, each drawn just before it is used) and
+check it before drawing the next.  The batched code must make the same draws
+in the same order and report the same trials, failures and residuals, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -12,23 +14,46 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from charvar.cli import _flows_suite, _nonkernel_torus, _tau_suite
+from charvar.cli import (
+    _ID,
+    _density_suite,
+    _flows_suite,
+    _nonkernel_torus,
+    _pure_unit,
+    _sigma_suite,
+    _tau_suite,
+)
+from charvar.errors import PreconditionViolated
 from charvar.flows import TorusElement, act, verify_flow_identities
 from charvar.polytope import mu_lambda_coordinates
-from charvar.repvar import class_equal, relation_residual
+from charvar.repvar import Representation, class_equal, is_abelian, relation_residual
 from charvar.sampler import (
     _CHUNK,
     SampleSpec,
     Target,
     _abelian_sample,
+    _diag,
     _edge_sample,
     _face_sample,
     _interior_base,
+    _interior_build,
+    _interior_draw,
     _random_torus,
     _vertex_sample,
+    density_witness,
     sample,
 )
-from charvar.su2 import haar_sample
+from charvar.sigma import (
+    Stratum,
+    _sigma_fixed,
+    certify_interval_injectivity,
+    classify_fixed_point,
+    n2_interval,
+    pillow_point,
+    rp2_fiber_point,
+    sigma_fixed_conjugator,
+)
+from charvar.su2 import GroupElement, _cross, haar_sample
 from charvar.tau import section, tau
 from charvar.tolerances import DEFAULT
 
@@ -80,7 +105,78 @@ def tau_oracle(n, rng, tol):
     return n, failures, res
 
 
-@pytest.mark.parametrize("suite, oracle", [(_flows_suite, flows_oracle), (_tau_suite, tau_oracle)])
+def sigma_oracle(n, rng, tol):
+    failures = 0
+    res = {"pillow-conjugator": 0.0, "interval-fix": 0.0}
+    small = max(n // 10, 1)
+
+    for _ in range(n):
+        k = sigma_fixed_conjugator(pillow_point(haar_sample(rng), haar_sample(rng)), tol=tol.mat)
+        if k is None:
+            failures += 1
+            continue
+        dev = float(min(np.linalg.norm(k.q - _ID.q), np.linalg.norm(k.q + _ID.q)))
+        res["pillow-conjugator"] = max(res["pillow-conjugator"], dev)
+        if dev > tol.mat * 10.0:
+            failures += 1
+
+    for _ in range(small):
+        k1, k2 = _pure_unit(rng), _pure_unit(rng)
+        if not class_equal(rp2_fiber_point(k1), rp2_fiber_point(-k1), tol=tol.mat):
+            failures += 1
+        if float(np.linalg.norm(_cross(k1.vec, k2.vec))) > 1e-2:
+            if class_equal(rp2_fiber_point(k1), rp2_fiber_point(k2), tol=tol.mat):
+                failures += 1
+
+    for _ in range(small):
+        theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
+        report = certify_interval_injectivity(float(theta), float(s), grid=5, tol=tol.mat)
+        if not report.passed:
+            failures += 1
+
+    one = GroupElement.identity()
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        rho = Representation(
+            one if signs[0] > 0 else -one,
+            one if signs[1] > 0 else -one,
+            one if signs[1] > 0 else -one,
+            one if signs[0] > 0 else -one,
+        )
+        if classify_fixed_point(rho, tol=tol.mat).stratum is not Stratum.III:
+            failures += 1
+
+    batch = _interior_build([_interior_draw(rng) for _ in range(small)])
+    for i in range(small):  # interior classes are never swap-fixed
+        if sigma_fixed_conjugator(batch[i], tol=tol.mat) is not None:
+            failures += 1
+    return n + 4 * small + 4, failures, res
+
+
+def density_oracle(n, rng, tol):
+    failures = 0
+    res = {"witness-approach": 0.0}
+    for _ in range(n):
+        angles = rng.uniform(0.3, np.pi - 0.3, size=4)
+        rho = Representation(*(_diag(float(v)) for v in angles))
+        ok = not is_abelian(density_witness(rho, 0.5), tol.mat)
+        ok &= not is_abelian(density_witness(rho, 1.0), tol.mat)
+        near = density_witness(rho, 1e-4)
+        gap = near.slot_distance(rho)
+        res["witness-approach"] = max(res["witness-approach"], gap)
+        ok &= gap < 1e-3
+        failures += 0 if ok else 1
+    return n, failures, res
+
+
+SUITES = [
+    (_flows_suite, flows_oracle),
+    (_tau_suite, tau_oracle),
+    (_sigma_suite, sigma_oracle),
+    (_density_suite, density_oracle),
+]
+
+
+@pytest.mark.parametrize("suite, oracle", SUITES)
 @pytest.mark.parametrize("samples", [1, 10, 37])
 @pytest.mark.parametrize("seed", [0, 5, 7919])
 def test_suite_equals_per_item_loop(suite, oracle, samples, seed):
@@ -91,12 +187,23 @@ def test_suite_equals_per_item_loop(suite, oracle, samples, seed):
 
 
 def test_suite_counts_failures_per_item():
-    # a tolerance nothing meets fails every item, not the batch as one
+    # a tolerance nothing meets fails every item of the flows and tau suites,
+    # not the batch as one; one everything meets makes every density witness
+    # read abelian and every interior point read swap-fixed
     strict = DEFAULT.with_mat(1e-300)
-    for suite, oracle in ((_flows_suite, flows_oracle), (_tau_suite, tau_oracle)):
-        got = suite(12, np.random.default_rng(3), strict)
-        assert got == oracle(12, np.random.default_rng(3), strict)
-        assert got[1] == 12
+    loose = DEFAULT.with_mat(1e300)
+    for suite, oracle in SUITES:
+        for tol in (strict, loose):
+            got = suite(12, np.random.default_rng(3), tol)
+            assert got == oracle(12, np.random.default_rng(3), tol)
+            if tol is strict and suite in (_flows_suite, _tau_suite):
+                assert got[1] == 12
+    assert _density_suite(12, np.random.default_rng(3), loose)[1] == 12
+    # 30 samples, 3 of each small check: every projective pair collides, every
+    # arc has collisions and every interior point reads fixed
+    got = _sigma_suite(30, np.random.default_rng(3), loose)
+    assert got == sigma_oracle(30, np.random.default_rng(3), loose)
+    assert got[1] == 9
 
 
 SINGLE = {
@@ -128,3 +235,71 @@ def test_sample_equals_per_item_construction(target, conjugate):
         assert rho.batch_shape == ()
         assert np.array_equal(rho.slots().view(np.int64), want.slots().view(np.int64))
 
+
+
+def same_bits(a: Representation, b: Representation) -> bool:
+    return np.array_equal(a.slots().view(np.int64), b.slots().view(np.int64))
+
+
+def stack(*parts: Representation) -> Representation:
+    slots = np.concatenate([p.slots() for p in parts])
+    return Representation(*(GroupElement(slots[:, i]) for i in range(4)))
+
+
+def test_density_witness_rows_are_single_calls():
+    # abelian starts on random common axes
+    rng = np.random.default_rng(23)
+    angles = rng.uniform(0.3, np.pi - 0.3, size=(40, 4)) * rng.choice([-1.0, 1.0], size=(40, 4))
+    rho = Representation(*(_diag(angles[:, i]) for i in range(4))).conjugated(haar_sample(rng, (40,)))
+    for t in (0.0, 1e-4, 0.5, 1.0):
+        batch = density_witness(rho, t)
+        assert batch.batch_shape == (40,)
+        for i in range(40):
+            assert same_bits(batch[i], density_witness(rho[i], t))
+
+
+def test_rp2_fiber_point_rows_are_single_calls():
+    k = _pure_unit(np.random.default_rng(29), (40,))
+    batch = rp2_fiber_point(k)
+    assert batch.batch_shape == (40,)
+    for i in range(40):
+        assert same_bits(batch[i], rp2_fiber_point(k[i]))
+
+
+def test_fixedness_read_rows_are_single_calls():
+    # fixed rows (pillow, projective, arc points) and unfixed interior rows
+    rng = np.random.default_rng(31)
+    rho = stack(
+        pillow_point(haar_sample(rng, (8,)), haar_sample(rng, (8,))),
+        rp2_fiber_point(_pure_unit(rng, (8,))),
+        n2_interval(0.9, 0.4, np.linspace(0.0, np.pi / 2, 8)),
+        _interior_build([_interior_draw(rng) for _ in range(8)]),
+    )
+    k, fixed = _sigma_fixed(rho, DEFAULT.mat)
+    assert fixed.tolist() == [True] * 24 + [False] * 8
+    for i in range(32):
+        single = sigma_fixed_conjugator(rho[i], DEFAULT.mat)
+        assert (single is not None) == fixed[i]
+        k_i, fixed_i = _sigma_fixed(rho[i], DEFAULT.mat)
+        assert bool(fixed_i) == fixed[i]
+        assert np.array_equal(k.q[i].view(np.int64), k_i.q.view(np.int64))
+        if single is not None:
+            assert np.array_equal(single.q.view(np.int64), k_i.q.view(np.int64))
+
+
+def test_batched_preconditions_hold_on_every_row():
+    rng = np.random.default_rng(37)
+    angles = rng.uniform(0.3, np.pi - 0.3, size=(5, 4))
+    rho = Representation(*(_diag(angles[:, i]) for i in range(4)))
+    density_witness(rho, 0.5)
+    central = rho.slots().copy()
+    central[3, 1] = [1.0, 0.0, 0.0, 0.0]  # one central slot in one row
+    nonabelian = rho.slots().copy()
+    nonabelian[2, 0] = haar_sample(rng).q  # one row leaves the torus
+    for slots in (central, nonabelian):
+        with pytest.raises(PreconditionViolated):
+            density_witness(Representation(*(GroupElement(slots[:, i]) for i in range(4))), 0.5)
+    k = _pure_unit(rng, (5,)).q.copy()
+    k[4] = haar_sample(rng).q  # k^2 != -1 in one row
+    with pytest.raises(PreconditionViolated):
+        rp2_fiber_point(GroupElement(k))

@@ -327,7 +327,7 @@ def test_tol_reaches_every_check(monkeypatch, command):
     seen: dict = {}
     for name in (
         "certify_interval_injectivity",
-        "sigma_fixed_conjugator",
+        "_sigma_fixed",
         "classify_fixed_point",
         "class_equal",
         "_class_equal",
@@ -346,6 +346,8 @@ def test_tol_reaches_every_check(monkeypatch, command):
     assert code == 0
     want = {Tolerances.with_mat(3e-9).mat}
     assert seen and {name: tols for name, tols in seen.items() if tols != want} == {}
+    if "sigma" in command:  # the pillow and interior fixedness reads
+        assert "_sigma_fixed" in seen
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from charvar.errors import PreconditionViolated, RelationViolated
-from charvar.polytope import RegionKind
+from charvar.polytope import RegionKind, moment_coordinates
 from charvar.repvar import (
     F2Pair,
     Representation,
     _class_equal,
     class_equal,
     diagonalize_abelian,
-    goldman_Phi,
     is_abelian,
     new_checked,
     new_projected,
@@ -510,43 +509,33 @@ def test_batched_class_equal_rows_match_reference(kinds, seed):
 
 
 class TestGoldmanPhi:
+    """Goldman's trace functions (tr h1, tr h2, tr h1 h2), read as trace
+    angles by polytope.moment_coordinates."""
+
     def test_central_h_slots(self):
         g = haar_sample(np.random.default_rng(16))
         rho = Representation(g, GroupElement.identity(), g, GroupElement.identity())
-        assert np.array_equal(goldman_Phi(rho), [2.0, 2.0, 2.0])
-
-    def test_pillow_value(self):
-        assert np.array_equal(goldman_Phi(PILLOW), [0.0, 0.0, 0.0])
+        assert np.array_equal(moment_coordinates(rho), [0.0, 0.0, 0.0])
 
     def test_matches_matrix_trace_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             rho = swap_rep(rng)
-            phi = goldman_Phi(rho)
-            expect = [
+            traces = [
                 trace_oracle(rho.h1),
                 trace_oracle(rho.h2),
                 trace_oracle(mul(rho.h1, rho.h2)),
             ]
-            assert_allclose(phi, expect, rtol=0, atol=1e-14)
+            expect = np.arccos(np.clip(np.array(traces) / 2.0, -1.0, 1.0)) / np.pi
+            assert_allclose(moment_coordinates(rho), expect, rtol=0, atol=1e-12)
 
     def test_conjugation_invariant(self):
         rng = np.random.default_rng(18)
         rho = swap_rep(rng)
         k = haar_sample(rng)
         assert_allclose(
-            goldman_Phi(rho.conjugated(k)), goldman_Phi(rho), rtol=0, atol=1e-14
+            moment_coordinates(rho.conjugated(k)), moment_coordinates(rho), rtol=0, atol=1e-14
         )
-
-    def test_batched_shape(self):
-        rng = np.random.default_rng(19)
-        rho = Representation(
-            haar_sample(rng, (10,)),
-            haar_sample(rng, (10,)),
-            haar_sample(rng, (10,)),
-            haar_sample(rng, (10,)),
-        )
-        assert goldman_Phi(rho).shape == (10, 3)
 
 
 class TestPsiF2:

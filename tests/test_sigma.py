@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from charvar.errors import ClassificationAmbiguity, PreconditionViolated
+from charvar.polytope import moment_coordinates
 from charvar.repvar import (
     Representation,
     class_equal,
-    goldman_Phi,
     is_abelian,
     relation_residual,
 )
@@ -183,7 +183,7 @@ class TestPillowPoint:
 
     def test_canonical_zero_trace_point(self):
         rho = pillow_point(DIAG_I, J)
-        assert np.array_equal(goldman_Phi(rho), [0.0, 0.0, 0.0])
+        assert np.array_equal(moment_coordinates(rho), [0.5, 0.5, 0.5])  # trace 0 throughout
         assert float(distance(commutator(rho.g1, rho.h1), MINUS_I)) == 0.0
 
     def test_random_sigma_fixed(self):
