@@ -39,6 +39,9 @@ rng = np.random.default_rng(7)
 x = np.array([0.4, 0.15, 0.3])
 rho = section(x)
 
+# the section (h1^(-1/2), h1, h2^(-1/2), h2) is a branch of tau's fixed locus
+print("section point fixed by tau      :", class_equal(tau(rho), rho))
+
 # tau is an involution on classes and reflects the twist direction
 again = tau(tau(rho))
 print("tau is an involution on classes :", class_equal(again, rho))

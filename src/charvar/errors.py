@@ -26,7 +26,8 @@ class DegenerateGenerator(CharVarError):
 
 
 class SectionSolveFailure(CharVarError):
-    """The section construction did not reach the required residual."""
+    """The closed-form section is not finite at the base point (within about
+    1e-160 of the vertex x = 0, where its h2 axis is 0/0)."""
 
 
 class FiberSolveFailure(CharVarError):

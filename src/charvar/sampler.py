@@ -100,7 +100,7 @@ class SampleSpec:
             x = np.asarray(self.base, dtype=float)
             if x.shape != (3,):
                 raise PreconditionViolated("base must be a 3-vector")
-            if float(STD_DELTA.margin(x)) >= 0.0:
+            if not float(STD_DELTA.margin(x)) < 0.0:  # NaN is not interior either
                 raise PreconditionViolated("base point must be strictly interior")
             object.__setattr__(self, "base", x)
 
@@ -201,7 +201,9 @@ def sample(spec: SampleSpec) -> Iterator[Representation]:
     Raises
     ------
     SectionSolveFailure
-        Propagated from the base-point section on interior targets.
+        From the base-point section on interior targets, only for a base
+        point within about 1e-160 of the vertex x = 0, where its closed form
+        is 0/0.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.target in (Target.INTERIOR_UNIFORM_BASE, Target.FIXED_BASE):

@@ -143,6 +143,18 @@ class TestSample:
         assert code == 2
         code, _ = run(["sample", "--base", "0.5,0.5", "--target", "interior"])
         assert code == 2
+        code, _ = run(["sample", "--base", "nan,0.2,0.2"])
+        assert code == 2
+
+    def test_base_near_the_vertex(self):
+        # about 1e-170 from x = 0 the section's closed form is 0/0; at 1e-9
+        # it solves (at 1e-12 h1 is within EPS_CENTER of the center, and the
+        # twist flows of the sampler refuse it)
+        code, err = run_err(["sample", "--base", "1e-170,1e-170,1e-170"])
+        assert code == 3
+        assert "vertex" in err
+        code, _ = run(["sample", "--base", "1e-9,1e-9,1e-9"])
+        assert code == 0
 
 
 class TestFlow:
@@ -410,10 +422,10 @@ def test_run_sigma_certification_rejects_no_trials(samples, grid):
 
 
 # sha256 of the README pipeline's files (300 tuples: more than one sampler
-# batch), as written when every interior tuple was built on its own
+# batch)
 PIPELINE_SHA256 = {
-    "cloud.jsonl": "cfc2f84b6bfe0eec6c5421e9a2dd2fdaff65100c4b47e25c64cc0ed733351a82",
-    "twisted.jsonl": "d3987cdd2b92f1648ead66c3171cc1abb7e79858c00050f634a16560ea620eee",
+    "cloud.jsonl": "d17a329653da3dbdfa334d088bab05f8f4942eed71da9dfa1e4dbe468cf52339",
+    "twisted.jsonl": "76436d5e7ef5f803d69041572a5f9d87f007c4801c6fa6cd12db2ef738023b45",
     "points.csv": "0b669650b5dd5ae68d02f79138e55d63fff4aaa9347db77d184f9b44ef85d711",
 }
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from charvar.errors import FiberSolveFailure, PreconditionViolated
+from charvar.errors import FiberSolveFailure, PreconditionViolated, SectionSolveFailure
 from charvar.flows import TorusElement, act
-from charvar.polytope import M_P, STD_DELTA, mu_lambda
-from charvar.repvar import Representation, class_equal, relation_residual
+from charvar.polytope import M_P, STD_DELTA, mu_lambda, mu_lambda_coordinates
+from charvar.repvar import Representation, _class_equal, class_equal, relation_residual
 from charvar.sigma import sigma
 from charvar.su2 import GroupElement, haar_sample, mul
 from charvar.tau import FiberCoordinates, fiber_coordinates, section, tau
+from charvar.tolerances import EPS_MAT
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,16 +47,31 @@ def angle_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(d)))
 
 
+def near_stratum(rng, pinned: tuple, d: float, n: int) -> np.ndarray:
+    """n base points whose barycentric coordinates (1 - sum x, x1, x2, x3)
+    at the indices `pinned` equal d: d from a facet (one index), an edge
+    (two) or a vertex (three); the other coordinates are uniform."""
+    lam = np.empty((n, 4))
+    free = [i for i in range(4) if i not in pinned]
+    lam[:, free] = rng.dirichlet(np.ones(len(free)), size=n) * (1.0 - len(pinned) * d)
+    lam[:, list(pinned)] = d
+    return lam[:, 1:]
+
+
+STRATA = [p for k in (1, 2, 3) for p in itertools.combinations(range(4), k)]
+
+
 # ---------------------------------------------------------------------------
 # section
 # ---------------------------------------------------------------------------
 
-POLISH_RESCUE_POINT = np.array([0.7516873116435345, 8.52419461182091e-13, 0.24831268835465775])
+# 8.5e-13 from an edge
+NEAR_EDGE_POINT = np.array([0.7516873116435345, 8.52419461182091e-13, 0.24831268835465775])
 
-SQUARE_PIN = (
-    ("0x1.6a09e667f3bcdp-1", "0x1.388e281a31e8fp-2", "0x1.4692711a310b1p-1", "0x0.0p+0"),
+SECTION_PIN = (
+    ("0x1.43e03c7baf413p-1", "0x0.0p+0", "0x0.0p+0", "-0x1.8c8baa446934dp-1"),
     ("-0x1.99018bd7f4127p-3", "0x0.0p+0", "0x0.0p+0", "0x1.f5af8fb99f150p-1"),
-    ("0x1.70a42c2b97e11p-1", "-0x1.491edaaecde64p-3", "-0x1.4bdc92daa415dp-1", "-0x1.82aff16a9b31fp-3"),
+    ("0x1.7421068f0d4bcp-1", "-0x1.0bcb28d1a4aaap-1", "-0x0.0p+0", "0x1.c7da7c8e3e071p-2"),
     ("0x1.cefff526fb093p-5", "0x1.8545c35d4da77p-1", "0x0.0p+0", "-0x1.4b5225eb4d0e1p-1"),
 )
 
@@ -100,21 +117,16 @@ class TestSection:
         assert worst_res < 1e-12
         assert worst_mu < 1e-7
 
-    def test_fallback_region(self):
-        # initial commutator trace 1 + max(cos 2t1, cos 2t2) is unattainable
-        # here; the halving fallback must engage and still solve exactly
+    def test_exact_at_pinned_trace_point(self):
         x = M_P.apply_inverse(np.array([0.3, 0.3, 0.55]))
         rho = section(x)
         assert float(relation_residual(rho)) < 1e-12
         assert np.max(np.abs(mu_lambda(rho).x - x)) < 1e-10
 
-    def test_polish_rescues_near_edge(self):
-        # 8.5e-13 from an edge the closed form leaves a relation residual of
-        # 1.04e-8 (above EPS_REL); only the Gauss-Newton polish on the two
-        # phases brings it below 1e-12
-        rho = section(POLISH_RESCUE_POINT)
-        assert float(relation_residual(rho)) < 1e-12
-        assert np.max(np.abs(mu_lambda(rho).x - POLISH_RESCUE_POINT)) < 1e-10
+    def test_exact_near_edge(self):
+        rho = section(NEAR_EDGE_POINT)
+        assert float(relation_residual(rho)) < 1e-14
+        assert np.max(np.abs(mu_lambda(rho).x - NEAR_EDGE_POINT)) < 1e-10
 
     def test_moment_exact_on_h_slots(self):
         # the h-slots realize the trace angles by construction
@@ -132,6 +144,23 @@ class TestSection:
             section(np.array([0.5, 0.5, 0.0]))
         with pytest.raises(PreconditionViolated):
             section(np.array([0.4, 0.4, 0.4]))
+        with pytest.raises(PreconditionViolated):
+            section(np.array([np.nan, 0.3, 0.3]))
+
+    def test_vertex_guard(self):
+        # about 1e-170 from x = 0, sin t1 sin t2 underflows and cos phi is 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SectionSolveFailure, match="vertex"):
+                section(np.full(3, 1e-170))
+            with pytest.raises(SectionSolveFailure, match="vertex"):
+                section(np.array([[0.2, 0.3, 0.1], [1e-170, 1e-170, 1e-170]]))
+
+    def test_solves_near_the_vertex(self):
+        x = np.full(3, 1e-12)
+        rho = section(x)
+        assert float(relation_residual(rho)) < 1e-14
+        assert np.max(np.abs(mu_lambda_coordinates(rho) - x)) < 1e-8
 
     def test_deterministic(self):
         x = np.array([0.11, 0.36, 0.27])
@@ -143,12 +172,11 @@ class TestSection:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_batch_rows_are_single_calls(self, data):
-        # uniform interior points, points 1e-9 to 1e-3 from a facet (many
-        # t* halvings, a different count per row) and the polish-rescue
-        # point, mixed in one batch
+        # uniform interior points, points 1e-9 to 1e-3 from a facet and the
+        # near-edge point, mixed in one batch
         points = data.draw(st.lists(st.one_of(_interior, _near_facet()), min_size=1, max_size=12))
         at = data.draw(st.integers(0, len(points)))
-        points.insert(at, POLISH_RESCUE_POINT)
+        points.insert(at, NEAR_EDGE_POINT)
         batch = section(np.array(points))
         assert batch.batch_shape == (len(points),)
         for i, x in enumerate(points):
@@ -164,16 +192,27 @@ class TestSection:
         with pytest.raises(PreconditionViolated):
             section(np.array([[0.2, 0.3, 0.1], [0.5, 0.5, 0.0]]))
 
-    def test_square_is_the_scalar_pow(self):
-        # at this base point sin(phi)**2 as an array multiply differs in the
-        # last bit from the pow() a scalar square calls; the slots pinned
-        # here are the scalar-era output, alone and inside a batch
+    def test_slots_pinned_alone_and_in_batch(self):
+        # the slots at one base point, bit for bit, alone and inside a batch
         x = np.array([0.184, 0.38, 0.102])
-        want = np.array([[float.fromhex(v) for v in row] for row in SQUARE_PIN])
+        want = np.array([[float.fromhex(v) for v in row] for row in SECTION_PIN])
         alone = section(x).slots()
         inside = section(np.array([[0.25, 0.25, 0.25], x]))[1].slots()
         assert np.array_equal(alone.view(np.int64), want.view(np.int64))
         assert np.array_equal(inside.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_boundary_envelope(self, d):
+        # README "Boundary envelope": d from each facet, edge and vertex the
+        # relation holds to roundoff; the round trip is limited by arccos (in
+        # trace_angle and in the section's h2 axis angle), which loses up to
+        # ~1e-8 of an angle near 0 or pi
+        rng = np.random.default_rng(58)
+        for pinned in STRATA:
+            x = near_stratum(rng, pinned, d, 50)
+            rho = section(x)
+            assert np.max(relation_residual(rho)) < 1e-14
+            assert np.max(np.abs(mu_lambda_coordinates(rho) - x)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +391,24 @@ class TestTau:
         for i, rho in enumerate(rows):
             assert np.array_equal(bits(images[i]), bits(tau(rho)))
 
+    def test_section_is_tau_fixed(self):
+        # the half-turn j about y conjugates each section point onto its image
+        rng = np.random.default_rng(69)
+        near = [near_stratum(rng, p, 10.0 ** -rng.uniform(3, 9), 5) for p in STRATA]
+        x = np.concatenate([np.array(interior_points(rng, 150)), *near])
+        s = section(x)
+        image = tau(s)
+        assert np.all(_class_equal(image, s, EPS_MAT))
+        j = GroupElement(np.array([0.0, 0.0, 1.0, 0.0]))
+        assert np.max(s.conjugated(j).slot_distance(image)) < 1e-15
+
+    def test_negates_fiber_angles_over_the_section(self):
+        rng = np.random.default_rng(70)
+        for x in interior_points(rng, 20, margin=0.03):
+            t = rng.uniform(0.0, TWO_PI, size=3)
+            fc = fiber_coordinates(tau(act(TorusElement.from_array(t), section(x))))
+            assert angle_diff(fc.angles.as_array(), canonical(-t)) < 1e-12
+
     def test_boundary_classes(self):
         # abelian quadruples sit over the tetrahedron boundary, where the
         # twist flows and fiber coordinates are undefined; tau still applies
@@ -377,15 +434,25 @@ def class_invariants(rho: Representation) -> np.ndarray:
     """Traces of g1, g2, g1 g2, g1 h2 and g1 g2^-1: class functions."""
     g1, _, g2, h2 = rho.elements()
     words = (g1, g2, mul(g1, g2), mul(g1, h2), mul(g1, g2.inverse()))
-    return np.array([float(w.trace()) for w in words])
+    return np.stack([w.trace() for w in words], axis=-1)
 
 
-def test_tau_is_continuous_across_the_halving_wall():
-    # section's t* halving changes its pass count near t = 0.96525 on this
-    # segment, and the section jumps there; the swap-family solutions built
-    # from its h-slots move continuously, and so must their tau images
-    a = np.array([0.1186, 0.2780, 0.5797])
-    b = np.array([0.7771, 0.1414, 0.0008])
+# a section that switches branch inside the simplex jumps in these invariants
+# on some segment; one that did jumped by 0.77 near t = 0.96525 on this one
+SEGMENT = (np.array([0.1186, 0.2780, 0.5797]), np.array([0.7771, 0.1414, 0.0008]))
+
+
+def test_section_is_continuous_along_the_segment():
+    a, b = SEGMENT
+    t = np.linspace(0.0, 1.0, 4001)[:, None]
+    invariants = class_invariants(section((1.0 - t) * a + t * b))
+    assert np.max(np.abs(np.diff(invariants, axis=0))) < 1e-2
+
+
+def test_tau_is_continuous_along_the_segment():
+    # the swap-family solutions built from the section's h-slots move
+    # continuously, and so must their tau images
+    a, b = SEGMENT
     inputs, images = [], []
     for t in np.linspace(0.960, 0.970, 401):
         s = section((1.0 - t) * a + t * b)
@@ -482,20 +549,25 @@ def _tangent_basis(s: list) -> np.ndarray:
     return np.linalg.svd(jac)[2][3:].T
 
 
-def _pushforward(f, rho: Representation, basis: np.ndarray) -> np.ndarray:
-    """df on the basis columns, in right-translation coordinates at f(rho)."""
-    s, image = _slots(rho), _slots(f(rho))
-
-    def f_moved(xi):
-        return _slots(f(Representation(*(GroupElement(q) for q in _moved(s, xi)))))
-
+def _tangents(at: Representation, family, n: int) -> np.ndarray:
+    """The derivative at 0 of the family v -> family(v) of quadruples, v in
+    R^n, on the n unit vectors, in right-translation coordinates at `at`."""
+    slots = _slots(at)
     cols = []
-    for xi in basis.T:
-        plus, minus = f_moved(EPS * xi), f_moved(-EPS * xi)
+    for e in np.eye(n):
+        plus, minus = _slots(family(EPS * e)), _slots(family(-EPS * e))
         cols.append(np.concatenate(
-            [_qmul(_qinv(w), (p - m) / (2.0 * EPS))[1:] for w, p, m in zip(image, plus, minus)]
+            [_qmul(_qinv(w), (p - m) / (2.0 * EPS))[1:] for w, p, m in zip(slots, plus, minus)]
         ))
     return np.array(cols).T
+
+
+def _pushforward(f, rho: Representation, basis: np.ndarray) -> np.ndarray:
+    """df on the basis columns, in right-translation coordinates at f(rho)."""
+    s = _slots(rho)
+    return _tangents(
+        f(rho), lambda v: f(Representation(*(GroupElement(q) for q in _moved(s, basis @ v)))), basis.shape[1]
+    )
 
 
 @pytest.mark.parametrize("f", [tau, sigma], ids=["tau", "sigma"])
@@ -510,3 +582,18 @@ def test_involution_is_antisymplectic(f):
         assert np.all(singular[:6] > 0.5) and np.all(singular[6:] < SYMPLECTIC_TOL)
         pulled = _omega(_slots(f(rho)), _pushforward(f, rho, basis))
         assert np.max(np.abs(pulled + form)) < SYMPLECTIC_TOL
+
+
+def test_section_is_lagrangian():
+    # omega vanishes on the section's tangents, and pairs them with the
+    # flows' tangents as pi M_P: the flows are Hamiltonian for pi times the
+    # moment coordinates M_P x (Goldman's twist formula), so the check is
+    # not vacuous
+    rng = np.random.default_rng(71)
+    for x in interior_points(rng, 4, margin=0.03):
+        s = section(x)
+        along = _tangents(s, lambda v: section(x + v), 3)
+        flows = _tangents(s, lambda v: act(TorusElement.from_array(v), s), 3)
+        form = _omega(_slots(s), np.hstack([along, flows]))
+        assert np.max(np.abs(form[:3, :3])) < SYMPLECTIC_TOL
+        assert_allclose(form[3:, :3], np.pi * M_P.m, atol=1e-6)
