@@ -70,7 +70,6 @@ from .repvar import (
     diagonalize_abelian,
     is_abelian,
     new_checked,
-    new_projected,
     psi_F2,
     relation_residual,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "F2Pair",
     "relation_residual",
     "new_checked",
-    "new_projected",
     "is_abelian",
     "diagonalize_abelian",
     "class_equal",

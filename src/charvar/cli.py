@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
@@ -34,20 +35,18 @@ from .polytope import (
     TILDE_DELTA,
     boundary_commutation_check,
     moment_coordinates,
-    moment_mu,
-    mu_lambda,
+    moment_points,
     mu_lambda_coordinates,
     write_simplex_csv,
 )
 from .repvar import (
     Representation,
     _class_equal,
-    class_equal,
     is_abelian,
-    new_checked,
     relation_residual,
 )
 from .sampler import (
+    _CHUNK,
     SampleSpec,
     Target,
     _diag,
@@ -55,7 +54,7 @@ from .sampler import (
     _interior_draw,
     _random_torus,
     density_witness,
-    sample,
+    sample_batches,
 )
 from .sigma import (
     Piece,
@@ -85,6 +84,7 @@ from .tolerances import DEFAULT, Tolerances
 __all__ = ["main", "run_verify", "run_sigma_certification", "VerifyReport"]
 
 _SLOTS = ("g1", "h1", "g2", "h2")
+_KEYS = (*_SLOTS, "residual", "mu", "mu_lambda")
 _ID = GroupElement.identity()
 
 
@@ -93,14 +93,17 @@ _ID = GroupElement.identity()
 # ---------------------------------------------------------------------------
 
 
-def rep_to_obj(rho: Representation) -> dict:
-    """JSON-ready dict for one representation, plus residual and moment columns."""
-    obj = {name: [float(v) for v in x.q] for name, x in zip(_SLOTS, rho.elements())}
-    obj["residual"] = float(relation_residual(rho))
+def _rep_objs(rho: Representation) -> list[dict]:
+    """JSON-ready dicts of a batch: slots, residual and moment columns, each computed once."""
     mu = moment_coordinates(rho)
-    obj["mu"] = [float(v) for v in mu]
-    obj["mu_lambda"] = [float(v) for v in M_P.apply_inverse(mu)]
-    return obj
+    columns = (rho.slots(), relation_residual(rho), mu, M_P.apply_inverse(mu))
+    rows = zip(*(column.tolist() for column in columns))
+    return [dict(zip(_KEYS, (*slots, *rest))) for slots, *rest in rows]
+
+
+def rep_to_obj(rho: Representation) -> dict:
+    """JSON-ready dict for one representation: the one-row case of _rep_objs."""
+    return _rep_objs(rho[None])[0]
 
 
 def rep_from_obj(obj: dict) -> Representation:
@@ -112,7 +115,7 @@ def rep_from_obj(obj: dict) -> Representation:
             raise PreconditionViolated(f"input line lacks slot {key!r}")
         try:
             q = np.asarray(obj[key], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise PreconditionViolated(f"slot {key!r} must hold numbers") from None
         if q.shape != (4,):
             raise PreconditionViolated(f"slot {key!r} must hold four components")
@@ -125,23 +128,49 @@ def rep_from_obj(obj: dict) -> Representation:
     return Representation(*slots)
 
 
-def read_jsonl(stream: IO[str], rel_tol: float) -> Iterator[Representation]:
-    """Representations from JSONL lines, each a solution of the relation to rel_tol."""
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
+def _checked_slots(lines: list[str]) -> tuple[np.ndarray, Optional[PreconditionViolated]]:
+    """The (n, 4, 4) slot array of JSONL lines, checked as one batch: the rows
+    before the first line rep_from_obj rejects, and its error (or None)."""
+    try:
+        objs = [json.loads(line) for line in lines]
+        q = np.array([[obj[key] for key in _SLOTS] for obj in objs], dtype=float)
+        # np.vecdot is the arithmetic of rep_from_obj's q @ q on each slot
+        unit = np.abs(np.vecdot(q, q) - 1.0) <= 1e-9
+        if q.shape == (len(lines), 4, 4) and np.isfinite(q).all() and unit.all():
+            return q, None
+    except (TypeError, KeyError, ValueError, OverflowError):  # JSONDecodeError too
+        pass
+    rows = []  # some line is bad: read them one by one to find the first
+    for line in lines:
         try:
-            rho = new_checked(*rep_from_obj(json.loads(line)).elements(), rel_tol)
-        except RelationViolated as bad:
-            raise RelationViolated(f"line {lineno}: {bad}") from None
-        except (json.JSONDecodeError, PreconditionViolated) as bad:
-            raise PreconditionViolated(f"line {lineno}: {bad}") from None
-        yield rho
+            rows.append(rep_from_obj(json.loads(line)).slots())
+        except (ValueError, PreconditionViolated) as bad:  # JSONDecodeError is a ValueError
+            return np.reshape(rows, (-1, 4, 4)), PreconditionViolated(str(bad))
+    return np.array(rows), None
 
 
-def _write_line(stream: IO[str], obj: dict) -> None:
-    stream.write(json.dumps(obj) + "\n")
+def read_jsonl(stream: IO[str], rel_tol: float) -> Iterator[Representation]:
+    """Representations from JSONL lines, each a solution of the relation to rel_tol,
+    checked and yielded in batches of up to _CHUNK lines.  At a bad line the
+    rows before it are yielded first; the error then names the line."""
+    lines = ((n, text) for n, text in enumerate((raw.strip() for raw in stream), 1) if text)
+    while chunk := list(islice(lines, _CHUNK)):
+        q, error = _checked_slots([text for _, text in chunk])
+        rho = Representation.from_slots(q)
+        residual = relation_residual(rho)
+        off = np.flatnonzero(residual >= rel_tol)
+        if off.size:
+            rho, error = rho[: off[0]], RelationViolated(
+                f"surface relation violated: residual {residual[off[0]]:.3e} >= {rel_tol:.3e}"
+            )
+        if rho.batch_shape[0]:
+            yield rho
+        if error is not None:
+            raise type(error)(f"line {chunk[rho.batch_shape[0]][0]}: {error}")
+
+
+def _write_lines(stream: IO[str], objs: list[dict]) -> None:
+    stream.write("".join(json.dumps(obj) + "\n" for obj in objs))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +544,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     )
     out = _open_out(args.out)
     try:
-        for rho in sample(spec):
-            _write_line(out, rep_to_obj(rho))
+        for rho in sample_batches(spec):
+            _write_lines(out, _rep_objs(rho))
     finally:
         _close(out, args.out)
     return 0
@@ -529,7 +558,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
     out = _open_out(args.out)
     try:
         for rho in read_jsonl(src, DEFAULT.rel):
-            _write_line(out, rep_to_obj(act(t, rho)))
+            try:
+                moved = act(t, rho)
+            except DegenerateGenerator:  # write the rows before the boundary class
+                for i in range(rho.batch_shape[0]):
+                    _write_lines(out, _rep_objs(act(t, rho[i : i + 1])))
+                raise
+            _write_lines(out, _rep_objs(moved))
     finally:
         _close(src, args.infile)
         _close(out, args.out)
@@ -537,12 +572,12 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
-    mapper = mu_lambda if args.quotient else moment_mu
     tol = _tolerances(args)
     src = _open_in(args.infile)
     out = _open_out(args.out)
     try:
-        points = (mapper(rho, tol=tol.poly) for rho in read_jsonl(src, tol.rel))
+        rows = read_jsonl(src, tol.rel)
+        points = (p for rho in rows for p in moment_points(rho, tol.poly, args.quotient))
         write_simplex_csv(points, out)
     finally:
         _close(src, args.infile)
@@ -558,9 +593,9 @@ def cmd_tau(args: argparse.Namespace) -> int:
     try:
         for rho in read_jsonl(src, tol.rel):
             image = tau(rho)
-            if args.check and not class_equal(tau(image), rho, tol=tol.mat):
-                bad += 1
-            _write_line(out, rep_to_obj(image))
+            if args.check:
+                bad += int(np.count_nonzero(~_class_equal(tau(image), rho, tol.mat)))
+            _write_lines(out, _rep_objs(image))
     finally:
         _close(src, args.infile)
         _close(out, args.out)
@@ -571,13 +606,14 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     rng = np.random.default_rng(args.seed)
     out = _open_out(args.out)
+    stream = _fixed_point_stream(args.count, rng)
     try:
-        for rho in _fixed_point_stream(args.count, rng):
-            point = classify_fixed_point(rho, tol=tol.mat)
-            obj = rep_to_obj(rho)
-            obj["stratum"] = point.stratum.name
-            obj["piece"] = point.piece.value
-            _write_line(out, obj)
+        while chunk := list(islice(stream, _CHUNK)):
+            objs = _rep_objs(Representation.from_slots(np.stack([rho.slots() for rho in chunk])))
+            for rho, obj in zip(chunk, objs):
+                point = classify_fixed_point(rho, tol=tol.mat)
+                obj["stratum"], obj["piece"] = point.stratum.name, point.piece.value
+                _write_lines(out, [obj])
     finally:
         _close(out, args.out)
     return 0

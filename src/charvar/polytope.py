@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Optional, TYPE_CHECKING
+from typing import IO, Iterable, Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -120,14 +120,18 @@ class Polytope:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (3,):
             raise ValueError("classify expects a single 3-vector")
+        return self.classify_rows(x[None], tol)[0]
+
+    def classify_rows(self, x: np.ndarray, tol: float = EPS_POLY) -> list[Optional[SimplexPoint]]:
+        """classify for each row of an (n, 3) array, computed as one batch."""
         slack = x @ self.a.T - self.b
-        if np.max(slack) > tol:
-            return None
-        active = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
-        kind = {0: RegionKind.INTERIOR, 1: RegionKind.FACE, 2: RegionKind.EDGE}.get(
-            len(active), RegionKind.VERTEX
-        )
-        return SimplexPoint(x, Region(kind, active), self.tag)
+        kinds = (RegionKind.INTERIOR, RegionKind.FACE, RegionKind.EDGE, *[RegionKind.VERTEX] * 2)
+        outside = (np.max(slack, axis=-1) > tol).tolist()
+        active = [tuple(np.flatnonzero(row).tolist()) for row in np.abs(slack) <= tol]
+        return [
+            None if out else SimplexPoint(p, Region(kinds[len(on)], on), self.tag)
+            for p, out, on in zip(x, outside, active)
+        ]
 
 
 TILDE_DELTA = Polytope(
@@ -210,19 +214,32 @@ def moment_coordinates(rho: "Representation") -> np.ndarray:
     return np.stack([f1, f2, f3], axis=-1)
 
 
+def moment_points(
+    rho: "Representation", tol: float = EPS_POLY, quotient: bool = False
+) -> Iterator[SimplexPoint]:
+    """moment_mu, or with quotient mu_lambda, of each quadruple of a batch, in
+    order, computed as one batch.  OutsidePolytope at the first quadruple
+    outside comes after the points before it."""
+    coords = moment_coordinates(rho)
+    poly, what = TILDE_DELTA, "moment triple {} violates the tetrahedron"
+    if quotient:
+        coords = M_P.apply_inverse(coords)
+        poly, what = STD_DELTA, "quotient moment triple {} outside the simplex"
+    for x, point in zip(coords, poly.classify_rows(coords, tol)):
+        if point is None:
+            raise OutsidePolytope(what.format(x))
+        yield point
+
+
 def moment_mu(rho: "Representation", tol: float = EPS_POLY) -> SimplexPoint:
     """The moment triple of trace angles, tagged in TILDE_DELTA.
 
     OutsidePolytope signals a numerical bug: the image of the moment map is
     the whole closed tetrahedron, never more.
     """
-    coords = moment_coordinates(rho)
-    if coords.shape != (3,):
+    if rho.batch_shape != ():
         raise ValueError("moment_mu expects a single representation")
-    point = TILDE_DELTA.classify(coords, tol)
-    if point is None:
-        raise OutsidePolytope(f"moment triple {coords} violates the tetrahedron")
-    return point
+    return next(moment_points(rho[None], tol))
 
 
 def mu_lambda_coordinates(rho: "Representation") -> np.ndarray:
@@ -232,13 +249,9 @@ def mu_lambda_coordinates(rho: "Representation") -> np.ndarray:
 
 def mu_lambda(rho: "Representation", tol: float = EPS_POLY) -> SimplexPoint:
     """The quotient moment map: inverse quotient matrix applied to moment_mu."""
-    coords = mu_lambda_coordinates(rho)
-    if coords.shape != (3,):
+    if rho.batch_shape != ():
         raise ValueError("mu_lambda expects a single representation")
-    point = STD_DELTA.classify(coords, tol)
-    if point is None:
-        raise OutsidePolytope(f"quotient moment triple {coords} outside the simplex")
-    return point
+    return next(moment_points(rho[None], tol, quotient=True))
 
 
 def nu_P3(z, tol: float = EPS_POLY) -> SimplexPoint:

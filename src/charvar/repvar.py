@@ -43,7 +43,6 @@ __all__ = [
     "Representation",
     "F2Pair",
     "new_checked",
-    "new_projected",
     "relation_residual",
     "is_abelian",
     "class_equal",
@@ -73,6 +72,11 @@ class Representation:
 
     def elements(self) -> tuple[GroupElement, GroupElement, GroupElement, GroupElement]:
         return (self.g1, self.h1, self.g2, self.h2)
+
+    @classmethod
+    def from_slots(cls, q: np.ndarray) -> "Representation":
+        """The quadruples of a (..., 4, 4) slot array, the inverse of slots()."""
+        return cls(*(GroupElement(q[..., i, :]) for i in range(4)))
 
     def slots(self) -> np.ndarray:
         """The four slot quaternions as one (..., 4, 4) array, slots on axis -2."""
@@ -129,40 +133,6 @@ def new_checked(
             f"surface relation violated: residual {worst:.3e} >= {tol:.3e}"
         )
     return rho
-
-
-def new_projected(
-    g1: GroupElement,
-    h1: GroupElement,
-    g2: GroupElement,
-    h2: GroupElement,
-    tol: float = EPS_REL,
-) -> Representation:
-    """Build a Representation after one Newton correction of the h2 slot.
-
-    Solves [g2, exp(d) h2] = [g1, h1]^{-1} to first order in d (least squares
-    on the quaternion residual, numerical Jacobian), then delegates to
-    new_checked.  Meant for inputs off the relation by roundoff-scale drift,
-    not as a general solver.
-    """
-    if g1.batch_shape != ():
-        raise ValueError("new_projected is scalar-only")
-    target = commutator(g1, h1).inverse()
-
-    def residual(d: np.ndarray) -> np.ndarray:
-        h2d = mul(exp_alg(AlgebraElement(d)), h2)
-        return commutator(g2, h2d).q - target.q
-
-    r0 = residual(np.zeros(3))
-    step = 1e-7
-    jac = np.empty((4, 3))
-    for j in range(3):
-        d = np.zeros(3)
-        d[j] = step
-        jac[:, j] = (residual(d) - r0) / step
-    delta, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
-    h2_new = mul(exp_alg(AlgebraElement(delta)), h2)
-    return new_checked(g1, h1, g2, h2_new, tol)
 
 
 # the six slot pairs (i, j), i < j, as index arrays

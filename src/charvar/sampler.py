@@ -35,6 +35,7 @@ __all__ = [
     "Target",
     "SampleSpec",
     "sample",
+    "sample_batches",
     "density_witness",
     "strict_inclusion_witness",
 ]
@@ -47,7 +48,7 @@ WITNESS_RATE = np.pi / 4.0
 
 _MAX_SEED = 2**64
 
-#: Interior items drawn and built per batch in ``sample``.
+#: Items per batch in ``sample_batches``, and JSONL lines per batch in ``cli``.
 _CHUNK = 256
 
 
@@ -190,13 +191,20 @@ def _abelian_sample(rng: np.random.Generator) -> Representation:
     return Representation(*(_diag(float(a)) for a in angles))
 
 
-def sample(spec: SampleSpec) -> Iterator[Representation]:
-    """Yield ``spec.count`` representations drawn per ``spec.target``.
+_BOUNDARY_SAMPLES = {
+    Target.BOUNDARY_FACE: _face_sample,
+    Target.BOUNDARY_EDGE: _edge_sample,
+    Target.VERTEX: _vertex_sample,
+    Target.ABELIAN_TORUS: _abelian_sample,
+}
 
-    The stream is a deterministic function of the spec: its generator is
-    seeded from ``spec.seed``.  Interior targets are drawn and built in
-    batches of ``_CHUNK`` items; each item equals the one built alone from
-    the same draws, bit for bit.
+
+def sample_batches(spec: SampleSpec) -> Iterator[Representation]:
+    """The stream of ``sample(spec)`` as batches of up to ``_CHUNK`` items.
+
+    Interior items are drawn first, in stream order, and built at once; the
+    others are built one by one and stacked.  Row i of a batch is bit for bit
+    the item built alone.
 
     Raises
     ------
@@ -206,27 +214,30 @@ def sample(spec: SampleSpec) -> Iterator[Representation]:
         is 0/0.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.target in (Target.INTERIOR_UNIFORM_BASE, Target.FIXED_BASE):
-        for start in range(0, spec.count, _CHUNK):
-            size = min(_CHUNK, spec.count - start)
-            batch = _interior_build(
-                [_interior_draw(rng, spec.base, spec.conjugate) for _ in range(size)]
-            )
-            for i in range(size):
-                yield batch[i]
-        return
-    for _ in range(spec.count):
-        if spec.target is Target.BOUNDARY_FACE:
-            rho = _face_sample(rng)
-        elif spec.target is Target.BOUNDARY_EDGE:
-            rho = _edge_sample(rng)
-        elif spec.target is Target.VERTEX:
-            rho = _vertex_sample(rng)
-        else:
-            rho = _abelian_sample(rng)
-        if spec.conjugate:
-            rho = rho.conjugated(haar_sample(rng))
-        yield rho
+    interior = spec.target in (Target.INTERIOR_UNIFORM_BASE, Target.FIXED_BASE)
+    for start in range(0, spec.count, _CHUNK):
+        size = min(_CHUNK, spec.count - start)
+        if interior:
+            draws = [_interior_draw(rng, spec.base, spec.conjugate) for _ in range(size)]
+            yield _interior_build(draws)
+            continue
+        items = []
+        for _ in range(size):
+            rho = _BOUNDARY_SAMPLES[spec.target](rng)
+            if spec.conjugate:
+                rho = rho.conjugated(haar_sample(rng))
+            items.append(rho.slots())
+        yield Representation.from_slots(np.stack(items))
+
+
+def sample(spec: SampleSpec) -> Iterator[Representation]:
+    """Yield ``spec.count`` representations drawn per ``spec.target``.
+
+    The stream is a deterministic function of the spec: its generator is
+    seeded from ``spec.seed``.  It is ``sample_batches(spec)`` item by item.
+    """
+    for batch in sample_batches(spec):
+        yield from (batch[i] for i in range(batch.batch_shape[0]))
 
 
 def _deformation_direction(rho: Representation) -> np.ndarray:

@@ -34,11 +34,12 @@
 # with a one-, two- or four-dimensional solution space (irreducible, abelian
 # or central) are decided alike.  stabilizer_type takes single elements only.
 #
-# Exactness: products where one operand is exactly +-I are computed as exact
-# sign flips (no renormalization), and the exponential snaps cos/sin residue
-# below SNAP_TOL at multiples of pi/2.  Together these make identities like
-# exp(pi * n) = -I and (-I) g (-I) = g hold bitwise, which downstream modules
-# assert (torus kernel, interval endpoints).
+# Exactness: products are exact sign flips per row where one operand is exactly
+# +-I (no renormalization, whatever the other rows of a batch hold), and the
+# exponential snaps cos/sin residue below SNAP_TOL at multiples of pi/2.
+# Together these make identities like exp(pi * n) = -I and (-I) g (-I) = g
+# hold bitwise, which downstream modules assert (torus kernel, interval
+# endpoints).
 #
 # The order of operations in the kernels (_qmul, conjugate, _cross) is part
 # of the exactness contract: every component is computed by the expression
@@ -281,11 +282,18 @@ def _vector_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _exact_center(w, x, y, z) -> bool:
-    """Is every element exactly +-I (vector part all zero, |w| exactly 1)?"""
-    if np.count_nonzero(x) or np.count_nonzero(y) or np.count_nonzero(z):
+def _exact_center(w, x, y, z):
+    """Which elements are exactly +-I: a bool when all agree, else a mask over the batch."""
+    if x.ndim == 0:
+        return bool(not (x or y or z) and abs(w) == 1.0)
+    n = x.size  # a component nonzero in every element rules them all out
+    if np.count_nonzero(x) == n or np.count_nonzero(y) == n or np.count_nonzero(z) == n:
         return False
-    return not np.count_nonzero(abs(w) != 1.0)
+    mask = abs(w) == 1.0
+    for c in (x, y, z):
+        if np.count_nonzero(c):  # an all-zero component rules no element out
+            mask &= c == 0.0
+    return mask if mask.any() and not mask.all() else bool(mask.all())
 
 
 def _qmul(a: tuple, b: tuple) -> tuple:
@@ -293,12 +301,12 @@ def _qmul(a: tuple, b: tuple) -> tuple:
 
     The one quaternion-product kernel; see the exactness note in the header.
     """
-    if _exact_center(*b):
-        s = b[0]
-        return a[0] * s, a[1] * s, a[2] * s, a[3] * s
-    if _exact_center(*a):
-        s = a[0]
-        return b[0] * s, b[1] * s, b[2] * s, b[3] * s
+    cb = _exact_center(*b)
+    if cb is True:
+        return tuple(c * b[0] for c in a)
+    ca = _exact_center(*a)
+    if ca is True and cb is False:
+        return tuple(c * a[0] for c in b)
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     cx, cy, cz = _cross((ax, ay, az), (bx, by, bz))
@@ -309,7 +317,11 @@ def _qmul(a: tuple, b: tuple) -> tuple:
     z = (aw * bz + bw * az) + cz
     # a product with |q|^2 == 1.0 is divided by exactly 1: sqrt(1.0) == 1.0
     n = np.sqrt(((w * w + x * x) + y * y) + z * z)
-    return w / n, x / n, y / n, z / n
+    q = w / n, x / n, y / n, z / n
+    for center, s, other in ((ca, a[0], b), (cb, b[0], a)):
+        if center is not False:
+            q = tuple(np.where(center, c * s, r) for c, r in zip(other, q))
+    return q
 
 
 def _commutator(g: tuple, h: tuple) -> tuple:

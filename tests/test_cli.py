@@ -100,7 +100,16 @@ class TestSerialization:
         assert code == 3
         assert "line 2: surface relation violated" in err
 
-    @pytest.mark.parametrize("line", ['{"g1": [1, 0, 0', "5", '{"g1": "abcd"}'])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"g1": [1, 0, 0',
+            "5",
+            '{"g1": "abcd"}',
+            pytest.param('{"g1": [1%s, 0, 0, 0]}' % ("0" * 400), id="integer-beyond-float"),
+            pytest.param('{"g1": [1%s, 0, 0, 0]}' % ("0" * 5000), id="over-digit-limit"),
+        ],
+    )
     def test_malformed_line_exit_2(self, tmp_path, line):
         src = tmp_path / "in.jsonl"
         src.write_text(json.dumps(PILLOW_OBJ) + "\n\n" + line + "\n")
@@ -341,7 +350,6 @@ def test_tol_reaches_every_check(monkeypatch, command):
         "certify_interval_injectivity",
         "_sigma_fixed",
         "classify_fixed_point",
-        "class_equal",
         "_class_equal",
         "is_abelian",
     ):
@@ -437,6 +445,112 @@ def test_readme_pipeline_output_pinned(tmp_path):
     assert main(["moment", "--quotient", "--in", twisted, "--out", points]) == 0
     for name, digest in PIPELINE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the JSONL stages run in chunks: byte for byte the one-line runs
+# ---------------------------------------------------------------------------
+
+
+def _sampled(argv_tail) -> list[str]:
+    code, out = run(["sample", *argv_tail])
+    assert code == 0
+    return out.splitlines(keepends=True)
+
+
+def _shuffled(lines: list[str]) -> list[str]:
+    order = np.random.default_rng(41).permutation(len(lines))
+    return [lines[i] for i in order]
+
+
+@pytest.fixture(scope="module")
+def mixed_lines() -> list[str]:
+    """310 lines (more than one chunk) of every target, with and without
+    --conjugate, shuffled."""
+    lines = []
+    for seed, target in enumerate(["interior", "face", "edge", "vertex", "abelian"]):
+        for conjugate in ([], ["--conjugate"]):
+            argv = ["--count", "31", "--seed", str(seed), "--target", target, *conjugate]
+            lines += _sampled(argv)
+    return _shuffled(lines)
+
+
+@pytest.fixture(scope="module")
+def interior_lines() -> list[str]:
+    lines = _sampled(["--count", "155", "--seed", "12"])
+    lines += _sampled(["--count", "155", "--seed", "13", "--conjugate"])
+    return _shuffled(lines)
+
+
+def _run_on(argv, lines, monkeypatch) -> tuple[int, str]:
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+    return run(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, stream",
+    [
+        (["moment"], "mixed_lines"),
+        (["moment", "--quotient"], "mixed_lines"),
+        (["tau", "--check"], "mixed_lines"),
+        (["flow", "--t", "0.3,1.2,0.5"], "interior_lines"),
+    ],
+)
+def test_chunked_stage_equals_one_line_runs(argv, stream, request, monkeypatch):
+    lines = request.getfixturevalue(stream)
+    code, whole = _run_on(argv, lines, monkeypatch)
+    assert code == 0
+    header = "x1,x2,x3,region,polytope\n" if argv[0] == "moment" else ""
+    # parsed once: the one-line runs differ in their input only
+    args = cli._build_parser()[0].parse_args(argv)
+    one_line = []
+    for line in lines:
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert args.handler(args) == 0
+        assert buf.getvalue().startswith(header)
+        one_line.append(buf.getvalue()[len(header):])
+    assert whole == header + "".join(one_line)
+
+
+def _run_err_on(argv, lines, monkeypatch) -> tuple[int, str]:
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+    return run_err(argv)
+
+
+def _bad_line(kind: str, good: str) -> str:
+    if kind == "malformed":
+        return '{"g1": [1, 0, 0'
+    if kind == "non-finite":
+        return json.dumps({**json.loads(good), "g1": [float("nan")] * 4})
+    return json.dumps(rep_to_obj(non_solution()))
+
+
+@pytest.mark.parametrize("kind, want", [("malformed", 2), ("non-finite", 2), ("off-relation", 3)])
+@pytest.mark.parametrize("argv", [["flow", "--t", "0.3,1.2,0.5"], ["moment"], ["tau"]])
+def test_bad_line_300_keeps_the_rows_before(kind, want, argv, interior_lines, monkeypatch):
+    # line 150 is blank, line 300 is bad, and good lines follow it
+    lines = interior_lines[:149] + ["\n"] + interior_lines[149:]
+    lines = lines[:299] + [_bad_line(kind, lines[299]) + "\n"] + lines[299:]
+    code, err = _run_err_on(argv, lines, monkeypatch)
+    assert code == want
+    assert "line 300:" in err
+    _, partial = _run_on(argv, lines, monkeypatch)
+    _, before = _run_on(argv, lines[:299], monkeypatch)
+    assert partial == before
+    assert before.count("\n") == 298 + (argv[0] == "moment")
+
+
+def test_flow_boundary_line_keeps_the_rows_before(interior_lines, monkeypatch):
+    vertex = _sampled(["--count", "1", "--seed", "2", "--target", "vertex"])
+    lines = interior_lines[:299] + vertex + interior_lines[299:]
+    argv = ["flow", "--t", "0.3,1.2,0.5"]
+    code, err = _run_err_on(argv, lines, monkeypatch)
+    assert code == 3
+    assert "twist flows are defined on interior classes only" in err
+    _, partial = _run_on(argv, lines, monkeypatch)
+    assert partial == _run_on(argv, lines[:299], monkeypatch)[1]
 
 
 class TestConfig:

@@ -24,7 +24,6 @@ from charvar.repvar import (
     diagonalize_abelian,
     is_abelian,
     new_checked,
-    new_projected,
     psi_F2,
     relation_residual,
 )
@@ -143,26 +142,6 @@ class TestSlotDistance:
         got = lhs.slot_distance(rhs)
         assert got.shape == (20,)
         assert got.tolist() == [a.slot_distance(b) for a, b in pairs]
-
-
-class TestNewProjected:
-    def test_repairs_roundoff_scale_drift(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            rho = swap_rep(rng)
-            wiggle = exp_alg(AlgebraElement(1e-6 * rng.normal(size=3)))
-            h2_off = mul(wiggle, rho.h2)
-            drifted = Representation(rho.g1, rho.h1, rho.g2, h2_off)
-            assert relation_residual(drifted) > 1e-8
-            fixed = new_projected(rho.g1, rho.h1, rho.g2, h2_off)
-            assert relation_residual(fixed) < 1e-8
-
-    def test_rejects_gross_violations(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(PreconditionViolated):
-            new_projected(
-                haar_sample(rng), haar_sample(rng), haar_sample(rng), haar_sample(rng)
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,11 @@ def test_conjugate_matches_mul_chain():
 
 
 def _cross_oracle_mul(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    # per row: a row whose b is exactly +-I is a's row flipped, and otherwise
+    # a row whose a is exactly +-I is b's row flipped
     def exact_center(q):
-        return bool(np.all(q[..., 1:] == 0.0) and np.all(np.abs(q[..., 0]) == 1.0))
+        return (np.all(q[..., 1:] == 0.0, axis=-1) & (np.abs(q[..., 0]) == 1.0))[..., None]
 
-    if exact_center(qb):
-        return qa * qb[..., 0:1]
-    if exact_center(qa):
-        return qb * qa[..., 0:1]
     aw, av = qa[..., 0], qa[..., 1:]
     bw, bv = qb[..., 0], qb[..., 1:]
     w = aw * bw - np.sum(av * bv, axis=-1)
@@ -166,7 +164,8 @@ def _cross_oracle_mul(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     q = np.concatenate([w[..., None], v], axis=-1)
     n2 = np.sum(q * q, axis=-1)
     div = np.where(n2 == 1.0, 1.0, np.sqrt(n2))
-    return q / div[..., None]
+    q = np.where(exact_center(qa), qb * qa[..., 0:1], q / div[..., None])
+    return np.where(exact_center(qb), qa * qb[..., 0:1], q)
 
 
 def _cross_oracle_conjugate(qk: np.ndarray, qg: np.ndarray) -> np.ndarray:
@@ -198,13 +197,15 @@ def _normalized(raw: np.ndarray) -> np.ndarray:
 
 def quaternions(shape: tuple) -> st.SearchStrategy:
     """Unit quaternions of the given batch shape: random, with signed-zero and
-    +-1 components, or every element exactly +-I (signed zeros included)."""
+    +-1 components, every element exactly +-I (signed zeros included), or a
+    batch whose rows mix the two."""
     component = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
     center = st.tuples(st.sampled_from([1.0, -1.0]), *[st.sampled_from([0.0, -0.0])] * 3)
-    return st.one_of(
-        hnp.arrays(np.float64, shape + (4,), elements=component).map(_normalized),
-        center.map(lambda c: np.broadcast_to(np.array(c), shape + (4,)).copy()),
-    )
+    random = hnp.arrays(np.float64, shape + (4,), elements=component).map(_normalized)
+    central = center.map(lambda c: np.broadcast_to(np.array(c), shape + (4,)).copy())
+    mask = hnp.arrays(np.bool_, shape + (1,))
+    mixed = st.tuples(mask, random, central).map(lambda m: np.where(m[0], m[2], m[1]))
+    return st.one_of(random, central, mixed)
 
 
 # scalar x scalar, batch x batch, and scalar x batch broadcast both ways
@@ -232,6 +233,25 @@ def test_relation_residual_matches_cross_oracle_bitwise(data):
     oracle = distance(GroupElement(word), GroupElement.identity(shape))
     rho = Representation(*(GroupElement(q) for q in (g1, h1, g2, h2)))
     assert _same_bits(np.asarray(relation_residual(rho)), np.asarray(oracle))
+
+
+def test_mixed_batch_rows_equal_single_products_bitwise():
+    # exactly central rows, of either operand or both, sit among others: each
+    # row of the batched product, commutator and residual is that row alone
+    rng = np.random.default_rng(11)
+    q = haar_sample(rng, (4, 12)).q.copy()
+    q[0, ::3] = [1.0, 0.0, 0.0, 0.0]
+    q[1, 1::4] = [-1.0, -0.0, 0.0, -0.0]
+    q[2, ::4] = [-1.0, 0.0, -0.0, 0.0]
+    q[3, 2::5] = [1.0, -0.0, -0.0, -0.0]
+    g1, h1, g2, h2 = (GroupElement(x) for x in q)
+    rho = Representation(g1, h1, g2, h2)
+    for i in range(12):
+        assert _same_bits(mul(g1, h1).q[i], mul(g1[i], h1[i]).q)
+        assert _same_bits(mul(h1, g2).q[i], mul(h1[i], g2[i]).q)
+        assert _same_bits(commutator(g1, h1).q[i], commutator(g1[i], h1[i]).q)
+        assert _same_bits(commutator(g2, h2).q[i], commutator(g2[i], h2[i]).q)
+        assert _same_bits(relation_residual(rho)[i], np.asarray(relation_residual(rho[i])))
 
 
 def test_mul_all_negative_zero_dot_keeps_the_sign_of_zero():
