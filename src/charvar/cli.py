@@ -11,6 +11,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -726,7 +727,10 @@ def _load_config(path: str) -> dict:
     return values
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its command -> subparser map, built on the first call
+    and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="charvar",
         description="Sample, flow, and verify conjugacy classes of"
@@ -734,7 +738,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict = {}
 
     sp = sub.add_parser("sample", help="draw representations and write JSONL")
     sp.add_argument("--count", type=_COUNT, default=10)
@@ -748,14 +751,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--conjugate", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_sample)
-    registry["sample"] = sp
 
     fp = sub.add_parser("flow", help="apply a twist triple to a JSONL stream")
     fp.add_argument("--t", required=True, help="phi1,phi2,phi3 twist angles")
     fp.add_argument("--in", dest="infile")
     fp.add_argument("--out")
     fp.set_defaults(handler=cmd_flow)
-    registry["flow"] = fp
 
     mp = sub.add_parser("moment", help="trace coordinates of a JSONL stream as CSV")
     mp.add_argument("--in", dest="infile")
@@ -763,7 +764,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     mp.add_argument("--quotient", action="store_true", help="emit simplex coordinates")
     mp.add_argument("--tol", type=float)
     mp.set_defaults(handler=cmd_moment)
-    registry["moment"] = mp
 
     tp = sub.add_parser("tau", help="apply the involution (h1 g1, h1^-1, h2 g2, h2^-1)")
     tp.add_argument("--in", dest="infile")
@@ -771,7 +771,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     tp.add_argument("--check", action="store_true", help="verify the involution squares to id")
     tp.add_argument("--tol", type=float)
     tp.set_defaults(handler=cmd_tau)
-    registry["tau"] = tp
 
     xp = sub.add_parser("fixed-points", help="sample swap-fixed classes with tags")
     xp.add_argument("--count", type=_COUNT, default=20)
@@ -779,7 +778,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     xp.add_argument("--out")
     xp.add_argument("--tol", type=float)
     xp.set_defaults(handler=cmd_fixed_points)
-    registry["fixed-points"] = xp
 
     cp = sub.add_parser("certify-sigma", help="certify the swap fixed-locus suites")
     cp.add_argument("--samples", type=_COUNT, default=100)
@@ -788,7 +786,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     cp.add_argument("--out")
     cp.add_argument("--tol", type=float)
     cp.set_defaults(handler=cmd_certify_sigma)
-    registry["certify-sigma"] = cp
 
     vp = sub.add_parser("verify", help="run a verification suite, print a JSON report")
     vp.add_argument("--suite", choices=["all", *sorted(_SUITES)], default="all")
@@ -796,31 +793,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--tol", type=float)
     vp.set_defaults(handler=cmd_verify)
-    registry["verify"] = vp
 
-    return parser, registry
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = _build_parser()
+    parser, commands = _build_parser()
     try:
-        # flags override config-file defaults: install the config first
-        if "--config" in argv:
-            at = argv.index("--config")
-            if at + 1 >= len(argv):
-                parser.error("--config needs a path")
-            values = _load_config(argv[at + 1])
-            for name, sp in registry.items():
-                allowed = _COMMAND_KEYS[name]
-                sp.set_defaults(
-                    **{
-                        _DESTS.get(k, k): v
-                        for k, v in values.items()
-                        if k in allowed
-                    }
-                )
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # flags override config-file values: install them as this command's
+            # defaults for one more parse, then put the shared parser's back
+            config, allowed = _load_config(args.config), _COMMAND_KEYS[args.command]
+            values = {_DESTS.get(k, k): v for k, v in config.items() if k in allowed}
+            sp = commands[args.command]
+            saved = {dest: sp.get_default(dest) for dest in values}
+            sp.set_defaults(**values)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                sp.set_defaults(**saved)
         return args.handler(args)
     except SystemExit as stop:  # argparse reports flag errors with code 2
         code = stop.code

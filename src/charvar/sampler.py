@@ -125,11 +125,17 @@ def _random_torus(rng: np.random.Generator) -> TorusElement:
     return TorusElement(phi[0], phi[1], phi[2])
 
 
+def _in_open_simplex(x1: float, x2: float, x3: float) -> bool:
+    """``STD_DELTA.margin(x) < 0.0`` for one point without a NumPy call: the
+    same comparisons, and the sum taken left to right as the margin's is."""
+    return x1 > 0.0 and x2 > 0.0 and x3 > 0.0 and x1 + x2 + x3 - 1.0 < 0.0
+
+
 def _interior_base(rng: np.random.Generator) -> np.ndarray:
     # rejection from the unit cube; acceptance ratio 1/6
     while True:
         x = rng.uniform(0.0, 1.0, size=3)
-        if float(STD_DELTA.margin(x)) < 0.0:
+        if _in_open_simplex(*x.tolist()):
             return x
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import inspect
@@ -553,13 +554,22 @@ def test_flow_boundary_line_keeps_the_rows_before(interior_lines, monkeypatch):
     assert partial == _run_on(argv, lines[:299], monkeypatch)[1]
 
 
+_SPELLINGS = {
+    "separate": lambda path: ["--config", path],
+    "equals": lambda path: [f"--config={path}"],
+    "prefix": lambda path: ["--conf", path],
+}
+
+
 class TestConfig:
-    def test_config_supplies_defaults_and_flags_win(self, tmp_path):
+    @pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
+    def test_config_supplies_defaults_and_flags_win(self, tmp_path, spelling):
         cfg = tmp_path / "charvar.cfg"
         cfg.write_text("count=2\nseed=11\ntarget=vertex\n# comment line\n\n")
-        lines = sample_lines(["--config", str(cfg), "sample"])
+        config = _SPELLINGS[spelling](str(cfg))
+        lines = sample_lines([*config, "sample"])
         assert len(lines) == 2
-        lines = sample_lines(["--config", str(cfg), "sample", "--count", "5"])
+        lines = sample_lines([*config, "sample", "--count", "5"])
         assert len(lines) == 5
 
     def test_unknown_key_exit_2(self, tmp_path):
@@ -595,3 +605,96 @@ class TestConfig:
     def test_missing_file_exit_2(self):
         code, _ = run(["--config", "/nonexistent/path.cfg", "sample"])
         assert code == 2
+
+
+# a config setting every key the command takes but --in/--out, and the plain
+# run that must not see it
+_LEAK_CASES = {
+    "sample": ("count=3\nseed=5\ntarget=vertex\nbase=0.2,0.3,0.2\nconjugate=yes\n", ["sample"]),
+    "moment": ("quotient=on\ntol=1e-3\n", ["moment"]),
+    "verify": ("suite=density\nsamples=3\nseed=9\ntol=1e-3\n", ["verify"]),
+}
+
+
+def _config_defaults() -> dict:
+    """Every config-settable default of every command on the shared parser."""
+    _, commands = cli._build_parser()
+    return {
+        (name, key): commands[name].get_default(cli._DESTS.get(key, key))
+        for name, keys in cli._COMMAND_KEYS.items()
+        for key in keys
+    }
+
+
+def _output(argv, lines, monkeypatch) -> tuple[int, str]:
+    """Exit code and stdout of one run on the given stdin; the wall time of a
+    verify report is blanked."""
+    code, out = _run_on(argv, lines, monkeypatch)
+    if code == 0 and "verify" in argv:
+        out = json.dumps({**json.loads(out), "wall_time_s": None})
+    return code, out
+
+
+@pytest.fixture(params=sorted(_LEAK_CASES))
+def leak_case(request, tmp_path, interior_lines):
+    """(config path, plain argv, stdin lines) of a command, with every key it takes set."""
+    body, plain = _LEAK_CASES[request.param]
+    keys = {line.partition("=")[0] for line in body.splitlines()}
+    assert keys == cli._COMMAND_KEYS[request.param] - {"in", "out"}
+    cfg = tmp_path / "all-keys.cfg"
+    cfg.write_text(body)
+    return str(cfg), plain, interior_lines[:20]
+
+
+def test_config_does_not_leak_into_the_next_call(leak_case, monkeypatch):
+    cfg, plain, lines = leak_case
+    defaults = _config_defaults()
+    before = _output(plain, lines, monkeypatch)
+    configured = _output(["--config", cfg, *plain], lines, monkeypatch)
+    assert before[0] == configured[0] == 0
+    assert configured[1] != before[1]
+    assert _output(plain, lines, monkeypatch) == before
+    assert _config_defaults() == defaults
+
+
+@pytest.mark.parametrize("failure", ["bad flag", "second parse"])
+def test_failed_config_run_restores_defaults(leak_case, failure, monkeypatch):
+    cfg, plain, lines = leak_case
+    defaults = _config_defaults()
+    before = _output(plain, lines, monkeypatch)
+    with monkeypatch.context() as patch:
+        argv = ["--config", cfg, *plain]
+        if failure == "bad flag":
+            argv.append("--bogus")
+        else:  # the parse made with the config installed reports a flag error
+            parser = cli._build_parser()[0]
+            parse, parses = parser.parse_args, []
+
+            def parse_then_fail(args):
+                parses.append(parse(args))
+                if len(parses) == 2:
+                    parser.error("forced failure of the parse with the config installed")
+                return parses[-1]
+
+            patch.setattr(parser, "parse_args", parse_then_fail)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert _output(argv, lines, monkeypatch)[0] == 2
+    assert _config_defaults() == defaults
+    assert _output(plain, lines, monkeypatch) == before
+
+
+def test_parser_built_once_across_main_calls(tmp_path, monkeypatch):
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text("count=2\n")
+    assert run(["sample", "--count", "1"])[0] == 0  # builds the parser if nothing has yet
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["sample"], ["--config", str(cfg), "sample"], ["verify", "--samples", "0"]) * 3:
+        run_err(argv)
+    assert built == []

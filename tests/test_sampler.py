@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from charvar.errors import PreconditionViolated
 from charvar.polytope import (
+    STD_DELTA,
     RegionKind,
     TILDE_DELTA,
     boundary_commutation_check,
@@ -17,6 +22,7 @@ from charvar.polytope import (
 from charvar.repvar import Representation, is_abelian, relation_residual
 from charvar.sampler import (
     SampleSpec,
+    _in_open_simplex,
     Target,
     density_witness,
     sample,
@@ -53,6 +59,44 @@ class TestSampleSpec:
                 count=1, seed=1, target=Target.FIXED_BASE, base=np.array([0.0, 0.5, 0.5])
             )
         SampleSpec(count=1, seed=1, target=Target.FIXED_BASE, base=np.array([0.2, 0.3, 0.2]))
+
+
+_UNIT = st.floats(0.0, 1.0)
+_NEAR_ONE = (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+
+
+def _margin_interior(x: list[float]) -> bool:
+    return float(STD_DELTA.margin(np.array(x))) < 0.0
+
+
+class TestOpenSimplexPredicate:
+    """The interior sampler's scalar rejection test accepts exactly the
+    points that STD_DELTA.margin(x) < 0.0 accepts."""
+
+    @given(st.lists(_UNIT, min_size=3, max_size=3))
+    @settings(deadline=None)
+    def test_cube_points(self, x):
+        assert _in_open_simplex(*x) is _margin_interior(x)
+
+    @given(st.lists(_UNIT, min_size=2, max_size=2), st.integers(0, 2))
+    @settings(deadline=None)
+    def test_a_zero_component(self, rest, at):
+        x = rest[:at] + [0.0] + rest[at:]
+        assert not _in_open_simplex(*x)
+        assert not _margin_interior(x)
+
+    @given(
+        st.floats(0.25, 0.5),
+        st.floats(0.25, 0.5),
+        st.sampled_from(_NEAR_ONE),
+        st.permutations(range(3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sums_next_to_one(self, x1, x2, total, order):
+        x3 = total - (x1 + x2)  # exact, since x1 + x2 lies in [0.5, 1]
+        assert x1 + x2 + x3 == total
+        x = [(x1, x2, x3)[i] for i in order]
+        assert _in_open_simplex(*x) is _margin_interior(x)
 
 
 class TestDeterminism:
