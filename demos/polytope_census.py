@@ -19,8 +19,10 @@ from charvar import (
     is_abelian,
     moment_mu,
     sample,
+    trace_triple,
     write_simplex_csv,
 )
+from charvar.sampler import sample_batches
 
 rng = np.random.default_rng(501)
 
@@ -30,14 +32,8 @@ rng = np.random.default_rng(501)
 n = 20_000
 a = haar_sample(rng, shape=(n,))
 b = haar_sample(rng, shape=(n,))
-# normalized angle of a unit quaternion: arccos of the scalar part over pi
-cloud = np.stack(
-    [
-        np.arccos(np.clip(u.w, -1.0, 1.0)) / np.pi
-        for u in (a, b, a * b)
-    ],
-    axis=-1,
-)
+# normalized angles (arccos of the scalar part over pi) of a, b and ab
+cloud = trace_triple(a, b)
 margins = TILDE_DELTA.margin(cloud)
 print("points sampled        :", n)
 print("largest margin        :", float(margins.max()), "(<= 0 means inside)")
@@ -46,16 +42,18 @@ print("points strictly inside:", int((margins < -1e-9).sum()))
 # ------------------------------------------------------------------
 # the boundary is exactly the abelian locus
 # ------------------------------------------------------------------
-# sample straight off a face: the generator ensures every tuple commutes
-face_stream = sample(SampleSpec(count=300, seed=11, target=Target.BOUNDARY_FACE))
+# sample straight off a face: the generator ensures every tuple commutes;
+# each batch of the stream is checked at once
+face_stream = sample_batches(SampleSpec(count=300, seed=11, target=Target.BOUNDARY_FACE))
 checks = sum(
-    boundary_commutation_check(rho) and is_abelian(rho) for rho in face_stream
+    int(np.count_nonzero(boundary_commutation_check(rho) & is_abelian(rho)))
+    for rho in face_stream
 )
 print("face samples certified:", checks, "/ 300")
 
 # interior samples, by contrast, are never abelian
-interior = sample(SampleSpec(count=300, seed=12, target=Target.INTERIOR_UNIFORM_BASE))
-abelian_hits = sum(is_abelian(rho) for rho in interior)
+interior = sample_batches(SampleSpec(count=300, seed=12, target=Target.INTERIOR_UNIFORM_BASE))
+abelian_hits = sum(int(np.count_nonzero(is_abelian(rho))) for rho in interior)
 print("abelian interior hits :", abelian_hits, "/ 300")
 
 # ------------------------------------------------------------------

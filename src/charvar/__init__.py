@@ -7,9 +7,9 @@ unit quaternion ``(w, x, y, z)``, identified with the special unitary matrix
 
 - ``su2``: exact-where-possible group arithmetic, Haar sampling, conjugator
   and stabilizer solvers;
-- ``repvar``: relation quadruples, conjugacy testing, trace coordinates;
-- ``polytope``: the trace tetrahedron, the standard simplex, membership and
-  moment maps;
+- ``repvar``: relation quadruples, conjugacy testing;
+- ``polytope``: trace coordinates, the trace tetrahedron, the standard
+  simplex, membership, moment maps and the batched boundary/abelian check;
 - ``flows``: the three commuting twist circle actions and their kernel;
 - ``tau``: an explicit section of the moment fibration in closed form,
   (h1^-1/2, h1, h2^-1/2, h2), batched over base points and fixed by tau;
@@ -61,16 +61,15 @@ from .polytope import (
     mu_lambda,
     mu_lambda_coordinates,
     nu_P3,
+    trace_triple,
     write_simplex_csv,
 )
 from .repvar import (
-    F2Pair,
     Representation,
     class_equal,
     diagonalize_abelian,
     is_abelian,
     new_checked,
-    psi_F2,
     relation_residual,
 )
 from .sampler import (
@@ -146,13 +145,11 @@ __all__ = [
     "stabilizer_type",
     # repvar
     "Representation",
-    "F2Pair",
     "relation_residual",
     "new_checked",
     "is_abelian",
     "diagonalize_abelian",
     "class_equal",
-    "psi_F2",
     # polytope
     "Polytope",
     "PolytopeTag",
@@ -170,6 +167,7 @@ __all__ = [
     "mu_lambda_coordinates",
     "mu_lambda",
     "nu_P3",
+    "trace_triple",
     "boundary_commutation_check",
     "write_simplex_csv",
     # flows

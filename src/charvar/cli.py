@@ -38,6 +38,7 @@ from .polytope import (
     moment_coordinates,
     moment_points,
     mu_lambda_coordinates,
+    trace_triple,
     write_simplex_csv,
 )
 from .repvar import (
@@ -77,7 +78,6 @@ from .su2 import (
     commutator,
     exp_alg,
     haar_sample,
-    trace_angle,
 )
 from .tau import section, tau
 from .tolerances import DEFAULT, Tolerances
@@ -238,11 +238,11 @@ def _flows_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
     return n, int(np.count_nonzero(~ok)), res
 
 
-def _near_boundary_pair(rng: np.random.Generator, eps: float) -> tuple[GroupElement, GroupElement]:
-    a = _diag(float(rng.uniform(0.3, np.pi - 0.3)))
-    b = _diag(float(rng.uniform(0.3, np.pi - 0.3)))
-    bump = exp_alg(AlgebraElement(np.array([eps, 0.0, 0.0])))
-    return a, bump * b
+def _near_boundary_draw(rng: np.random.Generator) -> tuple[float, float, float]:
+    """One near-boundary item's draws in stream order: the size eps of the
+    bump off the torus, then the angles of h1 and h2."""
+    eps = 10.0 ** float(rng.uniform(-8.0, -4.0))
+    return eps, float(rng.uniform(0.3, np.pi - 0.3)), float(rng.uniform(0.3, np.pi - 0.3))
 
 
 def _polytope_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
@@ -256,25 +256,23 @@ def _polytope_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[
     # Haar pairs land inside the trace tetrahedron
     a = haar_sample(rng, (n,))
     b = haar_sample(rng, (n,))
-    coords = np.stack([trace_angle(a), trace_angle(b), trace_angle(a * b)], axis=-1)
-    margins = TILDE_DELTA.margin(coords)
+    margins = TILDE_DELTA.margin(trace_triple(a, b))
     res["tetra-membership"] = float(np.max(margins))
     failures += int(np.count_nonzero(margins > tol.poly))
 
-    # boundary <=> commuting on near-boundary constructions, both directions
+    # boundary <=> commuting on near-boundary constructions, both directions,
+    # each row read against its own eps
     small = n // 10 + 1
-    for _ in range(small):
-        eps = 10.0 ** float(rng.uniform(-8.0, -4.0))
-        h1, h2 = _near_boundary_pair(rng, eps)
-        rho = Representation(_diag(0.1), h1, _diag(0.2), h2)
-        if not boundary_commutation_check(rho, poly_tol=10.0 * eps, mat_tol=10.0 * eps):
-            failures += 1
+    eps, t1, t2 = np.array([_near_boundary_draw(rng) for _ in range(small)]).T
+    zero = np.zeros(small)
+    bump = exp_alg(AlgebraElement(np.stack([eps, zero, zero], axis=-1)))
+    rho = Representation(_diag(zero + 0.1), _diag(t1), _diag(zero + 0.2), bump * _diag(t2))
+    failures += int(np.count_nonzero(~boundary_commutation_check(rho, 10.0 * eps, 10.0 * eps)))
     # nothing is drawn between the two uses of interior samples below, so
     # both halves are built as one batch
     interior = _interior_build([_interior_draw(rng) for _ in range(2 * small)])
-    for i in range(small):
-        if not boundary_commutation_check(interior[i], poly_tol=tol.poly, mat_tol=tol.mat):
-            failures += 1
+    ok = boundary_commutation_check(interior[:small], tol.poly, tol.mat)
+    failures += int(np.count_nonzero(~ok))
 
     # integer vertex bijection, exact arithmetic
     images = (M_P.m.astype(np.int64) @ STD_DELTA.vertices.astype(np.int64).T).T

@@ -2,7 +2,8 @@
 # The two moment tetrahedra and the maps into them.
 #
 #   TILDE_DELTA: conv{(0,0,0), (0,1,1), (1,0,1), (1,1,0)} -- the image of the
-#     trace-angle triple (f1, f2, f3).  Half-space form (derived from the
+#     trace triple (f(a), f(b), f(ab)) of a pair, trace_triple; its boundary
+#     is where the pair commutes.  Half-space form (derived from the
 #     vertex set and certified against a hull oracle in the tests):
 #         x1 + x2 - x3 >= 0,   x1 - x2 + x3 >= 0,
 #        -x1 + x2 + x3 >= 0,   x1 + x2 + x3 <= 2.
@@ -14,6 +15,10 @@
 # The integer quotient matrix M_P maps STD_DELTA onto TILDE_DELTA, vertex to
 # vertex; its inverse has denominator 2 and gives the closed form
 #     mu_Lambda = ((f1-f2+f3)/2, (f1+f2-f3)/2, (-f1+f2+f3)/2).
+#
+# The moment map of a quadruple is the trace triple of (h1, h2).  Membership,
+# region classification and boundary_commutation_check run over batches, with
+# a tolerance that is one value or one per row; a non-finite point is outside.
 
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from typing import IO, Iterable, Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import OutsidePolytope, ZeroVector
+from .errors import OutsidePolytope, PreconditionViolated, ZeroVector
 from .su2 import GroupElement, commutator, distance, mul, trace_angle
 from .tolerances import EPS_MAT, EPS_POLY
 
@@ -122,12 +127,17 @@ class Polytope:
             raise ValueError("classify expects a single 3-vector")
         return self.classify_rows(x[None], tol)[0]
 
-    def classify_rows(self, x: np.ndarray, tol: float = EPS_POLY) -> list[Optional[SimplexPoint]]:
-        """classify for each row of an (n, 3) array, computed as one batch."""
+    def classify_rows(
+        self, x: np.ndarray, tol: float | np.ndarray = EPS_POLY
+    ) -> list[Optional[SimplexPoint]]:
+        """classify for each row of an (n, 3) array, computed as one batch; tol
+        is one value or one per row.  As in contains, a row is inside only if
+        its margin is <= tol, so a non-finite row is outside."""
         slack = x @ self.a.T - self.b
+        tol = np.asarray(tol, dtype=np.float64)
         kinds = (RegionKind.INTERIOR, RegionKind.FACE, RegionKind.EDGE, *[RegionKind.VERTEX] * 2)
-        outside = (np.max(slack, axis=-1) > tol).tolist()
-        active = [tuple(np.flatnonzero(row).tolist()) for row in np.abs(slack) <= tol]
+        outside = (~(np.max(slack, axis=-1) <= tol)).tolist()
+        active = [tuple(np.flatnonzero(row).tolist()) for row in np.abs(slack) <= tol[..., None]]
         return [
             None if out else SimplexPoint(p, Region(kinds[len(on)], on), self.tag)
             for p, out, on in zip(x, outside, active)
@@ -206,21 +216,25 @@ M_P = QuotientMatrix(
 # ---------------------------------------------------------------------------
 
 
+def trace_triple(a: GroupElement, b: GroupElement) -> np.ndarray:
+    """(f(a), f(b), f(ab)) of each pair as a raw (..., 3) array; its image is
+    the closed TILDE_DELTA."""
+    return np.stack([trace_angle(a), trace_angle(b), trace_angle(mul(a, b))], axis=-1)
+
+
 def moment_coordinates(rho: "Representation") -> np.ndarray:
-    """(f(h1), f(h2), f(h1 h2)) as a raw (..., 3) array; batch-friendly."""
-    f1 = trace_angle(rho.h1)
-    f2 = trace_angle(rho.h2)
-    f3 = trace_angle(mul(rho.h1, rho.h2))
-    return np.stack([f1, f2, f3], axis=-1)
+    """The trace triple (f(h1), f(h2), f(h1 h2)) of each quadruple."""
+    return trace_triple(rho.h1, rho.h2)
 
 
 def moment_points(
-    rho: "Representation", tol: float = EPS_POLY, quotient: bool = False
+    rho: "Representation", tol: float | np.ndarray = EPS_POLY, quotient: bool = False
 ) -> Iterator[SimplexPoint]:
     """moment_mu, or with quotient mu_lambda, of each quadruple of a batch, in
-    order, computed as one batch.  OutsidePolytope at the first quadruple
-    outside comes after the points before it."""
-    coords = moment_coordinates(rho)
+    row-major order, computed as one batch; tol is one value or one per
+    quadruple in that order.  OutsidePolytope at the first quadruple outside
+    comes after the points before it."""
+    coords = moment_coordinates(rho).reshape(-1, 3)
     poly, what = TILDE_DELTA, "moment triple {} violates the tetrahedron"
     if quotient:
         coords = M_P.apply_inverse(coords)
@@ -239,7 +253,7 @@ def moment_mu(rho: "Representation", tol: float = EPS_POLY) -> SimplexPoint:
     """
     if rho.batch_shape != ():
         raise ValueError("moment_mu expects a single representation")
-    return next(moment_points(rho[None], tol))
+    return next(moment_points(rho, tol))
 
 
 def mu_lambda_coordinates(rho: "Representation") -> np.ndarray:
@@ -251,7 +265,7 @@ def mu_lambda(rho: "Representation", tol: float = EPS_POLY) -> SimplexPoint:
     """The quotient moment map: inverse quotient matrix applied to moment_mu."""
     if rho.batch_shape != ():
         raise ValueError("mu_lambda expects a single representation")
-    return next(moment_points(rho[None], tol, quotient=True))
+    return next(moment_points(rho, tol, quotient=True))
 
 
 def nu_P3(z, tol: float = EPS_POLY) -> SimplexPoint:
@@ -270,19 +284,25 @@ def nu_P3(z, tol: float = EPS_POLY) -> SimplexPoint:
         raise ZeroVector("nu undefined at z = 0")
     val = np.abs(z[1:]) ** 2 / (2.0 * n2)
     point = HALF_STD_DELTA.classify(val, tol)
-    assert point is not None  # |z_i|^2 sum to at most |z|^2
+    if point is None:  # |z_i|^2 sum to at most |z|^2, so only a non-finite z
+        raise PreconditionViolated(f"nu needs a finite z, got {z}")
     return point
 
 
 def boundary_commutation_check(
     rho: "Representation",
-    poly_tol: float = EPS_POLY,
-    mat_tol: float = EPS_MAT,
-) -> bool:
-    """True iff (moment on the tetrahedron boundary) == (h1 and h2 commute)."""
-    on_boundary = moment_mu(rho, poly_tol).on_boundary
-    res = float(distance(commutator(rho.h1, rho.h2), GroupElement.identity()))
-    return on_boundary == (res < mat_tol)
+    poly_tol: float | np.ndarray = EPS_POLY,
+    mat_tol: float | np.ndarray = EPS_MAT,
+) -> bool | np.ndarray:
+    """(moment on the tetrahedron boundary) == (h1 and h2 commute), per
+    quadruple of a batch; a bool for a single quadruple.  Each tolerance is
+    one value or one per quadruple.  OutsidePolytope if a moment triple is
+    outside the tetrahedron, as a non-finite one is."""
+    poly_tol = np.broadcast_to(poly_tol, rho.batch_shape).ravel()
+    on_boundary = [p.on_boundary for p in moment_points(rho, poly_tol)]
+    commute = distance(commutator(rho.h1, rho.h2), GroupElement.identity()) < mat_tol
+    out = np.reshape(on_boundary, rho.batch_shape) == commute
+    return bool(out) if rho.batch_shape == () else out
 
 
 # ---------------------------------------------------------------------------

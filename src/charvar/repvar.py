@@ -2,9 +2,9 @@
 # Representation quadruples (g1, h1, g2, h2) subject to the surface relation
 #     [g1, h1] [g2, h2] = 1,
 # plus the conjugation-invariant features built on them: the relation
-# residual, abelianness, class equality (= conjugacy of quadruples) and the
-# trace-angle map psi on free pairs.  The trace coordinates of quadruples are
-# polytope.moment_coordinates.
+# residual, abelianness and class equality (= conjugacy of quadruples).  The
+# trace coordinates of quadruples are polytope.moment_coordinates, the trace
+# triple of (h1, h2).
 #
 # All slots share one batch shape, and Representation.slots() stacks them as
 # one (..., 4, 4) array, the layout every batched decision reads.
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated, RelationViolated
-from .polytope import TILDE_DELTA, SimplexPoint
 from .su2 import (
     AlgebraElement,
     GroupElement,
@@ -34,20 +33,17 @@ from .su2 import (
     conjugate,
     distance,
     exp_alg,
-    mul,
-    trace_angle,
+    mul,  # unused here; perfbench/test_perfbench.py checks the tracer restores repvar.mul
 )
 from .tolerances import EPS_MAT, EPS_REL
 
 __all__ = [
     "Representation",
-    "F2Pair",
     "new_checked",
     "relation_residual",
     "is_abelian",
     "class_equal",
     "diagonalize_abelian",
-    "psi_F2",
 ]
 
 
@@ -94,14 +90,6 @@ class Representation:
         quadruples, the worst per quadruple over a batch."""
         worst = np.max(distance(GroupElement(self.slots()), GroupElement(other.slots())), axis=-1)
         return float(worst) if worst.ndim == 0 else worst
-
-
-@dataclass(frozen=True)
-class F2Pair:
-    """An unconstrained pair (a, b) in SU(2)^2 (free group on two letters)."""
-
-    a: GroupElement
-    b: GroupElement
 
 
 def _relation_word(rho: Representation) -> GroupElement:
@@ -220,19 +208,3 @@ def class_equal(
         raise ValueError("class_equal is scalar-only")
     return bool(_class_equal(rho, other, tol))
 
-
-def psi_F2(pair: F2Pair, tol: float = 1e-9) -> SimplexPoint:
-    """Trace-angle triple (f(a), f(b), f(ab)) of a free pair, tagged in TILDE_DELTA.
-
-    The triple of any pair lands in the closed tetrahedron; a None from the
-    classifier would mean a broken invariant, so it is asserted.
-    """
-    coords = np.stack(
-        [trace_angle(pair.a), trace_angle(pair.b), trace_angle(mul(pair.a, pair.b))],
-        axis=-1,
-    )
-    if coords.shape != (3,):
-        raise ValueError("psi_F2 expects a single pair")
-    point = TILDE_DELTA.classify(coords, tol)
-    assert point is not None  # image is always inside the closed tetrahedron
-    return point

@@ -19,6 +19,7 @@ from charvar.polytope import (
     boundary_commutation_check,
     moment_coordinates,
     mu_lambda_coordinates,
+    trace_triple,
 )
 from charvar.repvar import (
     Representation,
@@ -134,37 +135,33 @@ def test_criterion_3_tetrahedron_coincidence():
     rng = np.random.default_rng(103)
     a = haar_sample(rng, (100_000,))
     b = haar_sample(rng, (100_000,))
-    coords = np.stack(
-        [
-            np.arccos(np.clip(a.w, -1.0, 1.0)) / np.pi,
-            np.arccos(np.clip(b.w, -1.0, 1.0)) / np.pi,
-            np.arccos(np.clip((a * b).w, -1.0, 1.0)) / np.pi,
-        ],
-        axis=-1,
-    )
-    margins = TILDE_DELTA.margin(coords)
+    margins = TILDE_DELTA.margin(trace_triple(a, b))
     outside = int(np.count_nonzero(margins > MEMBERSHIP_TOL))
     assert outside == 0
 
-    # boundary <=> commuting, matched tolerances, both construction styles
-    mismatches = 0
-    for _ in range(5000):
-        eps = 10.0 ** float(rng.uniform(-8.0, -4.0))
-        bump = exp_alg(AlgebraElement(np.array([eps, 0.0, 0.0])))
-        rho = Representation(
-            diag(float(rng.uniform(0.3, np.pi - 0.3))),
-            diag(float(rng.uniform(0.3, np.pi - 0.3))),
-            diag(float(rng.uniform(0.3, np.pi - 0.3))),
-            bump * diag(float(rng.uniform(0.3, np.pi - 0.3))),
-        )
-        if not boundary_commutation_check(rho, poly_tol=10.0 * eps, mat_tol=10.0 * eps):
-            mismatches += 1
+    # boundary <=> commuting, matched tolerances, both construction styles;
+    # the near-boundary draws come first, in per-item order (eps, then the
+    # four slot angles), and each row is read against its own 10 * eps
+    draws = np.array(
+        [
+            [10.0 ** float(rng.uniform(-8.0, -4.0))]
+            + [float(rng.uniform(0.3, np.pi - 0.3)) for _ in range(4)]
+            for _ in range(5000)
+        ]
+    )
+    eps = draws[:, 0]
+    zero = np.zeros_like(eps)
+    bump = exp_alg(AlgebraElement(np.stack([eps, zero, zero], axis=-1)))
+    rho = Representation(
+        diag(draws[:, 1]), diag(draws[:, 2]), diag(draws[:, 3]), bump * diag(draws[:, 4])
+    )
+    ok = boundary_commutation_check(rho, poly_tol=10.0 * eps, mat_tol=10.0 * eps)
+    assert ok.shape == (5000,)
+    mismatches = int(np.count_nonzero(~ok))
     checked = 0
     for rho in interior_fibers(rng, bases=10, per_base=500):
-        for i in range(500):
-            if not boundary_commutation_check(rho[i]):
-                mismatches += 1
-            checked += 1
+        mismatches += int(np.count_nonzero(~boundary_commutation_check(rho)))
+        checked += rho.batch_shape[0]
     assert checked == 5000
     assert mismatches == 0
     _report(

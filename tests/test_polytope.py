@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial import ConvexHull
 
-from charvar.errors import OutsidePolytope, ZeroVector
+from charvar.errors import OutsidePolytope, PreconditionViolated, ZeroVector
 from charvar.polytope import (
     HALF_STD_DELTA,
     M_P,
@@ -31,19 +31,36 @@ from charvar.polytope import (
     mu_lambda,
     mu_lambda_coordinates,
     nu_P3,
+    trace_triple,
     write_simplex_csv,
 )
 from charvar.repvar import Representation
+from charvar.sampler import SampleSpec, Target, sample_batches
 from charvar.su2 import GroupElement, exp_alg, AlgebraElement, haar_sample
 
 DIAG_I = GroupElement(np.array([0.0, 0.0, 0.0, 1.0]))  # diag(i, -i)
 J = GroupElement(np.array([0.0, -1.0, 0.0, 0.0]))  # [[0,-1],[1,0]]
 
 PILLOW = Representation(DIAG_I, J, J, DIAG_I)
+NAN = GroupElement(np.full(4, np.nan))
 
 
 def diag(theta: float) -> GroupElement:
     return GroupElement(np.array([np.cos(theta), 0.0, 0.0, np.sin(theta)]))
+
+
+def stack(*reps: Representation) -> Representation:
+    """Single quadruples joined into one batch."""
+    return Representation.from_slots(np.stack([r.slots() for r in reps]))
+
+
+def one_by_one(rho: Representation, poly_tol, mat_tol) -> list:
+    """boundary_commutation_check on each row alone, with that row's tolerances."""
+    n = rho.batch_shape[0]
+    poly_tol, mat_tol = np.broadcast_to(poly_tol, n), np.broadcast_to(mat_tol, n)
+    return [
+        boundary_commutation_check(rho[i], float(poly_tol[i]), float(mat_tol[i])) for i in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +169,27 @@ class TestRegions:
             q = TILDE_DELTA.classify(x + d)
             assert q is not None
             assert q.region.active == (3,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_point_is_outside(self, bad):
+        x = np.array([0.5, bad, 0.5])
+        assert not TILDE_DELTA.contains(x)
+        assert TILDE_DELTA.classify(x) is None
+        assert TILDE_DELTA.classify(np.full(3, bad)) is None
+        rows = TILDE_DELTA.classify_rows(np.array([[0.5, 0.5, 0.5], x]))
+        assert rows[0].is_interior and rows[1] is None
+
+    def test_per_row_tolerance(self):
+        # points 3e-6 inside and 3e-6 outside the sum = 2 facet, each read at
+        # a tight and at a loose tolerance
+        x = np.repeat([2.0 - 3e-6, 2.0 - 3e-6, 2.0 + 3e-6, 2.0 + 3e-6], 3).reshape(4, 3) / 3.0
+        tol = np.array([1e-9, 1e-5, 1e-9, 1e-5])
+        got = TILDE_DELTA.classify_rows(x, tol)
+        assert [p and p.region.label for p in got] == ["interior", "face(3)", None, "face(3)"]
+        for row, t, p in zip(x, tol, got):
+            q = TILDE_DELTA.classify(row, t)
+            assert (p and p.region) == (q and q.region)
 
     def test_margin_batched(self):
         pts = np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
@@ -279,6 +317,57 @@ class TestMomentMaps:
             mu_lambda(PILLOW, tol=-0.3)
         assert STD_DELTA.classify(np.array([0.6, 0.6, 0.6])) is None
 
+    def test_non_finite_quadruple_is_outside(self):
+        rho = Representation(DIAG_I, NAN, J, DIAG_I)
+        with pytest.raises(OutsidePolytope):
+            moment_mu(rho)
+        with pytest.raises(OutsidePolytope):
+            mu_lambda(rho)
+        with pytest.raises(OutsidePolytope):
+            boundary_commutation_check(rho)
+
+
+# ---------------------------------------------------------------------------
+# the trace triple of a pair
+# ---------------------------------------------------------------------------
+
+
+class TestTraceTriple:
+    def test_identity_pair_hits_origin_vertex(self):
+        one = GroupElement.identity()
+        p = TILDE_DELTA.classify(trace_triple(one, one))
+        assert np.array_equal(p.x, [0.0, 0.0, 0.0])
+        assert p.region.kind is RegionKind.VERTEX
+
+    def test_minus_identity_pair_hits_far_vertex(self):
+        m = GroupElement.minus_identity()
+        p = TILDE_DELTA.classify(trace_triple(m, m))
+        assert np.array_equal(p.x, [1.0, 1.0, 0.0])
+        assert p.region.kind is RegionKind.VERTEX
+
+    def test_commuting_pair_on_boundary(self):
+        p = TILDE_DELTA.classify(trace_triple(diag(0.3 * np.pi), diag(0.5 * np.pi)))
+        assert p.on_boundary
+
+    def test_generic_pairs_interior(self):
+        rng = np.random.default_rng(20)
+        inside = 0
+        for _ in range(500):
+            p = TILDE_DELTA.classify(trace_triple(haar_sample(rng), haar_sample(rng)))
+            if p.is_interior:
+                inside += 1
+        assert inside == 500
+
+    def test_is_moment_coordinates_bitwise(self):
+        rng = np.random.default_rng(21)
+        rho = Representation(*(haar_sample(rng, (200,)) for _ in range(4)))
+        got = trace_triple(rho.h1, rho.h2)
+        assert got.shape == (200, 3)
+        assert np.array_equal(got.view(np.int64), moment_coordinates(rho).view(np.int64))
+        assert np.array_equal(
+            trace_triple(rho.h1[7], rho.h2[7]).view(np.int64), got[7].view(np.int64)
+        )
+
 
 # ---------------------------------------------------------------------------
 # nu on the projective reference space
@@ -318,6 +407,12 @@ class TestNu:
         with pytest.raises(ZeroVector):
             nu_P3(np.zeros(4, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_vector_raises(self, bad):
+        with pytest.raises(PreconditionViolated):
+            nu_P3(np.array([1.0, bad, 0.0, 0.0], dtype=complex))
+
 
 # ---------------------------------------------------------------------------
 # boundary <-> commutation
@@ -347,6 +442,53 @@ class TestBoundaryCommutation:
             bump = exp_alg(AlgebraElement(eps * np.array([1.0, 0.0, 0.0])))
             rho = Representation(diag(0.2), diag(1.1), diag(0.2), bump * diag(0.4))
             assert boundary_commutation_check(rho, poly_tol=10 * eps, mat_tol=10 * eps)
+
+    @staticmethod
+    def near_boundary(rng, n: int) -> tuple[Representation, np.ndarray]:
+        """n quadruples of the construction above, eps from 1e-8 to 1e-4."""
+        eps = 10.0 ** rng.uniform(-8, -4, size=n)
+        bumps = (exp_alg(AlgebraElement(e * np.array([1.0, 0.0, 0.0]))) for e in eps)
+        rows = (Representation(diag(0.2), diag(1.1), diag(0.2), b * diag(0.4)) for b in bumps)
+        return stack(*rows), eps
+
+    def test_single_quadruple_gives_bool(self):
+        assert boundary_commutation_check(PILLOW) is True
+
+    def test_batch_of_any_shape(self):
+        rng = np.random.default_rng(18)
+        rho = Representation(*(haar_sample(rng, (4, 5)) for _ in range(4)))
+        mat_tol = 10.0 ** rng.uniform(-12, -6, size=(4, 5))
+        got = boundary_commutation_check(rho, np.full((4, 5), 1e-9), mat_tol)
+        assert got.shape == (4, 5)
+        for i in range(4):
+            assert got[i].tolist() == one_by_one(rho[i], 1e-9, mat_tol[i])
+
+    def test_batch_rows_equal_single_calls_near_boundary(self):
+        rho, eps = self.near_boundary(np.random.default_rng(15), 200)
+        got = boundary_commutation_check(rho, 1e-6, 3e-7)
+        assert got.shape == (200,) and got.dtype == bool
+        assert got.tolist() == one_by_one(rho, 1e-6, 3e-7)
+        assert 0 < np.count_nonzero(got) < 200  # both outcomes occur
+        got = boundary_commutation_check(rho, poly_tol=10 * eps, mat_tol=10 * eps)
+        assert got.tolist() == one_by_one(rho, 10 * eps, 10 * eps)
+        assert np.all(got)
+
+    def test_batch_rows_equal_single_calls_interior(self):
+        spec = SampleSpec(count=100, seed=16, target=Target.INTERIOR_UNIFORM_BASE, conjugate=True)
+        rho = next(sample_batches(spec))
+        assert boundary_commutation_check(rho).tolist() == one_by_one(rho, 1e-9, 1e-9)
+        poly_tol, mat_tol = 10.0 ** np.random.default_rng(17).uniform(-12, -6, size=(2, 100))
+        got = boundary_commutation_check(rho, poly_tol, mat_tol)
+        assert got.tolist() == one_by_one(rho, poly_tol, mat_tol)
+        assert np.all(got)
+
+    def test_batch_with_a_row_outside_raises(self):
+        rho = stack(PILLOW, PILLOW, PILLOW)
+        assert np.all(boundary_commutation_check(rho))
+        with pytest.raises(OutsidePolytope):
+            boundary_commutation_check(rho, poly_tol=np.array([1e-9, -0.6, 1e-9]))
+        with pytest.raises(OutsidePolytope):
+            boundary_commutation_check(stack(PILLOW, Representation(NAN, NAN, NAN, NAN), PILLOW))
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from charvar.errors import PreconditionViolated, RelationViolated
-from charvar.polytope import RegionKind, moment_coordinates
+from charvar.polytope import moment_coordinates
 from charvar.repvar import (
-    F2Pair,
     Representation,
     _class_equal,
     class_equal,
     diagonalize_abelian,
     is_abelian,
     new_checked,
-    psi_F2,
     relation_residual,
 )
 from charvar.su2 import (
@@ -516,28 +514,3 @@ class TestGoldmanPhi:
             moment_coordinates(rho.conjugated(k)), moment_coordinates(rho), rtol=0, atol=1e-14
         )
 
-
-class TestPsiF2:
-    def test_identity_pair_hits_origin_vertex(self):
-        p = psi_F2(F2Pair(GroupElement.identity(), GroupElement.identity()))
-        assert np.array_equal(p.x, [0.0, 0.0, 0.0])
-        assert p.region.kind is RegionKind.VERTEX
-
-    def test_minus_identity_pair_hits_far_vertex(self):
-        m = GroupElement.minus_identity()
-        p = psi_F2(F2Pair(m, m))
-        assert np.array_equal(p.x, [1.0, 1.0, 0.0])
-        assert p.region.kind is RegionKind.VERTEX
-
-    def test_commuting_pair_on_boundary(self):
-        p = psi_F2(F2Pair(diag(0.3 * np.pi), diag(0.5 * np.pi)))
-        assert p.on_boundary
-
-    def test_generic_pairs_interior(self):
-        rng = np.random.default_rng(20)
-        inside = 0
-        for _ in range(500):
-            p = psi_F2(F2Pair(haar_sample(rng), haar_sample(rng)))
-            if p.is_interior:
-                inside += 1
-        assert inside == 500

@@ -26,6 +26,7 @@ from charvar.sampler import (
     Target,
     density_witness,
     sample,
+    sample_batches,
     strict_inclusion_witness,
 )
 from charvar.sigma import sigma_fixed_conjugator
@@ -34,6 +35,11 @@ from charvar.su2 import GroupElement, distance, exp_alg, AlgebraElement
 
 def take(spec: SampleSpec) -> list[Representation]:
     return list(sample(spec))
+
+
+def take_batch(spec: SampleSpec) -> Representation:
+    """The whole stream of spec as one batch."""
+    return Representation.from_slots(np.concatenate([b.slots() for b in sample_batches(spec)]))
 
 
 def diag(theta: float) -> GroupElement:
@@ -144,27 +150,24 @@ class TestInteriorTarget:
 
 class TestBoundaryTargets:
     def test_face_samples(self):
-        spec = SampleSpec(count=400, seed=15, target=Target.BOUNDARY_FACE)
+        rho = take_batch(SampleSpec(count=400, seed=15, target=Target.BOUNDARY_FACE))
+        assert np.all(is_abelian(rho))
+        assert np.all(boundary_commutation_check(rho))
         seen = set()
-        for rho in sample(spec):
-            assert is_abelian(rho)
-            assert boundary_commutation_check(rho)
-            region = TILDE_DELTA.classify(moment_coordinates(rho)).region
-            assert region.kind is RegionKind.FACE
-            seen.add(region.active)
+        for point in TILDE_DELTA.classify_rows(moment_coordinates(rho)):
+            assert point.region.kind is RegionKind.FACE
+            seen.add(point.region.active)
         # all four facets get visited
         assert seen == {(0,), (1,), (2,), (3,)}
 
     def test_edge_samples(self):
-        spec = SampleSpec(count=200, seed=16, target=Target.BOUNDARY_EDGE)
-        nonabelian = 0
-        for rho in sample(spec):
-            assert float(relation_residual(rho)) < 1e-12
-            assert np.array_equal(rho.h1.q, GroupElement.identity().q)
-            assert boundary_commutation_check(rho)
-            sp = TILDE_DELTA.classify(moment_coordinates(rho))
+        rho = take_batch(SampleSpec(count=200, seed=16, target=Target.BOUNDARY_EDGE))
+        assert float(np.max(relation_residual(rho))) < 1e-12
+        assert np.array_equal(rho.h1.q, GroupElement.identity((200,)).q)
+        assert np.all(boundary_commutation_check(rho))
+        for sp in TILDE_DELTA.classify_rows(moment_coordinates(rho)):
             assert sp.region.kind in (RegionKind.EDGE, RegionKind.VERTEX)
-            nonabelian += 0 if is_abelian(rho) else 1
+        nonabelian = int(np.count_nonzero(~is_abelian(rho)))
         assert nonabelian == 200  # a Haar g1 never lands on the g2 axis
 
     def test_edge_samples_are_irreducible_with_central_slot(self):
@@ -186,11 +189,10 @@ class TestBoundaryTargets:
             assert np.array_equal(sp.x, np.zeros(3))
 
     def test_abelian_samples(self):
-        spec = SampleSpec(count=100, seed=19, target=Target.ABELIAN_TORUS)
-        for rho in sample(spec):
-            assert is_abelian(rho)
-            assert float(relation_residual(rho)) < 1e-15
-            assert boundary_commutation_check(rho)
+        rho = take_batch(SampleSpec(count=100, seed=19, target=Target.ABELIAN_TORUS))
+        assert np.all(is_abelian(rho))
+        assert float(np.max(relation_residual(rho))) < 1e-15
+        assert np.all(boundary_commutation_check(rho))
 
 
 class TestDensityWitness:
