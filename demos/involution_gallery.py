@@ -30,6 +30,7 @@ from charvar import (
     sigma,
     tau,
 )
+from charvar.sigma import classify_fixed_points
 
 rng = np.random.default_rng(7)
 
@@ -83,8 +84,10 @@ print("RP^2 fiber classified as        :", classify_fixed_point(fiber).piece.val
 
 # piece 4: the interval family interpolating between a pillow-type endpoint
 # and a corner of the fixed locus
-for alpha, label in [(0.0, "alpha = 0   "), (0.7, "alpha = 0.7 "), (np.pi / 2, "alpha = pi/2")]:
-    point = classify_fixed_point(n2_interval(1.1, 0.9, alpha))
+# (the three parameters are classified as one batch)
+arc = n2_interval(1.1, 0.9, np.array([0.0, 0.7, np.pi / 2]))
+labels = ["alpha = 0   ", "alpha = 0.7 ", "alpha = pi/2"]
+for label, point in zip(labels, classify_fixed_points(arc)):
     print(label, "->", point.stratum.name, "/", point.piece.value)
 
 # the classifier also hands back a conjugator witnessing fixedness

@@ -22,6 +22,7 @@ from typing import IO, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    ClassificationAmbiguity,
     DegenerateGenerator,
     OutsidePolytope,
     PreconditionViolated,
@@ -64,7 +65,7 @@ from .sigma import (
     Stratum,
     blowup_point,
     certify_interval_injectivity,
-    classify_fixed_point,
+    classify_fixed_points,
     n2_interval,
     pillow_point,
     rp2_fiber_point,
@@ -323,13 +324,9 @@ def _pure_unit(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupEl
     return GroupElement(np.concatenate((np.zeros(shape + (1,)), v.v), axis=-1))
 
 
-def _axis_unit(g: GroupElement) -> GroupElement:
-    return GroupElement(np.concatenate(([0.0], AlgebraElement(g.vec).unit().v)))
-
-
 def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    # the pillow points, projective pairs and interior points are one batch
-    # each, drawn in the per-item order; the arcs and central points loop
+    # the pillow points, projective pairs, central points and interior points
+    # are one batch each, drawn in the per-item order; the arcs loop
     small = max(n // 10, 1)
 
     gh = haar_sample(rng, (n, 2))
@@ -352,16 +349,10 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
         if not report.passed:
             failures += 1
 
-    one = GroupElement.identity()
-    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        rho = Representation(
-            one if signs[0] > 0 else -one,
-            one if signs[1] > 0 else -one,
-            one if signs[1] > 0 else -one,
-            one if signs[0] > 0 else -one,
-        )
-        if classify_fixed_point(rho, tol=tol.mat).stratum is not Stratum.III:
-            failures += 1
+    # the four central swap quadruples (s1, s2, s2, s1), s1 and s2 = +-1
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, [0, 1, 1, 0], None]
+    points = classify_fixed_points(Representation.from_slots(signs * _ID.q), tol=tol.mat)
+    failures += sum(point.stratum is not Stratum.III for point in points)
 
     # interior classes are never swap-fixed
     _, fixed = _sigma_fixed(_interior_build([_interior_draw(rng) for _ in range(small)]), tol.mat)
@@ -430,26 +421,25 @@ def run_verify(
 
 
 def _fixed_point_stream(count: int, rng: np.random.Generator) -> Iterator[Representation]:
-    i = 0
-    while i < count:
-        kind = i % 4
-        if kind == 0:
-            g, h = haar_sample(rng), haar_sample(rng)
-            if float(np.linalg.norm(commutator(g, h).vec)) < 1e-3:
-                continue
-            yield pillow_point(g, h)
-        elif kind == 1:
-            g, h = haar_sample(rng), haar_sample(rng)
-            comm = commutator(g, h)
-            if float(np.linalg.norm(comm.vec)) < 1e-3:
-                continue
-            yield blowup_point(g, h, _axis_unit(comm))
-        elif kind == 2:
-            yield rp2_fiber_point(_pure_unit(rng))
-        else:
-            theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
-            yield n2_interval(float(theta), float(s), float(rng.uniform(0.1, np.pi / 2 - 0.1)))
-        i += 1
+    # pillow, blow-up, RP^2 and arc points in turn, drawn item by item and stacked
+    for start in range(0, count, _CHUNK):
+        rows: list[np.ndarray] = []
+        while len(rows) < min(_CHUNK, count - start):
+            kind = (start + len(rows)) % 4
+            if kind < 2:
+                g, h = haar_sample(rng), haar_sample(rng)
+                axis = commutator(g, h).vec
+                if float(np.linalg.norm(axis)) < 1e-3:
+                    continue
+                k = GroupElement(np.concatenate(([0.0], AlgebraElement(axis).unit().v)))
+                rho = pillow_point(g, h) if kind == 0 else blowup_point(g, h, k)
+            elif kind == 2:
+                rho = rp2_fiber_point(_pure_unit(rng))
+            else:
+                theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
+                rho = n2_interval(float(theta), float(s), float(rng.uniform(0.1, np.pi / 2 - 0.1)))
+            rows.append(rho.slots())
+        yield Representation.from_slots(np.stack(rows))
 
 
 def run_sigma_certification(
@@ -464,13 +454,15 @@ def run_sigma_certification(
     violations: list[str] = []
     worst = {"conjugator-residual": 0.0}
 
-    for idx, rho in enumerate(_fixed_point_stream(samples, rng)):
-        point = classify_fixed_point(rho, tol=tol.mat)
-        counts[point.piece.value] += 1
-        resid = rho.conjugated(point.conjugator).slot_distance(sigma(rho))
-        worst["conjugator-residual"] = max(worst["conjugator-residual"], resid)
-        if resid >= tol.mat * 10.0:
-            violations.append(f"sample {idx}: conjugator residual {resid:.3e}")
+    for start, batch in zip(range(0, samples, _CHUNK), _fixed_point_stream(samples, rng)):
+        points = list(classify_fixed_points(batch, tol=tol.mat))
+        for point in points:
+            counts[point.piece.value] += 1
+        k = GroupElement(np.stack([point.conjugator.q for point in points]))
+        resid = batch.conjugated(k).slot_distance(sigma(batch))
+        worst["conjugator-residual"] = max(worst["conjugator-residual"], float(np.max(resid)))
+        for idx in np.flatnonzero(resid >= tol.mat * 10.0):
+            violations.append(f"sample {start + idx}: conjugator residual {resid[idx]:.3e}")
 
     for _ in range(max(samples // 10, 1)):
         theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
@@ -605,12 +597,10 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     rng = np.random.default_rng(args.seed)
     out = _open_out(args.out)
-    stream = _fixed_point_stream(args.count, rng)
     try:
-        while chunk := list(islice(stream, _CHUNK)):
-            objs = _rep_objs(Representation.from_slots(np.stack([rho.slots() for rho in chunk])))
-            for rho, obj in zip(chunk, objs):
-                point = classify_fixed_point(rho, tol=tol.mat)
+        for batch in _fixed_point_stream(args.count, rng):
+            # at an unclassifiable row, the lines before it are written
+            for obj, point in zip(_rep_objs(batch), classify_fixed_points(batch, tol=tol.mat)):
                 obj["stratum"], obj["piece"] = point.stratum.name, point.piece.value
                 _write_lines(out, [obj])
     finally:
@@ -820,6 +810,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         SectionSolveFailure,
         OutsidePolytope,
         DegenerateGenerator,
+        ClassificationAmbiguity,
     ) as bad:
         print(f"solve failure: {bad}", file=sys.stderr)
         return 3

@@ -16,7 +16,7 @@
 #       k(alpha) = (0, sin a, 0, cos a), alpha in [0, pi/2].
 #
 # Strata label the stabilizer of the quadruple: I = center, II = torus,
-# III = all of SU(2).  The stratum is always reported from stabilizer_type;
+# III = all of SU(2).  The stratum is always reported from the stabilizer type;
 # note the arcs have torus stabilizer only at their endpoints (the interior
 # of an arc uses two distinct axes), so interval interiors report stratum I.
 #
@@ -27,30 +27,31 @@
 #
 # Fixedness is one batched read, _sigma_fixed: one conjugator solve, each
 # row's residual read against the caller's tolerance.  sigma_fixed_conjugator
-# is its entry point for one quadruple.  sigma, rp2_fiber_point and n2_interval
-# run over batches; classify_fixed_point and blowup_point take single inputs.
+# is its entry point for one quadruple, as classify_fixed_point is for the
+# batched classify_fixed_points.  sigma, rp2_fiber_point and n2_interval run
+# over batches; blowup_point takes single inputs.
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ClassificationAmbiguity, PreconditionViolated
-from .repvar import Representation, _class_equal, class_equal, relation_residual
+from .repvar import Representation, _class_equal, relation_residual
 from .su2 import (
     GroupElement,
     StabilizerType,
     _find_conjugators,
     _snap_trig,
+    _stabilizer_types,
     commutator,
     conjugate,
     conjugator_nullspace,
     distance,
     mul,
-    stabilizer_type,
 )
 from .tolerances import EPS_CENTER, EPS_MAT, EPS_REL
 
@@ -62,6 +63,7 @@ __all__ = [
     "sigma",
     "sigma_fixed_conjugator",
     "classify_fixed_point",
+    "classify_fixed_points",
     "pillow_point",
     "blowup_point",
     "rp2_fiber_point",
@@ -113,7 +115,7 @@ def sigma(rho: Representation, tol: float = EPS_REL) -> Representation:
     input was off the relation manifold to begin with."""
     swapped = Representation(rho.h2, rho.g2, rho.h1, rho.g1)
     res = float(np.max(relation_residual(swapped), initial=0.0))
-    if res >= tol:
+    if not res < tol:  # a non-finite quadruple reads as off the relation
         raise PreconditionViolated(
             f"sigma input violates the relation (output residual {res:.3e})"
         )
@@ -160,96 +162,93 @@ def sigma_fixed_conjugator(
 
 
 def _pure_imaginary_conjugator(
-    rho: Representation, swapped: Representation, tol: float
-) -> Optional[GroupElement]:
-    """A w = 0 conjugator from the nullspace, when one exists: combinations of
-    null vectors orthogonal to the w-coordinate row."""
+    rho: Representation, swapped: Representation, k: GroupElement, tol: float
+) -> GroupElement:
+    """A w = 0 conjugator from the nullspace, when one exists (combinations of
+    null vectors orthogonal to the w-coordinate row), else k."""
     basis = conjugator_nullspace(list(rho.elements()), list(swapped.elements()))
     if basis.shape[1] == 0:
-        return None
+        return k
     w_row = basis[0, :]
     if np.linalg.norm(w_row) < 1e-12:
         reduced = basis
     else:
         if basis.shape[1] == 1:
-            return None  # the unique conjugator has w != 0
+            return k  # the unique conjugator has w != 0
         # orthonormal basis of the subspace of combinations with zero w
         _, _, vt = np.linalg.svd(w_row[None, :])
         reduced = basis @ vt[1:].T
     u, _, _ = np.linalg.svd(reduced, full_matrices=False)
-    k = GroupElement(np.concatenate(([0.0], u[1:, 0] / np.linalg.norm(u[1:, 0]))))
-    worst = rho.conjugated(k).slot_distance(swapped)
-    return _sign_canonical(k) if worst < tol else None
+    pure = GroupElement(np.concatenate(([0.0], u[1:, 0] / np.linalg.norm(u[1:, 0]))))
+    worst = rho.conjugated(pure).slot_distance(swapped)
+    return _sign_canonical(pure) if worst < tol else k
+
+
+def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator[SigmaFixedPoint]:
+    """Each quadruple of a batch in the stratum/piece decomposition, in
+    row-major order, bit for bit the point of that quadruple alone: one swap
+    and one conjugator solve (its worst residual reads fixed below tol, gray
+    zone below 10*tol), one stabilizer, [g1,h1] and k^2 read, and two
+    class-equality decisions on the N2 rows.  The first quadruple not fixed at
+    10*tol (PreconditionViolated) or with a deciding residual in the gray zone
+    [tol, 10*tol) (ClassificationAmbiguity) raises after the points before it:
+    such points are reported, never guessed.  A batch with a quadruple off
+    the relation fails in sigma, before any point."""
+    flat = Representation.from_slots(rho.slots().reshape(-1, 4, 4))
+    swapped, k, worst = _fixedness_solve(flat)
+    strata = _stabilizer_types(flat.slots(), axis_tol=tol)
+    comm = commutator(flat.g1, flat.h1)
+    comm_dist = distance(comm, GroupElement.identity())
+    tr_dist = np.abs(comm.trace() + 2.0)
+    # on N1, k^2 is central, and k = +-1 exactly when the class sits on the swap pillow
+    k2 = mul(k, k)
+    d_plus, d_minus = distance(k2, GroupElement.identity()), distance(k2, -GroupElement.identity())
+    # N2, the arcs between the two surfaces: fixed, non-central rows with [g1,h1] = 1
+    n2 = np.flatnonzero((worst < tol) & (strata != StabilizerType.FULL) & (comm_dist < tol))
+    arc = flat[n2]
+    surface = _class_equal(arc, pillow_point(arc.g1, arc.h1), tol)
+    other = Representation(arc.g1, arc.h1, arc.h1.inverse(), arc.g1.inverse())
+    endpoint = _class_equal(arc, other, tol)
+    interval = np.where(endpoint, Piece.INTERVAL_ENDPOINT, Piece.INTERVAL_INTERIOR)
+    arc_piece = dict(zip(n2.tolist(), np.where(surface, Piece.PILLOW_SURFACE, interval)))
+    for i in range(len(worst)):
+        if not worst[i] < tol:
+            if worst[i] < 10 * tol:
+                raise ClassificationAmbiguity(
+                    "sigma-fixedness residual lies between tol and 10*tol"
+                )
+            raise PreconditionViolated("class is not sigma-fixed")
+        rep, conj, stratum = flat[i], k[i], _STRATUM_OF[strata[i]]
+        if stratum is Stratum.III:
+            yield SigmaFixedPoint(rep, DIAG_I, stratum, Piece.CENTRAL_VERTEX)
+            continue
+        if tol <= comm_dist[i] < 10 * tol:
+            raise ClassificationAmbiguity(
+                f"[g1,h1] centrality residual {comm_dist[i]:.3e} in the gray zone"
+            )
+        if i in arc_piece:
+            conj, piece = _pure_imaginary_conjugator(rep, swapped[i], conj, tol), arc_piece[i]
+        elif min(d_plus[i], d_minus[i]) >= EPS_CENTER:
+            raise ClassificationAmbiguity(
+                f"k^2 is not numerically central (residuals {d_plus[i]:.3e}/{d_minus[i]:.3e})"
+            )
+        elif d_plus[i] < d_minus[i]:
+            piece = Piece.PILLOW_INTERIOR
+        elif tol <= tr_dist[i] < 10 * tol:
+            raise ClassificationAmbiguity(
+                f"tr[g1,h1] = -2 residual {tr_dist[i]:.3e} in the gray zone"
+            )
+        else:
+            piece = Piece.RP2_FIBER if tr_dist[i] < tol else Piece.BLOWUP_INTERIOR
+        yield SigmaFixedPoint(rep, conj, stratum, piece)
 
 
 def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixedPoint:
-    """Locate a sigma-fixed class in the stratum/piece decomposition.
-
-    The swap is built once and solved once: the worst residual of that one
-    conjugator candidate reads fixed (below tol), gray zone (below 10*tol)
-    or not fixed, and the N2 pieces reuse the same swap for their
-    pure-imaginary conjugator.  Raises PreconditionViolated when the class
-    is not sigma-fixed at 10*tol, and ClassificationAmbiguity when a deciding
-    residual lands in the gray zone [tol, 10*tol) -- such points are
-    reported, never guessed."""
+    """The point of one quadruple in the stratum/piece decomposition:
+    classify_fixed_points on a batch of one, with the same errors."""
     if rho.batch_shape != ():
         raise ValueError("classify_fixed_point is scalar-only")
-    swapped, k, worst = _fixedness_solve(rho)
-    if not worst < tol:  # a NaN residual reads as not fixed
-        if worst < 10 * tol:
-            raise ClassificationAmbiguity(
-                "sigma-fixedness residual lies between tol and 10*tol"
-            )
-        raise PreconditionViolated("class is not sigma-fixed")
-
-    stratum = _STRATUM_OF[stabilizer_type(list(rho.elements()), axis_tol=tol)]
-
-    if stratum is Stratum.III:
-        return SigmaFixedPoint(rho, DIAG_I, stratum, Piece.CENTRAL_VERTEX)
-
-    comm = commutator(rho.g1, rho.h1)
-    comm_dist = float(distance(comm, GroupElement.identity()))
-    if tol <= comm_dist < 10 * tol:
-        raise ClassificationAmbiguity(
-            f"[g1,h1] centrality residual {comm_dist:.3e} in the gray zone"
-        )
-
-    if comm_dist < tol:
-        # N2: arcs between the two surfaces
-        pure_k = _pure_imaginary_conjugator(rho, swapped, tol)
-        if pure_k is not None:
-            k = pure_k
-        if class_equal(rho, pillow_point(rho.g1, rho.h1), tol):
-            piece = Piece.PILLOW_SURFACE
-        elif class_equal(
-            rho,
-            Representation(rho.g1, rho.h1, rho.h1.inverse(), rho.g1.inverse()),
-            tol,
-        ):
-            piece = Piece.INTERVAL_ENDPOINT
-        else:
-            piece = Piece.INTERVAL_INTERIOR
-        return SigmaFixedPoint(rho, k, stratum, piece)
-
-    # N1: solid pieces; k^2 is central, and k = +-1 exactly when the class
-    # sits on the swap pillow
-    k2 = mul(k, k)
-    d_plus = float(distance(k2, GroupElement.identity()))
-    d_minus = float(distance(k2, GroupElement.minus_identity()))
-    if min(d_plus, d_minus) >= EPS_CENTER:
-        raise ClassificationAmbiguity(
-            f"k^2 is not numerically central (residuals {d_plus:.3e}/{d_minus:.3e})"
-        )
-    if d_plus < d_minus:
-        piece = Piece.PILLOW_INTERIOR
-    else:
-        tr_dist = abs(float(comm.trace()) + 2.0)
-        if tol <= tr_dist < 10 * tol:
-            raise ClassificationAmbiguity(
-                f"tr[g1,h1] = -2 residual {tr_dist:.3e} in the gray zone"
-            )
-        piece = Piece.RP2_FIBER if tr_dist < tol else Piece.BLOWUP_INTERIOR
-    return SigmaFixedPoint(rho, k, stratum, piece)
+    return next(classify_fixed_points(rho, tol))
 
 
 def pillow_point(g: GroupElement, h: GroupElement) -> Representation:
@@ -261,18 +260,20 @@ def blowup_point(g: GroupElement, h: GroupElement, k: GroupElement) -> Represent
     """(g, h, k h k^{-1}, k g k^{-1}) for k^2 = -1 commuting with [g,h].
 
     Relation: [g,h] [k h k^{-1}, k g k^{-1}] = [g,h] k [g,h]^{-1} k^{-1} = 1
-    by the commuting hypothesis.  PreconditionViolated when k^2 != -1, when
-    [g,h] = 1 (that regime belongs to the arcs), or when k fails to commute
-    with the commutator."""
-    if float(distance(mul(k, k), GroupElement.minus_identity())) >= EPS_CENTER:
-        raise PreconditionViolated("blowup_point needs k^2 = -1")
+    by the commuting hypothesis.  PreconditionViolated when k is not a finite
+    unit with k^2 = -1, when [g,h] = 1 (that regime belongs to the arcs), or
+    when k fails to commute with the commutator or the result with the relation."""
+    unit = np.all(np.isfinite(k.q)) and abs(float(k.q @ k.q) - 1.0) <= 1e-9
+    if not (unit and float(distance(mul(k, k), GroupElement.minus_identity())) < EPS_CENTER):
+        raise PreconditionViolated("blowup_point needs a unit k with k^2 = -1")
     comm = commutator(g, h)
     if float(distance(comm, GroupElement.identity())) < EPS_MAT:
         raise PreconditionViolated("blowup_point needs [g,h] != 1")
     if float(distance(commutator(comm, k), GroupElement.identity())) >= EPS_MAT:
         raise PreconditionViolated("blowup_point needs k to commute with [g,h]")
     rho = Representation(g, h, conjugate(k, h), conjugate(k, g))
-    assert float(relation_residual(rho)) < EPS_REL
+    if not float(relation_residual(rho)) < EPS_REL:
+        raise PreconditionViolated("blowup_point result violates the relation")
     return rho
 
 
@@ -284,7 +285,7 @@ def rp2_fiber_point(k: GroupElement) -> Representation:
 
     batched over the shape of k.  Classes depend on k only through +-k (an
     RP^2 of them)."""
-    if np.any(distance(mul(k, k), GroupElement.minus_identity()) >= EPS_CENTER):
+    if not np.all(distance(mul(k, k), GroupElement.minus_identity()) < EPS_CENTER):
         raise PreconditionViolated("rp2_fiber_point needs k^2 = -1")
     d, j = (GroupElement(np.broadcast_to(x.q, k.batch_shape + (4,))) for x in (DIAG_I, J))
     return Representation(d, j, conjugate(k, J), conjugate(k, DIAG_I))
@@ -307,11 +308,13 @@ def n2_interval(theta: float, s: float, alpha: float | np.ndarray) -> Representa
     over the shape of alpha.  At alpha = 0 this is the swap quadruple
     (g,h,h,g) (pillow surface, bitwise); at alpha = pi/2 it is
     (g,h,h^{-1},g^{-1}) (the other surface, bitwise).  PreconditionViolated
-    when theta and s are both multiples of pi (the four degenerate central
-    arcs) or some alpha leaves [0, pi/2]."""
+    when theta or s is not finite, when both are multiples of pi (the four
+    degenerate central arcs) or when some alpha leaves [0, pi/2]."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if not np.all((0.0 <= alpha) & (alpha <= np.pi / 2)):
         raise PreconditionViolated("interval parameter must lie in [0, pi/2]")
+    if not np.isfinite([theta, s]).all():
+        raise PreconditionViolated("arc angles must be finite")
     g = _snapped_diag(theta)
     h = _snapped_diag(s)
     if float(np.abs(g.vec[2])) < EPS_CENTER and float(np.abs(h.vec[2])) < EPS_CENTER:

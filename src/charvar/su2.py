@@ -32,7 +32,9 @@
 # compares that residual with its own tolerance.  The solve needs no case
 # split: any nonzero null vector of k a_i = b_i k is a conjugator, so lists
 # with a one-, two- or four-dimensional solution space (irreducible, abelian
-# or central) are decided alike.  stabilizer_type takes single elements only.
+# or central) are decided alike.  The stabilizer read is batched too:
+# _stabilizer_types takes (..., n, 4) stacks, and stabilizer_type is its read
+# of one list of single elements.
 #
 # Exactness: products are exact sign flips per row where one operand is exactly
 # +-I (no renormalization, whatever the other rows of a batch hold), and the
@@ -542,26 +544,30 @@ def find_conjugator(
     return GroupElement(k) if worst < tol else None
 
 
-def stabilizer_type(
-    xs: Iterable[GroupElement], axis_tol: float = EPS_MAT
-) -> StabilizerType:
-    """Common-stabilizer class of a list of elements.
+def _stabilizer_types(x: np.ndarray, axis_tol: float = EPS_MAT) -> np.ndarray:
+    """stabilizer_type of each element list of a (..., n, 4) stack, as an
+    object array of StabilizerType over the batch shape.  The norms are
+    _vector_norm and the sines _cross, the arithmetic of one list alone."""
+    vec = x[..., 1:]
+    vn = _vector_norm(vec)
+    moving = ~(vn < EPS_CENTER)  # the non-central elements, whose axes must agree
+    axes = vec / np.where(moving, vn, 1.0)[..., None]
+    first = np.take_along_axis(axes, np.argmax(moving, axis=-1)[..., None, None], axis=-2)
+    sines = _vector_norm(np.stack(_cross(np.moveaxis(first, -1, 0), np.moveaxis(axes, -1, 0)), -1))
+    apart = np.any(moving & (sines > axis_tol), axis=-1)
+    kind = np.where(apart, StabilizerType.CENTER, StabilizerType.TORUS)
+    return np.where(np.any(moving, axis=-1), kind, StabilizerType.FULL)
+
+
+def stabilizer_type(xs: Iterable[GroupElement], axis_tol: float = EPS_MAT) -> StabilizerType:
+    """Common-stabilizer class of a list of single elements.
 
     FULL when every element is within EPS_CENTER of +-I; TORUS when the
     non-central elements share one axis (pairwise parallel vector parts, sine
-    of the angle below axis_tol); CENTER otherwise.
+    of the angle below axis_tol); CENTER otherwise.  The one-list read of
+    _stabilizer_types.
     """
-    axes = []
-    for x in xs:
-        if x.batch_shape:
-            raise ValueError("stabilizer_type expects single elements")
-        vn = float(np.linalg.norm(x.vec))
-        if vn < EPS_CENTER:
-            continue
-        axes.append(x.vec / vn)
-    if not axes:
-        return StabilizerType.FULL
-    for axis in axes[1:]:
-        if np.linalg.norm(_cross(axes[0], axis)) > axis_tol:
-            return StabilizerType.CENTER
-    return StabilizerType.TORUS
+    q = np.array([x.q for x in xs], dtype=np.float64)
+    if q.ndim > 2:
+        raise ValueError("stabilizer_type expects single elements")
+    return _stabilizer_types(q, axis_tol)[()] if q.size else StabilizerType.FULL

@@ -24,7 +24,6 @@ from charvar.polytope import (
 from charvar.repvar import (
     Representation,
     _class_equal,
-    class_equal,
     is_abelian,
     relation_residual,
 )
@@ -32,12 +31,12 @@ from charvar.sampler import density_witness
 from charvar.sigma import (
     Piece,
     Stratum,
-    classify_fixed_point,
+    _sigma_fixed,
     certify_interval_injectivity,
+    classify_fixed_points,
     n2_interval,
     pillow_point,
     rp2_fiber_point,
-    sigma_fixed_conjugator,
 )
 from charvar.su2 import (
     AlgebraElement,
@@ -71,6 +70,11 @@ def diag(theta) -> GroupElement:
     """exp of theta * e_z, batched over the shape of theta."""
     zero = np.zeros(np.shape(theta))
     return exp_alg(AlgebraElement(np.stack([zero, zero, theta], axis=-1)))
+
+
+def _pure(v: AlgebraElement) -> GroupElement:
+    """The pure-imaginary unit quaternion(s) (0, v) of unit vector(s) v."""
+    return GroupElement(np.concatenate((np.zeros(v.batch_shape + (1,)), v.v), axis=-1))
 
 
 def interior_base(rng: np.random.Generator) -> np.ndarray:
@@ -245,13 +249,13 @@ def test_criterion_6_tau_suite():
 
 def test_criterion_7_sigma_suite():
     rng = np.random.default_rng(107)
+    # each part is one batch, drawn in the order of one item at a time
     # (a) pillow points are fixed with conjugator +-1
-    for _ in range(1000):
-        k = sigma_fixed_conjugator(pillow_point(haar_sample(rng), haar_sample(rng)))
-        assert k is not None
-        assert min(
-            float(np.linalg.norm(k.q - I4.q)), float(np.linalg.norm(k.q + I4.q))
-        ) < 1e-7
+    gh = haar_sample(rng, (1000, 2))
+    k, fixed = _sigma_fixed(pillow_point(gh[:, 0], gh[:, 1]), EPS_MAT)
+    assert fixed.all()
+    dev = np.minimum(np.linalg.norm(k.q - I4.q, axis=-1), np.linalg.norm(k.q + I4.q, axis=-1))
+    assert np.all(dev < 1e-7)
 
     # (b) canonical pillow point: zero trace triple, commutator exactly -1
     canon = pillow_point(DIAG_I, J)
@@ -259,35 +263,30 @@ def test_criterion_7_sigma_suite():
     assert float(distance(commutator(canon.g1, canon.h1), MINUS_I)) == 0.0
 
     # (c) the +-k identification, and no spurious identifications
-    for _ in range(100):
-        v = AlgebraElement(rng.normal(size=3)).unit()
-        k = GroupElement(np.concatenate(([0.0], v.v)))
-        assert class_equal(rp2_fiber_point(k), rp2_fiber_point(-k))
-    done = 0
-    while done < 100:
+    k = _pure(AlgebraElement(rng.normal(size=(100, 3))).unit())
+    assert _class_equal(rp2_fiber_point(k), rp2_fiber_point(-k), EPS_MAT).all()
+    pairs = []
+    while len(pairs) < 100:  # a pair with nearly parallel axes is drawn again
         v1 = AlgebraElement(rng.normal(size=3)).unit()
         v2 = AlgebraElement(rng.normal(size=3)).unit()
-        if float(np.linalg.norm(np.cross(v1.v, v2.v))) < 1e-2:
-            continue
-        k1 = GroupElement(np.concatenate(([0.0], v1.v)))
-        k2 = GroupElement(np.concatenate(([0.0], v2.v)))
-        assert not class_equal(rp2_fiber_point(k1), rp2_fiber_point(k2))
-        done += 1
+        if float(np.linalg.norm(np.cross(v1.v, v2.v))) >= 1e-2:
+            pairs.append((v1.v, v2.v))
+    k1, k2 = (_pure(AlgebraElement(np.array(v))) for v in zip(*pairs))
+    assert not _class_equal(rp2_fiber_point(k1), rp2_fiber_point(k2), EPS_MAT).any()
 
     # (d) interval arcs: endpoints on the two surfaces, interior grid injective
-    for _ in range(100):
-        theta, s = (float(v) for v in rng.uniform(0.3, np.pi - 0.3, size=2))
-        start = classify_fixed_point(n2_interval(theta, s, 0.0))
-        stop = classify_fixed_point(n2_interval(theta, s, np.pi / 2))
-        assert start.piece is Piece.PILLOW_SURFACE
-        assert stop.piece is Piece.INTERVAL_ENDPOINT
+    arcs = [(float(theta), float(s)) for theta, s in rng.uniform(0.3, np.pi - 0.3, size=(100, 2))]
+    ends = [n2_interval(theta, s, np.array([0.0, np.pi / 2])).slots() for theta, s in arcs]
+    points = classify_fixed_points(Representation.from_slots(np.concatenate(ends)))
+    surfaces = [Piece.PILLOW_SURFACE, Piece.INTERVAL_ENDPOINT]
+    assert [point.piece for point in points] == surfaces * 100
+    for theta, s in arcs:
         assert certify_interval_injectivity(theta, s, grid=10).passed
 
     # (e) the four swap-symmetric central points sit in the deepest stratum
-    for s1 in (I4, MINUS_I):
-        for s2 in (I4, MINUS_I):
-            rho = Representation(s1, s2, s2, s1)
-            assert classify_fixed_point(rho).stratum is Stratum.III
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, [0, 1, 1, 0], None]
+    central = classify_fixed_points(Representation.from_slots(signs * I4.q))
+    assert [point.stratum for point in central] == [Stratum.III] * 4
     _report(
         "7",
         "pillow conjugators trivial (1000), canonical point exact, 200 projective-pair checks,"

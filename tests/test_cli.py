@@ -261,6 +261,23 @@ class TestFixedPoints:
             assert obj["stratum"] == "I"
             assert obj["residual"] < 1e-9
 
+    def test_ambiguous_row_exit_3_after_the_rows_before(self):
+        # at --tol 0.1 the fifth sample's [g1,h1] centrality residual (0.508)
+        # lies in the gray zone: the four lines before it are written, and
+        # the run ends as a solve failure
+        argv = ["fixed-points", "--count", "40", "--seed", "3", "--tol", "0.1"]
+        code, out = run(argv)
+        assert code == 3
+        assert out.count("\n") == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "14258d5211203f600bc334ae2fad2543d7752e0a1bba81be7e285e94bf2d0e8a"
+        )
+        code, err = run_err(argv)
+        assert code == 3
+        assert err.splitlines() == [
+            "solve failure: [g1,h1] centrality residual 5.079e-01 in the gray zone"
+        ]
+
 
 class TestCertifySigma:
     def test_report_shape_and_exit(self):
@@ -270,6 +287,13 @@ class TestCertifySigma:
         assert rep["violations"] == []
         assert sum(rep["counts"].values()) == 12
         assert rep["max_residual"]["conjugator-residual"] < 1e-8
+
+    def test_ambiguous_sample_exit_3(self):
+        code, err = run_err(["certify-sigma", "--samples", "8", "--seed", "3", "--tol", "0.5"])
+        assert code == 3
+        assert err.splitlines() == [
+            "solve failure: [g1,h1] centrality residual 2.187e+00 in the gray zone"
+        ]
 
     def test_library_entry_point(self):
         rep = run_sigma_certification(8, seed=9, grid=4)
@@ -350,7 +374,7 @@ def test_tol_reaches_every_check(monkeypatch, command):
     for name in (
         "certify_interval_injectivity",
         "_sigma_fixed",
-        "classify_fixed_point",
+        "classify_fixed_points",
         "_class_equal",
         "is_abelian",
     ):

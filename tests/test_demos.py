@@ -11,6 +11,15 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 # lines a demo must print, whole, for its fixed seeds
 PINNED = {
+    "involution_gallery": [
+        "pillow classified as            : pillow-interior",
+        "blow-up classified as           : blowup-interior",
+        "RP^2 fiber classified as        : rp2-fiber",
+        "alpha = 0    -> II / pillow-surface",
+        "alpha = 0.7  -> I / interval-interior",
+        "alpha = pi/2 -> II / interval-endpoint",
+        "classifier agrees on the blow-up: True",
+    ],
     "polytope_census": [
         "points strictly inside: 20000",
         "face samples certified: 300 / 300",

@@ -28,6 +28,7 @@ from charvar.sigma import (
     blowup_point,
     certify_interval_injectivity,
     classify_fixed_point,
+    classify_fixed_points,
     n2_interval,
     pillow_point,
     rp2_fiber_point,
@@ -70,6 +71,33 @@ def blowup_rep(rng) -> tuple[Representation, GroupElement]:
     return blowup_point(g, h, k), k
 
 
+EVERY_PIECE = [
+    Piece.PILLOW_INTERIOR,
+    Piece.BLOWUP_INTERIOR,
+    Piece.RP2_FIBER,
+    Piece.INTERVAL_INTERIOR,
+    Piece.PILLOW_SURFACE,
+    Piece.INTERVAL_ENDPOINT,
+    Piece.CENTRAL_VERTEX,
+]
+
+
+def every_piece_batch() -> Representation:
+    """One quadruple of each piece, in the order of EVERY_PIECE."""
+    rng = np.random.default_rng(94)
+    arc = n2_interval(0.7, 1.3, np.array([0.4, 0.0, np.pi / 2]))
+    rows = [
+        pillow_point(diag(0.3), exp_alg(AlgebraElement(np.array([0.8, 0.0, 0.0])))),
+        blowup_rep(rng)[0],
+        rp2_fiber_point(DIAG_I),
+        arc[0],
+        arc[1],
+        arc[2],
+        Representation(I4, MINUS_I, MINUS_I, I4),
+    ]
+    return Representation.from_slots(np.stack([rho.slots() for rho in rows]))
+
+
 # ---------------------------------------------------------------------------
 # sigma itself
 # ---------------------------------------------------------------------------
@@ -105,6 +133,20 @@ class TestSigma:
                     haar_sample(rng), haar_sample(rng), haar_sample(rng), haar_sample(rng)
                 )
             )
+
+    def test_rejects_nonfinite(self):
+        # a NaN slot gives a NaN relation residual, which no tolerance
+        # comparison may read as on the relation; the stacked conjugator
+        # solve behind fixedness and classification would fail on it
+        rng = np.random.default_rng(73)
+        g, h = haar_sample(rng), haar_sample(rng)
+        bad = Representation(g, h, h, GroupElement(np.full(4, np.nan)))
+        for call in (sigma, sigma_fixed_conjugator, classify_fixed_point):
+            with pytest.raises(PreconditionViolated):
+                call(bad)
+        batch = Representation.from_slots(np.stack([pillow_point(g, h).slots(), bad.slots()]))
+        with pytest.raises(PreconditionViolated):
+            next(classify_fixed_points(batch))
 
     def test_descends_to_classes(self):
         rng = np.random.default_rng(74)
@@ -215,6 +257,22 @@ class TestBlowupPoint:
         with pytest.raises(PreconditionViolated):
             blowup_point(g, h, I4)  # k^2 = +1
 
+    @pytest.mark.parametrize("case", ["long-k", "nan-k", "nan-g"])
+    def test_rejects_nonunit_or_nonfinite_input(self, case):
+        # mul renormalizes and NaN comparisons read False, so k^2 = -1 alone
+        # passes a k off the unit sphere or a NaN k
+        rng = np.random.default_rng(82)
+        g, h = haar_sample(rng), haar_sample(rng)
+        k = axis_conjugator(commutator(g, h))
+        if case == "long-k":
+            k = GroupElement(1.001 * k.q)
+        elif case == "nan-k":
+            k = GroupElement(np.full(4, np.nan))
+        else:
+            g = GroupElement(np.full(4, np.nan))
+        with pytest.raises(PreconditionViolated):
+            blowup_point(g, h, k)
+
     def test_rejects_commuting_pair(self):
         with pytest.raises(PreconditionViolated):
             blowup_point(diag(0.3), diag(0.9), GroupElement(np.array([0.0, 0.0, 0.0, 1.0])))
@@ -279,6 +337,8 @@ class TestRP2FiberPoint:
     def test_rejects_bad_k(self):
         with pytest.raises(PreconditionViolated):
             rp2_fiber_point(I4)
+        with pytest.raises(PreconditionViolated):
+            rp2_fiber_point(GroupElement(np.array([[0.0, 0.0, 0.0, 1.0], [np.nan] * 4])))
 
 
 class TestN2Interval:
@@ -315,6 +375,13 @@ class TestN2Interval:
             n2_interval(0.0, 0.0, 0.3)
         with pytest.raises(PreconditionViolated):
             n2_interval(np.pi, 2 * np.pi, 0.3)
+
+    @pytest.mark.parametrize("theta, s", [(np.nan, 1.3), (0.7, np.inf)])
+    def test_nonfinite_angles_rejected(self, theta, s):
+        with pytest.raises(PreconditionViolated):
+            n2_interval(theta, s, 0.4)
+        with pytest.raises(PreconditionViolated):
+            certify_interval_injectivity(theta, s, grid=5)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(PreconditionViolated):
@@ -520,10 +587,11 @@ class TestClassification:
             classify_fixed_point(rho)
         assert type(raised.value) is error
 
-    @pytest.mark.parametrize("case", ["gray-zone", "interval"])
+    @pytest.mark.parametrize("case", ["gray-zone", "interval", "batch"])
     def test_one_swap_and_one_solve(self, monkeypatch, case):
         # the fixedness solve reads fixed, gray zone and not fixed from one
-        # residual, and the N2 pieces reuse the swap it was built from
+        # residual, and the N2 pieces reuse the swap it was built from; a
+        # batch makes one swap and one solve for all its rows
         import charvar.su2 as su2
 
         sigma_module = sys.modules["charvar.sigma"]  # the package exports a function of that name
@@ -546,9 +614,41 @@ class TestClassification:
             rho = Representation(g, h, h, mul(exp_alg(AlgebraElement(np.array([0.0, 1e-9, 0.0]))), g))
             with pytest.raises(ClassificationAmbiguity, match="sigma-fixedness"):
                 classify_fixed_point(rho)
-        else:
+        elif case == "interval":
             assert classify_fixed_point(n2_interval(0.7, 1.3, 0.4)).piece is Piece.INTERVAL_INTERIOR
+        else:
+            points = list(classify_fixed_points(every_piece_batch()))
+            assert {point.piece for point in points} == set(Piece)
         assert counts == {"sigma": 1, "solve": 1}
+
+    def test_batch_rows_match_single_calls(self):
+        batch = every_piece_batch()
+        points = list(classify_fixed_points(batch))
+        assert [point.piece for point in points] == EVERY_PIECE
+        for i, point in enumerate(points):
+            one = classify_fixed_point(batch[i])
+            assert (point.piece, point.stratum) == (one.piece, one.stratum)
+            bits = (p.conjugator.q.view(np.int64) for p in (point, one))
+            assert np.array_equal(*bits)
+            assert np.array_equal(point.rep.slots(), batch[i].slots())
+
+    @pytest.mark.parametrize("error", [PreconditionViolated, ClassificationAmbiguity])
+    def test_batch_raises_at_first_failing_row(self, error):
+        from charvar.flows import TorusElement, act
+
+        rng = np.random.default_rng(93)
+        if error is PreconditionViolated:  # a class that is not sigma-fixed
+            bad = act(TorusElement(0.9, 0.0, 0.0), swap_rep(rng))
+        else:  # [g1,h1] in the centrality gray zone, as in test_centrality_gray_zone_raises
+            h = mul(exp_alg(AlgebraElement(np.array([2e-9, 0.0, 0.0]))), diag(1.3))
+            bad = pillow_point(diag(0.7), h)
+        rows = every_piece_batch().slots()
+        batch = Representation.from_slots(np.concatenate([rows[:3], bad.slots()[None], rows[3:]]))
+        points = classify_fixed_points(batch)
+        assert [next(points).piece for _ in range(3)] == EVERY_PIECE[:3]
+        with pytest.raises(error) as raised:
+            next(points)
+        assert type(raised.value) is error
 
     def test_conjugated_fixed_points_still_classified(self):
         rng = np.random.default_rng(92)

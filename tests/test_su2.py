@@ -476,6 +476,7 @@ def test_conjugate_batched_k_single_g_matches_scalar():
 
 
 def test_stabilizer_type_cases():
+    assert stabilizer_type([]) is StabilizerType.FULL
     assert stabilizer_type([I2, MINUS_I2]) is StabilizerType.FULL
     t1 = exp_alg(AlgebraElement([0.0, 0.0, 0.3]))
     t2 = exp_alg(AlgebraElement([0.0, 0.0, 1.1]))
@@ -491,6 +492,27 @@ def test_stabilizer_type_conjugation_invariant():
         k = haar_sample(rng)
         ys = [conjugate(k, x) for x in xs]
         assert stabilizer_type(ys) is stabilizer_type(xs)
+
+
+def test_stabilizer_type_rows_match_batched_read():
+    # the cases above, plus a list with one central element, and their
+    # conjugates as one (2, 4, 2, 4) stack: each row of the batched read is
+    # the one-list read
+    from charvar.su2 import _stabilizer_types
+
+    rng = np.random.default_rng(25)
+    t1 = exp_alg(AlgebraElement([0.0, 0.0, 0.3]))
+    t2 = exp_alg(AlgebraElement([0.0, 0.0, 1.1]))
+    k = haar_sample(rng)
+    plain = [[I2, MINUS_I2], [t1, t2], [DIAG_I, J], [MINUS_I2, t2]]
+    lists = [plain, [[conjugate(k, x) for x in xs] for xs in plain]]
+    got = _stabilizer_types(np.array([[[x.q for x in xs] for xs in row] for row in lists]))
+    assert got.shape == (2, 4)
+    want = [StabilizerType.FULL, StabilizerType.TORUS, StabilizerType.CENTER, StabilizerType.TORUS]
+    assert list(got[0]) == want
+    for i, row in enumerate(lists):
+        for j, xs in enumerate(row):
+            assert got[i, j] is stabilizer_type(xs)
 
 
 def test_serialization_shape():
