@@ -12,9 +12,9 @@ unit quaternion ``(w, x, y, z)``, identified with the special unitary matrix
   simplex, membership, moment maps and the batched boundary/abelian check;
 - ``flows``: the three commuting twist circle actions and their kernel;
 - ``tau``: an explicit section of the moment fibration in closed form,
-  (h1^-1/2, h1, h2^-1/2, h2), batched over base points and fixed by tau;
-  fiber coordinates; and the anti-symplectic involution
-  (h1 g1, h1^-1, h2 g2, h2^-1);
+  (h1^-1/2, h1, h2^-1/2, h2), fixed by tau; fiber coordinates, the chart
+  from a class to (base point, angles); both batched; and the
+  anti-symplectic involution (h1 g1, h1^-1, h2 g2, h2^-1);
 - ``sigma``: the handle-swap involution, its fixed locus, and the
   stratum/piece classification;
 - ``sampler``: targeted random constructions, including density witnesses;

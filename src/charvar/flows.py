@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGenerator
-from .repvar import Representation, class_equal
+from .repvar import Representation, _class_equal
 from .su2 import AlgebraElement, GroupElement, distance, exp_alg, mul
 from .tolerances import EPS_CENTER, EPS_MAT
 
@@ -236,24 +236,23 @@ def kernel_and_freeness_check(
     rng: np.random.Generator,
 ) -> KernelFreenessReport:
     """(a) (pi,pi,pi) fixes the quadruple slot-by-slot, bitwise; (b) `trials`
-    random angles at least _KERNEL_GAP from the kernel all move the class."""
+    random angles at least _KERNEL_GAP from the kernel all move the class,
+    checked as one batch (drawn in the order of one 3-draw per trial)."""
     if rho.batch_shape != ():
         raise ValueError("kernel_and_freeness_check is scalar-only")
     acted = act(TorusElement.kernel(), rho)
     kernel_exact = all(
         np.array_equal(a.q, b.q) for a, b in zip(acted.elements(), rho.elements())
     )
-    violations: list[np.ndarray] = []
-    done = 0
-    while done < trials:
-        t = TorusElement.from_array(rng.uniform(0.0, TWO_PI, size=3))
-        if float(t.kernel_distance()) < _KERNEL_GAP:
-            continue
-        done += 1
-        if class_equal(act(t, rho), rho, EPS_MAT):
-            violations.append(t.as_array())
+    angles = np.empty((0, 3))
+    while len(angles) < trials:
+        draws = rng.uniform(0.0, TWO_PI, size=(trials - len(angles), 3))
+        far = ~(TorusElement.from_array(draws).kernel_distance() < _KERNEL_GAP)
+        angles = np.concatenate([angles, draws[far]])
+    t = TorusElement.from_array(angles)
+    fixed = _class_equal(act(t, rho), rho, EPS_MAT)
     return KernelFreenessReport(
         kernel_fixes_exactly=kernel_exact,
         trials=trials,
-        violations=tuple(violations),
+        violations=tuple(t.as_array()[fixed]),
     )

@@ -19,6 +19,7 @@
 # The moment map of a quadruple is the trace triple of (h1, h2).  Membership,
 # region classification and boundary_commutation_check run over batches, with
 # a tolerance that is one value or one per row; a non-finite point is outside.
+# Every region read starts from one pair of masks, Polytope._region_masks.
 
 from __future__ import annotations
 
@@ -127,20 +128,26 @@ class Polytope:
             raise ValueError("classify expects a single 3-vector")
         return self.classify_rows(x[None], tol)[0]
 
+    def _region_masks(
+        self, x: np.ndarray, tol: float | np.ndarray = EPS_POLY
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Region masks of the rows of a (..., 3) array: outside (margin not <= tol,
+        so a non-finite row is outside) and active, (..., constraints) within tol
+        of equality.  tol is one value or one per row; interior = no active."""
+        slack = x @ self.a.T - self.b
+        tol = np.asarray(tol, dtype=np.float64)
+        return ~(np.max(slack, axis=-1) <= tol), np.abs(slack) <= tol[..., None]
+
     def classify_rows(
         self, x: np.ndarray, tol: float | np.ndarray = EPS_POLY
     ) -> list[Optional[SimplexPoint]]:
-        """classify for each row of an (n, 3) array, computed as one batch; tol
-        is one value or one per row.  As in contains, a row is inside only if
-        its margin is <= tol, so a non-finite row is outside."""
-        slack = x @ self.a.T - self.b
-        tol = np.asarray(tol, dtype=np.float64)
+        """classify for each row of an (n, 3) array, read from _region_masks."""
+        outside, active = self._region_masks(x, tol)
         kinds = (RegionKind.INTERIOR, RegionKind.FACE, RegionKind.EDGE, *[RegionKind.VERTEX] * 2)
-        outside = (~(np.max(slack, axis=-1) <= tol)).tolist()
-        active = [tuple(np.flatnonzero(row).tolist()) for row in np.abs(slack) <= tol[..., None]]
+        active = [tuple(np.flatnonzero(row).tolist()) for row in active]
         return [
             None if out else SimplexPoint(p, Region(kinds[len(on)], on), self.tag)
-            for p, out, on in zip(x, outside, active)
+            for p, out, on in zip(x, outside.tolist(), active)
         ]
 
 
@@ -298,10 +305,12 @@ def boundary_commutation_check(
     quadruple of a batch; a bool for a single quadruple.  Each tolerance is
     one value or one per quadruple.  OutsidePolytope if a moment triple is
     outside the tetrahedron, as a non-finite one is."""
-    poly_tol = np.broadcast_to(poly_tol, rho.batch_shape).ravel()
-    on_boundary = [p.on_boundary for p in moment_points(rho, poly_tol)]
+    coords = moment_coordinates(rho)
+    outside, active = TILDE_DELTA._region_masks(coords, np.broadcast_to(poly_tol, rho.batch_shape))
+    if np.any(outside):
+        raise OutsidePolytope(f"moment triple {coords[outside][0]} violates the tetrahedron")
     commute = distance(commutator(rho.h1, rho.h2), GroupElement.identity()) < mat_tol
-    out = np.reshape(on_boundary, rho.batch_shape) == commute
+    out = np.any(active, axis=-1) == commute
     return bool(out) if rho.batch_shape == () else out
 
 

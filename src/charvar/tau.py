@@ -29,11 +29,11 @@
 # of the vertex x = 0, sin t1 sin t2 underflows to 0 and cos phi reads 0/0;
 # section raises SectionSolveFailure there.
 #
-# Fiber coordinates: conjugate rho into the section's (h1, h2) frame, then
-# recover the angles by linear phase alignment -- (cos l1, sin l1) is the
-# null vector of a 2x2 system, l3 and l2 follow from single atan2 reads.
-# The angles are well-defined modulo the kernel {(0,0,0), (pi,pi,pi)} and are
-# canonicalized to the representative with phi3 in [0, pi).
+# Fiber coordinates, over one class or a batch (every row bit for bit the
+# class alone): one conjugator solve puts rho into the section's (h1, h2)
+# frame, and phase alignment reads the angles -- (cos l1, sin l1) is the null
+# vector of a 2x2 system (one stacked SVD), l3 and l2 are atan2 reads.  The
+# angles are canonical modulo the kernel {(0,0,0), (pi,pi,pi)}: phi3 in [0, pi).
 
 from __future__ import annotations
 
@@ -41,15 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FiberSolveFailure,
-    PreconditionViolated,
-    SectionSolveFailure,
-)
+from .errors import FiberSolveFailure, OutsidePolytope, PreconditionViolated, SectionSolveFailure
 from .flows import TorusElement, act, generators
-from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda
+from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda_coordinates
 from .repvar import Representation
-from .su2 import GroupElement, _cross, _perpendicular, exp_alg, find_conjugator, mul
+from .su2 import GroupElement, _cross, _find_conjugators, _perpendicular, exp_alg, mul
 from .tolerances import EPS_MAT, EPS_REL
 
 __all__ = ["FiberCoordinates", "section", "fiber_coordinates", "tau"]
@@ -57,12 +53,13 @@ __all__ = ["FiberCoordinates", "section", "fiber_coordinates", "tau"]
 
 @dataclass(frozen=True)
 class FiberCoordinates:
-    """Base point in the open simplex plus twist angles over the section.
+    """Base points in the open simplex, (..., 3), plus the twist angles over
+    the section, a TorusElement of the same batch shape.
 
-    act(angles, section(base)) recovers the described class; angles are the
+    act(angles, section(base)) recovers the described classes; angles are the
     canonical representative modulo the kernel (phi3 in [0, pi))."""
 
-    base: SimplexPoint
+    base: np.ndarray
     angles: TorusElement
 
 
@@ -103,65 +100,59 @@ def section(x) -> Representation:
     return Representation(*(GroupElement(q) for q in (g1, h1, g2, h2)))
 
 
-def _canonical_angles(l1: float, l2: float, l3: float) -> TorusElement:
-    arr = np.mod(np.array([l1, l2, l3]), 2 * np.pi)
-    if arr[2] >= np.pi:
-        arr = np.mod(arr + np.pi, 2 * np.pi)
-    return TorusElement(arr[0], arr[1], arr[2])
+def _raise_first(bad: np.ndarray, error: type, what: str, rows: np.ndarray) -> None:
+    """Raise error for the batch, naming the first row flagged in bad."""
+    if np.any(bad):
+        i = tuple(np.argwhere(bad)[0].tolist())
+        raise error(f"{what}: {rows[i]}" + (f" (row {i})" if i else ""))
 
 
-def fiber_coordinates(rho: Representation, tol: float = EPS_REL) -> FiberCoordinates:
-    """Base point and twist angles of an interior class over the section.
+def fiber_coordinates(rho: Representation) -> FiberCoordinates:
+    """Base points and twist angles of interior classes over the section.
 
-    Conjugates rho so its (h1, h2) agree with the section's, then reads the
-    three angles by phase alignment against the section's g-slots.  The
-    recovered angles satisfy act(angles, section(base)) == rho up to overall
-    conjugation, verified to `tol`; FiberSolveFailure otherwise.
+    rho is one class or a batch; every row is bit for bit the call on that
+    class alone.  Conjugates rho so its (h1, h2) agree with the section's,
+    then reads the three angles by phase alignment against the section's
+    g-slots, and checks act(angles, section(base)) against rho to EPS_REL.
+    A bad row fails the batch, and the message names the first one:
+    OutsidePolytope for a base point outside the simplex (or not finite),
+    PreconditionViolated for one on its boundary, FiberSolveFailure where
+    the frame or the angles do not check.
     """
-    if rho.batch_shape != ():
-        raise ValueError("fiber_coordinates is scalar-only")
-    base = mu_lambda(rho)
-    if not base.is_interior:
-        raise PreconditionViolated(
-            "fiber coordinates exist over interior base points only"
-        )
-    s_rho = section(base.x)
-    k = find_conjugator([rho.h1, rho.h2], [s_rho.h1, s_rho.h2], EPS_MAT)
-    if k is None:
-        raise FiberSolveFailure("could not align the (h1, h2) frame")
-    aligned = rho.conjugated(k)
+    base = mu_lambda_coordinates(rho)
+    outside, active = STD_DELTA._region_masks(base)
+    _raise_first(outside, OutsidePolytope, "quotient moment triple outside the simplex", base)
+    _raise_first(np.any(active, axis=-1), PreconditionViolated,
+                 "fiber coordinates exist over interior base points only", base)
+    s_rho = section(base)
+    k, frame = _find_conjugators(rho.slots()[..., 1::2, :], s_rho.slots()[..., 1::2, :])
+    _raise_first(~(frame < EPS_MAT), FiberSolveFailure, "could not align the (h1, h2) frame", frame)
+    aligned = rho.conjugated(GroupElement(k))
 
     gen = generators(s_rho)
     # l1, l3 from g1' = e^{l3 X^} g1_s e^{l1 xi1^}:
     #   g1' e^{-l1 xi1^} (g1_s)^{-1} = cos(l1) A - sin(l1) B = e^{l3 X^}
-    a_q = mul(aligned.g1, s_rho.g1.inverse())
-    xi1_q = GroupElement(np.concatenate(([0.0], gen.xi1_hat.v)))
-    b_q = mul(mul(aligned.g1, xi1_q), s_rho.g1.inverse())
+    g1_inv = s_rho.g1.inverse()
+    xi1_q = GroupElement(np.insert(gen.xi1_hat.v, 0, 0.0, axis=-1))
+    a_q = mul(aligned.g1, g1_inv)
+    b_q = mul(mul(aligned.g1, xi1_q), g1_inv)
     e1 = _perpendicular(gen.X_hat.v)
-    e2 = np.array(_cross(gen.X_hat.v, e1))
-    m = np.array(
-        [
-            [float(np.dot(a_q.vec, e1)), -float(np.dot(b_q.vec, e1))],
-            [float(np.dot(a_q.vec, e2)), -float(np.dot(b_q.vec, e2))],
-        ]
-    )
-    _, _, vt = np.linalg.svd(m)
-    cos_l1, sin_l1 = vt[-1]
-    l1 = float(np.arctan2(sin_l1, cos_l1))
-    f_q = GroupElement(cos_l1 * a_q.q - sin_l1 * b_q.q)
-    l3 = float(np.arctan2(np.dot(f_q.vec, gen.X_hat.v), f_q.w))
+    e2 = np.stack(_cross(np.moveaxis(gen.X_hat.v, -1, 0), np.moveaxis(e1, -1, 0)), axis=-1)
+    # m[i, j] = e_i . (A, -B)_j, each entry one np.vecdot (the arithmetic of np.dot)
+    e = np.stack([e1, e2], axis=-2)[..., :, None, :]
+    m = np.vecdot(e, np.stack([a_q.vec, -b_q.vec], axis=-2)[..., None, :, :])
+    cos_l1, sin_l1 = np.moveaxis(np.linalg.svd(m)[2][..., -1, :], -1, 0)
+    f_q = GroupElement(cos_l1[..., None] * a_q.q - sin_l1[..., None] * b_q.q)
+    l3 = np.arctan2(np.vecdot(f_q.vec, gen.X_hat.v), f_q.w)
     # l2 from (g2_s)^{-1} e^{-l3 Y^} g2' = e^{l2 xi2^}
-    g_q = mul(
-        mul(s_rho.g2.inverse(), exp_alg(-l3 * gen.Y_hat)), aligned.g2
+    g_q = mul(mul(s_rho.g2.inverse(), exp_alg(gen.Y_hat * -l3[..., None])), aligned.g2)
+    l2 = np.arctan2(np.vecdot(g_q.vec, gen.xi2_hat.v), g_q.w)
+    phi = np.mod(np.stack([np.arctan2(sin_l1, cos_l1), l2, l3], axis=-1), 2 * np.pi)
+    angles = TorusElement.from_array(
+        np.where(phi[..., 2:] >= np.pi, np.mod(phi + np.pi, 2 * np.pi), phi)
     )
-    l2 = float(np.arctan2(np.dot(g_q.vec, gen.xi2_hat.v), g_q.w))
-
-    angles = _canonical_angles(l1, l2, l3)
-    worst = act(angles, s_rho).slot_distance(aligned)
-    if worst >= tol:
-        raise FiberSolveFailure(
-            f"angle solve residual {worst:.3e} exceeds {tol:.1e}"
-        )
+    worst = np.asarray(act(angles, s_rho).slot_distance(aligned))
+    _raise_first(~(worst < EPS_REL), FiberSolveFailure, "angle solve residual >= EPS_REL", worst)
     return FiberCoordinates(base=base, angles=angles)
 
 

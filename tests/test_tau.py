@@ -13,14 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from charvar.errors import FiberSolveFailure, PreconditionViolated, SectionSolveFailure
+from charvar.errors import (
+    FiberSolveFailure,
+    OutsidePolytope,
+    PreconditionViolated,
+    SectionSolveFailure,
+)
 from charvar.flows import TorusElement, act
 from charvar.polytope import M_P, STD_DELTA, mu_lambda, mu_lambda_coordinates
 from charvar.repvar import Representation, _class_equal, class_equal, relation_residual
 from charvar.sigma import sigma
 from charvar.su2 import GroupElement, haar_sample, mul
 from charvar.tau import FiberCoordinates, fiber_coordinates, section, tau
-from charvar.tolerances import EPS_MAT
+from charvar.tolerances import EPS_MAT, EPS_REL
 
 TWO_PI = 2.0 * np.pi
 
@@ -220,38 +225,66 @@ class TestSection:
 # ---------------------------------------------------------------------------
 
 
+def swap_and_section_classes(rng, n: int) -> Representation:
+    """n classes as one batch, alternating a conjugated twisted section point
+    and a swap-family solution (a, b, b, a)."""
+    x = np.array(interior_points(rng, n))
+    rows = []
+    for i in range(n):
+        if i % 2:
+            a, b = haar_sample(rng), haar_sample(rng)
+            rows.append(Representation(a, b, b, a).slots())
+        else:
+            t = TorusElement.from_array(rng.uniform(0.0, TWO_PI, 3))
+            rows.append(act(t, section(x[i])).conjugated(haar_sample(rng)).slots())
+    return Representation.from_slots(np.array(rows))
+
+
+def off_relation_class() -> Representation:
+    """Four Haar slots with an interior moment that do not solve the relation."""
+    rng = np.random.default_rng(31)
+    while True:
+        rho = Representation(
+            haar_sample(rng), haar_sample(rng), haar_sample(rng), haar_sample(rng)
+        )
+        if float(relation_residual(rho)) > 1e-2:
+            return rho
+
+
 class TestFiberCoordinates:
     def test_section_has_zero_angles(self):
         rho = section(np.array([0.25, 0.25, 0.25]))
         fc = fiber_coordinates(rho)
         assert np.array_equal(fc.angles.as_array(), [0.0, 0.0, 0.0])
-        assert_allclose(fc.base.x, [0.25, 0.25, 0.25], atol=1e-12)
+        assert_allclose(fc.base, [0.25, 0.25, 0.25], atol=1e-12)
 
     def test_construct_then_recover(self):
         rng = np.random.default_rng(52)
-        for x in interior_points(rng, 30):
-            rho = section(x)
-            t = rng.uniform(0.0, TWO_PI, size=3)
-            fc = fiber_coordinates(act(TorusElement.from_array(t), rho))
-            assert angle_diff(fc.angles.as_array(), canonical(t)) < 1e-9
+        x = np.array(interior_points(rng, 30))
+        t = rng.uniform(0.0, TWO_PI, size=(30, 3))
+        fc = fiber_coordinates(act(TorusElement.from_array(t), section(x)))
+        for got, want in zip(fc.angles.as_array(), t):
+            assert angle_diff(got, canonical(want)) < 1e-9
 
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(53)
-        for x in interior_points(rng, 15):
-            rho = act(
-                TorusElement.from_array(rng.uniform(0, TWO_PI, 3)), section(x)
-            )
-            fc = fiber_coordinates(rho)
-            k = haar_sample(rng)
-            fc_conj = fiber_coordinates(rho.conjugated(k))
-            assert angle_diff(fc.angles.as_array(), fc_conj.angles.as_array()) < 1e-9
+        x = np.array(interior_points(rng, 15))
+        t, k = [], []
+        for _ in x:  # the draws of one twist, then one conjugator, per point
+            t.append(rng.uniform(0, TWO_PI, 3))
+            k.append(haar_sample(rng).q)
+        rho = act(TorusElement.from_array(np.array(t)), section(x))
+        fc = fiber_coordinates(rho)
+        fc_conj = fiber_coordinates(rho.conjugated(GroupElement(np.array(k))))
+        for a, b in zip(fc.angles.as_array(), fc_conj.angles.as_array()):
+            assert angle_diff(a, b) < 1e-9
 
     def test_canonical_third_angle(self):
         rng = np.random.default_rng(54)
-        for x in interior_points(rng, 20):
-            t = rng.uniform(0.0, TWO_PI, size=3)
-            fc = fiber_coordinates(act(TorusElement.from_array(t), section(x)))
-            assert 0.0 <= float(fc.angles.phi3) < np.pi
+        x = np.array(interior_points(rng, 20))
+        t = rng.uniform(0.0, TWO_PI, size=(20, 3))
+        fc = fiber_coordinates(act(TorusElement.from_array(t), section(x)))
+        assert np.all((0.0 <= fc.angles.phi3) & (fc.angles.phi3 < np.pi))
 
     def test_kernel_shift_recovers_same_angles(self):
         rng = np.random.default_rng(55)
@@ -265,12 +298,12 @@ class TestFiberCoordinates:
     def test_swap_family(self):
         # generic exact solutions that were not built from the section
         rng = np.random.default_rng(56)
-        for _ in range(20):
-            a, b = haar_sample(rng), haar_sample(rng)
-            rho = Representation(a, b, b, a)
-            fc = fiber_coordinates(rho)
-            recovered = act(fc.angles, section(fc.base.x))
-            assert class_equal(recovered, rho)
+        pairs = [(haar_sample(rng).q, haar_sample(rng).q) for _ in range(20)]
+        a, b = (GroupElement(np.array(q)) for q in zip(*pairs))
+        rho = Representation(a, b, b, a)
+        fc = fiber_coordinates(rho)
+        recovered = act(fc.angles, section(fc.base))
+        assert np.all(_class_equal(recovered, rho, EPS_MAT))
 
     def test_rejects_boundary_class(self):
         rng = np.random.default_rng(57)
@@ -283,13 +316,7 @@ class TestFiberCoordinates:
     def test_non_solution_fails_verification(self):
         # interior moment but not a relation solution: no angles over the
         # section reproduce it, so the recovery must report a solve failure
-        rng = np.random.default_rng(31)
-        while True:
-            rho = Representation(
-                haar_sample(rng), haar_sample(rng), haar_sample(rng), haar_sample(rng)
-            )
-            if float(relation_residual(rho)) > 1e-2:
-                break
+        rho = off_relation_class()
         assert mu_lambda(rho).is_interior
         with pytest.raises(FiberSolveFailure):
             fiber_coordinates(rho)
@@ -297,6 +324,63 @@ class TestFiberCoordinates:
     def test_returns_dataclass(self):
         fc = fiber_coordinates(section(np.array([0.3, 0.2, 0.2])))
         assert isinstance(fc, FiberCoordinates)
+
+    def test_batch_rows_are_single_calls(self):
+        rng = np.random.default_rng(74)
+        rho = swap_and_section_classes(rng, 12)
+        batch = fiber_coordinates(rho)
+        assert batch.base.shape == (12, 3) and batch.angles.as_array().shape == (12, 3)
+        for i in range(12):
+            one = fiber_coordinates(rho[i])
+            assert one.base.shape == (3,) and one.angles.as_array().shape == (3,)
+            assert np.array_equal(batch.base[i].view(np.int64), one.base.view(np.int64))
+            assert np.array_equal(
+                batch.angles.as_array()[i].view(np.int64), one.angles.as_array().view(np.int64)
+            )
+        square = fiber_coordinates(Representation.from_slots(rho.slots().reshape(2, 6, 4, 4)))
+        assert square.base.shape == (2, 6, 3)
+        assert np.array_equal(square.angles.as_array().reshape(12, 3), batch.angles.as_array())
+        assert np.array_equal(square.base.reshape(12, 3), batch.base)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (Representation(*(GroupElement(np.full(4, np.nan)) for _ in range(4))), OutsidePolytope),
+            (Representation(*(GroupElement(np.array([0.6, 0.0, 0.8, 0.0])) for _ in range(4))),
+             PreconditionViolated),
+            (off_relation_class(), FiberSolveFailure),
+        ],
+        ids=["nan", "boundary", "off-relation"],
+    )
+    def test_one_bad_row_fails_the_batch(self, bad, error):
+        rng = np.random.default_rng(75)
+        slots = swap_and_section_classes(rng, 4).slots()
+        slots[2] = bad.slots()
+        with pytest.raises(error, match=r"\(row \(2,\)\)"):
+            fiber_coordinates(Representation.from_slots(slots))
+        with pytest.raises(error):
+            fiber_coordinates(bad)
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-8])
+    def test_boundary_envelope(self, d):
+        # README "Boundary envelope": d from a facet, edge or vertex, the chart
+        # of a class either raises FiberSolveFailure or its round trip holds to
+        # EPS_REL, the tolerance of its own check; 1e-3 from the boundary it
+        # charts every class, and the round trip holds to EPS_MAT
+        rng = np.random.default_rng(73)
+        fails = 0
+        for pinned in STRATA:
+            t = TorusElement.from_array(rng.uniform(0.0, TWO_PI, size=(8, 3)))
+            rho = act(t, section(near_stratum(rng, pinned, d, 8))).conjugated(haar_sample(rng, (8,)))
+            for i in range(8):
+                try:
+                    fc = fiber_coordinates(rho[i])
+                except FiberSolveFailure:
+                    fails += 1
+                    continue
+                back = act(fc.angles, section(fc.base))
+                assert _class_equal(back, rho[i], EPS_MAT if d == 1e-3 else EPS_REL)
+        assert (fails == 0) == (d == 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +407,7 @@ class TestTau:
         def refuse(*args, **kwargs):
             raise AssertionError("tau must not solve anything")
 
-        for name in ("section", "fiber_coordinates", "find_conjugator", "generators"):
+        for name in ("section", "fiber_coordinates", "_find_conjugators", "generators"):
             monkeypatch.setattr(module, name, refuse)
         g1, h1, g2, h2 = rho.elements()
         want = Representation(mul(h1, g1), h1.inverse(), mul(h2, g2), h2.inverse())
@@ -357,10 +441,10 @@ class TestTau:
         # t = c/2 is fixed, and so is its shift by the kernel; fibers away
         # from that orbit are moved
         rng = np.random.default_rng(62)
-        for x in interior_points(rng, 3, margin=0.03):
-            s = section(x)
-            half = TorusElement.from_array(fiber_coordinates(tau(s)).angles.as_array() / 2.0)
-            rho = act(half, s)
+        x = np.array(interior_points(rng, 3, margin=0.03))
+        halves = fiber_coordinates(tau(section(x))).angles.as_array() / 2.0
+        for s, half in zip((section(p) for p in x), halves):
+            rho = act(TorusElement.from_array(half), s)
             assert class_equal(tau(rho), rho)
             rho_pi = act(TorusElement.kernel(), rho)
             assert class_equal(tau(rho_pi), rho_pi)
@@ -374,9 +458,9 @@ class TestTau:
         # coset of the 2-torsion c/2 + e, e in {0, pi}^3: eight classes,
         # strictly more than the kernel orbit
         rng = np.random.default_rng(63)
-        for x in interior_points(rng, 3, margin=0.03):
-            s = section(x)
-            half = fiber_coordinates(tau(s)).angles.as_array() / 2.0
+        x = np.array(interior_points(rng, 3, margin=0.03))
+        halves = fiber_coordinates(tau(section(x))).angles.as_array() / 2.0
+        for s, half in zip((section(p) for p in x), halves):
             for e in itertools.product((0.0, np.pi), repeat=3):
                 rho = act(TorusElement.from_array(half + np.array(e)), s)
                 assert class_equal(tau(rho), rho)
@@ -404,10 +488,11 @@ class TestTau:
 
     def test_negates_fiber_angles_over_the_section(self):
         rng = np.random.default_rng(70)
-        for x in interior_points(rng, 20, margin=0.03):
-            t = rng.uniform(0.0, TWO_PI, size=3)
-            fc = fiber_coordinates(tau(act(TorusElement.from_array(t), section(x))))
-            assert angle_diff(fc.angles.as_array(), canonical(-t)) < 1e-12
+        x = np.array(interior_points(rng, 20, margin=0.03))
+        t = rng.uniform(0.0, TWO_PI, size=(20, 3))
+        fc = fiber_coordinates(tau(act(TorusElement.from_array(t), section(x))))
+        for got, want in zip(fc.angles.as_array(), t):
+            assert angle_diff(got, canonical(-want)) < 1e-12
 
     def test_boundary_classes(self):
         # abelian quadruples sit over the tetrahedron boundary, where the
