@@ -18,7 +18,9 @@ unit quaternion ``(w, x, y, z)``, identified with the special unitary matrix
 - ``sigma``: the handle-swap involution, its fixed locus, and the
   stratum/piece classification;
 - ``sampler``: targeted random constructions, including density witnesses;
-- ``cli``: deterministic command-line drivers and verification suites.
+- ``claims``: the paper's claims as seeded verification suites (``run_verify``)
+  and the swap fixed-locus certification;
+- ``cli``: deterministic command-line drivers.
 """
 
 from .errors import (
@@ -36,11 +38,9 @@ from .errors import (
 from .flows import (
     FlowGenerators,
     FlowIdentityReport,
-    KernelFreenessReport,
     TorusElement,
     act,
     generators,
-    kernel_and_freeness_check,
     verify_flow_identities,
 )
 from .polytope import (
@@ -174,11 +174,9 @@ __all__ = [
     "TorusElement",
     "FlowGenerators",
     "FlowIdentityReport",
-    "KernelFreenessReport",
     "generators",
     "act",
     "verify_flow_identities",
-    "kernel_and_freeness_check",
     # tau
     "FiberCoordinates",
     "section",

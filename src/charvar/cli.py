@@ -14,13 +14,12 @@ import argparse
 import functools
 import json
 import sys
-import time
-from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .claims import VerifyReport, _SUITES, _fixed_point_stream, run_sigma_certification, run_verify
 from .errors import (
     ClassificationAmbiguity,
     DegenerateGenerator,
@@ -29,65 +28,19 @@ from .errors import (
     RelationViolated,
     SectionSolveFailure,
 )
-from .flows import TorusElement, act, verify_flow_identities
-from .polytope import (
-    M_P,
-    NU_NORMALIZATION_NOTE,
-    STD_DELTA,
-    TILDE_DELTA,
-    boundary_commutation_check,
-    moment_coordinates,
-    moment_points,
-    mu_lambda_coordinates,
-    trace_triple,
-    write_simplex_csv,
-)
-from .repvar import (
-    Representation,
-    _class_equal,
-    is_abelian,
-    relation_residual,
-)
-from .sampler import (
-    _CHUNK,
-    SampleSpec,
-    Target,
-    _diag,
-    _interior_build,
-    _interior_draw,
-    _random_torus,
-    density_witness,
-    sample_batches,
-)
-from .sigma import (
-    Piece,
-    _sigma_fixed,
-    Stratum,
-    blowup_point,
-    certify_interval_injectivity,
-    classify_fixed_points,
-    n2_interval,
-    pillow_point,
-    rp2_fiber_point,
-    sigma,
-)
-from .su2 import (
-    AlgebraElement,
-    GroupElement,
-    _cross,
-    _vector_norm,
-    commutator,
-    exp_alg,
-    haar_sample,
-)
-from .tau import section, tau
+from .flows import TorusElement, act
+from .polytope import M_P, moment_coordinates, moment_points, write_simplex_csv
+from .repvar import Representation, _class_equal, relation_residual
+from .sampler import _CHUNK, SampleSpec, Target, sample_batches
+from .sigma import classify_fixed_points
+from .su2 import GroupElement
+from .tau import tau
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = ["main", "run_verify", "run_sigma_certification", "VerifyReport"]
 
 _SLOTS = ("g1", "h1", "g2", "h2")
 _KEYS = (*_SLOTS, "residual", "mu", "mu_lambda")
-_ID = GroupElement.identity()
 
 
 # ---------------------------------------------------------------------------
@@ -176,316 +129,6 @@ def _write_lines(stream: IO[str], objs: list[dict]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Machine-readable outcome of one verification run."""
-
-    suite: str
-    trials: int
-    failures: int
-    max_residual: dict
-    wall_time_s: float
-    seed: int
-    tolerances: dict
-    notes: tuple
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-
-def _nonkernel_torus(rng: np.random.Generator) -> TorusElement:
-    while True:
-        t = _random_torus(rng)
-        if float(t.kernel_distance()) > 1e-3:
-            return t
-
-
-def _worst(start: float, values: np.ndarray) -> float:
-    return max(start, float(np.max(values)))
-
-
-def _flows_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    # every draw first, in per-item order; then each check once over the batch
-    draws, turns, times, probes = [], [], [], []
-    for i in range(n):
-        draws.append(_interior_draw(rng))
-        turns.append(rng.uniform(0.0, 2.0 * np.pi, size=3))
-        times.append(rng.uniform(0.0, 2.0 * np.pi))
-        if i % 10 == 0:
-            probes.append(_nonkernel_torus(rng).as_array())
-    rho = _interior_build(draws)
-
-    moved = act(TorusElement.from_array(turns), rho)
-    r = relation_residual(moved)
-    ident = verify_flow_identities(rho, np.array(times))
-    k = act(TorusElement.kernel(), rho).slot_distance(rho)
-    ok = (r < tol.mat) & ident.passed(tol.mat) & (k == 0.0)
-    every = rho[::10]
-    ok[::10] &= ~_class_equal(act(TorusElement.from_array(probes), every), every, tol.mat)
-    res = {
-        "relation-after-flow": _worst(0.0, r),
-        "intertwine-h2": _worst(0.0, ident.residual_h2),
-        "intertwine-h1": _worst(0.0, ident.residual_h1),
-        "kernel-fix": _worst(0.0, k),
-    }
-    return n, int(np.count_nonzero(~ok)), res
-
-
-def _near_boundary_draw(rng: np.random.Generator) -> tuple[float, float, float]:
-    """One near-boundary item's draws in stream order: the size eps of the
-    bump off the torus, then the angles of h1 and h2."""
-    eps = 10.0 ** float(rng.uniform(-8.0, -4.0))
-    return eps, float(rng.uniform(0.3, np.pi - 0.3)), float(rng.uniform(0.3, np.pi - 0.3))
-
-
-def _polytope_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    failures = 0
-    res = {
-        "tetra-membership": -np.inf,
-        "vertex-bijection": 0.0,
-        "quotient-interior": -np.inf,
-        "section-roundtrip": 0.0,
-    }
-    # Haar pairs land inside the trace tetrahedron
-    a = haar_sample(rng, (n,))
-    b = haar_sample(rng, (n,))
-    margins = TILDE_DELTA.margin(trace_triple(a, b))
-    res["tetra-membership"] = float(np.max(margins))
-    failures += int(np.count_nonzero(margins > tol.poly))
-
-    # boundary <=> commuting on near-boundary constructions, both directions,
-    # each row read against its own eps
-    small = n // 10 + 1
-    eps, t1, t2 = np.array([_near_boundary_draw(rng) for _ in range(small)]).T
-    zero = np.zeros(small)
-    bump = exp_alg(AlgebraElement(np.stack([eps, zero, zero], axis=-1)))
-    rho = Representation(_diag(zero + 0.1), _diag(t1), _diag(zero + 0.2), bump * _diag(t2))
-    failures += int(np.count_nonzero(~boundary_commutation_check(rho, 10.0 * eps, 10.0 * eps)))
-    # nothing is drawn between the two uses of interior samples below, so
-    # both halves are built as one batch
-    interior = _interior_build([_interior_draw(rng) for _ in range(2 * small)])
-    ok = boundary_commutation_check(interior[:small], tol.poly, tol.mat)
-    failures += int(np.count_nonzero(~ok))
-
-    # integer vertex bijection, exact arithmetic
-    images = (M_P.m.astype(np.int64) @ STD_DELTA.vertices.astype(np.int64).T).T
-    got = {tuple(int(x) for x in v) for v in images}
-    want = {tuple(int(x) for x in v) for v in TILDE_DELTA.vertices.astype(np.int64)}
-    if got != want or len(got) != len(STD_DELTA.vertices):
-        failures += 1
-        res["vertex-bijection"] = 1.0
-
-    # quotient coordinates of interior samples stay strictly interior,
-    # and the section inverts the quotient moment
-    m = STD_DELTA.margin(mu_lambda_coordinates(interior[small:]))
-    res["quotient-interior"] = _worst(res["quotient-interior"], m)
-    failures += int(np.count_nonzero(m >= 0.0))
-    xs = [rng.uniform(0.05, 0.45, size=3) for _ in range(small)]
-    xs = np.array([x for x in xs if float(STD_DELTA.margin(x)) <= -0.02])
-    if len(xs):
-        err = np.max(np.abs(mu_lambda_coordinates(section(xs)) - xs), axis=-1)
-        res["section-roundtrip"] = _worst(res["section-roundtrip"], err)
-        failures += int(np.count_nonzero(err > 100.0 * tol.f))
-    return n + 3 * small, failures, res
-
-
-def _tau_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    # every draw first, in per-item order; then each check once over the batch
-    draws, turns = [], []
-    for _ in range(n):
-        draws.append(_interior_draw(rng))
-        turns.append(rng.uniform(0.0, 2.0 * np.pi, size=3))
-    rho = _interior_build(draws)
-    t = TorusElement.from_array(turns)
-
-    image = tau(rho)
-    drift = np.max(np.abs(mu_lambda_coordinates(image) - mu_lambda_coordinates(rho)), axis=-1)
-    involution = tau(image).slot_distance(rho)
-    reversal = tau(act(t, rho)).slot_distance(act(t.inverse(), image))
-    ok = (drift < 100.0 * tol.f) & (involution < tol.mat) & (reversal < tol.mat)
-    res = {
-        "moment-drift": _worst(0.0, drift),
-        "involution": _worst(0.0, involution),
-        "reversal": _worst(0.0, reversal),
-    }
-    return n, int(np.count_nonzero(~ok)), res
-
-
-def _pure_unit(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupElement:
-    v = AlgebraElement(rng.normal(size=shape + (3,))).unit()
-    return GroupElement(np.concatenate((np.zeros(shape + (1,)), v.v), axis=-1))
-
-
-def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    # the pillow points, projective pairs, central points and interior points
-    # are one batch each, drawn in the per-item order; the arcs loop
-    small = max(n // 10, 1)
-
-    gh = haar_sample(rng, (n, 2))
-    k, fixed = _sigma_fixed(pillow_point(gh[:, 0], gh[:, 1]), tol.mat)
-    dev = np.minimum(_vector_norm(k.q - _ID.q), _vector_norm(k.q + _ID.q))[fixed]
-    res = {"pillow-conjugator": float(np.max(dev, initial=0.0)), "interval-fix": 0.0}
-    failures = int(np.count_nonzero(~fixed)) + int(np.count_nonzero(dev > tol.mat * 10.0))
-
-    pairs = _pure_unit(rng, (small, 2))
-    k1, k2 = pairs[:, 0], pairs[:, 1]
-    distinct = _vector_norm(np.stack(_cross(k1.vec.T, k2.vec.T), axis=-1)) > 1e-2
-    base = rp2_fiber_point(k1)
-    same = _class_equal(base, rp2_fiber_point(-k1), tol.mat)
-    collide = _class_equal(base, rp2_fiber_point(k2), tol.mat)
-    failures += int(np.count_nonzero(~same)) + int(np.count_nonzero(distinct & collide))
-
-    for _ in range(small):
-        theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
-        report = certify_interval_injectivity(float(theta), float(s), grid=5, tol=tol.mat)
-        if not report.passed:
-            failures += 1
-
-    # the four central swap quadruples (s1, s2, s2, s1), s1 and s2 = +-1
-    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, [0, 1, 1, 0], None]
-    points = classify_fixed_points(Representation.from_slots(signs * _ID.q), tol=tol.mat)
-    failures += sum(point.stratum is not Stratum.III for point in points)
-
-    # interior classes are never swap-fixed
-    _, fixed = _sigma_fixed(_interior_build([_interior_draw(rng) for _ in range(small)]), tol.mat)
-    failures += int(np.count_nonzero(fixed))
-    return n + 4 * small + 4, failures, res
-
-
-def _density_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    angles = rng.uniform(0.3, np.pi - 0.3, size=(n, 4))
-    rho = Representation(*(_diag(angles[:, i]) for i in range(4)))
-    gap = density_witness(rho, 1e-4).slot_distance(rho)
-    ok = ~is_abelian(density_witness(rho, 0.5), tol.mat)
-    ok &= ~is_abelian(density_witness(rho, 1.0), tol.mat)
-    ok &= gap < 1e-3
-    return n, int(np.count_nonzero(~ok)), {"witness-approach": _worst(0.0, gap)}
-
-
-_SUITES = {
-    "flows": _flows_suite,
-    "polytope": _polytope_suite,
-    "tau": _tau_suite,
-    "sigma": _sigma_suite,
-    "density": _density_suite,
-}
-
-
-def run_verify(
-    suite: str,
-    samples: int = 1000,
-    seed: int = 0,
-    tol: Optional[Tolerances] = None,
-) -> VerifyReport:
-    """Run one named verification suite (or ``"all"``) and build its report."""
-    tol = tol or DEFAULT
-    if samples < 1:
-        raise PreconditionViolated(f"samples must be >= 1, got {samples}")
-    names = list(_SUITES) if suite == "all" else [suite]
-    if any(name not in _SUITES for name in names):
-        raise PreconditionViolated(f"unknown suite {suite!r}")
-    start = time.perf_counter()
-    trials = 0
-    failures = 0
-    residuals: dict = {}
-    for offset, name in enumerate(names):
-        t, f, res = _SUITES[name](samples, np.random.default_rng(seed + offset), tol)
-        trials += t
-        failures += f
-        prefix = f"{name}." if suite == "all" else ""
-        for key, val in res.items():
-            residuals[prefix + key] = val
-    return VerifyReport(
-        suite=suite,
-        trials=trials,
-        failures=failures,
-        max_residual=residuals,
-        wall_time_s=time.perf_counter() - start,
-        seed=seed,
-        tolerances=asdict(tol),
-        notes=(NU_NORMALIZATION_NOTE,),
-    )
-
-
-# ---------------------------------------------------------------------------
-# fixed-point enumeration and certification
-# ---------------------------------------------------------------------------
-
-
-def _fixed_point_stream(count: int, rng: np.random.Generator) -> Iterator[Representation]:
-    # pillow, blow-up, RP^2 and arc points in turn, drawn item by item and stacked
-    for start in range(0, count, _CHUNK):
-        rows: list[np.ndarray] = []
-        while len(rows) < min(_CHUNK, count - start):
-            kind = (start + len(rows)) % 4
-            if kind < 2:
-                g, h = haar_sample(rng), haar_sample(rng)
-                axis = commutator(g, h).vec
-                if float(np.linalg.norm(axis)) < 1e-3:
-                    continue
-                k = GroupElement(np.concatenate(([0.0], AlgebraElement(axis).unit().v)))
-                rho = pillow_point(g, h) if kind == 0 else blowup_point(g, h, k)
-            elif kind == 2:
-                rho = rp2_fiber_point(_pure_unit(rng))
-            else:
-                theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
-                rho = n2_interval(float(theta), float(s), float(rng.uniform(0.1, np.pi / 2 - 0.1)))
-            rows.append(rho.slots())
-        yield Representation.from_slots(np.stack(rows))
-
-
-def run_sigma_certification(
-    samples: int, seed: int, tol: Optional[Tolerances] = None, grid: int = 10
-) -> dict:
-    """Full certification of the swap fixed locus; returns a JSON-ready report."""
-    tol = tol or DEFAULT
-    if samples < 1 or grid < 2:
-        raise PreconditionViolated(f"need samples >= 1 and grid >= 2, got {samples} and {grid}")
-    rng = np.random.default_rng(seed)
-    counts: dict = {piece.value: 0 for piece in Piece}
-    violations: list[str] = []
-    worst = {"conjugator-residual": 0.0}
-
-    for start, batch in zip(range(0, samples, _CHUNK), _fixed_point_stream(samples, rng)):
-        points = list(classify_fixed_points(batch, tol=tol.mat))
-        for point in points:
-            counts[point.piece.value] += 1
-        k = GroupElement(np.stack([point.conjugator.q for point in points]))
-        resid = batch.conjugated(k).slot_distance(sigma(batch))
-        worst["conjugator-residual"] = max(worst["conjugator-residual"], float(np.max(resid)))
-        for idx in np.flatnonzero(resid >= tol.mat * 10.0):
-            violations.append(f"sample {start + idx}: conjugator residual {resid[idx]:.3e}")
-
-    for _ in range(max(samples // 10, 1)):
-        theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
-        report = certify_interval_injectivity(float(theta), float(s), grid=grid, tol=tol.mat)
-        if not report.passed:
-            violations.append(
-                f"interval ({theta:.4f},{s:.4f}): "
-                f"{len(report.fixed_failures)} unfixed, {len(report.collisions)} collisions"
-            )
-    return {
-        "suite": "sigma-certification",
-        "samples": samples,
-        "grid": grid,
-        "seed": seed,
-        "counts": counts,
-        "max_residual": worst,
-        "violations": violations,
-        "tolerances": asdict(tol),
-        "notes": [NU_NORMALIZATION_NOTE],
-    }
-
-
-# ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
 
@@ -515,12 +158,7 @@ def _parse_triple(text: str, flag: str) -> np.ndarray:
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     tol = getattr(args, "tol", None)
-    if tol is None:
-        return DEFAULT
-    # a NaN tolerance passes every "residual >= tol" check
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise PreconditionViolated(f"tol must be a positive finite number, got {tol!r}")
-    return Tolerances.with_mat(tol)
+    return DEFAULT if tol is None else Tolerances.with_mat(tol)
 
 
 def cmd_sample(args: argparse.Namespace) -> int:

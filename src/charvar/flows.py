@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGenerator
-from .repvar import Representation, _class_equal
+from .repvar import Representation
 from .su2 import AlgebraElement, GroupElement, distance, exp_alg, mul
 from .tolerances import EPS_CENTER, EPS_MAT
 
@@ -33,11 +33,9 @@ __all__ = [
     "TorusElement",
     "FlowGenerators",
     "FlowIdentityReport",
-    "KernelFreenessReport",
     "generators",
     "act",
     "verify_flow_identities",
-    "kernel_and_freeness_check",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -210,49 +208,3 @@ def verify_flow_identities(rho: Representation, t) -> FlowIdentityReport:
     if np.ndim(residual_h2) == 0:
         return FlowIdentityReport(float(t), float(residual_h2), float(residual_h1))
     return FlowIdentityReport(np.asarray(t, dtype=np.float64), residual_h2, residual_h1)
-
-
-@dataclass(frozen=True)
-class KernelFreenessReport:
-    """Empirical kernel/freeness evidence for the torus action at one class."""
-
-    kernel_fixes_exactly: bool
-    trials: int
-    violations: tuple[np.ndarray, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.kernel_fixes_exactly and not self.violations
-
-
-# Torus angles closer than this to the kernel (pi,pi,pi) are redrawn in
-# kernel_and_freeness_check: near the kernel a class moves too little to tell.
-_KERNEL_GAP = 1e-6
-
-
-def kernel_and_freeness_check(
-    rho: Representation,
-    trials: int,
-    rng: np.random.Generator,
-) -> KernelFreenessReport:
-    """(a) (pi,pi,pi) fixes the quadruple slot-by-slot, bitwise; (b) `trials`
-    random angles at least _KERNEL_GAP from the kernel all move the class,
-    checked as one batch (drawn in the order of one 3-draw per trial)."""
-    if rho.batch_shape != ():
-        raise ValueError("kernel_and_freeness_check is scalar-only")
-    acted = act(TorusElement.kernel(), rho)
-    kernel_exact = all(
-        np.array_equal(a.q, b.q) for a, b in zip(acted.elements(), rho.elements())
-    )
-    angles = np.empty((0, 3))
-    while len(angles) < trials:
-        draws = rng.uniform(0.0, TWO_PI, size=(trials - len(angles), 3))
-        far = ~(TorusElement.from_array(draws).kernel_distance() < _KERNEL_GAP)
-        angles = np.concatenate([angles, draws[far]])
-    t = TorusElement.from_array(angles)
-    fixed = _class_equal(act(t, rho), rho, EPS_MAT)
-    return KernelFreenessReport(
-        kernel_fixes_exactly=kernel_exact,
-        trials=trials,
-        violations=tuple(t.as_array()[fixed]),
-    )

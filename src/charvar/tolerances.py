@@ -16,7 +16,10 @@ EPS_CENTER is a module constant only; the other four are the fields of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+from .errors import PreconditionViolated
 
 EPS_MAT = 1e-9
 EPS_F = 1e-9
@@ -27,16 +30,24 @@ EPS_POLY = 1e-9
 
 @dataclass(frozen=True)
 class Tolerances:
-    """A coherent bundle of tolerances; scale all of them with one knob."""
+    """A coherent bundle of tolerances; scale all of them with one knob.
+    Every field must be positive and finite."""
 
     mat: float = EPS_MAT
     f: float = EPS_F
     rel: float = EPS_REL
     poly: float = EPS_POLY
 
+    def __post_init__(self):
+        # a NaN tolerance passes every "residual >= tol" check
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise PreconditionViolated(
+                    f"tol must be a positive finite number, got {field.name}={value!r}"
+                )
+
     def scaled(self, factor: float) -> "Tolerances":
-        if factor <= 0.0:
-            raise ValueError("tolerance scale factor must be positive")
         return Tolerances(
             mat=self.mat * factor,
             f=self.f * factor,

@@ -1,80 +1,64 @@
 """Acceptance suite: one test per criterion, one printed pass line each.
 
-Every criterion pins its own tolerance and trial count.  Interior ensembles
-are built fiber-wise (a random strictly interior base point, a batch of
-random twist angles on its fiber, a batch of random global conjugations) so
-the large-scale checks run vectorized.
+Criteria 2-9 read the reports of the ``charvar verify`` suites
+(``claims.run_verify``), each run once at a pinned seed and sample count, and
+assert the criterion's pinned tolerance against the report's worst
+residuals; the few checks no suite makes are extra asserts.  Criterion 1 is
+built fiber-wise (a random strictly interior base point, a batch of random
+twist angles on its fiber, a batch of random global conjugations) so it runs
+vectorized.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import functools
 
-from charvar.flows import TorusElement, act, verify_flow_identities
-from charvar.polytope import (
-    M_P,
-    STD_DELTA,
-    TILDE_DELTA,
-    boundary_commutation_check,
-    moment_coordinates,
-    mu_lambda_coordinates,
-    trace_triple,
-)
-from charvar.repvar import (
-    Representation,
-    _class_equal,
-    is_abelian,
-    relation_residual,
-)
-from charvar.sampler import density_witness
+import numpy as np
+
+from charvar.claims import run_verify
+from charvar.flows import TorusElement, act
+from charvar.polytope import STD_DELTA, moment_coordinates, mu_lambda_coordinates
+from charvar.repvar import Representation, relation_residual
 from charvar.sigma import (
     Piece,
-    Stratum,
-    _sigma_fixed,
     certify_interval_injectivity,
     classify_fixed_points,
     n2_interval,
     pillow_point,
-    rp2_fiber_point,
 )
-from charvar.su2 import (
-    AlgebraElement,
-    GroupElement,
-    commutator,
-    distance,
-    exp_alg,
-    haar_sample,
-)
-from charvar.tau import section, tau
+from charvar.su2 import GroupElement, commutator, distance, haar_sample
+from charvar.tau import section
 from charvar.tolerances import EPS_MAT
-from charvar.cli import run_verify
 
 RELATION_TOL = 1e-9  # criterion 1
 INTERTWINE_TOL = 1e-10  # criterion 2
 MEMBERSHIP_TOL = 1e-9  # criterion 3
 ROUNDTRIP_TOL = 1e-7  # criteria 4 and 6
+PILLOW_TOL = 1e-7  # criterion 7
 DENSITY_TOL = 1e-3  # criterion 8
 
-I4 = GroupElement.identity()
-MINUS_I = GroupElement.minus_identity()
 DIAG_I = GroupElement(np.array([0.0, 0.0, 0.0, 1.0]))
 J = GroupElement(np.array([0.0, -1.0, 0.0, 0.0]))
+
+# suite -> (samples, seed): the seed of the first criterion that reads it
+PINNED = {
+    "flows": (10_000, 102),
+    "polytope": (100_000, 103),
+    "tau": (1000, 106),
+    "sigma": (1000, 107),
+    "density": (1000, 108),
+}
+
+
+@functools.cache
+def report(suite: str):
+    """The suite's verify report at its pinned samples and seed, run once per session."""
+    samples, seed = PINNED[suite]
+    return run_verify(suite, samples=samples, seed=seed)
 
 
 def _report(criterion: str, detail: str) -> None:
     print(f"criterion {criterion}: PASS — {detail}")
-
-
-def diag(theta) -> GroupElement:
-    """exp of theta * e_z, batched over the shape of theta."""
-    zero = np.zeros(np.shape(theta))
-    return exp_alg(AlgebraElement(np.stack([zero, zero, theta], axis=-1)))
-
-
-def _pure(v: AlgebraElement) -> GroupElement:
-    """The pure-imaginary unit quaternion(s) (0, v) of unit vector(s) v."""
-    return GroupElement(np.concatenate((np.zeros(v.batch_shape + (1,)), v.v), axis=-1))
 
 
 def interior_base(rng: np.random.Generator) -> np.ndarray:
@@ -89,33 +73,18 @@ def batched_torus(rng: np.random.Generator, n: int) -> TorusElement:
     return TorusElement(phi[0], phi[1], phi[2])
 
 
-def scalar_torus(rng: np.random.Generator) -> TorusElement:
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    return TorusElement(float(phi[0]), float(phi[1]), float(phi[2]))
-
-
-def _concat(a: Representation, b: Representation) -> Representation:
-    """Two quadruple batches joined along the batch axis."""
-    return Representation(
-        *(GroupElement(np.concatenate([x.q, y.q])) for x, y in zip(a.elements(), b.elements()))
-    )
-
-
-def interior_fibers(rng: np.random.Generator, bases: int, per_base: int):
-    """Batched interior representations, one batch per random fiber."""
-    for _ in range(bases):
-        rho = act(batched_torus(rng, per_base), section(interior_base(rng)))
-        yield rho.conjugated(haar_sample(rng, (per_base,)))
-
-
 def test_criterion_1_relation_preserved_under_torus_action():
+    # fiber-wise, not through the registry: flows at 100,000 samples takes
+    # 8.8 s against 0.7 s here (2 vCPU), most of it in per-item draws whose
+    # order the golden pins fix
     rng = np.random.default_rng(101)
     trials = 0
     worst = 0.0
     failures = 0
-    for rho in interior_fibers(rng, bases=100, per_base=1000):
-        moved = act(batched_torus(rng, 1000), rho)
-        res = relation_residual(moved)
+    for _ in range(100):
+        rho = act(batched_torus(rng, 1000), section(interior_base(rng)))
+        rho = rho.conjugated(haar_sample(rng, (1000,)))
+        res = relation_residual(act(batched_torus(rng, 1000), rho))
         worst = max(worst, float(np.max(res)))
         failures += int(np.count_nonzero(res >= RELATION_TOL))
         trials += res.size
@@ -125,121 +94,60 @@ def test_criterion_1_relation_preserved_under_torus_action():
 
 
 def test_criterion_2_intertwining_identities():
-    rng = np.random.default_rng(102)
-    bases = section(np.array([interior_base(rng) for _ in range(100)]))
-    rho = act(batched_torus(rng, 10_000), bases[np.repeat(np.arange(100), 100)])
-    ident = verify_flow_identities(rho, rng.uniform(0.0, 2.0 * np.pi, size=10_000))
-    assert ident.max_residual.shape == (10_000,)
-    worst = float(np.max(ident.max_residual))
+    rep = report("flows")
+    assert rep.trials == 10_000 and rep.failures == 0
+    worst = max(rep.max_residual["intertwine-h1"], rep.max_residual["intertwine-h2"])
     assert worst < INTERTWINE_TOL
     _report("2", f"10000 (rho, t) pairs, both residuals <= {worst:.3e} < {INTERTWINE_TOL}")
 
 
 def test_criterion_3_tetrahedron_coincidence():
-    rng = np.random.default_rng(103)
-    a = haar_sample(rng, (100_000,))
-    b = haar_sample(rng, (100_000,))
-    margins = TILDE_DELTA.margin(trace_triple(a, b))
-    outside = int(np.count_nonzero(margins > MEMBERSHIP_TOL))
-    assert outside == 0
-
-    # boundary <=> commuting, matched tolerances, both construction styles;
-    # the near-boundary draws come first, in per-item order (eps, then the
-    # four slot angles), and each row is read against its own 10 * eps
-    draws = np.array(
-        [
-            [10.0 ** float(rng.uniform(-8.0, -4.0))]
-            + [float(rng.uniform(0.3, np.pi - 0.3)) for _ in range(4)]
-            for _ in range(5000)
-        ]
-    )
-    eps = draws[:, 0]
-    zero = np.zeros_like(eps)
-    bump = exp_alg(AlgebraElement(np.stack([eps, zero, zero], axis=-1)))
-    rho = Representation(
-        diag(draws[:, 1]), diag(draws[:, 2]), diag(draws[:, 3]), bump * diag(draws[:, 4])
-    )
-    ok = boundary_commutation_check(rho, poly_tol=10.0 * eps, mat_tol=10.0 * eps)
-    assert ok.shape == (5000,)
-    mismatches = int(np.count_nonzero(~ok))
-    checked = 0
-    for rho in interior_fibers(rng, bases=10, per_base=500):
-        mismatches += int(np.count_nonzero(~boundary_commutation_check(rho)))
-        checked += rho.batch_shape[0]
-    assert checked == 5000
-    assert mismatches == 0
+    # 100,000 Haar pairs, 10,001 near-boundary and 10,001 interior boundary
+    # <=> commuting checks (each near-boundary row read against its own
+    # 10 * eps) and the 10,001 interior moments of criterion 4
+    rep = report("polytope")
+    assert rep.trials == 100_000 + 3 * 10_001 and rep.failures == 0
+    margin = rep.max_residual["tetra-membership"]
+    assert margin <= MEMBERSHIP_TOL
     _report(
         "3",
-        f"100000 Haar pairs inside the tetrahedron (max margin {float(np.max(margins)):.3e}),"
-        " 10000 near-boundary checks consistent",
+        f"100000 Haar pairs inside the tetrahedron (max margin {margin:.3e}),"
+        " 20002 near-boundary and interior checks consistent",
     )
 
 
 def test_criterion_4_moment_image_and_quotient():
-    # vertex bijection in exact integer arithmetic
-    images = (M_P.m.astype(np.int64) @ STD_DELTA.vertices.astype(np.int64).T).T
-    got = {tuple(int(v) for v in row) for row in images}
-    want = {tuple(int(v) for v in row) for row in TILDE_DELTA.vertices.astype(np.int64)}
-    assert got == want and len(got) == 4
-
+    rep = report("polytope")
+    assert rep.failures == 0
+    assert rep.max_residual["vertex-bijection"] == 0.0  # exact integer arithmetic
+    assert rep.max_residual["quotient-interior"] < 0.0  # 10,001 interior moments
+    # the suite's round trips stay 0.02 inside the simplex; these reach the facets
     rng = np.random.default_rng(104)
-    checked = 0
-    for rho in interior_fibers(rng, bases=10, per_base=1000):
-        margins = STD_DELTA.margin(mu_lambda_coordinates(rho))
-        assert float(np.max(margins)) < 0.0
-        checked += margins.size
-    assert checked == 10_000
-
-    worst = 0.0
-    for _ in range(1000):
-        x = interior_base(rng)
-        err = float(np.max(np.abs(mu_lambda_coordinates(section(x)) - x)))
-        worst = max(worst, err)
+    x = np.array([interior_base(rng) for _ in range(1000)])
+    worst = float(np.max(np.abs(mu_lambda_coordinates(section(x)) - x)))
+    worst = max(worst, rep.max_residual["section-roundtrip"])
     assert worst < ROUNDTRIP_TOL
     _report(
         "4",
-        "vertex bijection exact, 10000 interior moments strictly inside,"
-        f" 1000 section round-trips max {worst:.3e} < {ROUNDTRIP_TOL}",
+        "vertex bijection exact, 10001 interior moments strictly inside,"
+        f" section round-trips (the suite's and 1000 to the facets) max {worst:.3e} < {ROUNDTRIP_TOL}",
     )
 
 
 def test_criterion_5_kernel_and_freeness():
-    rng = np.random.default_rng(105)
-    for rho in interior_fibers(rng, bases=10, per_base=100):
-        pinned = act(TorusElement.kernel(), rho)
-        for a, b in zip(pinned.elements(), rho.elements()):
-            assert np.array_equal(a.q, b.q)
-
-    # every draw in per-item order, then one section, one act per torus
-    # batch and one class decision
-    xs, angles, twists = [], [], []
-    for _ in range(1000):
-        xs.append(interior_base(rng))
-        angles.append(rng.uniform(0.0, 2.0 * np.pi, size=3))
-        while True:
-            t = scalar_torus(rng)
-            if float(t.kernel_distance()) > 1e-3:
-                break
-        twists.append([t.phi1, t.phi2, t.phi3])
-    rho = act(TorusElement.from_array(angles), section(np.array(xs)))
-    twisted = act(TorusElement.from_array(twists), rho)
-    moved = int(np.count_nonzero(~_class_equal(twisted, rho, EPS_MAT)))
-    assert moved == 1000
-    _report("5", "kernel element fixes 1000 tuples bitwise; 1000 non-kernel twists all move the class")
+    # every class is fixed by the kernel, and every tenth is moved by a twist
+    # at least 1e-3 from the kernel: 1,000 non-kernel twists
+    rep = report("flows")
+    assert rep.trials == 10_000 and rep.failures == 0
+    assert rep.max_residual["kernel-fix"] == 0.0
+    _report("5", "kernel element fixes 10000 tuples bitwise; 1000 non-kernel twists all move the class")
 
 
 def test_criterion_6_tau_suite():
-    rng = np.random.default_rng(106)
-    rho = act(batched_torus(rng, 1000), section(np.array([interior_base(rng) for _ in range(1000)])))
-    image = tau(rho)
-    drift = float(np.max(np.abs(mu_lambda_coordinates(image) - mu_lambda_coordinates(rho))))
-    t = batched_torus(rng, 1000)
-    # involution and flow reversal: one class decision over both checks' pairs
-    equal = _class_equal(
-        _concat(tau(image), tau(act(t, rho))), _concat(rho, act(t.inverse(), image)), EPS_MAT
-    )
-    assert equal.shape == (2000,)
-    assert equal.all()
+    rep = report("tau")
+    assert rep.trials == 1000 and rep.failures == 0
+    assert max(rep.max_residual["involution"], rep.max_residual["reversal"]) < EPS_MAT
+    drift = rep.max_residual["moment-drift"]
     assert drift < ROUNDTRIP_TOL
     _report(
         "6",
@@ -248,65 +156,40 @@ def test_criterion_6_tau_suite():
 
 
 def test_criterion_7_sigma_suite():
-    rng = np.random.default_rng(107)
-    # each part is one batch, drawn in the order of one item at a time
-    # (a) pillow points are fixed with conjugator +-1
-    gh = haar_sample(rng, (1000, 2))
-    k, fixed = _sigma_fixed(pillow_point(gh[:, 0], gh[:, 1]), EPS_MAT)
-    assert fixed.all()
-    dev = np.minimum(np.linalg.norm(k.q - I4.q, axis=-1), np.linalg.norm(k.q + I4.q, axis=-1))
-    assert np.all(dev < 1e-7)
+    # 1,000 pillow points, 100 projective pairs, 100 grid-5 arcs, the four
+    # central points and 100 interior points
+    rep = report("sigma")
+    assert rep.trials == 1000 + 4 * 100 + 4 and rep.failures == 0
+    assert rep.max_residual["pillow-conjugator"] < PILLOW_TOL
 
-    # (b) canonical pillow point: zero trace triple, commutator exactly -1
+    # canonical pillow point: zero trace triple, commutator exactly -1
     canon = pillow_point(DIAG_I, J)
     assert np.array_equal(moment_coordinates(canon), [0.5, 0.5, 0.5])  # trace 0 throughout
-    assert float(distance(commutator(canon.g1, canon.h1), MINUS_I)) == 0.0
+    assert float(distance(commutator(canon.g1, canon.h1), GroupElement.minus_identity())) == 0.0
 
-    # (c) the +-k identification, and no spurious identifications
-    k = _pure(AlgebraElement(rng.normal(size=(100, 3))).unit())
-    assert _class_equal(rp2_fiber_point(k), rp2_fiber_point(-k), EPS_MAT).all()
-    pairs = []
-    while len(pairs) < 100:  # a pair with nearly parallel axes is drawn again
-        v1 = AlgebraElement(rng.normal(size=3)).unit()
-        v2 = AlgebraElement(rng.normal(size=3)).unit()
-        if float(np.linalg.norm(np.cross(v1.v, v2.v))) >= 1e-2:
-            pairs.append((v1.v, v2.v))
-    k1, k2 = (_pure(AlgebraElement(np.array(v))) for v in zip(*pairs))
-    assert not _class_equal(rp2_fiber_point(k1), rp2_fiber_point(k2), EPS_MAT).any()
-
-    # (d) interval arcs: endpoints on the two surfaces, interior grid injective
+    # interval arcs: endpoints on the two surfaces, grid-10 interior injective
+    rng = np.random.default_rng(107)
     arcs = [(float(theta), float(s)) for theta, s in rng.uniform(0.3, np.pi - 0.3, size=(100, 2))]
     ends = [n2_interval(theta, s, np.array([0.0, np.pi / 2])).slots() for theta, s in arcs]
     points = classify_fixed_points(Representation.from_slots(np.concatenate(ends)))
-    surfaces = [Piece.PILLOW_SURFACE, Piece.INTERVAL_ENDPOINT]
-    assert [point.piece for point in points] == surfaces * 100
+    assert [point.piece for point in points] == [Piece.PILLOW_SURFACE, Piece.INTERVAL_ENDPOINT] * 100
     for theta, s in arcs:
         assert certify_interval_injectivity(theta, s, grid=10).passed
-
-    # (e) the four swap-symmetric central points sit in the deepest stratum
-    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, [0, 1, 1, 0], None]
-    central = classify_fixed_points(Representation.from_slots(signs * I4.q))
-    assert [point.stratum for point in central] == [Stratum.III] * 4
     _report(
         "7",
-        "pillow conjugators trivial (1000), canonical point exact, 200 projective-pair checks,"
+        "pillow conjugators trivial (1000), canonical point exact, 100 projective pairs,"
         " 100 interval grids injective with endpoints on both surfaces, 4 central points stratum III",
     )
 
 
 def test_criterion_8_density_witnesses():
-    rng = np.random.default_rng(108)
-    angles = rng.uniform(0.3, np.pi - 0.3, size=(1000, 4))
-    rho = Representation(*(diag(angles[:, i]) for i in range(4)))
-    for t in (1e-4, 0.5, 1.0):
-        assert not np.any(is_abelian(density_witness(rho, t)))
-    worst = float(np.max(density_witness(rho, 1e-4).slot_distance(rho)))
+    rep = report("density")
+    assert rep.trials == 1000 and rep.failures == 0  # non-abelian at t = 1e-4, 0.5 and 1
+    worst = rep.max_residual["witness-approach"]
     assert worst < DENSITY_TOL
     _report("8", f"1000 abelian starts leave the torus for t > 0; gap at t=1e-4 max {worst:.3e}")
 
 
 def test_criterion_9_normalization_note_in_report():
-    report = run_verify("polytope", samples=50, seed=109)
-    assert report.passed
-    assert any("factor-2" in note for note in report.notes)
+    assert any("factor-2" in note for note in report("polytope").notes)
     _report("9", "verify report carries the factor-2 normalization note")
