@@ -26,7 +26,18 @@ import numpy as np
 
 from .errors import DegenerateGenerator
 from .repvar import Representation
-from .su2 import AlgebraElement, GroupElement, distance, exp_alg, mul
+from .su2 import (
+    AlgebraElement,
+    GroupElement,
+    _exp,
+    _pack,
+    _qmul,
+    _row_norm,
+    _split,
+    distance,
+    exp_alg,
+    mul,
+)
 from .tolerances import EPS_CENTER, EPS_MAT
 
 __all__ = [
@@ -112,14 +123,15 @@ class FlowGenerators:
     Y_hat: AlgebraElement
 
 
-def _axis(g: GroupElement, name: str) -> AlgebraElement:
-    v = AlgebraElement(g.vec)
-    if np.any(v.norm < EPS_CENTER):
+def _axis(g: tuple, name: str) -> AlgebraElement:
+    """The unit axis of the element(s) with components g = (w, x, y, z)."""
+    n = _row_norm(g[1:])
+    if np.any(n < EPS_CENTER):
         raise DegenerateGenerator(
             f"{name} is within {EPS_CENTER:g} of the center; "
             "the twist flows are defined on interior classes only"
         )
-    return v.unit()
+    return AlgebraElement(np.stack([c / n for c in g[1:]], axis=-1))
 
 
 def generators(rho: Representation) -> FlowGenerators:
@@ -129,18 +141,28 @@ def generators(rho: Representation) -> FlowGenerators:
     such classes sit over the boundary of the moment tetrahedron, where the
     torus action is not defined.
     """
-    h2h1 = mul(rho.h2, rho.h1)
-    h1h2 = mul(rho.h1, rho.h2)
+    h1, h2 = _split(rho.h1.q), _split(rho.h2.q)
     return FlowGenerators(
-        xi1_hat=_axis(rho.h1, "h1"),
-        xi2_hat=_axis(rho.h2, "h2"),
-        X_hat=_axis(h2h1, "h2*h1"),
-        Y_hat=_axis(h1h2, "h1*h2"),
+        xi1_hat=_axis(h1, "h1"),
+        xi2_hat=_axis(h2, "h2"),
+        X_hat=_axis(_qmul(h2, h1), "h2*h1"),
+        Y_hat=_axis(_qmul(h1, h2), "h1*h2"),
     )
 
 
 def _scaled(hat: AlgebraElement, phi: np.ndarray) -> AlgebraElement:
     return AlgebraElement(hat.v * np.asarray(phi, dtype=np.float64)[..., None])
+
+
+def _twisted(
+    left: AlgebraElement, phi_left, g: GroupElement, right: AlgebraElement, phi_right
+) -> GroupElement:
+    """e^{phi_left left} g e^{phi_right right}: the exponentials and both
+    products on components, packed once.  The arithmetic is that of
+    mul(mul(exp_alg(_scaled(left, phi_left)), g), exp_alg(_scaled(right, phi_right)))."""
+    lhs = _exp(*(c * phi_left for c in _split(left.v)))
+    rhs = _exp(*(c * phi_right for c in _split(right.v)))
+    return GroupElement(_pack(*_qmul(_qmul(lhs, _split(g.q)), rhs)))
 
 
 def act(t: TorusElement, rho: Representation) -> Representation:
@@ -153,10 +175,8 @@ def act(t: TorusElement, rho: Representation) -> Representation:
     classes, as for generators().
     """
     gen = generators(rho)
-    g1 = mul(mul(exp_alg(_scaled(gen.X_hat, t.phi3)), rho.g1),
-             exp_alg(_scaled(gen.xi1_hat, t.phi1)))
-    g2 = mul(mul(exp_alg(_scaled(gen.Y_hat, t.phi3)), rho.g2),
-             exp_alg(_scaled(gen.xi2_hat, t.phi2)))
+    g1 = _twisted(gen.X_hat, t.phi3, rho.g1, gen.xi1_hat, t.phi1)
+    g2 = _twisted(gen.Y_hat, t.phi3, rho.g2, gen.xi2_hat, t.phi2)
     h1, h2 = rho.h1, rho.h2
     if g1.batch_shape != h1.batch_shape:
         # batched angles over a scalar tuple: fan the untouched slots out

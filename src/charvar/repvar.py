@@ -27,6 +27,7 @@ from .su2 import (
     AlgebraElement,
     GroupElement,
     _cross,
+    _distance,
     _find_conjugators,
     _surface_word,
     commutator,
@@ -92,14 +93,11 @@ class Representation:
         return float(worst) if worst.ndim == 0 else worst
 
 
-def _relation_word(rho: Representation) -> GroupElement:
-    """The surface word [g1,h1][g2,h2]; the identity on solutions."""
-    return _surface_word(*rho.elements())
-
-
 def relation_residual(rho: Representation) -> np.ndarray:
     """Frobenius distance of [g1,h1][g2,h2] from the identity; 0 on solutions."""
-    return distance(_relation_word(rho), GroupElement.identity(rho.batch_shape))
+    w, x, y, z = _surface_word(*rho.elements())
+    # the difference from (1, 0, 0, 0): x - 0.0 is x bit for bit
+    return _distance((w - 1.0, x, y, z))
 
 
 def new_checked(

@@ -43,16 +43,26 @@
 # hold bitwise, which downstream modules assert (torus kernel, interval
 # endpoints).
 #
-# The order of operations in the kernels (_qmul, conjugate, _cross) is part
-# of the exactness contract: every component is computed by the expression
-# written there, grouped as written, and fixed-seed outputs are reproducible
-# bit for bit only because of it.  Regrouping the arithmetic (a "simpler"
-# sum, a fused dot product, a matrix form) changes output bits and is a
-# regression; tests/test_su2.py checks the kernels bitwise against the
-# vector/cross-product formulation they replaced.
+# The order of operations in the kernels (_qmul, conjugate, _cross, _exp) is
+# part of the exactness contract: every component is computed by the
+# expression written there, grouped as written, and fixed-seed outputs are
+# reproducible bit for bit only because of it.  Regrouping the arithmetic (a
+# "simpler" sum, a fused dot product, a matrix form) changes output bits and
+# is a regression; tests/test_su2.py checks the kernels bitwise against the
+# vector/cross-product formulation they replaced and exp_alg against its
+# np.linalg.norm form.
+#
+# The batched kernels work on component arrays (_split, _pack) and
+# accumulate in place into temporaries they allocated themselves (_sum):
+# a += b is a + b bit for bit, so in-place accumulation keeps the grouping
+# written, and it never writes to an argument.  Row norms (_row_norm) sum
+# the squares in order, ((s0 + s1) + s2) + s3, which is np.linalg.norm over
+# axis -1 on every batch shape; np.vecdot sums in another order, and
+# _vector_norm keeps its arithmetic only where that is the contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -267,7 +277,13 @@ def _cross(a, b) -> tuple:
     """
     a0, a1, a2 = a
     b0, b1, b2 = b
-    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    c0 = a1 * b2
+    c0 -= a2 * b1
+    c1 = a2 * b0
+    c1 -= a0 * b2
+    c2 = a0 * b1
+    c2 -= a1 * b0
+    return c0, c1, c2
 
 
 def _perpendicular(n: np.ndarray) -> np.ndarray:
@@ -276,6 +292,27 @@ def _perpendicular(n: np.ndarray) -> np.ndarray:
     probe = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
     d = np.stack(_cross(np.moveaxis(n, -1, 0), np.moveaxis(probe, -1, 0)), axis=-1)
     return d / np.linalg.norm(d, axis=-1)[..., None]
+
+
+def _sum(acc, *terms):
+    """((acc + terms[0]) + terms[1]) + ..., accumulated into acc.
+
+    acc must be a temporary the caller allocated with the full batch shape
+    (a product of both operands' components): arrays are updated in place,
+    numpy scalars rebound.  a += b is a + b bit for bit, so the grouping is
+    the one written at the call.
+    """
+    for t in terms:
+        acc += t
+    return acc
+
+
+def _row_norm(cs) -> np.ndarray:
+    """Euclidean norm of the rows whose components are cs, the squares summed
+    in order, ((s0 + s1) + s2) + ...: np.linalg.norm(axis=-1) bit for bit on
+    any batch shape, single rows included (np.vecdot sums differently)."""
+    c0, *rest = cs
+    return np.sqrt(_sum(c0 * c0, *(c * c for c in rest)))
 
 
 def _vector_norm(v: np.ndarray) -> np.ndarray:
@@ -298,6 +335,15 @@ def _exact_center(w, x, y, z):
     return mask if mask.any() and not mask.all() else bool(mask.all())
 
 
+def _qvec(aw, ai, aj, ak, bw, bi, bj, bk):
+    """Component i of a product's vector part, (aw*bi + bw*ai) + (a x b)_i,
+    for the cyclic (i, j, k); (a x b)_i = aj*bk - ak*bj is NumPy's cross
+    product arithmetic.  Its temporaries are freed when it returns."""
+    c = aj * bk
+    c -= ak * bj
+    return _sum(aw * bi, bw * ai, c)
+
+
 def _qmul(a: tuple, b: tuple) -> tuple:
     """Renormalized product of component quadruples a = (w, x, y, z) and b.
 
@@ -311,15 +357,20 @@ def _qmul(a: tuple, b: tuple) -> tuple:
         return tuple(c * a[0] for c in b)
     aw, ax, ay, az = a
     bw, bx, by, bz = b
-    cx, cy, cz = _cross((ax, ay, az), (bx, by, bz))
-    # the dot starts from +0.0, as a NumPy sum does: an all -0.0 dot is +0.0
-    w = aw * bw - (((0.0 + ax * bx) + ay * by) + az * bz)
-    x = (aw * bx + bw * ax) + cx
-    y = (aw * by + bw * ay) + cy
-    z = (aw * bz + bw * az) + cz
+    # w = aw*bw - (((0.0 + ax*bx) + ay*by) + az*bz): the dot starts from
+    # +0.0, as a NumPy sum does, so an all -0.0 dot is +0.0 (p + 0.0 is 0.0 + p)
+    w = aw * bw
+    w -= _sum(ax * bx, 0.0, ay * by, az * bz)
+    x = _qvec(aw, ax, ay, az, bw, bx, by, bz)
+    y = _qvec(aw, ay, az, ax, bw, by, bz, bx)
+    z = _qvec(aw, az, ax, ay, bw, bz, bx, by)
     # a product with |q|^2 == 1.0 is divided by exactly 1: sqrt(1.0) == 1.0
-    n = np.sqrt(((w * w + x * x) + y * y) + z * z)
-    q = w / n, x / n, y / n, z / n
+    n = _row_norm((w, x, y, z))
+    w /= n
+    x /= n
+    y /= n
+    z /= n
+    q = w, x, y, z
     for center, s, other in ((ca, a[0], b), (cb, b[0], a)):
         if center is not False:
             q = tuple(np.where(center, c * s, r) for c, r in zip(other, q))
@@ -350,9 +401,14 @@ def conjugate(k: GroupElement, g: GroupElement) -> GroupElement:
     """
     kw, kx, ky, kz = _split(k.q)
     gw, gx, gy, gz = _split(g.q)
-    tx, ty, tz = (2.0 * c for c in _cross((kx, ky, kz), (gx, gy, gz)))
+    tx, ty, tz = _cross((kx, ky, kz), (gx, gy, gz))
+    tx *= 2.0
+    ty *= 2.0
+    tz *= 2.0
     cx, cy, cz = _cross((kx, ky, kz), (tx, ty, tz))
-    return GroupElement(_pack(gw, (gx + kw * tx) + cx, (gy + kw * ty) + cy, (gz + kw * tz) + cz))
+    # each vector component is (g + kw * t) + (k x t), and g + p is p + g
+    x, y, z = (_sum(kw * t, gc, c) for t, gc, c in ((tx, gx, cx), (ty, gy, cy), (tz, gz, cz)))
+    return GroupElement(_pack(gw, x, y, z))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -362,15 +418,20 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def _surface_word(
     g1: GroupElement, h1: GroupElement, g2: GroupElement, h2: GroupElement
-) -> GroupElement:
-    """The genus-2 surface word [g1, h1][g2, h2], fused on components."""
+) -> tuple:
+    """The components of the genus-2 surface word [g1, h1][g2, h2]."""
     a, b, c, d = (_split(x.q) for x in (g1, h1, g2, h2))
-    return GroupElement(_pack(*_qmul(_commutator(a, b), _commutator(c, d))))
+    return _qmul(_commutator(a, b), _commutator(c, d))
+
+
+def _distance(d: tuple) -> np.ndarray:
+    """Frobenius distance from the quaternion differences d = (dw, dx, dy, dz)."""
+    return np.sqrt(2.0) * _row_norm(d)
 
 
 def distance(a: GroupElement, b: GroupElement) -> np.ndarray:
     """Frobenius norm of the matrix difference (= sqrt(2) * quaternion distance)."""
-    return np.sqrt(2.0) * np.linalg.norm(a.q - b.q, axis=-1)
+    return _distance(_split(a.q - b.q))
 
 
 def is_central(g: GroupElement, tol: float = EPS_CENTER) -> np.ndarray:
@@ -384,9 +445,11 @@ def is_central(g: GroupElement, tol: float = EPS_CENTER) -> np.ndarray:
 
 
 def _snap_trig(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Snap (cos, sin) pairs to exact values at multiples of pi/2."""
-    c = np.array(c, dtype=np.float64, copy=True)
-    s = np.array(s, dtype=np.float64, copy=True)
+    """Snap (cos, sin) pairs to exact values at multiples of pi/2.
+
+    Returns c and s themselves when no pair is in snap range."""
+    if not ((np.abs(c) < SNAP_TOL) | (np.abs(s) < SNAP_TOL)).any():
+        return c, s
     at_pi = (np.abs(s) < SNAP_TOL) & (np.abs(np.abs(c) - 1.0) < _SNAP_DEV)
     at_half = (np.abs(c) < SNAP_TOL) & (np.abs(np.abs(s) - 1.0) < _SNAP_DEV)
     c = np.where(at_pi, np.copysign(1.0, c), c)
@@ -396,19 +459,26 @@ def _snap_trig(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
+def _exp(vx, vy, vz) -> tuple:
+    """The components (w, x, y, z) of exp of the algebra element(s) with
+    components (vx, vy, vz); see exp_alg."""
+    theta = _row_norm((vx, vy, vz))
+    c, s = _snap_trig(np.cos(theta), np.sin(theta))
+    big = theta > 1e-8
+    if big.all():
+        coef = s / theta
+    else:
+        coef = np.where(big, s / np.where(big, theta, 1.0), 1.0 - theta * theta / 6.0)
+    return c, vx * coef, vy * coef, vz * coef
+
+
 def exp_alg(v: AlgebraElement) -> GroupElement:
     """Closed-form exponential su(2) -> SU(2).
 
     For theta = |v|: result has scalar part cos(theta) and vector part
     sin(theta) * v / theta (series-continued at theta -> 0).
     """
-    arr = v.v
-    theta = np.linalg.norm(arr, axis=-1)
-    c, s = _snap_trig(np.cos(theta), np.sin(theta))
-    safe = np.where(theta > 1e-8, theta, 1.0)
-    coef = np.where(theta > 1e-8, s / safe, 1.0 - theta * theta / 6.0)
-    q = np.concatenate([c[..., None], arr * coef[..., None]], axis=-1)
-    return GroupElement(q)
+    return GroupElement(_pack(*_exp(*_split(v.v))))
 
 
 def log_grp(g: GroupElement) -> AlgebraElement:
@@ -439,11 +509,19 @@ def trace_angle(g: GroupElement) -> np.ndarray:
 def haar_sample(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupElement:
     """Haar-uniform element(s): a normalized 4-dimensional Gaussian."""
     q = rng.normal(size=shape + (4,))
-    n = np.linalg.norm(q, axis=-1)
+    if not shape:
+        # one draw: _row_norm's operations in Python floats, the same IEEE
+        # arithmetic without NumPy's per-call cost on a single row
+        w, x, y, z = q.tolist()
+        n = math.sqrt(((w * w + x * x) + y * y) + z * z)
+        if n == 0.0:  # pragma: no cover - measure zero
+            return haar_sample(rng)
+        return GroupElement(q / n)
+    n = _row_norm(_split(q))
     while np.any(n == 0.0):  # pragma: no cover - measure zero
         bad = n == 0.0
         q[bad] = rng.normal(size=(int(np.sum(bad)), 4))
-        n = np.linalg.norm(q, axis=-1)
+        n = _row_norm(_split(q))
     return GroupElement(q / n[..., None])
 
 

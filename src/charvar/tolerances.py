@@ -57,8 +57,18 @@ class Tolerances:
 
     @classmethod
     def with_mat(cls, mat: float) -> "Tolerances":
-        """Tolerances with EPS_MAT pinned to `mat` and everything else in proportion."""
-        return cls().scaled(mat / EPS_MAT)
+        """Tolerances with EPS_MAT pinned to `mat` and everything else in proportion.
+
+        Each field is mat * (default / EPS_MAT): the ratios are small and
+        exact, so a finite `mat` overflows no field short of the float range,
+        and one that does is named in the error."""
+        values = {f.name: mat * (getattr(cls, f.name) / EPS_MAT) for f in fields(cls)}
+        if math.isfinite(mat) and not all(map(math.isfinite, values.values())):
+            raise PreconditionViolated(
+                f"tol must be a positive finite number, got mat={mat!r}, "
+                "which scales another tolerance past the float range"
+            )
+        return cls(**values)
 
 
 DEFAULT = Tolerances()

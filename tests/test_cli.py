@@ -415,6 +415,19 @@ def test_bad_tol_exit_2(tmp_path, command, value):
     assert "tol must be a positive finite number" in err
 
 
+def test_huge_tol_scales_every_field_without_overflow():
+    # each field is mat * (default / EPS_MAT), so 1e300 scales to finite
+    # tolerances; every residual meets them, the density witnesses read
+    # abelian and the run fails its checks (exit 1) rather than the flag
+    code, out = run(["verify", "--suite", "density", "--samples", "2", "--tol", "1e300"])
+    assert code == 1
+    assert json.loads(out)["tolerances"] == {"mat": 1e300, "f": 1e300, "rel": 1e301, "poly": 1e300}
+    # rel = 10 * mat overflows at 1e308: refused, naming the flag value
+    code, err = run_err(["verify", "--suite", "density", "--samples", "2", "--tol", "1e308"])
+    assert code == 2
+    assert "tol must be a positive finite number, got mat=1e+308" in err
+
+
 def test_tolerances_reject_bad_fields():
     # the library boundary checks what the --tol flag checks: with f = NaN the
     # polytope suite's section round trip could never fail

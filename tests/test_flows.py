@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -28,6 +30,7 @@ from charvar.su2 import (
     haar_sample,
     mul,
 )
+from charvar.tau import section
 
 TWO_PI = 2.0 * np.pi
 
@@ -253,6 +256,125 @@ class TestAct:
         rho = Representation(g, GroupElement.identity(), g, g)
         with pytest.raises(DegenerateGenerator):
             act(TorusElement.zero(), rho)
+
+
+# ---------------------------------------------------------------------------
+# bitwise equivalence with the composition act replaced
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _norm_axis(g: GroupElement) -> np.ndarray:
+    # the axis as AlgebraElement.unit() divides it, by np.linalg.norm
+    return g.vec / np.linalg.norm(g.vec, axis=-1)[..., None]
+
+
+def _chain_act(t: TorusElement, rho: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """g1 and g2 of act as composed before the component kernel: public
+    mul and exp_alg on packed (..., 4) arrays, axes by np.linalg.norm."""
+    def twist(axis, phi):
+        return exp_alg(AlgebraElement(axis * np.asarray(phi)[..., None]))
+
+    x_hat, y_hat = _norm_axis(mul(rho.h2, rho.h1)), _norm_axis(mul(rho.h1, rho.h2))
+    g1 = mul(mul(twist(x_hat, t.phi3), rho.g1), twist(_norm_axis(rho.h1), t.phi1))
+    g2 = mul(mul(twist(y_hat, t.phi3), rho.g2), twist(_norm_axis(rho.h2), t.phi2))
+    return g1.q, g2.q
+
+
+def _axis_aligned(rng, shape) -> GroupElement:
+    # elements with exact zero components: diag(e^{i a}) or along e_x
+    a = rng.uniform(0.0, TWO_PI, size=shape)
+    zero = np.zeros(shape)
+    if rng.uniform() < 0.5:
+        return GroupElement(np.stack([np.cos(a), zero, -zero, np.sin(a)], axis=-1))
+    return GroupElement(np.stack([np.cos(a), np.sin(a), zero, zero], axis=-1))
+
+
+_ANGLE = st.one_of(
+    st.floats(0.0, TWO_PI),
+    st.sampled_from([0.0, np.pi / 2, np.pi, 3 * np.pi / 2, TWO_PI, -np.pi]),
+)
+
+
+@st.composite
+def act_inputs(draw):
+    """(t, rho): Haar quadruples, section points (the benchmark's and the
+    sampler's inputs) or axis-aligned h-slots, single or batched; angles
+    single, batched or a batch over a single quadruple, with multiples of
+    pi/2 and the kernel element among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from([(), (6,)]))
+    kind = draw(st.sampled_from(["haar", "section", "aligned"]))
+    if kind == "section":
+        x = rng.dirichlet(np.ones(4), size=shape)[..., :3]
+        rho = section(x)
+    else:
+        h = _axis_aligned if kind == "aligned" else haar_sample
+        g1, h1, g2, h2 = haar_sample(rng, shape), h(rng, shape), haar_sample(rng, shape), h(rng, shape)
+        rho = Representation(g1, h1, g2, h2)
+    t_shape = draw(st.sampled_from([shape, (6,)]))
+    size = int(np.prod(t_shape, dtype=int))
+    angles = st.lists(_ANGLE, min_size=size, max_size=size)
+    phis = [np.array(draw(angles)).reshape(t_shape) for _ in range(3)]
+    if draw(st.booleans()):
+        phis = [np.full(t_shape, np.pi)] * 3
+    return TorusElement(*phis), rho
+
+
+@given(act_inputs())
+@settings(max_examples=200, deadline=None)
+def test_act_matches_mul_exp_chain_bitwise(inputs):
+    t, rho = inputs
+    want = _chain_act(t, rho)
+    acted = act(t, rho)
+    assert _same_bits(acted.g1.q, want[0]) and _same_bits(acted.g2.q, want[1])
+    gen = generators(rho)
+    for hat, g in ((gen.xi1_hat, rho.h1), (gen.xi2_hat, rho.h2),
+                   (gen.X_hat, mul(rho.h2, rho.h1)), (gen.Y_hat, mul(rho.h1, rho.h2))):
+        assert _same_bits(hat.v, _norm_axis(g))
+
+
+def test_ensemble_first_act_matches_chain_bitwise():
+    # a single section point under a batch of angles, kernel rows among them
+    rng = np.random.default_rng(3)
+    rho = section(np.array([0.3, 0.25, 0.2]))
+    t = rng.uniform(0.0, TWO_PI, size=(1000, 3))
+    t[::7] = np.pi
+    t[1::11] = 0.0
+    t = TorusElement.from_array(t)
+    acted = act(t, rho)
+    want = _chain_act(t, rho)
+    assert _same_bits(acted.g1.q, want[0]) and _same_bits(acted.g2.q, want[1])
+
+
+def test_act_leaves_its_inputs_unchanged():
+    # act accumulates in place only into arrays it allocated: writable slot
+    # and angle arrays read the same afterwards, and no output shares their
+    # memory (the h-slots of a same-shape batch are passed through).  Exactly
+    # central g-slots and kernel angles take the products' fast paths.
+    rng = np.random.default_rng(41)
+    for shape, t_shape in (((8,), (8,)), ((), (8,)), ((), ())):
+        g1, h1, g2, h2 = (haar_sample(rng, shape).q.copy() for _ in range(4))
+        if shape:
+            g2[::3] = [-1.0, 0.0, -0.0, 0.0]
+        else:
+            g1[:] = [1.0, 0.0, 0.0, 0.0]
+        angles = rng.uniform(0.0, TWO_PI, size=t_shape + (3,))
+        angles[::2] = np.pi
+        rho = Representation(*(GroupElement(q) for q in (g1, h1, g2, h2)))
+        t = TorusElement.from_array(angles)
+        arrays = [x.q for x in rho.elements()] + [np.asarray(p) for p in (t.phi1, t.phi2, t.phi3)]
+        for a in arrays:
+            if a.flags.owndata:
+                a.setflags(write=True)
+        saved = [a.copy() for a in arrays]
+        acted = act(t, rho)
+        for a, b in zip(arrays, saved):
+            assert _same_bits(a, b)
+        assert not any(np.shares_memory(o, a) for o in (acted.g1.q, acted.g2.q) for a in arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,110 @@ def test_mixed_batch_rows_equal_single_products_bitwise():
         assert _same_bits(relation_residual(rho)[i], np.asarray(relation_residual(rho[i])))
 
 
+def _frozen_snap_trig(c, s):
+    c = np.array(c, dtype=np.float64, copy=True)
+    s = np.array(s, dtype=np.float64, copy=True)
+    at_pi = (np.abs(s) < su2.SNAP_TOL) & (np.abs(np.abs(c) - 1.0) < su2._SNAP_DEV)
+    at_half = (np.abs(c) < su2.SNAP_TOL) & (np.abs(np.abs(s) - 1.0) < su2._SNAP_DEV)
+    c = np.where(at_pi, np.copysign(1.0, c), c)
+    s = np.where(at_pi, 0.0, s)
+    s = np.where(at_half, np.copysign(1.0, s), s)
+    c = np.where(at_half, 0.0, c)
+    return c, s
+
+
+def _frozen_exp_alg(v: np.ndarray) -> np.ndarray:
+    # the exponential before the component kernel: np.linalg.norm, four
+    # np.where snaps and one concatenate
+    theta = np.linalg.norm(v, axis=-1)
+    c, s = _frozen_snap_trig(np.cos(theta), np.sin(theta))
+    safe = np.where(theta > 1e-8, theta, 1.0)
+    coef = np.where(theta > 1e-8, s / safe, 1.0 - theta * theta / 6.0)
+    return np.concatenate([c[..., None], v * coef[..., None]], axis=-1)
+
+
+def algebra_vectors(shape: tuple) -> st.SearchStrategy:
+    """Algebra vectors of the given batch shape: random, tiny (theta <= 1e-8),
+    exact multiples of pi/2 along a coordinate axis or near them along any
+    axis (both in snap range), and batches whose rows mix these."""
+    signed = st.sampled_from([1.0, -1.0])
+    component = st.one_of(
+        st.floats(-10.0, 10.0),
+        st.floats(-1e-8, 1e-8),
+        st.sampled_from([0.0, -0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi]),
+    )
+    random = hnp.arrays(np.float64, shape + (3,), elements=component)
+    unit = hnp.arrays(np.float64, shape + (3,), elements=st.floats(-1.0, 1.0)).map(
+        lambda u: np.where(
+            np.linalg.norm(u, axis=-1, keepdims=True) > 1e-3,
+            u / np.maximum(np.linalg.norm(u, axis=-1, keepdims=True), 1e-3),
+            [0.0, 0.0, 1.0],
+        )
+    )
+    quarter = hnp.arrays(np.float64, shape + (1,), elements=st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+    snapped = st.tuples(unit, quarter, signed).map(lambda a: a[2] * a[0] * (a[1] * np.pi / 2))
+    mask = hnp.arrays(np.bool_, shape + (1,))
+    mixed = st.tuples(mask, random, snapped).map(lambda m: np.where(m[0], m[2], m[1]))
+    return st.one_of(random, snapped, mixed)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_exp_matches_frozen_form_bitwise(data):
+    shape = data.draw(st.sampled_from([(), (5,), (2, 3)]))
+    v = data.draw(algebra_vectors(shape))
+    assert _same_bits(exp_alg(AlgebraElement(v)).q, _frozen_exp_alg(v))
+
+
+def test_exp_mixed_batch_matches_frozen_form_bitwise():
+    # one batch holding a snap at pi and at -pi/2, theta <= 1e-8, zero and a
+    # generic row takes np.where's branches; each row alone takes the fast ones
+    n = np.array([2.0, -1.0, 2.0]) / 3.0
+    v = np.array([[np.pi, 0.0, 0.0], [0.0, -np.pi / 2, -0.0], [1e-9, 0.0, -1e-9],
+                  [0.3, 0.4, 1.2], [0.0, 0.0, 0.0], np.pi * n])
+    assert _same_bits(exp_alg(AlgebraElement(v)).q, _frozen_exp_alg(v))
+    for row in v:
+        assert _same_bits(exp_alg(AlgebraElement(row)).q, _frozen_exp_alg(row))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_distance_and_row_norms_match_linalg_norm_bitwise(data):
+    sa, sb = data.draw(PAIR_SHAPES)
+    qa, qb = data.draw(quaternions(sa)), data.draw(quaternions(sb))
+    want = np.sqrt(2.0) * np.linalg.norm(qa - qb, axis=-1)
+    assert _same_bits(np.asarray(distance(GroupElement(qa), GroupElement(qb))), np.asarray(want))
+    v = data.draw(algebra_vectors(sa))
+    for x in (qa, v):
+        got = su2._row_norm(su2._split(x))
+        assert _same_bits(np.asarray(got), np.asarray(np.linalg.norm(x, axis=-1)))
+
+
+def _writable_components(q: np.ndarray) -> tuple:
+    return tuple(np.array(c) for c in su2._split(q))
+
+
+def _assert_untouched(inputs: tuple, saved: tuple, out: tuple) -> None:
+    for a, b in zip(inputs, saved):
+        assert _same_bits(np.asarray(a), np.asarray(b))
+    assert not any(np.shares_memory(o, a) for o in out for a in inputs)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernels_leave_their_inputs_unchanged(data):
+    # in-place accumulation touches only temporaries a kernel allocated, on
+    # the exact-centre fast paths too (quaternions() draws all-central and
+    # mixed batches), and no output shares memory with an input
+    sa, sb = data.draw(PAIR_SHAPES)
+    a = _writable_components(data.draw(quaternions(sa)))
+    b = _writable_components(data.draw(quaternions(sb)))
+    v = _writable_components(data.draw(algebra_vectors(sa)))
+    saved = tuple(c.copy() for c in a + b + v)
+    for out in (su2._qmul(a, b), su2._qmul(b, a), su2._commutator(a, b), su2._exp(*v)):
+        _assert_untouched(a + b + v, saved, out)
+
+
 def test_mul_all_negative_zero_dot_keeps_the_sign_of_zero():
     # every product in w is -0.0: np.sum starts from +0.0, so w is -0.0 - (+0.0)
     qa = np.array([-0.0, 1.0, -0.0, -0.0])
@@ -346,6 +450,17 @@ def test_haar_unit_norm_and_determinism():
     g2 = haar_sample(np.random.default_rng(123), (100,))
     assert np.abs(np.linalg.norm(g1.q, axis=-1) - 1.0).max() < 1e-12
     np.testing.assert_array_equal(g1.q, g2.q)
+
+
+def test_haar_single_draws_match_linalg_norm_bitwise():
+    # a single draw is normalized in Python floats; the draws, and the norm,
+    # are those of the np.linalg.norm form, and a batch draws the same numbers
+    n = 50_000
+    rng, oracle = np.random.default_rng(2024), np.random.default_rng(2024)
+    got = np.array([haar_sample(rng).q for _ in range(n)])
+    raw = np.array([oracle.normal(size=4) for _ in range(n)])
+    assert _same_bits(got, raw / np.linalg.norm(raw, axis=-1)[..., None])
+    assert _same_bits(got, haar_sample(np.random.default_rng(2024), (n,)).q)
 
 
 def test_haar_mean_trace():
