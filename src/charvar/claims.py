@@ -207,8 +207,8 @@ def _pure_unit(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupEl
 
 
 def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    # the pillow points, projective pairs, central points and interior points
-    # are one batch each, drawn in the per-item order; the arcs loop
+    # the pillow points, projective pairs, arcs, central points and interior
+    # points are one batch each, drawn in the per-item order
     small = max(n // 10, 1)
 
     gh = haar_sample(rng, (n, 2))
@@ -225,11 +225,9 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
     collide = _class_equal(base, rp2_fiber_point(k2), tol.mat)
     failures += int(np.count_nonzero(~same)) + int(np.count_nonzero(distinct & collide))
 
-    for _ in range(small):
-        theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
-        report = certify_interval_injectivity(float(theta), float(s), grid=5, tol=tol.mat)
-        if not report.passed:
-            failures += 1
+    arcs = rng.uniform(0.3, np.pi - 0.3, size=(small, 2))
+    passed = certify_interval_injectivity(arcs[:, 0], arcs[:, 1], grid=5, tol=tol.mat).passed
+    failures += int(np.count_nonzero(~passed))
 
     # the four central swap quadruples (s1, s2, s2, s1), s1 and s2 = +-1
     signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, [0, 1, 1, 0], None]
@@ -343,14 +341,14 @@ def run_sigma_certification(
         for idx in np.flatnonzero(resid >= tol.mat * 10.0):
             violations.append(f"sample {start + idx}: conjugator residual {resid[idx]:.3e}")
 
-    for _ in range(max(samples // 10, 1)):
-        theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
-        report = certify_interval_injectivity(float(theta), float(s), grid=grid, tol=tol.mat)
-        if not report.passed:
-            violations.append(
-                f"interval ({theta:.4f},{s:.4f}): "
-                f"{len(report.fixed_failures)} unfixed, {len(report.collisions)} collisions"
-            )
+    arcs = rng.uniform(0.3, np.pi - 0.3, size=(max(samples // 10, 1), 2))
+    report = certify_interval_injectivity(arcs[:, 0], arcs[:, 1], grid=grid, tol=tol.mat)
+    for a in np.flatnonzero(~report.passed):
+        violations.append(
+            f"interval ({arcs[a, 0]:.4f},{arcs[a, 1]:.4f}): "
+            f"{np.count_nonzero(~report.fixed[a])} unfixed, "
+            f"{np.count_nonzero(report.equal[a])} collisions"
+        )
     return {
         "suite": "sigma-certification",
         "samples": samples,

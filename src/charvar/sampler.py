@@ -29,7 +29,6 @@ from .su2 import haar_sample, is_central
 from .flows import TorusElement, act
 from .polytope import STD_DELTA
 from .tau import section
-from .tolerances import EPS_CENTER
 
 __all__ = [
     "Target",
@@ -283,7 +282,7 @@ def density_witness(rho: Representation, t: float) -> Representation:
         raise PreconditionViolated(f"path parameter must lie in [0, 1], got {t}")
     if not np.all(is_abelian(rho)):
         raise PreconditionViolated("density witness needs an abelian start point")
-    if np.any(is_central(GroupElement(rho.slots()), EPS_CENTER)):
+    if np.any(is_central(GroupElement(rho.slots()))):
         raise PreconditionViolated("density witness needs every slot noncentral")
     d = _deformation_direction(rho)
     k = exp_alg(AlgebraElement(t * WITNESS_RATE * d))

@@ -28,8 +28,10 @@
 # Fixedness is one batched read, _sigma_fixed: one conjugator solve, each
 # row's residual read against the caller's tolerance.  sigma_fixed_conjugator
 # is its entry point for one quadruple, as classify_fixed_point is for the
-# batched classify_fixed_points.  sigma, rp2_fiber_point and n2_interval run
-# over batches; blowup_point takes single inputs.
+# batched classify_fixed_points, whose N2 rows read their pure-imaginary
+# conjugators from the same system with the w column dropped.  Everything
+# else runs over batches too (certify_interval_injectivity over a batch of
+# arcs), except blowup_point.
 
 from __future__ import annotations
 
@@ -44,12 +46,12 @@ from .repvar import Representation, _class_equal, relation_residual
 from .su2 import (
     GroupElement,
     StabilizerType,
+    _conjugation_system,
     _find_conjugators,
     _snap_trig,
     _stabilizer_types,
     commutator,
     conjugate,
-    conjugator_nullspace,
     distance,
     mul,
 )
@@ -108,14 +110,14 @@ class SigmaFixedPoint:
     piece: Piece
 
 
-def sigma(rho: Representation, tol: float = EPS_REL) -> Representation:
+def sigma(rho: Representation) -> Representation:
     """The swap (g1,h1,g2,h2) -> (h2,g2,h1,g1); batch-friendly.
 
-    Preserves the relation, so a residual above `tol` on the output means the
-    input was off the relation manifold to begin with."""
+    Preserves the relation, so a residual of EPS_REL or more on the output
+    means the input was off the relation manifold to begin with."""
     swapped = Representation(rho.h2, rho.g2, rho.h1, rho.g1)
     res = float(np.max(relation_residual(swapped), initial=0.0))
-    if not res < tol:  # a non-finite quadruple reads as off the relation
+    if not res < EPS_REL:  # a non-finite quadruple reads as off the relation
         raise PreconditionViolated(
             f"sigma input violates the relation (output residual {res:.3e})"
         )
@@ -161,39 +163,30 @@ def sigma_fixed_conjugator(
     return k if fixed else None
 
 
-def _pure_imaginary_conjugator(
+def _pure_imaginary_conjugators(
     rho: Representation, swapped: Representation, k: GroupElement, tol: float
 ) -> GroupElement:
-    """A w = 0 conjugator from the nullspace, when one exists (combinations of
-    null vectors orthogonal to the w-coordinate row), else k."""
-    basis = conjugator_nullspace(list(rho.elements()), list(swapped.elements()))
-    if basis.shape[1] == 0:
-        return k
-    w_row = basis[0, :]
-    if np.linalg.norm(w_row) < 1e-12:
-        reduced = basis
-    else:
-        if basis.shape[1] == 1:
-            return k  # the unique conjugator has w != 0
-        # orthonormal basis of the subspace of combinations with zero w
-        _, _, vt = np.linalg.svd(w_row[None, :])
-        reduced = basis @ vt[1:].T
-    u, _, _ = np.linalg.svd(reduced, full_matrices=False)
-    pure = GroupElement(np.concatenate(([0.0], u[1:, 0] / np.linalg.norm(u[1:, 0]))))
-    worst = rho.conjugated(pure).slot_distance(swapped)
-    return _sign_canonical(pure) if worst < tol else k
+    """Each row's w = 0 conjugator onto its swap where one exists, else its k:
+    the smallest right singular vector of the conjugation system without its
+    w column, kept where its worst slot residual is below tol."""
+    _, _, vt = np.linalg.svd(_conjugation_system(rho.slots(), swapped.slots())[..., 1:])
+    pure = np.concatenate((np.zeros(vt.shape[:-2] + (1,)), vt[..., -1, :]), axis=-1)
+    pure = _sign_canonical(GroupElement(pure))
+    found = rho.conjugated(pure).slot_distance(swapped) < tol
+    return GroupElement(np.where(found[..., None], pure.q, k.q))
 
 
 def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator[SigmaFixedPoint]:
     """Each quadruple of a batch in the stratum/piece decomposition, in
     row-major order, bit for bit the point of that quadruple alone: one swap
     and one conjugator solve (its worst residual reads fixed below tol, gray
-    zone below 10*tol), one stabilizer, [g1,h1] and k^2 read, and two
-    class-equality decisions on the N2 rows.  The first quadruple not fixed at
-    10*tol (PreconditionViolated) or with a deciding residual in the gray zone
-    [tol, 10*tol) (ClassificationAmbiguity) raises after the points before it:
-    such points are reported, never guessed.  A batch with a quadruple off
-    the relation fails in sigma, before any point."""
+    zone below 10*tol), one stabilizer, [g1,h1] and k^2 read, and on the N2
+    rows two class-equality decisions and one pure-imaginary conjugator
+    solve.  The first quadruple not fixed at 10*tol (PreconditionViolated) or
+    with a deciding residual in the gray zone [tol, 10*tol)
+    (ClassificationAmbiguity) raises after the points before it: such points
+    are reported, never guessed.  A batch with a quadruple off the relation
+    fails in sigma, before any point."""
     flat = Representation.from_slots(rho.slots().reshape(-1, 4, 4))
     swapped, k, worst = _fixedness_solve(flat)
     strata = _stabilizer_types(flat.slots(), axis_tol=tol)
@@ -206,6 +199,10 @@ def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator
     # N2, the arcs between the two surfaces: fixed, non-central rows with [g1,h1] = 1
     n2 = np.flatnonzero((worst < tol) & (strata != StabilizerType.FULL) & (comm_dist < tol))
     arc = flat[n2]
+    if n2.size:  # the pure solve, skipped on batches without an N2 row
+        q = k.q.copy()
+        q[n2] = _pure_imaginary_conjugators(arc, swapped[n2], k[n2], tol).q
+        k = GroupElement(q)
     surface = _class_equal(arc, pillow_point(arc.g1, arc.h1), tol)
     other = Representation(arc.g1, arc.h1, arc.h1.inverse(), arc.g1.inverse())
     endpoint = _class_equal(arc, other, tol)
@@ -218,7 +215,7 @@ def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator
                     "sigma-fixedness residual lies between tol and 10*tol"
                 )
             raise PreconditionViolated("class is not sigma-fixed")
-        rep, conj, stratum = flat[i], k[i], _STRATUM_OF[strata[i]]
+        rep, stratum = flat[i], _STRATUM_OF[strata[i]]
         if stratum is Stratum.III:
             yield SigmaFixedPoint(rep, DIAG_I, stratum, Piece.CENTRAL_VERTEX)
             continue
@@ -227,7 +224,7 @@ def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator
                 f"[g1,h1] centrality residual {comm_dist[i]:.3e} in the gray zone"
             )
         if i in arc_piece:
-            conj, piece = _pure_imaginary_conjugator(rep, swapped[i], conj, tol), arc_piece[i]
+            piece = arc_piece[i]
         elif min(d_plus[i], d_minus[i]) >= EPS_CENTER:
             raise ClassificationAmbiguity(
                 f"k^2 is not numerically central (residuals {d_plus[i]:.3e}/{d_minus[i]:.3e})"
@@ -240,7 +237,7 @@ def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator
             )
         else:
             piece = Piece.RP2_FIBER if tr_dist[i] < tol else Piece.BLOWUP_INTERIOR
-        yield SigmaFixedPoint(rep, conj, stratum, piece)
+        yield SigmaFixedPoint(rep, k[i], stratum, piece)
 
 
 def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixedPoint:
@@ -291,13 +288,16 @@ def rp2_fiber_point(k: GroupElement) -> Representation:
     return Representation(d, j, conjugate(k, J), conjugate(k, DIAG_I))
 
 
-def _snapped_diag(angle: float) -> GroupElement:
-    c, s = _snap_trig(np.cos(angle), np.sin(angle))
-    return GroupElement(np.array([float(c), 0.0, 0.0, float(s)]))
+def _snapped_diag(angle: np.ndarray) -> GroupElement:
+    q = np.zeros(angle.shape + (4,))
+    q[..., 0], q[..., 3] = _snap_trig(np.cos(angle), np.sin(angle))
+    return GroupElement(q)
 
 
-def n2_interval(theta: float, s: float, alpha: float | np.ndarray) -> Representation:
-    """The explicit arc of sigma-fixed classes over a commuting pair.
+def n2_interval(
+    theta: float | np.ndarray, s: float | np.ndarray, alpha: float | np.ndarray
+) -> Representation:
+    """The explicit arcs of sigma-fixed classes over commuting pairs.
 
     g = diag(e^{i theta}), h = diag(e^{i s}), and
 
@@ -305,64 +305,69 @@ def n2_interval(theta: float, s: float, alpha: float | np.ndarray) -> Representa
                  = (0, sin a, 0, cos a)   (unit, trace 0, k^2 = -1),
 
     returns (g, h, k h k^{-1}, k g k^{-1}) for alpha in [0, pi/2], batched
-    over the shape of alpha.  At alpha = 0 this is the swap quadruple
-    (g,h,h,g) (pillow surface, bitwise); at alpha = pi/2 it is
-    (g,h,h^{-1},g^{-1}) (the other surface, bitwise).  PreconditionViolated
-    when theta or s is not finite, when both are multiples of pi (the four
-    degenerate central arcs) or when some alpha leaves [0, pi/2]."""
-    alpha = np.asarray(alpha, dtype=np.float64)
+    over the broadcast shape of theta, s and alpha.  At alpha = 0 this is
+    the swap quadruple (g,h,h,g) (pillow surface, bitwise); at alpha = pi/2
+    it is (g,h,h^{-1},g^{-1}) (the other surface, bitwise).
+    PreconditionViolated when some theta or s is not finite, when some
+    (theta, s) pair are both multiples of pi (the four degenerate central
+    arcs) or when some alpha leaves [0, pi/2]."""
+    theta, s, alpha = (np.asarray(x, dtype=np.float64) for x in (theta, s, alpha))
     if not np.all((0.0 <= alpha) & (alpha <= np.pi / 2)):
         raise PreconditionViolated("interval parameter must lie in [0, pi/2]")
-    if not np.isfinite([theta, s]).all():
+    if not (np.isfinite(theta).all() and np.isfinite(s).all()):
         raise PreconditionViolated("arc angles must be finite")
     g = _snapped_diag(theta)
     h = _snapped_diag(s)
-    if float(np.abs(g.vec[2])) < EPS_CENTER and float(np.abs(h.vec[2])) < EPS_CENTER:
+    if np.any((np.abs(g.q[..., 3]) < EPS_CENTER) & (np.abs(h.q[..., 3]) < EPS_CENTER)):
         raise PreconditionViolated(
             "degenerate arc: both angles are multiples of pi (central pair)"
         )
     ca, sa = _snap_trig(np.cos(alpha), np.sin(alpha))
     zero = np.zeros(alpha.shape)
     k = GroupElement(np.stack([zero, sa, zero, ca], axis=-1))
-    g1, h1 = (GroupElement(np.broadcast_to(x.q, alpha.shape + (4,))) for x in (g, h))
-    return Representation(g1, h1, conjugate(k, h), conjugate(k, g))
+    shape = np.broadcast_shapes(theta.shape, s.shape, alpha.shape) + (4,)
+    g1, h1 = (GroupElement(np.broadcast_to(x.q, shape)) for x in (g, h))
+    return Representation(g1, h1, conjugate(k, h1), conjugate(k, g1))
 
 
 @dataclass(frozen=True)
 class InjectivityReport:
-    """Pairwise-distinctness and fixedness certificate for one arc."""
+    """Fixedness and pairwise-distinctness certificate for a batch of arcs:
+    fixed[..., a] reads grid point alphas[a] sigma-fixed, and equal[..., p]
+    reads the p-th pair i < j of grid points (np.triu_indices order) in one
+    class."""
 
-    theta: float
-    s: float
+    theta: np.ndarray
+    s: np.ndarray
     alphas: np.ndarray
-    fixed_failures: tuple[float, ...]
-    collisions: tuple[tuple[float, float], ...]
+    fixed: np.ndarray
+    equal: np.ndarray
 
     @property
-    def passed(self) -> bool:
-        return not self.fixed_failures and not self.collisions
+    def passed(self) -> np.ndarray:
+        """Per arc: every grid point fixed and no two in one class."""
+        return np.all(self.fixed, axis=-1) & ~np.any(self.equal, axis=-1)
 
 
 def certify_interval_injectivity(
-    theta: float, s: float, grid: int, tol: float = EPS_MAT
+    theta: float | np.ndarray, s: float | np.ndarray, grid: int, tol: float = EPS_MAT
 ) -> InjectivityReport:
-    """Certify one arc pointwise: every grid point sigma-fixed, all pairs of
-    distinct parameters in distinct classes.
+    """Certify the arcs over the broadcast shape of theta and s pointwise:
+    every grid point sigma-fixed, all pairs of distinct parameters in
+    distinct classes.
 
-    The grid is one batch: one fixedness read (_sigma_fixed) covers every
-    point, and one class-equality decision (repvar._class_equal) covers every
-    pair i < j."""
+    All arcs' grids are one batch: one fixedness read (_sigma_fixed) covers
+    every point, and one class-equality decision (repvar._class_equal) every
+    pair i < j of every arc; each arc reads bit for bit as if alone."""
+    theta, s = np.broadcast_arrays(np.asarray(theta, np.float64), np.asarray(s, np.float64))
     alphas = np.linspace(0.0, np.pi / 2, grid)
-    points = n2_interval(theta, s, alphas)
+    arcs = n2_interval(theta.reshape(-1, 1), s.reshape(-1, 1), alphas)
+    # the grid points arc after arc, as one flat batch: the kernels run slower on 2-D batches
+    points = Representation.from_slots(arcs.slots().reshape(-1, 4, 4))
     _, fixed = _sigma_fixed(points, tol)
-    i, j = np.triu_indices(grid, 1)
-    equal = _class_equal(points[i], points[j], tol)
+    i, j = (grid * np.arange(theta.size)[:, None] + x for x in np.triu_indices(grid, 1))
+    equal = _class_equal(points[i.ravel()], points[j.ravel()], tol)
+    shape = theta.shape
     return InjectivityReport(
-        theta=float(theta),
-        s=float(s),
-        alphas=alphas,
-        fixed_failures=tuple(float(a) for a in alphas[~fixed]),
-        collisions=tuple(
-            (float(alphas[a]), float(alphas[b])) for a, b in zip(i[equal], j[equal])
-        ),
+        theta, s, alphas, fixed.reshape(shape + (grid,)), equal.reshape(shape + i.shape[1:])
     )

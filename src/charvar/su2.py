@@ -211,10 +211,10 @@ class AlgebraElement:
         m[..., 1, 1] = -1j * z
         return m
 
-    def unit(self, tol: float = 0.0) -> "AlgebraElement":
-        """The unit-norm element along self; ZeroVector at (numerically) zero."""
+    def unit(self) -> "AlgebraElement":
+        """The unit-norm element along self; ZeroVector at zero."""
         n = self.norm
-        if np.any(n <= tol):
+        if np.any(n == 0.0):
             raise ZeroVector("no direction defined for a zero algebra element")
         return AlgebraElement(self.v / np.asarray(n)[..., None])
 
@@ -434,9 +434,9 @@ def distance(a: GroupElement, b: GroupElement) -> np.ndarray:
     return _distance(_split(a.q - b.q))
 
 
-def is_central(g: GroupElement, tol: float = EPS_CENTER) -> np.ndarray:
-    """True where g is within tol of +-I (vector-part norm below tol)."""
-    return np.linalg.norm(g.vec, axis=-1) < tol
+def is_central(g: GroupElement) -> np.ndarray:
+    """True where g is within EPS_CENTER of +-I (vector-part norm below it)."""
+    return np.linalg.norm(g.vec, axis=-1) < EPS_CENTER
 
 
 # ---------------------------------------------------------------------------

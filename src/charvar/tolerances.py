@@ -47,14 +47,6 @@ class Tolerances:
                     f"tol must be a positive finite number, got {field.name}={value!r}"
                 )
 
-    def scaled(self, factor: float) -> "Tolerances":
-        return Tolerances(
-            mat=self.mat * factor,
-            f=self.f * factor,
-            rel=self.rel * factor,
-            poly=self.poly * factor,
-        )
-
     @classmethod
     def with_mat(cls, mat: float) -> "Tolerances":
         """Tolerances with EPS_MAT pinned to `mat` and everything else in proportion.

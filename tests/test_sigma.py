@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -22,7 +22,6 @@ from charvar.repvar import (
 from charvar.sigma import (
     DIAG_I,
     J,
-    InjectivityReport,
     Piece,
     Stratum,
     blowup_point,
@@ -38,12 +37,14 @@ from charvar.sigma import (
 from charvar.su2 import (
     AlgebraElement,
     GroupElement,
+    StabilizerType,
     commutator,
     conjugate,
     distance,
     exp_alg,
     haar_sample,
     mul,
+    stabilizer_type,
 )
 
 EPS_MAT = 1e-9
@@ -399,14 +400,50 @@ class TestN2Interval:
             one = n2_interval(0.7, np.pi / 2, float(alpha))
             for a, b in zip(arc[i].elements(), one.elements()):
                 assert np.array_equal(a.q.view(np.int64), b.q.view(np.int64))
+        # (m, 1) angle arrays against a (grid,) parameter array, with exact
+        # multiples of pi/2 (where cos and sin snap) among the angles
+        theta = np.array([[0.7], [np.pi / 2], [np.pi], [1.5 * np.pi], [0.0], [2.9]])
+        s = np.array([[1.3], [np.pi], [np.pi / 2], [0.4], [1.5 * np.pi], [2 * np.pi / 3]])
+        alphas = np.linspace(0.0, np.pi / 2, 7)
+        arcs = n2_interval(theta, s, alphas)
+        assert arcs.batch_shape == (6, 7)
+        for m in range(6):
+            for i, alpha in enumerate(alphas):
+                one = n2_interval(float(theta[m, 0]), float(s[m, 0]), float(alpha))
+                for a, b in zip(arcs[m, i].elements(), one.elements()):
+                    assert np.array_equal(a.q.view(np.int64), b.q.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "theta, s",
+        [((0.7, 0.0), (1.3, np.pi)), ((0.7, np.nan), (1.3, 0.4)), ((0.7, 0.9), (1.3, np.inf))],
+    )
+    def test_bad_arc_anywhere_in_batch_rejected(self, theta, s):
+        # one degenerate or non-finite arc among good ones fails the batch
+        theta, s = np.array(theta), np.array(s)
+        with pytest.raises(PreconditionViolated):
+            n2_interval(theta[:, None], s[:, None], np.array([0.0, 0.4]))
+        with pytest.raises(PreconditionViolated):
+            certify_interval_injectivity(theta, s, grid=5)
+        with pytest.raises(PreconditionViolated):  # also with no grid point
+            certify_interval_injectivity(theta, s, grid=0)
+
+
+# arc angles, exact multiples of pi/2 included
+ANGLE = st.one_of(
+    st.floats(0.0, 2 * np.pi), st.sampled_from([0.0, np.pi / 2, np.pi, 1.5 * np.pi])
+)
+
+
+# arc parameters, both endpoints included
+ARC_PARAMETER = st.one_of(st.floats(0.0, np.pi / 2), st.sampled_from([0.0, np.pi / 2]))
 
 
 class TestInjectivity:
     def test_generic_grid_clean(self):
         rep = certify_interval_injectivity(0.7, 1.3, grid=10)
         assert rep.passed
-        assert rep.collisions == ()
-        assert rep.fixed_failures == ()
+        assert not rep.equal.any()
+        assert rep.fixed.all()
 
     def test_spec_grid_point(self):
         rep = certify_interval_injectivity(np.pi / 2, np.pi / 3, grid=10)
@@ -418,41 +455,61 @@ class TestInjectivity:
         with pytest.raises(PreconditionViolated):  # also with no grid point
             certify_interval_injectivity(0.0, np.pi, grid=0)
 
-    @given(
-        st.one_of(st.floats(0.0, 2 * np.pi), st.sampled_from([0.0, np.pi / 2, np.pi, 1.5 * np.pi])),
-        st.one_of(st.floats(0.0, 2 * np.pi), st.sampled_from([0.0, np.pi / 2, np.pi, 1.5 * np.pi])),
-        st.integers(1, 12),
-    )
+    @given(ANGLE, ANGLE, st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_loop(self, theta, s, grid):
         try:
-            want = loop_certify(theta, s, grid)
+            want_fixed, want_equal = loop_certify(theta, s, grid)
         except PreconditionViolated:
             with pytest.raises(PreconditionViolated):
                 certify_interval_injectivity(theta, s, grid)
             return
         got = certify_interval_injectivity(theta, s, grid)
-        assert (got.theta, got.s) == (want.theta, want.s)
-        assert np.array_equal(got.alphas, want.alphas)
-        assert got.fixed_failures == want.fixed_failures
-        assert got.collisions == want.collisions
+        assert (got.theta, got.s) == (theta, s)
+        assert np.array_equal(got.alphas, np.linspace(0.0, np.pi / 2, grid))
+        assert np.array_equal(got.fixed, want_fixed)
+        assert np.array_equal(got.equal, want_equal)
+        assert got.passed == (want_fixed.all() and not want_equal.any())
+
+    @given(st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=6), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_arcs_one_at_a_time(self, arcs, grid):
+        theta, s = np.array(arcs).T
+        try:
+            ones = [certify_interval_injectivity(float(t), float(u), grid) for t, u in arcs]
+        except PreconditionViolated:
+            with pytest.raises(PreconditionViolated):
+                certify_interval_injectivity(theta, s, grid)
+            return
+        got = certify_interval_injectivity(theta[:, None], s[:, None], grid)
+        assert got.fixed.shape == (len(arcs), 1, grid)
+        assert got.equal.shape == (len(arcs), 1, grid * (grid - 1) // 2)
+        for m, one in enumerate(ones):
+            assert np.array_equal(got.fixed[m, 0], one.fixed)
+            assert np.array_equal(got.equal[m, 0], one.equal)
+            assert got.passed[m, 0] == one.passed
+
+    def test_failures_read_per_arc(self):
+        # a tolerance everything meets: every pair of every arc collides
+        rep = certify_interval_injectivity(np.array([0.7, 0.9]), 1.3, grid=4, tol=1e290)
+        assert rep.fixed.shape == (2, 4) and rep.fixed.all()
+        assert rep.equal.shape == (2, 6) and rep.equal.all()
+        assert rep.passed.tolist() == [False, False]
 
 
-def loop_certify(theta: float, s: float, grid: int, tol: float = EPS_MAT) -> InjectivityReport:
-    """The reference certificate: one scalar fixedness solve per grid point
-    and one class_equal per pair."""
+def loop_certify(
+    theta: float, s: float, grid: int, tol: float = EPS_MAT
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reference masks of one arc: one scalar fixedness solve per grid
+    point and one class_equal per pair, pairs in np.triu_indices order."""
     alphas = np.linspace(0.0, np.pi / 2, grid)
     points = [n2_interval(theta, s, float(a)) for a in alphas]
-    fixed_failures = tuple(
-        float(a) for a, p in zip(alphas, points) if sigma_fixed_conjugator(p, tol) is None
+    fixed = np.array([sigma_fixed_conjugator(p, tol) is not None for p in points], dtype=bool)
+    equal = np.array(
+        [class_equal(points[i], points[j], tol) for i, j in zip(*np.triu_indices(grid, 1))],
+        dtype=bool,
     )
-    collisions = tuple(
-        (float(alphas[i]), float(alphas[j]))
-        for i in range(grid)
-        for j in range(i + 1, grid)
-        if class_equal(points[i], points[j], tol)
-    )
-    return InjectivityReport(float(theta), float(s), alphas, fixed_failures, collisions)
+    return fixed, equal
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +678,51 @@ class TestClassification:
             assert {point.piece for point in points} == set(Piece)
         assert counts == {"sigma": 1, "solve": 1}
 
+    @given(st.lists(st.tuples(ANGLE, ANGLE, ARC_PARAMETER), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_n2_conjugators_from_one_pure_solve(self, rows):
+        # every N2 conjugator of a batch is pure imaginary, sign-canonical
+        # and a witness, and strata and pieces are those of the per-row read
+        try:
+            batch = Representation.from_slots(
+                np.stack([n2_interval(t, u, a).slots() for t, u, a in rows])
+            )
+        except PreconditionViolated:  # a degenerate (central) pair of angles
+            assume(False)
+        points = list(classify_fixed_points(batch))
+        for i, point in enumerate(points):
+            conj, swapped = point.conjugator, sigma(batch[i])
+            assert conj.q[0] == 0.0
+            assert conj.q[np.argmax(np.abs(conj.q))] > 0.0
+            assert batch[i].conjugated(conj).slot_distance(swapped) < EPS_MAT
+            assert (point.stratum, point.piece) == frozen_n2_read(batch[i])
+
+    def test_classification_never_reads_the_nullspace_basis(self, monkeypatch):
+        import charvar.su2 as su2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("conjugator_nullspace called")
+
+        monkeypatch.setattr(su2, "conjugator_nullspace", refuse)
+        points = list(classify_fixed_points(every_piece_batch()))
+        assert [point.piece for point in points] == EVERY_PIECE
+
+    def test_pure_solve_only_on_batches_with_n2_rows(self, monkeypatch):
+        sigma_module = sys.modules["charvar.sigma"]
+        calls = []
+        solve = sigma_module._pure_imaginary_conjugators
+
+        def counted(*args):
+            calls.append(args[0].batch_shape)
+            return solve(*args)
+
+        monkeypatch.setattr(sigma_module, "_pure_imaginary_conjugators", counted)
+        no_arc = every_piece_batch().slots()[[0, 1, 2, 6]]
+        list(classify_fixed_points(Representation.from_slots(no_arc)))
+        assert calls == []
+        list(classify_fixed_points(every_piece_batch()))
+        assert calls == [(3,)]  # the three N2 rows, in one solve
+
     def test_batch_rows_match_single_calls(self):
         batch = every_piece_batch()
         points = list(classify_fixed_points(batch))
@@ -656,3 +758,19 @@ class TestClassification:
         rho, _ = blowup_rep(rng)
         sp = classify_fixed_point(rho.conjugated(k))
         assert sp.piece is Piece.BLOWUP_INTERIOR
+
+
+_STRATUM = {StabilizerType.CENTER: Stratum.I, StabilizerType.TORUS: Stratum.II}
+
+
+def frozen_n2_read(rho: Representation, tol: float = EPS_MAT) -> tuple[Stratum, Piece]:
+    """(stratum, piece) of one N2 quadruple read row by row, with scalar
+    calls, as the classification read it before it ran in batches: kept as
+    an oracle."""
+    if class_equal(rho, pillow_point(rho.g1, rho.h1), tol):
+        piece = Piece.PILLOW_SURFACE
+    elif class_equal(rho, Representation(rho.g1, rho.h1, rho.h1.inverse(), rho.g1.inverse()), tol):
+        piece = Piece.INTERVAL_ENDPOINT
+    else:
+        piece = Piece.INTERVAL_INTERIOR
+    return _STRATUM[stabilizer_type(rho.elements(), axis_tol=tol)], piece
