@@ -271,6 +271,8 @@ def run_verify(
     tol = tol or DEFAULT
     if samples < 1:
         raise PreconditionViolated(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise PreconditionViolated(f"seed must be >= 0, got {seed}")
     names = list(_SUITES) if suite == "all" else [suite]
     if any(name not in _SUITES for name in names):
         raise PreconditionViolated(f"unknown suite {suite!r}")
@@ -326,6 +328,8 @@ def run_sigma_certification(
     tol = tol or DEFAULT
     if samples < 1 or grid < 2:
         raise PreconditionViolated(f"need samples >= 1 and grid >= 2, got {samples} and {grid}")
+    if seed < 0:
+        raise PreconditionViolated(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     counts: dict = {piece.value: 0 for piece in Piece}
     violations: list[str] = []

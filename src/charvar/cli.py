@@ -4,13 +4,14 @@ Formats: JSONL for representation streams, CSV for point clouds, JSON for
 reports.  Every run is a deterministic function of its flags: all randomness
 flows from ``--seed``.
 
-Exit codes: 0 success, 1 verification failures, 2 flag errors, 3 solve
-failures.
+Exit codes: 0 success, 1 verification failures, 2 flag, config, input or path
+errors, 3 solve failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -133,17 +134,15 @@ def _write_lines(stream: IO[str], objs: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _open_out(path: Optional[str]):
-    return open(path, "w") if path else sys.stdout
-
-
-def _open_in(path: Optional[str]):
-    return open(path, "r") if path else sys.stdin
-
-
-def _close(stream, path: Optional[str]) -> None:
-    if path:
-        stream.close()
+@contextlib.contextmanager
+def _opened(path: Optional[str], mode: str, default: IO[str]) -> Iterator[IO[str]]:
+    """The file at path, closed on exit; without a path, default (stdin or
+    stdout), which is left open."""
+    if not path:
+        yield default
+        return
+    with open(path, mode) as stream:
+        yield stream
 
 
 def _parse_triple(text: str, flag: str) -> np.ndarray:
@@ -151,9 +150,12 @@ def _parse_triple(text: str, flag: str) -> np.ndarray:
     if len(parts) != 3:
         raise PreconditionViolated(f"{flag} expects three comma-separated numbers")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError:
         raise PreconditionViolated(f"{flag} expects numbers, got {text!r}") from None
+    if not np.isfinite(values).all():
+        raise PreconditionViolated(f"{flag} expects finite numbers, got {text!r}")
+    return values
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -171,21 +173,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
     spec = SampleSpec(
         count=args.count, seed=args.seed, target=target, base=base, conjugate=args.conjugate
     )
-    out = _open_out(args.out)
-    try:
+    with _opened(args.out, "w", sys.stdout) as out:
         for rho in sample_batches(spec):
             _write_lines(out, _rep_objs(rho))
-    finally:
-        _close(out, args.out)
     return 0
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
     phi = _parse_triple(args.t, "--t")
     t = TorusElement(float(phi[0]), float(phi[1]), float(phi[2]))
-    src = _open_in(args.infile)
-    out = _open_out(args.out)
-    try:
+    with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
         for rho in read_jsonl(src, DEFAULT.rel):
             try:
                 moved = act(t, rho)
@@ -194,65 +191,46 @@ def cmd_flow(args: argparse.Namespace) -> int:
                     _write_lines(out, _rep_objs(act(t, rho[i : i + 1])))
                 raise
             _write_lines(out, _rep_objs(moved))
-    finally:
-        _close(src, args.infile)
-        _close(out, args.out)
     return 0
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    src = _open_in(args.infile)
-    out = _open_out(args.out)
-    try:
+    with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
         rows = read_jsonl(src, tol.rel)
         points = (p for rho in rows for p in moment_points(rho, tol.poly, args.quotient))
         write_simplex_csv(points, out)
-    finally:
-        _close(src, args.infile)
-        _close(out, args.out)
     return 0
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    src = _open_in(args.infile)
-    out = _open_out(args.out)
     bad = 0
-    try:
+    with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
         for rho in read_jsonl(src, tol.rel):
             image = tau(rho)
             if args.check:
                 bad += int(np.count_nonzero(~_class_equal(tau(image), rho, tol.mat)))
             _write_lines(out, _rep_objs(image))
-    finally:
-        _close(src, args.infile)
-        _close(out, args.out)
     return 1 if bad else 0
 
 
 def cmd_fixed_points(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     rng = np.random.default_rng(args.seed)
-    out = _open_out(args.out)
-    try:
+    with _opened(args.out, "w", sys.stdout) as out:
         for batch in _fixed_point_stream(args.count, rng):
             # at an unclassifiable row, the lines before it are written
             for obj, point in zip(_rep_objs(batch), classify_fixed_points(batch, tol=tol.mat)):
                 obj["stratum"], obj["piece"] = point.stratum.name, point.piece.value
                 _write_lines(out, [obj])
-    finally:
-        _close(out, args.out)
     return 0
 
 
 def cmd_certify_sigma(args: argparse.Namespace) -> int:
     report = run_sigma_certification(args.samples, args.seed, _tolerances(args), args.grid)
-    out = _open_out(args.out)
-    try:
+    with _opened(args.out, "w", sys.stdout) as out:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    finally:
-        _close(out, args.out)
     return 1 if report["violations"] else 0
 
 
@@ -270,14 +248,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 _TARGETS = [t.value for t in Target if t is not Target.FIXED_BASE]
 
 
-def _target(text: str) -> str:
-    if text not in _TARGETS:
-        raise ValueError(text)
-    return text
-
-
 def _at_least(minimum: int):
-    """Integer converter with a floor, shared by the count flags and config lines."""
+    """Integer converter with a floor: the count, grid and seed flags and their config keys."""
 
     def convert(text: str) -> int:
         if int(text) < minimum:
@@ -288,6 +260,7 @@ def _at_least(minimum: int):
     return convert
 
 
+_SEED = _at_least(0)
 _COUNT = _at_least(1)
 _GRID = _at_least(2)
 
@@ -301,38 +274,25 @@ def _flag(text: str) -> bool:
     raise ValueError(text)
 
 
-_CONFIG_KEYS = {
-    "count": _COUNT,
-    "seed": int,
-    "samples": _COUNT,
-    "grid": _GRID,
-    "tol": float,
-    "target": _target,
-    "base": str,
-    "t": str,
-    "suite": str,
-    "out": str,
-    "in": str,
-    "conjugate": _flag,
-    "check": _flag,
-    "quotient": _flag,
-}
-
-_COMMAND_KEYS = {
-    "sample": {"count", "seed", "target", "base", "conjugate", "out"},
-    "flow": {"t", "in", "out"},
-    "moment": {"in", "out", "quotient", "tol"},
-    "tau": {"in", "out", "check", "tol"},
-    "fixed-points": {"count", "seed", "out", "tol"},
-    "certify-sigma": {"samples", "seed", "grid", "out", "tol"},
-    "verify": {"suite", "samples", "seed", "tol"},
-}
-
-_DESTS = {"in": "infile"}
+def _config_actions(commands: dict) -> dict:
+    """command -> key -> action of each long flag of each subcommand but --help
+    (whose default is SUPPRESS): the keys a config line may set."""
+    return {
+        name: {
+            flag[2:]: action
+            for action in sp._actions
+            if action.default is not argparse.SUPPRESS
+            for flag in action.option_strings
+            if flag.startswith("--")
+        }
+        for name, sp in commands.items()
+    }
 
 
-def _load_config(path: str) -> dict:
-    values: dict = {}
+def _load_config(path: str, commands: dict, command: str) -> dict:
+    """dest -> value of the key=value lines of a config file that `command`
+    takes.  A key of another command is checked by its flag, then ignored."""
+    keyed, values = _config_actions(commands), {}
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -342,14 +302,20 @@ def _load_config(path: str) -> dict:
                 raise PreconditionViolated(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
+            actions = {name: keys[key] for name, keys in keyed.items() if key in keys}
+            if not actions:
                 raise PreconditionViolated(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](val)
-            except ValueError:
-                raise PreconditionViolated(
-                    f"{path}:{lineno}: bad value for {key}: {val!r}"
-                ) from None
+            for name, action in actions.items():
+                try:  # read as the flag reads it: its type (_flag if on/off), its choices
+                    value = (_flag if action.nargs == 0 else action.type or str)(val)
+                    if action.choices is not None and value not in action.choices:
+                        raise ValueError(val)
+                except ValueError:
+                    raise PreconditionViolated(
+                        f"{path}:{lineno}: bad value for {key}: {val!r}"
+                    ) from None
+                if name == command:
+                    values[action.dest] = value
     return values
 
 
@@ -367,7 +333,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("sample", help="draw representations and write JSONL")
     sp.add_argument("--count", type=_COUNT, default=10)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_SEED, default=0)
     sp.add_argument(
         "--target",
         choices=_TARGETS,
@@ -400,14 +366,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     xp = sub.add_parser("fixed-points", help="sample swap-fixed classes with tags")
     xp.add_argument("--count", type=_COUNT, default=20)
-    xp.add_argument("--seed", type=int, default=0)
+    xp.add_argument("--seed", type=_SEED, default=0)
     xp.add_argument("--out")
     xp.add_argument("--tol", type=float)
     xp.set_defaults(handler=cmd_fixed_points)
 
     cp = sub.add_parser("certify-sigma", help="certify the swap fixed-locus suites")
     cp.add_argument("--samples", type=_COUNT, default=100)
-    cp.add_argument("--seed", type=int, default=0)
+    cp.add_argument("--seed", type=_SEED, default=0)
     cp.add_argument("--grid", type=_GRID, default=10)
     cp.add_argument("--out")
     cp.add_argument("--tol", type=float)
@@ -416,7 +382,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     vp = sub.add_parser("verify", help="run a verification suite, print a JSON report")
     vp.add_argument("--suite", choices=["all", *sorted(_SUITES)], default="all")
     vp.add_argument("--samples", type=_COUNT, default=200)
-    vp.add_argument("--seed", type=int, default=0)
+    vp.add_argument("--seed", type=_SEED, default=0)
     vp.add_argument("--tol", type=float)
     vp.set_defaults(handler=cmd_verify)
 
@@ -430,8 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.config is not None:
             # flags override config-file values: install them as this command's
             # defaults for one more parse, then put the shared parser's back
-            config, allowed = _load_config(args.config), _COMMAND_KEYS[args.command]
-            values = {_DESTS.get(k, k): v for k, v in config.items() if k in allowed}
+            values = _load_config(args.config, commands, args.command)
             sp = commands[args.command]
             saved = {dest: sp.get_default(dest) for dest in values}
             sp.set_defaults(**values)
@@ -455,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PreconditionViolated as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
-    except FileNotFoundError as bad:
+    except (OSError, UnicodeDecodeError) as bad:  # a path that cannot be opened or decoded
         print(f"error: {bad}", file=sys.stderr)
         return 2
 

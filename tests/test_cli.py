@@ -193,6 +193,10 @@ class TestFlow:
     def test_missing_twist_exit_2(self):
         code, _ = run(["flow"])
         assert code == 2
+        for t in ("nan,0,0", "inf,0,0"):  # a non-finite angle would write NaN quaternions
+            code, err = run_err(["flow", "--t", t])
+            assert code == 2
+            assert "--t expects finite numbers" in err
 
 
 class TestMoment:
@@ -450,6 +454,9 @@ def test_tolerances_reject_bad_fields():
         (["verify", "--suite", "density"], "samples", "0"),
         (["fixed-points"], "count", "-2"),
         (["sample"], "count", "0"),
+        (["verify", "--suite", "density"], "seed", "-1"),
+        (["fixed-points"], "seed", "-1"),
+        (["certify-sigma", "--samples", "2"], "seed", "-1"),
     ],
 )
 def test_trial_count_below_minimum_exit_2(tmp_path, command, key, value):
@@ -476,6 +483,14 @@ def test_run_verify_rejects_no_trials(suite, samples):
 def test_run_sigma_certification_rejects_no_trials(samples, grid):
     with pytest.raises(PreconditionViolated, match="need samples >= 1 and grid >= 2"):
         run_sigma_certification(samples, 0, grid=grid)
+
+
+def test_library_entry_points_reject_negative_seed():
+    # the --seed flags' floor; numpy's own error would otherwise escape main
+    with pytest.raises(PreconditionViolated, match="seed must be >= 0, got -1"):
+        run_verify("density", samples=1, seed=-1)
+    with pytest.raises(PreconditionViolated, match="seed must be >= 0, got -1"):
+        run_sigma_certification(1, -1)
 
 
 # sha256 of the README pipeline's files (300 tuples: more than one sampler
@@ -620,6 +635,20 @@ class TestConfig:
         lines = sample_lines([*config, "sample", "--count", "5"])
         assert len(lines) == 5
 
+    def test_config_keys_are_each_commands_long_flags(self):
+        _, commands = cli._build_parser()
+        keys = {name: set(actions) for name, actions in cli._config_actions(commands).items()}
+        assert keys == {
+            "sample": {"count", "seed", "target", "base", "conjugate", "out"},
+            "flow": {"t", "in", "out"},
+            "moment": {"in", "out", "quotient", "tol"},
+            "tau": {"in", "out", "check", "tol"},
+            "fixed-points": {"count", "seed", "out", "tol"},
+            "certify-sigma": {"samples", "seed", "grid", "out", "tol"},
+            "verify": {"suite", "samples", "seed", "tol"},
+        }
+        assert cli._config_actions(commands)["flow"]["in"].dest == "infile"
+
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate=1\n")
@@ -641,18 +670,37 @@ class TestConfig:
         assert code == 2
         assert f"{cfg}:2: bad value" in err
 
-    @pytest.mark.parametrize("value", ["bogus", "fixed-base"])
-    def test_bad_target_exit_2(self, tmp_path, value):
-        # config values skip argparse's choices; the converter checks them
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            pytest.param("sample", "target", "bogus", id="bogus"),
+            pytest.param("sample", "target", "fixed-base", id="fixed-base"),
+            pytest.param("verify", "suite", "bogus", id="suite-bogus"),
+        ],
+    )
+    def test_bad_target_exit_2(self, tmp_path, command, key, value):
+        # a config value meets its flag's choices, at its own line
         cfg = tmp_path / "target.cfg"
-        cfg.write_text(f"count=1\ntarget={value}\n")
-        code, err = run_err(["--config", str(cfg), "sample"])
+        cfg.write_text(f"count=1\n{key}={value}\n")
+        code, err = run_err(["--config", str(cfg), command])
         assert code == 2
-        assert f"{cfg}:2: bad value for target" in err
+        assert f"{cfg}:2: bad value for {key}" in err
 
-    def test_missing_file_exit_2(self):
-        code, _ = run(["--config", "/nonexistent/path.cfg", "sample"])
-        assert code == 2
+    def test_missing_file_exit_2(self, tmp_path):
+        # a path that cannot be opened or decoded is one error line, not a traceback
+        undecodable = tmp_path / "utf16.jsonl"
+        undecodable.write_bytes(b"\xff\xfe")
+        for argv in (
+            ["--config", "/nonexistent/path.cfg", "sample"],
+            ["--config", str(tmp_path), "sample"],
+            ["--config", str(undecodable), "sample"],
+            ["moment", "--in", str(tmp_path)],
+            ["moment", "--in", str(undecodable)],
+            ["sample", "--out", str(tmp_path)],
+        ):
+            code, err = run_err(argv)
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # a config setting every key the command takes but --in/--out, and the plain
@@ -668,9 +716,9 @@ def _config_defaults() -> dict:
     """Every config-settable default of every command on the shared parser."""
     _, commands = cli._build_parser()
     return {
-        (name, key): commands[name].get_default(cli._DESTS.get(key, key))
-        for name, keys in cli._COMMAND_KEYS.items()
-        for key in keys
+        (name, key): commands[name].get_default(action.dest)
+        for name, keys in cli._config_actions(commands).items()
+        for key, action in keys.items()
     }
 
 
@@ -688,7 +736,8 @@ def leak_case(request, tmp_path, interior_lines):
     """(config path, plain argv, stdin lines) of a command, with every key it takes set."""
     body, plain = _LEAK_CASES[request.param]
     keys = {line.partition("=")[0] for line in body.splitlines()}
-    assert keys == cli._COMMAND_KEYS[request.param] - {"in", "out"}
+    _, commands = cli._build_parser()
+    assert keys == set(cli._config_actions(commands)[request.param]) - {"in", "out"}
     cfg = tmp_path / "all-keys.cfg"
     cfg.write_text(body)
     return str(cfg), plain, interior_lines[:20]
