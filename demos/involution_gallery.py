@@ -20,6 +20,7 @@ from charvar import (
     blowup_point,
     class_equal,
     classify_fixed_point,
+    classify_fixed_points,
     commutator,
     exp_alg,
     moment_coordinates,
@@ -30,7 +31,6 @@ from charvar import (
     sigma,
     tau,
 )
-from charvar.sigma import classify_fixed_points
 
 rng = np.random.default_rng(7)
 

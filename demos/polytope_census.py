@@ -19,10 +19,10 @@ from charvar import (
     is_abelian,
     moment_mu,
     sample,
+    sample_batches,
     trace_triple,
     write_simplex_csv,
 )
-from charvar.sampler import sample_batches
 
 rng = np.random.default_rng(501)
 

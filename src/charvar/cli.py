@@ -20,7 +20,7 @@ from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .claims import VerifyReport, _SUITES, _fixed_point_stream, run_sigma_certification, run_verify
+from .claims import _SUITES, _fixed_point_stream, run_sigma_certification, run_verify
 from .errors import (
     ClassificationAmbiguity,
     DegenerateGenerator,
@@ -31,16 +31,15 @@ from .errors import (
 )
 from .flows import TorusElement, act
 from .polytope import M_P, moment_coordinates, moment_points, write_simplex_csv
-from .repvar import Representation, _class_equal, relation_residual
+from .repvar import _SLOTS, Representation, _class_equal, _unit_slots, relation_residual
 from .sampler import _CHUNK, SampleSpec, Target, sample_batches
 from .sigma import classify_fixed_points
 from .su2 import GroupElement
 from .tau import tau
 from .tolerances import DEFAULT, Tolerances
 
-__all__ = ["main", "run_verify", "run_sigma_certification", "VerifyReport"]
+__all__ = ["main"]
 
-_SLOTS = ("g1", "h1", "g2", "h2")
 _KEYS = (*_SLOTS, "residual", "mu", "mu_lambda")
 
 
@@ -77,7 +76,7 @@ def rep_from_obj(obj: dict) -> Representation:
             raise PreconditionViolated(f"slot {key!r} must hold four components")
         if not np.all(np.isfinite(q)):
             raise PreconditionViolated(f"slot {key!r} has a non-finite component")
-        if abs(float(q @ q) - 1.0) > 1e-9:
+        if not _unit_slots(q):
             raise PreconditionViolated(f"slot {key!r} is not a unit quaternion")
         # keep the parsed bits verbatim so parse/serialize round-trips exactly
         slots.append(GroupElement(q))
@@ -90,9 +89,7 @@ def _checked_slots(lines: list[str]) -> tuple[np.ndarray, Optional[PreconditionV
     try:
         objs = [json.loads(line) for line in lines]
         q = np.array([[obj[key] for key in _SLOTS] for obj in objs], dtype=float)
-        # np.vecdot is the arithmetic of rep_from_obj's q @ q on each slot
-        unit = np.abs(np.vecdot(q, q) - 1.0) <= 1e-9
-        if q.shape == (len(lines), 4, 4) and np.isfinite(q).all() and unit.all():
+        if q.shape == (len(lines), 4, 4) and _unit_slots(q).all():
             return q, None
     except (TypeError, KeyError, ValueError, OverflowError):  # JSONDecodeError too
         pass
@@ -160,7 +157,7 @@ def _parse_triple(text: str, flag: str) -> np.ndarray:
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     tol = getattr(args, "tol", None)
-    return DEFAULT if tol is None else Tolerances.with_mat(tol)
+    return DEFAULT if tol is None else Tolerances(tol)
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -180,6 +177,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
+    if args.t is None:  # optional at parse time, so that a t= config line can set it
+        raise PreconditionViolated("flow needs --t phi1,phi2,phi3 (or a t= config line)")
     phi = _parse_triple(args.t, "--t")
     t = TorusElement(float(phi[0]), float(phi[1]), float(phi[2]))
     with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
@@ -345,7 +344,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.set_defaults(handler=cmd_sample)
 
     fp = sub.add_parser("flow", help="apply a twist triple to a JSONL stream")
-    fp.add_argument("--t", required=True, help="phi1,phi2,phi3 twist angles")
+    fp.add_argument("--t", help="phi1,phi2,phi3 twist angles (required: flag or t= line)")
     fp.add_argument("--in", dest="infile")
     fp.add_argument("--out")
     fp.set_defaults(handler=cmd_flow)

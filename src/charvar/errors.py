@@ -4,6 +4,19 @@ Every error raised by library code derives from :class:`CharVarError` so that
 callers (in particular the CLI) can distinguish domain failures from bugs.
 """
 
+__all__ = [
+    "CharVarError",
+    "CenterAmbiguity",
+    "ZeroVector",
+    "OutsidePolytope",
+    "DegenerateGenerator",
+    "SectionSolveFailure",
+    "FiberSolveFailure",
+    "PreconditionViolated",
+    "RelationViolated",
+    "ClassificationAmbiguity",
+]
+
 
 class CharVarError(Exception):
     """Base class for all library errors."""

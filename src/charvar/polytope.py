@@ -37,6 +37,28 @@ from .tolerances import EPS_MAT, EPS_POLY
 if TYPE_CHECKING:  # pragma: no cover
     from .repvar import Representation
 
+__all__ = [
+    "Polytope",
+    "PolytopeTag",
+    "Region",
+    "RegionKind",
+    "SimplexPoint",
+    "QuotientMatrix",
+    "TILDE_DELTA",
+    "STD_DELTA",
+    "HALF_STD_DELTA",
+    "M_P",
+    "NU_NORMALIZATION_NOTE",
+    "moment_coordinates",
+    "moment_mu",
+    "mu_lambda_coordinates",
+    "mu_lambda",
+    "nu_P3",
+    "trace_triple",
+    "boundary_commutation_check",
+    "write_simplex_csv",
+]
+
 # Machine-readable flag for the printed normalization of nu: its image is
 # (1/2)*Delta, not Delta, so image-coincidence checks rescale by 2 and report
 # this note instead of silently fixing the formula.

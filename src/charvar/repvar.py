@@ -47,6 +47,14 @@ __all__ = [
     "diagonalize_abelian",
 ]
 
+_SLOTS = ("g1", "h1", "g2", "h2")
+_UNIT_TOL = 1e-9  # bound on |q.q - 1| for a slot quaternion to count as unit
+
+
+def _unit_slots(q: np.ndarray) -> np.ndarray:
+    """Whether each quaternion of a (..., 4) array is finite and unit to _UNIT_TOL."""
+    return np.abs(np.vecdot(q, q) - 1.0) <= _UNIT_TOL
+
 
 @dataclass(frozen=True, eq=False)
 class Representation:
@@ -107,14 +115,18 @@ def new_checked(
     h2: GroupElement,
     tol: float = EPS_REL,
 ) -> Representation:
-    """Build a Representation, insisting the surface relation holds to `tol`.
+    """Build a Representation, insisting each slot passes _unit_slots (the
+    products renormalize, so the residual alone cannot see a bad one) and the
+    surface relation holds to `tol`.
 
-    RelationViolated (a PreconditionViolated) if it does not.
-    """
+    PreconditionViolated for a bad slot; RelationViolated (a
+    PreconditionViolated) if the relation does not hold."""
     rho = Representation(g1, h1, g2, h2)
-    res = relation_residual(rho)
-    worst = float(np.max(res))
-    if worst >= tol:
+    for name, x in zip(_SLOTS, rho.elements()):
+        if not _unit_slots(x.q).all():
+            raise PreconditionViolated(f"slot {name} is not a finite unit quaternion")
+    worst = float(np.max(relation_residual(rho)))
+    if not worst < tol:  # a NaN residual or tolerance fails too
         raise RelationViolated(
             f"surface relation violated: residual {worst:.3e} >= {tol:.3e}"
         )

@@ -76,7 +76,7 @@ class SampleSpec:
         Which family to sample; see `Target`.
     base:
         Strictly interior base point, required when ``target`` is
-        ``Target.FIXED_BASE`` and ignored otherwise.
+        ``Target.FIXED_BASE`` and refused with any other target.
     conjugate:
         When true, each emitted quadruple is conjugated by an independent
         Haar-random element, so the stream explores whole classes rather
@@ -103,6 +103,11 @@ class SampleSpec:
             if not float(STD_DELTA.margin(x)) < 0.0:  # NaN is not interior either
                 raise PreconditionViolated("base point must be strictly interior")
             object.__setattr__(self, "base", x)
+        elif self.base is not None:
+            raise PreconditionViolated(
+                "a base point needs the fixed-base target (interior with --base),"
+                f" not {self.target.value!r}"
+            )
 
 
 def _diag(angle) -> GroupElement:

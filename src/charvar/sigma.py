@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ClassificationAmbiguity, PreconditionViolated
-from .repvar import Representation, _class_equal, relation_residual
+from .repvar import Representation, _class_equal, _unit_slots, relation_residual
 from .su2 import (
     GroupElement,
     StabilizerType,
@@ -61,7 +61,9 @@ __all__ = [
     "Stratum",
     "Piece",
     "SigmaFixedPoint",
+    "DIAG_I",
     "InjectivityReport",
+    "J",
     "sigma",
     "sigma_fixed_conjugator",
     "classify_fixed_point",
@@ -260,7 +262,7 @@ def blowup_point(g: GroupElement, h: GroupElement, k: GroupElement) -> Represent
     by the commuting hypothesis.  PreconditionViolated when k is not a finite
     unit with k^2 = -1, when [g,h] = 1 (that regime belongs to the arcs), or
     when k fails to commute with the commutator or the result with the relation."""
-    unit = np.all(np.isfinite(k.q)) and abs(float(k.q @ k.q) - 1.0) <= 1e-9
+    unit = _unit_slots(k.q)  # finite and unit
     if not (unit and float(distance(mul(k, k), GroupElement.minus_identity())) < EPS_CENTER):
         raise PreconditionViolated("blowup_point needs a unit k with k^2 = -1")
     comm = commutator(g, h)

@@ -72,6 +72,24 @@ import numpy as np
 from .errors import CenterAmbiguity, ZeroVector
 from .tolerances import EPS_CENTER, EPS_MAT
 
+__all__ = [
+    "GroupElement",
+    "AlgebraElement",
+    "StabilizerType",
+    "mul",
+    "conjugate",
+    "commutator",
+    "distance",
+    "is_central",
+    "exp_alg",
+    "log_grp",
+    "trace_angle",
+    "haar_sample",
+    "conjugator_nullspace",
+    "find_conjugator",
+    "stabilizer_type",
+]
+
 # Angles within SNAP_TOL of a multiple of pi/2 are treated as exact: the
 # corresponding cos/sin residue (about 1.2e-16 at pi itself, up to ~8e-16
 # after unit-normalization error in the axis) is replaced by 0 / +-1.

@@ -10,16 +10,18 @@ violations:
     EPS_REL     commutator-relation residual accepted on representations
     EPS_POLY    polytope membership / active-constraint detection
 
-EPS_CENTER is a module constant only; the other four are the fields of
-`Tolerances`.
+EPS_CENTER is a module constant only.  `Tolerances` is set by one knob, mat;
+its f, rel and poly follow in proportion to the defaults.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
+
+__all__ = ["Tolerances", "DEFAULT"]
 
 EPS_MAT = 1e-9
 EPS_F = 1e-9
@@ -30,37 +32,32 @@ EPS_POLY = 1e-9
 
 @dataclass(frozen=True)
 class Tolerances:
-    """A coherent bundle of tolerances; scale all of them with one knob.
-    Every field must be positive and finite."""
+    """A coherent bundle of tolerances with EPS_MAT pinned to `mat` and
+    everything else in proportion; `mat` must be positive and finite.
+
+    Each other field is mat * (default / EPS_MAT): the ratios are small and
+    exact, so a finite `mat` overflows no field short of the float range,
+    and one that does is named in the error."""
 
     mat: float = EPS_MAT
-    f: float = EPS_F
-    rel: float = EPS_REL
-    poly: float = EPS_POLY
+    f: float = field(init=False)
+    rel: float = field(init=False)
+    poly: float = field(init=False)
 
     def __post_init__(self):
         # a NaN tolerance passes every "residual >= tol" check
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise PreconditionViolated(
-                    f"tol must be a positive finite number, got {field.name}={value!r}"
-                )
-
-    @classmethod
-    def with_mat(cls, mat: float) -> "Tolerances":
-        """Tolerances with EPS_MAT pinned to `mat` and everything else in proportion.
-
-        Each field is mat * (default / EPS_MAT): the ratios are small and
-        exact, so a finite `mat` overflows no field short of the float range,
-        and one that does is named in the error."""
-        values = {f.name: mat * (getattr(cls, f.name) / EPS_MAT) for f in fields(cls)}
-        if math.isfinite(mat) and not all(map(math.isfinite, values.values())):
+        if not (math.isfinite(self.mat) and self.mat > 0.0):
             raise PreconditionViolated(
-                f"tol must be a positive finite number, got mat={mat!r}, "
-                "which scales another tolerance past the float range"
+                f"tol must be a positive finite number, got mat={self.mat!r}"
             )
-        return cls(**values)
+        for name, default in (("f", EPS_F), ("rel", EPS_REL), ("poly", EPS_POLY)):
+            value = self.mat * (default / EPS_MAT)
+            if not math.isfinite(value):
+                raise PreconditionViolated(
+                    f"tol must be a positive finite number, got mat={self.mat!r}, "
+                    "which scales another tolerance past the float range"
+                )
+            object.__setattr__(self, name, value)
 
 
 DEFAULT = Tolerances()

@@ -55,7 +55,7 @@ from charvar.sigma import (
 )
 from charvar.su2 import GroupElement, _cross, haar_sample
 from charvar.tau import section, tau
-from charvar.tolerances import DEFAULT
+from charvar.tolerances import DEFAULT, Tolerances
 
 
 def single_interior(rng, base=None, conjugate=True):
@@ -191,8 +191,8 @@ def test_suite_counts_failures_per_item():
     # a tolerance nothing meets fails every item of the flows and tau suites,
     # not the batch as one; one everything meets makes every density witness
     # read abelian and every interior point read swap-fixed
-    strict = DEFAULT.with_mat(1e-300)
-    loose = DEFAULT.with_mat(1e290)
+    strict = Tolerances(1e-300)
+    loose = Tolerances(1e290)
     for suite, oracle in SUITES:
         for tol in (strict, loose):
             got = suite(12, np.random.default_rng(3), tol)

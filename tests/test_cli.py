@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from charvar import claims, cli
-from charvar.cli import main, rep_from_obj, rep_to_obj, run_sigma_certification, run_verify
+from charvar.claims import run_sigma_certification, run_verify
+from charvar.cli import main, rep_from_obj, rep_to_obj
 from charvar.errors import PreconditionViolated
 from charvar.flows import TorusElement, act
 from charvar.repvar import Representation, relation_residual
@@ -155,6 +156,11 @@ class TestSample:
         assert code == 2
         code, _ = run(["sample", "--base", "nan,0.2,0.2"])
         assert code == 2
+        # only the interior target reads a base point; the others refuse one
+        for target, base in (("face", "5,5,5"), ("edge", "0.2,0.3,0.2"), ("vertex", "0.2,0.3,0.2")):
+            code, err = run_err(["sample", "--target", target, "--base", base])
+            assert code == 2
+            assert "a base point needs the fixed-base target" in err
 
     def test_base_near_the_vertex(self):
         # about 1e-170 from x = 0 the section's closed form is 0/0; at 1e-9
@@ -393,7 +399,7 @@ def test_tol_reaches_every_check(monkeypatch, command):
         monkeypatch.setattr(claims, name, recorded)
     code, _ = run([*command, "--tol", "3e-9"])
     assert code == 0
-    want = {Tolerances.with_mat(3e-9).mat}
+    want = {Tolerances(3e-9).mat}
     assert seen and {name: tols for name, tols in seen.items() if tols != want} == {}
     if "sigma" in command:  # the pillow and interior fixedness reads
         assert "_sigma_fixed" in seen
@@ -433,14 +439,19 @@ def test_huge_tol_scales_every_field_without_overflow():
 
 
 def test_tolerances_reject_bad_fields():
-    # the library boundary checks what the --tol flag checks: with f = NaN the
-    # polytope suite's section round trip could never fail
+    # the library boundary checks what the --tol flag checks: with a NaN
+    # tolerance no residual could ever fail
     for value in (float("nan"), float("inf"), 0.0, -1e-9):
-        for field in ("mat", "f", "rel", "poly"):
-            with pytest.raises(PreconditionViolated, match="positive finite number, got " + field):
-                run_verify("polytope", samples=20, seed=1, tol=Tolerances(**{field: value}))
         with pytest.raises(PreconditionViolated, match="positive finite number, got mat"):
-            Tolerances.with_mat(value)
+            run_verify("polytope", samples=20, seed=1, tol=Tolerances(mat=value))
+        with pytest.raises(PreconditionViolated, match="positive finite number, got mat"):
+            Tolerances(value)
+    # mat is the one knob: the other fields follow it and cannot be set
+    assert Tolerances(3e-9) == Tolerances(mat=3e-9)
+    assert (Tolerances(3e-9).f, Tolerances(3e-9).rel, Tolerances(3e-9).poly) == (3e-9, 3e-8, 3e-9)
+    for field in ("f", "rel", "poly"):
+        with pytest.raises(TypeError):
+            Tolerances(**{field: 1e-9})
 
 
 @pytest.mark.parametrize(
@@ -649,6 +660,22 @@ class TestConfig:
         }
         assert cli._config_actions(commands)["flow"]["in"].dest == "infile"
 
+    def test_twist_from_config(self, tmp_path):
+        # --t is optional at parse time, so a t= line reaches flow
+        src = tmp_path / "in.jsonl"
+        src.write_text(run(["sample", "--count", "6", "--seed", "4"])[1])
+        cfg = tmp_path / "twist.cfg"
+        cfg.write_text("t=0.3,1.2,0.5\n")
+        configured = run(["--config", str(cfg), "flow", "--in", str(src)])
+        assert configured == run(["flow", "--t", "0.3,1.2,0.5", "--in", str(src)])
+        assert configured[0] == 0 and configured[1]
+        flag = run(["--config", str(cfg), "flow", "--t", "0,0,0", "--in", str(src)])
+        assert flag == run(["flow", "--t", "0,0,0", "--in", str(src)]) != configured
+        cfg.write_text("t=nan,0,0\n")
+        code, err = run_err(["--config", str(cfg), "flow", "--in", str(src)])
+        assert code == 2
+        assert "--t expects finite numbers" in err
+
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate=1\n")
@@ -706,7 +733,8 @@ class TestConfig:
 # a config setting every key the command takes but --in/--out, and the plain
 # run that must not see it
 _LEAK_CASES = {
-    "sample": ("count=3\nseed=5\ntarget=vertex\nbase=0.2,0.3,0.2\nconjugate=yes\n", ["sample"]),
+    "sample": ("count=3\nseed=5\nbase=0.2,0.3,0.2\nconjugate=yes\n", ["sample"]),
+    "sample-vertex": ("target=vertex\ncount=3\nseed=5\nconjugate=yes\n", ["sample"]),
     "moment": ("quotient=on\ntol=1e-3\n", ["moment"]),
     "verify": ("suite=density\nsamples=3\nseed=9\ntol=1e-5\n", ["verify"]),
 }
@@ -733,13 +761,21 @@ def _output(argv, lines, monkeypatch) -> tuple[int, str]:
 
 @pytest.fixture(params=sorted(_LEAK_CASES))
 def leak_case(request, tmp_path, interior_lines):
-    """(config path, plain argv, stdin lines) of a command, with every key it takes set."""
+    """(config path, plain argv, stdin lines) of a command run; the cases of a
+    command together set every key it takes, each to other than its default."""
     body, plain = _LEAK_CASES[request.param]
-    keys = {line.partition("=")[0] for line in body.splitlines()}
+    keys = {
+        line.partition("=")[0]
+        for case, command in _LEAK_CASES.values()
+        if command == plain
+        for line in case.splitlines()
+    }
     _, commands = cli._build_parser()
-    assert keys == set(cli._config_actions(commands)[request.param]) - {"in", "out"}
+    assert keys == set(cli._config_actions(commands)[plain[0]]) - {"in", "out"}
     cfg = tmp_path / "all-keys.cfg"
     cfg.write_text(body)
+    for dest, value in cli._load_config(str(cfg), commands, plain[0]).items():
+        assert repr(value) != repr(commands[plain[0]].get_default(dest)), dest
     return str(cfg), plain, interior_lines[:20]
 
 

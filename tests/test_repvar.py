@@ -113,6 +113,31 @@ class TestRelation:
             )
         assert issubclass(RelationViolated, PreconditionViolated)
 
+    def test_new_checked_rejects_non_finite_slots(self):
+        # a NaN residual is not >= tol, so the relation test alone let it through
+        rng = np.random.default_rng(7)
+        g1, h1, g2, h2 = swap_rep(rng).elements()
+        nan = GroupElement(np.full(4, np.nan))
+        with pytest.raises(PreconditionViolated, match="slot g1 is not a finite unit quaternion"):
+            new_checked(nan, h1, g2, h2)
+        with pytest.raises(RelationViolated):  # nor does a NaN tolerance accept
+            new_checked(g1, h1, g2, h2, tol=float("nan"))
+
+    def test_new_checked_rejects_non_unit_slots(self):
+        # the products renormalize: four copies of 2*I have residual 0
+        two = GroupElement(np.array([2.0, 0.0, 0.0, 0.0]))
+        assert relation_residual(Representation(two, two, two, two)) == 0.0
+        with pytest.raises(PreconditionViolated, match="slot g1 is not a finite unit quaternion"):
+            new_checked(two, two, two, two)
+        # one row of a batch off the unit sphere by more than 1e-9
+        rng = np.random.default_rng(8)
+        a, b = haar_sample(rng, (3,)), haar_sample(rng, (3,))
+        new_checked(a, b, b, a)
+        q = a.q.copy()
+        q[1] *= 1.0 + 1e-8
+        with pytest.raises(PreconditionViolated, match="slot h2"):
+            new_checked(a, b, b, GroupElement(q))
+
     def test_mismatched_batch_shapes_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
