@@ -29,6 +29,7 @@ from .repvar import Representation
 from .su2 import (
     AlgebraElement,
     GroupElement,
+    _blockwise,
     _exp,
     _pack,
     _qmul,
@@ -66,7 +67,15 @@ class TorusElement:
 
     def __post_init__(self):
         for name in ("phi1", "phi2", "phi3"):
-            a = np.mod(np.asarray(getattr(self, name), dtype=np.float64), TWO_PI)
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            # np.mod(a, 2 pi) is a bit for bit on [+0, 2 pi), so an array
+            # already there is copied, not reduced; -0.0, NaN and every other
+            # angle is reduced, and so is a single angle, which costs less
+            # to reduce than to check.
+            if a.ndim and (a < TWO_PI).all() and not np.signbit(a).any():
+                a = a.copy()
+            else:
+                a = np.mod(a, TWO_PI)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -123,15 +132,28 @@ class FlowGenerators:
     Y_hat: AlgebraElement
 
 
-def _axis(g: tuple, name: str) -> AlgebraElement:
-    """The unit axis of the element(s) with components g = (w, x, y, z)."""
+def _axis(g: tuple, name: str) -> tuple:
+    """The components of the unit axis of the element(s) with components
+    g = (w, x, y, z)."""
     n = _row_norm(g[1:])
     if np.any(n < EPS_CENTER):
         raise DegenerateGenerator(
             f"{name} is within {EPS_CENTER:g} of the center; "
             "the twist flows are defined on interior classes only"
         )
-    return AlgebraElement(np.stack([c / n for c in g[1:]], axis=-1))
+    return tuple(c / n for c in g[1:])
+
+
+def _generators(h1: np.ndarray, h2: np.ndarray) -> tuple:
+    """The components of the unit generators (xi1, xi2, X, Y) of the
+    quaternion arrays h1, h2, checked in that order."""
+    h1, h2 = _split(h1), _split(h2)
+    return (
+        _axis(h1, "h1"),
+        _axis(h2, "h2"),
+        _axis(_qmul(h2, h1), "h2*h1"),
+        _axis(_qmul(h1, h2), "h1*h2"),
+    )
 
 
 def generators(rho: Representation) -> FlowGenerators:
@@ -141,28 +163,31 @@ def generators(rho: Representation) -> FlowGenerators:
     such classes sit over the boundary of the moment tetrahedron, where the
     torus action is not defined.
     """
-    h1, h2 = _split(rho.h1.q), _split(rho.h2.q)
-    return FlowGenerators(
-        xi1_hat=_axis(h1, "h1"),
-        xi2_hat=_axis(h2, "h2"),
-        X_hat=_axis(_qmul(h2, h1), "h2*h1"),
-        Y_hat=_axis(_qmul(h1, h2), "h1*h2"),
-    )
+    axes = _generators(rho.h1.q, rho.h2.q)
+    return FlowGenerators(*(AlgebraElement(np.stack(a, axis=-1)) for a in axes))
 
 
 def _scaled(hat: AlgebraElement, phi: np.ndarray) -> AlgebraElement:
     return AlgebraElement(hat.v * np.asarray(phi, dtype=np.float64)[..., None])
 
 
-def _twisted(
-    left: AlgebraElement, phi_left, g: GroupElement, right: AlgebraElement, phi_right
-) -> GroupElement:
-    """e^{phi_left left} g e^{phi_right right}: the exponentials and both
-    products on components, packed once.  The arithmetic is that of
+def _twisted(left: tuple, phi_left, g: np.ndarray, right: tuple, phi_right) -> np.ndarray:
+    """e^{phi_left left} g e^{phi_right right} for unit axes given as
+    components: the exponentials and both products on components, packed
+    once.  The arithmetic is that of
     mul(mul(exp_alg(_scaled(left, phi_left)), g), exp_alg(_scaled(right, phi_right)))."""
-    lhs = _exp(*(c * phi_left for c in _split(left.v)))
-    rhs = _exp(*(c * phi_right for c in _split(right.v)))
-    return GroupElement(_pack(*_qmul(_qmul(lhs, _split(g.q)), rhs)))
+    # each exponential is built just before its product, so that the two
+    # are never held at once
+    q = _qmul(_exp(*(c * phi_left for c in left)), _split(g))
+    return _pack(*_qmul(q, _exp(*(c * phi_right for c in right))))
+
+
+def _act(phi1, phi2, phi3, g1, h1, g2, h2) -> tuple:
+    """The twisted g1 and g2 of act, on angle and slot quaternion arrays."""
+    xi1, xi2, x_hat, y_hat = _generators(h1, h2)
+    g1 = _twisted(x_hat, phi3, g1, xi1, phi1)
+    del xi1, x_hat  # g1's axes are freed before g2 is twisted
+    return g1, _twisted(y_hat, phi3, g2, xi2, phi2)
 
 
 def act(t: TorusElement, rho: Representation) -> Representation:
@@ -172,18 +197,22 @@ def act(t: TorusElement, rho: Representation) -> Representation:
 
     h-slots pass through untouched (the moment triple is invariant bitwise);
     the relation is preserved to roundoff.  DegenerateGenerator on boundary
-    classes, as for generators().
+    classes, as for generators(); a long batch raises the message of its
+    whole batch, whichever block fails first.
     """
-    gen = generators(rho)
-    g1 = _twisted(gen.X_hat, t.phi3, rho.g1, gen.xi1_hat, t.phi1)
-    g2 = _twisted(gen.Y_hat, t.phi3, rho.g2, gen.xi2_hat, t.phi2)
+    phis = np.broadcast_arrays(t.phi1, t.phi2, t.phi3)
+    slots = [x.q for x in rho.elements()]
+    try:
+        g1, g2 = _blockwise(_act, (phis[0].shape, rho.batch_shape), *phis, *slots)
+    except DegenerateGenerator:
+        _generators(slots[1], slots[3])  # raises the whole batch's first failing check
+        raise
     h1, h2 = rho.h1, rho.h2
-    if g1.batch_shape != h1.batch_shape:
+    if g1.shape[:-1] != h1.batch_shape:
         # batched angles over a scalar tuple: fan the untouched slots out
-        shape = g1.batch_shape + (4,)
-        h1 = GroupElement(np.broadcast_to(h1.q, shape).copy())
-        h2 = GroupElement(np.broadcast_to(h2.q, shape).copy())
-    return Representation(g1, h1, g2, h2)
+        h1 = GroupElement(np.broadcast_to(h1.q, g1.shape).copy())
+        h2 = GroupElement(np.broadcast_to(h2.q, g1.shape).copy())
+    return Representation(GroupElement(g1), h1, GroupElement(g2), h2)
 
 
 @dataclass(frozen=True)

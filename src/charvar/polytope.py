@@ -31,7 +31,7 @@ from typing import IO, Iterable, Iterator, Optional, TYPE_CHECKING
 import numpy as np
 
 from .errors import OutsidePolytope, PreconditionViolated, ZeroVector
-from .su2 import GroupElement, commutator, distance, mul, trace_angle
+from .su2 import GroupElement, _blockwise, _qmul, _split, _trace_angle, commutator, distance
 from .tolerances import EPS_MAT, EPS_POLY
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -245,15 +245,22 @@ M_P = QuotientMatrix(
 # ---------------------------------------------------------------------------
 
 
+def _trace_triple(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """trace_triple on quaternion arrays a, b of shape (..., 4); the scalar
+    part of ab is that of mul(a, b)."""
+    ab_w = _qmul(_split(a), _split(b))[0]
+    return np.stack([_trace_angle(w) for w in (a[..., 0], b[..., 0], ab_w)], axis=-1)
+
+
 def trace_triple(a: GroupElement, b: GroupElement) -> np.ndarray:
     """(f(a), f(b), f(ab)) of each pair as a raw (..., 3) array; its image is
     the closed TILDE_DELTA."""
-    return np.stack([trace_angle(a), trace_angle(b), trace_angle(mul(a, b))], axis=-1)
+    return _trace_triple(a.q, b.q)
 
 
 def moment_coordinates(rho: "Representation") -> np.ndarray:
     """The trace triple (f(h1), f(h2), f(h1 h2)) of each quadruple."""
-    return trace_triple(rho.h1, rho.h2)
+    return _blockwise(_trace_triple, (rho.batch_shape,), rho.h1.q, rho.h2.q)
 
 
 def moment_points(

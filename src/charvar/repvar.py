@@ -26,6 +26,7 @@ from .errors import PreconditionViolated, RelationViolated
 from .su2 import (
     AlgebraElement,
     GroupElement,
+    _blockwise,
     _cross,
     _distance,
     _find_conjugators,
@@ -101,11 +102,16 @@ class Representation:
         return float(worst) if worst.ndim == 0 else worst
 
 
-def relation_residual(rho: Representation) -> np.ndarray:
-    """Frobenius distance of [g1,h1][g2,h2] from the identity; 0 on solutions."""
-    w, x, y, z = _surface_word(*rho.elements())
+def _relation_residual(g1, h1, g2, h2) -> np.ndarray:
+    """relation_residual on the slot quaternion arrays."""
+    w, x, y, z = _surface_word(g1, h1, g2, h2)
     # the difference from (1, 0, 0, 0): x - 0.0 is x bit for bit
     return _distance((w - 1.0, x, y, z))
+
+
+def relation_residual(rho: Representation) -> np.ndarray:
+    """Frobenius distance of [g1,h1][g2,h2] from the identity; 0 on solutions."""
+    return _blockwise(_relation_residual, (rho.batch_shape,), *(x.q for x in rho.elements()))
 
 
 def new_checked(

@@ -43,7 +43,7 @@
 # hold bitwise, which downstream modules assert (torus kernel, interval
 # endpoints).
 #
-# The order of operations in the kernels (_qmul, conjugate, _cross, _exp) is
+# The order of operations in the kernels (_qmul, _conjugate, _cross, _exp) is
 # part of the exactness contract: every component is computed by the
 # expression written there, grouped as written, and fixed-seed outputs are
 # reproducible bit for bit only because of it.  Regrouping the arithmetic (a
@@ -59,6 +59,21 @@
 # the squares in order, ((s0 + s1) + s2) + s3, which is np.linalg.norm over
 # axis -1 on every batch shape; np.vecdot sums in another order, and
 # _vector_norm keeps its arithmetic only where that is the contract.
+#
+# Blocked evaluation: a long one-axis batch is evaluated in row blocks of
+# _BLOCK = 8,192 rows (_blockwise), by conjugate here and by flows.act,
+# repvar.relation_residual and polytope.moment_coordinates.  Their per-block
+# kernels call no public function, so a traced run counts one call per
+# entry point, not one per block.  Each kernel allocates several dozen
+# component temporaries the size of its batch; at 1e5 rows each is 800 KB,
+# and the allocator hands that memory back and faults it in again on every
+# call.  At 8,192 rows a temporary is 64 KB, stays in a 2 MB L2 cache and is
+# reused from the allocator's free lists.  On the ensemble pipeline (1e5
+# rows, 2 vCPU) blocks of 4,096 to 16,384 rows ran within noise of each
+# other and about 1.5x faster than the whole batch, and 2,048 and 32,768
+# were slower (BENCH_blocked_rows.json).  Every kernel's arithmetic is per
+# row, so no output bit depends on the block size.  Batches of at most
+# _BLOCK rows, and batches with more than one axis, run whole in one call.
 
 from __future__ import annotations
 
@@ -260,6 +275,49 @@ class StabilizerType(Enum):
 
 
 # ---------------------------------------------------------------------------
+# blocked evaluation
+# ---------------------------------------------------------------------------
+
+# Rows per block of a long batch; see the header.
+_BLOCK = 8192
+
+
+def _blockwise(kernel, batches: tuple, *operands):
+    """kernel(*operands), in row blocks when the batch is one long axis.
+
+    batches holds the operands' batch shapes.  When they broadcast to one
+    axis of n > _BLOCK rows, the kernel runs on each block of _BLOCK rows,
+    with the operands whose first axis has length n sliced to the block and
+    the others passed whole, and each block's results are written into
+    arrays of n rows allocated after the first block.  Otherwise the kernel
+    makes its one call.  The kernel returns an array or a tuple of arrays,
+    batch axis first, and so does _blockwise.
+    """
+    n = 0
+    for b in batches:
+        if len(b) > 1:
+            return kernel(*operands)
+        if b and b[0] > n:
+            n = b[0]
+    if n <= _BLOCK:
+        return kernel(*operands)
+    sliced = [a.ndim > 0 and a.shape[0] == n for a in operands]
+    out = None
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        parts = kernel(*(a[rows] if s else a for a, s in zip(operands, sliced)))
+        single = isinstance(parts, np.ndarray)
+        if single:
+            parts = (parts,)
+        if out is None:
+            out = [np.empty((n,) + p.shape[1:], p.dtype) for p in parts]
+        for o, p in zip(out, parts):
+            o[rows] = p
+        del parts, p  # free this block's results before the next block runs
+    return out[0] if single else tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # products and conjugation
 # ---------------------------------------------------------------------------
 
@@ -276,7 +334,7 @@ def _split(q: np.ndarray) -> np.ndarray:
 def _pack(w, x, y, z) -> np.ndarray:
     """The (..., 4) array with components w, x, y, z.
 
-    x has the full batch shape; w may have fewer axes (conjugate passes g's
+    x has the full batch shape; w may have fewer axes (_conjugate passes g's
     scalar part unchanged) and is broadcast.
     """
     q = np.empty(x.shape + (4,))
@@ -411,14 +469,10 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(_pack(*_qmul(_split(a.q), _split(b.q))))
 
 
-def conjugate(k: GroupElement, g: GroupElement) -> GroupElement:
-    """k g k^-1 via the vector-rotation formula.
-
-    Preserves the scalar part w bitwise (conjugation fixes the trace), which
-    keeps trace-based coordinates of conjugated elements exactly stable.
-    """
-    kw, kx, ky, kz = _split(k.q)
-    gw, gx, gy, gz = _split(g.q)
+def _conjugate(k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """conjugate on quaternion arrays k, g of shape (..., 4)."""
+    kw, kx, ky, kz = _split(k)
+    gw, gx, gy, gz = _split(g)
     tx, ty, tz = _cross((kx, ky, kz), (gx, gy, gz))
     tx *= 2.0
     ty *= 2.0
@@ -426,7 +480,16 @@ def conjugate(k: GroupElement, g: GroupElement) -> GroupElement:
     cx, cy, cz = _cross((kx, ky, kz), (tx, ty, tz))
     # each vector component is (g + kw * t) + (k x t), and g + p is p + g
     x, y, z = (_sum(kw * t, gc, c) for t, gc, c in ((tx, gx, cx), (ty, gy, cy), (tz, gz, cz)))
-    return GroupElement(_pack(gw, x, y, z))
+    return _pack(gw, x, y, z)
+
+
+def conjugate(k: GroupElement, g: GroupElement) -> GroupElement:
+    """k g k^-1 via the vector-rotation formula.
+
+    Preserves the scalar part w bitwise (conjugation fixes the trace), which
+    keeps trace-based coordinates of conjugated elements exactly stable.
+    """
+    return GroupElement(_blockwise(_conjugate, (k.batch_shape, g.batch_shape), k.q, g.q))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -434,11 +497,10 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(_pack(*_commutator(_split(g.q), _split(h.q))))
 
 
-def _surface_word(
-    g1: GroupElement, h1: GroupElement, g2: GroupElement, h2: GroupElement
-) -> tuple:
-    """The components of the genus-2 surface word [g1, h1][g2, h2]."""
-    a, b, c, d = (_split(x.q) for x in (g1, h1, g2, h2))
+def _surface_word(g1: np.ndarray, h1: np.ndarray, g2: np.ndarray, h2: np.ndarray) -> tuple:
+    """The components of the genus-2 surface word [g1, h1][g2, h2] of
+    quaternion arrays."""
+    a, b, c, d = (_split(x) for x in (g1, h1, g2, h2))
     return _qmul(_commutator(a, b), _commutator(c, d))
 
 
@@ -514,9 +576,14 @@ def log_grp(g: GroupElement) -> AlgebraElement:
     return AlgebraElement(vec * (theta / safe)[..., None])
 
 
+def _trace_angle(w) -> np.ndarray:
+    """trace_angle from the scalar part(s) w."""
+    return np.arccos(np.clip(w, -1.0, 1.0)) / np.pi
+
+
 def trace_angle(g: GroupElement) -> np.ndarray:
     """Modified trace coordinate f(g) = arccos(tr(g)/2) / pi, in [0, 1]."""
-    return np.arccos(np.clip(g.w, -1.0, 1.0)) / np.pi
+    return _trace_angle(g.w)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ criterion 5."""
 
 from __future__ import annotations
 
+import inspect
+import sys
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from charvar import su2
 from charvar.errors import DegenerateGenerator
 from charvar.flows import (
     FlowGenerators,
@@ -20,6 +26,7 @@ from charvar.flows import (
     generators,
     verify_flow_identities,
 )
+from charvar.polytope import mu_lambda_coordinates
 from charvar.repvar import Representation, class_equal, relation_residual
 from charvar.su2 import (
     AlgebraElement,
@@ -76,6 +83,32 @@ class TestTorusElement:
         assert_allclose(
             float(TorusElement(0.1, TWO_PI - 0.1, 0.0).kernel_distance()), 0.1
         )
+
+    def test_reduction_is_np_mod_bitwise(self):
+        # angles already in [+0, 2 pi) are copied, not reduced; every other
+        # input, -0.0 and NaN among them, is reduced: np.mod's bits either way
+        rng = np.random.default_rng(7)
+        inside = np.concatenate([
+            rng.uniform(0.0, TWO_PI, size=100_000),
+            [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, np.nextafter(TWO_PI, 0.0)],
+        ])
+        outside = np.array([-0.0, -1e-20, -5e-324, -np.pi, TWO_PI, 7.0, 1e300, np.nan, -np.nan])
+        inputs = [inside, np.concatenate([inside[:50], outside])]
+        inputs += [np.array(v) for v in np.concatenate([inside[-5:], outside])]
+        inputs += [np.array([v]) for v in np.concatenate([inside[-5:], outside])]
+        for a in inputs:
+            t = TorusElement(a, a, a)
+            want = np.mod(a, TWO_PI)
+            for phi in (t.phi1, t.phi2, t.phi3):
+                assert _same_bits(np.asarray(phi), np.asarray(want))
+
+    def test_fields_are_frozen_copies(self):
+        inside = np.random.default_rng(8).uniform(0.0, TWO_PI, size=6)
+        for a in (inside, np.array([-0.0, 7.0, 1.0])):
+            t = TorusElement(a, a, a)
+            want = np.mod(a, TWO_PI)
+            a[:] = 1.0
+            assert np.array_equal(t.phi1, want) and not t.phi1.flags.writeable
 
     def test_array_round_trip(self):
         arr = np.array([[0.1, 0.2, 0.3], [6.0, 6.1, 6.2]])
@@ -375,6 +408,136 @@ def test_act_leaves_its_inputs_unchanged():
         for a, b in zip(arrays, saved):
             assert _same_bits(a, b)
         assert not any(np.shares_memory(o, a) for o in (acted.g1.q, acted.g2.q) for a in arrays)
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation of long batches
+# ---------------------------------------------------------------------------
+
+# one row short of a block, exactly one block, one row over, and 3 blocks
+# plus a partial fourth
+EDGE_SIZES = [su2._BLOCK - 1, su2._BLOCK, su2._BLOCK + 1, 3 * su2._BLOCK + 5]
+POINT = np.array([0.3, 0.25, 0.2])
+
+
+def _unblocked(f, *args):
+    with mock.patch.object(su2, "_BLOCK", 1 << 62):
+        return f(*args)
+
+
+def _edge_rows(n: int) -> np.ndarray:
+    """The rows on both sides of every block edge inside n rows, and the last row."""
+    b = su2._BLOCK
+    return np.array(sorted({n - 1} | {r for e in range(b, n, b) for r in (e - 1, e)}))
+
+
+def _edge_inputs(rng, n: int, rows: np.ndarray) -> tuple[TorusElement, Representation]:
+    """n angle triples with (pi, pi, pi) and 0 at the given rows, and n twisted
+    section points with exactly central g-slots there."""
+    angles = rng.uniform(0.0, TWO_PI, size=(n, 3))
+    angles[rows[::2]] = np.pi
+    angles[rows[1::3]] = 0.0
+    base = act(TorusElement.from_array(rng.uniform(0.0, TWO_PI, size=(n, 3))), section(POINT))
+    g1, g2 = base.g1.q.copy(), base.g2.q.copy()
+    g1[rows[::2]] = [-1.0, 0.0, -0.0, 0.0]
+    g2[rows[1::2]] = [1.0, -0.0, -0.0, 0.0]
+    rho = Representation(GroupElement(g1), base.h1, GroupElement(g2), base.h2)
+    return TorusElement.from_array(angles), rho
+
+
+def _act_bits_match(t: TorusElement, rho: Representation) -> bool:
+    got, want = act(t, rho), _unblocked(act, t, rho)
+    return _same_bits(got.slots(), want.slots())
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_act_blocks_match_whole_batch_bitwise(n):
+    rng = np.random.default_rng(n)
+    t, rho = _edge_inputs(rng, n, _edge_rows(n))
+    assert _act_bits_match(t, section(POINT))  # batched angles over one point
+    assert _act_bits_match(t, rho)  # over a batch
+    assert _act_bits_match(TorusElement.kernel(), rho)
+    # the kernel element fixes every slot (a central g-slot's zeros may flip sign)
+    assert np.array_equal(act(TorusElement.kernel(), rho).slots(), rho.slots())
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_act_blocked_near_block_edges_matches_whole_bitwise(data):
+    n = data.draw(st.integers(1, 3)) * su2._BLOCK + data.draw(st.integers(-3, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = np.unique(np.concatenate([_edge_rows(n), rng.integers(0, n, size=4)]))
+    t, rho = _edge_inputs(rng, n, rows)
+    assert _act_bits_match(t, rho if data.draw(st.booleans()) else rho[0])
+
+
+def test_blocked_act_raises_the_whole_batch_message():
+    # a central h1 h2 (and so h2 h1, its conjugate) in the first block and a
+    # central h1 in the last: the whole batch checks h1 first, so its message
+    # names h1, and the blocked evaluation raises that message too
+    n = 3 * su2._BLOCK + 5
+    rng = np.random.default_rng(9)
+    g1, h1, g2, h2 = (haar_sample(rng, (n,)).q.copy() for _ in range(4))
+    h2[0] = -h1[0] * [1.0, -1.0, -1.0, -1.0]
+    h1[-1] = [1.0, 0.0, 0.0, 0.0]
+    rho = Representation(*(GroupElement(q) for q in (g1, h1, g2, h2)))
+    t = TorusElement.from_array(rng.uniform(0.0, TWO_PI, size=(n, 3)))
+    with pytest.raises(DegenerateGenerator) as whole:
+        _unblocked(act, t, rho)
+    with pytest.raises(DegenerateGenerator) as blocked:
+        act(t, rho)
+    assert str(whole.value).startswith("h1 is within")
+    assert str(blocked.value) == str(whole.value)
+    with pytest.raises(DegenerateGenerator, match="h2\\*h1"):
+        act(t, rho[: su2._BLOCK])  # the first block alone fails on a product
+
+
+def _public_calls(f, *args) -> Counter:
+    """The calls f(*args) makes to the package's public functions, counted at
+    every module-level name they are bound to (the names a call tracer wraps)."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("charvar.")]
+    names = [(m, n) for m in modules for n in getattr(m, "__all__", ())]
+    public = {id(fn): fn for fn in (getattr(m, n) for m, n in names)}
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*a, **k):
+            calls[fn.__qualname__] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    patches = [
+        mock.patch.object(m, attr, counted(value))
+        for m in modules
+        for attr, value in list(vars(m).items())
+        if public.get(id(value)) is value and inspect.isfunction(value)
+    ]
+    for p in patches:
+        p.start()
+    try:
+        f(*args)
+    finally:
+        for p in patches:
+            p.stop()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "call", ["act", "conjugated", "relation_residual", "mu_lambda_coordinates"]
+)
+def test_blocks_make_the_public_calls_of_one_whole_call(call):
+    # each block runs private kernels: a blocked call reaches the package's
+    # public functions exactly as often as the whole-batch call does
+    n = 3 * su2._BLOCK + 5
+    t, rho = _edge_inputs(np.random.default_rng(11), n, _edge_rows(n))
+    k = haar_sample(np.random.default_rng(12), (n,))
+    args = {
+        "act": (act, t, rho),
+        "conjugated": (Representation.conjugated, rho, k),
+        "relation_residual": (relation_residual, rho),
+        "mu_lambda_coordinates": (mu_lambda_coordinates, rho),
+    }[call]
+    assert _public_calls(*args) == _unblocked(_public_calls, *args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Core group arithmetic, checked against the independent 2x2 complex-matrix oracle."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from charvar import su2
 from charvar.errors import CenterAmbiguity, ZeroVector
+from charvar.flows import TorusElement, act
+from charvar.polytope import moment_coordinates
 from charvar.repvar import Representation, relation_residual
 from charvar.su2 import (
     AlgebraElement,
@@ -636,3 +641,127 @@ def test_serialization_shape():
     (g,) = rand_elements(30)
     assert g.q.shape == (4,)
     assert not g.q.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation of long batches
+# ---------------------------------------------------------------------------
+
+# one row short of a block, exactly one block, one row over, and 3 blocks
+# plus a partial fourth
+EDGE_SIZES = [su2._BLOCK - 1, su2._BLOCK, su2._BLOCK + 1, 3 * su2._BLOCK + 5]
+
+
+def unblocked(f, *args):
+    """f(*args) with every batch evaluated whole, as one kernel call."""
+    with mock.patch.object(su2, "_BLOCK", 1 << 62):
+        return f(*args)
+
+
+def edge_rows(n: int) -> np.ndarray:
+    """The rows on both sides of every block edge inside n rows, and the last row."""
+    b = su2._BLOCK
+    rows = {n - 1} | {r for e in range(b, n, b) for r in (e - 1, e)}
+    return np.array(sorted(rows))
+
+
+def transient_peak(f, *args) -> int:
+    """Bytes f(*args) holds at its peak beyond the result it returns, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak - kept
+
+
+def _edge_quadruples(rng, n: int, rows: np.ndarray) -> Representation:
+    """n Haar quadruples with exactly central slots at the given rows: +-I in
+    g1, g2 and h2 by turns (signed zeros mixed), and h2 = -h1^-1, so that
+    h1 h2 = -I, at the rows between."""
+    g1, h1, g2, h2 = (haar_sample(rng, (n,)).q.copy() for _ in range(4))
+    g1[rows[::2]] = [1.0, 0.0, -0.0, 0.0]
+    g2[rows[1::2]] = [-1.0, -0.0, 0.0, -0.0]
+    h2[rows[::3]] = [-1.0, 0.0, 0.0, -0.0]
+    h2[rows[1::3]] = -h1[rows[1::3]] * [1.0, -1.0, -1.0, -1.0]
+    return Representation(*(GroupElement(q) for q in (g1, h1, g2, h2)))
+
+
+def _same_blocked(f, *args) -> bool:
+    got, want = f(*args), unblocked(f, *args)
+    if isinstance(got, GroupElement):
+        got, want = got.q, want.q
+    return _same_bits(np.asarray(got), np.asarray(want))
+
+
+def test_blockwise_slices_the_batch_axis_only():
+    b = su2._BLOCK
+    calls = []
+
+    def kernel(x, y):
+        calls.append((x.shape, y.shape))
+        return x + y[..., :1], x[..., 0] * 2.0
+
+    x, y = np.arange(3.0 * (b + 2)).reshape(b + 2, 3), np.ones(3)
+    total, doubled = su2._blockwise(kernel, (x.shape[:1], ()), x, y)
+    assert calls == [((b, 3), (3,)), ((2, 3), (3,))]
+    assert _same_bits(total, x + 1.0) and _same_bits(doubled, x[:, 0] * 2.0)
+    calls.clear()
+    su2._blockwise(kernel, ((b,), ()), x[:b], y)  # one block
+    su2._blockwise(kernel, ((2, b + 2), ()), np.stack([x, x]), y)  # two axes
+    assert calls == [((b, 3), (3,)), ((2, b + 2, 3), (3,))]
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_conjugate_blocks_match_whole_batch_bitwise(n):
+    rng = np.random.default_rng(n)
+    rows = edge_rows(n)
+    many = haar_sample(rng, (n,)).q.copy()
+    many[rows[::2]] = [1.0, 0.0, -0.0, 0.0]
+    many[rows[1::2]] = [-1.0, -0.0, 0.0, -0.0]
+    many = GroupElement(many)
+    for one in (haar_sample(rng), GroupElement.minus_identity()):
+        # a batched k over a single g, and the reverse
+        assert _same_blocked(conjugate, many, one)
+        assert _same_blocked(conjugate, one, many)
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_residual_and_moments_blocks_match_whole_batch_bitwise(n):
+    rho = _edge_quadruples(np.random.default_rng(n), n, edge_rows(n))
+    assert _same_blocked(relation_residual, rho)
+    assert _same_blocked(moment_coordinates, rho)
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_kernels_blocked_near_block_edges_match_whole_bitwise(data):
+    b = su2._BLOCK
+    n = data.draw(st.integers(1, 3)) * b + data.draw(st.integers(-3, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = np.unique(rng.integers(0, n, size=data.draw(st.integers(1, 8))))
+    rho = _edge_quadruples(rng, n, np.concatenate([edge_rows(n), rows]))
+    assert _same_blocked(conjugate, rho.g1, rho.h1)
+    assert _same_blocked(conjugate, rho.h2[0], rho.g2)
+    assert _same_blocked(relation_residual, rho)
+    assert _same_blocked(moment_coordinates, rho)
+
+
+@pytest.mark.parametrize("call", ["relation_residual", "act"])
+def test_blocked_evaluation_holds_one_block_of_temporaries(call):
+    # evaluated in blocks, a call holds one block's temporaries beyond its
+    # result: over 3 blocks and a few rows that is at most half of what the
+    # whole batch holds, and it does not grow with the batch, as it would if
+    # the blocks' results were collected and then concatenated
+    def args(n):
+        rng = np.random.default_rng(5)
+        rho = Representation(*(haar_sample(rng, (n,)) for _ in range(4)))
+        t = TorusElement.from_array(rng.uniform(0.0, 2.0 * np.pi, size=(n, 3)))
+        return (relation_residual, rho) if call == "relation_residual" else (act, t, rho)
+
+    b = su2._BLOCK
+    three, six = args(3 * b + 5), args(6 * b + 5)
+    assert transient_peak(*three) <= 0.5 * unblocked(transient_peak, *three)
+    assert transient_peak(*six) <= 1.1 * transient_peak(*three)
