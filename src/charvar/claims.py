@@ -36,7 +36,6 @@ from .sampler import (
 from .sigma import (
     Piece,
     Stratum,
-    _sigma_fixed,
     blowup_point,
     certify_interval_injectivity,
     classify_fixed_points,
@@ -44,6 +43,7 @@ from .sigma import (
     pillow_point,
     rp2_fiber_point,
     sigma,
+    sigma_fixed_conjugator,
 )
 from .su2 import (
     AlgebraElement,
@@ -212,7 +212,7 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
     small = max(n // 10, 1)
 
     gh = haar_sample(rng, (n, 2))
-    k, fixed = _sigma_fixed(pillow_point(gh[:, 0], gh[:, 1]), tol.mat)
+    k, fixed = sigma_fixed_conjugator(pillow_point(gh[:, 0], gh[:, 1]), tol.mat)
     dev = np.minimum(_vector_norm(k.q - _ID.q), _vector_norm(k.q + _ID.q))[fixed]
     res = {"pillow-conjugator": float(np.max(dev, initial=0.0)), "interval-fix": 0.0}
     failures = int(np.count_nonzero(~fixed)) + int(np.count_nonzero(dev > tol.mat * 10.0))
@@ -235,7 +235,8 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
     failures += sum(point.stratum is not Stratum.III for point in points)
 
     # interior classes are never swap-fixed
-    _, fixed = _sigma_fixed(_interior_build([_interior_draw(rng) for _ in range(small)]), tol.mat)
+    interior = _interior_build([_interior_draw(rng) for _ in range(small)])
+    _, fixed = sigma_fixed_conjugator(interior, tol.mat)
     failures += int(np.count_nonzero(fixed))
     return n + 4 * small + 4, failures, res
 

@@ -30,7 +30,7 @@ from .errors import (
     SectionSolveFailure,
 )
 from .flows import TorusElement, act
-from .polytope import M_P, moment_coordinates, moment_points, write_simplex_csv
+from .polytope import M_P, moment_coordinates, moment_mu, mu_lambda, write_simplex_csv
 from .repvar import _SLOTS, Representation, _class_equal, _unit_slots, relation_residual
 from .sampler import _CHUNK, SampleSpec, Target, sample_batches
 from .sigma import classify_fixed_points
@@ -197,7 +197,8 @@ def cmd_moment(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
         rows = read_jsonl(src, tol.rel)
-        points = (p for rho in rows for p in moment_points(rho, tol.poly, args.quotient))
+        moment = mu_lambda if args.quotient else moment_mu
+        points = (p for rho in rows for p in moment(rho, tol.poly))
         write_simplex_csv(points, out)
     return 0
 

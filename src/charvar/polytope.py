@@ -20,6 +20,9 @@
 # region classification and boundary_commutation_check run over batches, with
 # a tolerance that is one value or one per row; a non-finite point is outside.
 # Every region read starts from one pair of masks, Polytope._region_masks.
+# Polytope.classify takes one point or an (n, 3) array; moment_mu and
+# mu_lambda return one SimplexPoint for a single quadruple and the points of
+# a batch lazily, in row-major order.
 
 from __future__ import annotations
 
@@ -143,13 +146,6 @@ class Polytope:
     def contains(self, x, tol: float = EPS_POLY) -> np.ndarray:
         return self.margin(x) <= tol
 
-    def classify(self, x, tol: float = EPS_POLY) -> Optional[SimplexPoint]:
-        """Region-classified point if inside the closed polytope, else None."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (3,):
-            raise ValueError("classify expects a single 3-vector")
-        return self.classify_rows(x[None], tol)[0]
-
     def _region_masks(
         self, x: np.ndarray, tol: float | np.ndarray = EPS_POLY
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -160,17 +156,24 @@ class Polytope:
         tol = np.asarray(tol, dtype=np.float64)
         return ~(np.max(slack, axis=-1) <= tol), np.abs(slack) <= tol[..., None]
 
-    def classify_rows(
-        self, x: np.ndarray, tol: float | np.ndarray = EPS_POLY
-    ) -> list[Optional[SimplexPoint]]:
-        """classify for each row of an (n, 3) array, read from _region_masks."""
-        outside, active = self._region_masks(x, tol)
+    def classify(
+        self, x, tol: float | np.ndarray = EPS_POLY
+    ) -> Optional[SimplexPoint] | list[Optional[SimplexPoint]]:
+        """The region-classified point of a 3-vector inside the closed
+        polytope, else None; for an (n, 3) array the list of them, one per
+        row, with tol one value or one per row.  Read from _region_masks."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (3,) and (x.ndim != 2 or x.shape[1] != 3):
+            raise ValueError("classify expects a 3-vector or an (n, 3) array")
+        rows = x.reshape(-1, 3)
+        outside, active = self._region_masks(rows, tol)
         kinds = (RegionKind.INTERIOR, RegionKind.FACE, RegionKind.EDGE, *[RegionKind.VERTEX] * 2)
         active = [tuple(np.flatnonzero(row).tolist()) for row in active]
-        return [
+        points = [
             None if out else SimplexPoint(p, Region(kinds[len(on)], on), self.tag)
-            for p, out, on in zip(x, outside.tolist(), active)
+            for p, out, on in zip(rows, outside.tolist(), active)
         ]
+        return points[0] if x.ndim == 1 else points
 
 
 TILDE_DELTA = Polytope(
@@ -263,33 +266,35 @@ def moment_coordinates(rho: "Representation") -> np.ndarray:
     return _blockwise(_trace_triple, (rho.batch_shape,), rho.h1.q, rho.h2.q)
 
 
-def moment_points(
-    rho: "Representation", tol: float | np.ndarray = EPS_POLY, quotient: bool = False
-) -> Iterator[SimplexPoint]:
-    """moment_mu, or with quotient mu_lambda, of each quadruple of a batch, in
-    row-major order, computed as one batch; tol is one value or one per
-    quadruple in that order.  OutsidePolytope at the first quadruple outside
-    comes after the points before it."""
-    coords = moment_coordinates(rho).reshape(-1, 3)
-    poly, what = TILDE_DELTA, "moment triple {} violates the tetrahedron"
-    if quotient:
-        coords = M_P.apply_inverse(coords)
-        poly, what = STD_DELTA, "quotient moment triple {} outside the simplex"
-    for x, point in zip(coords, poly.classify_rows(coords, tol)):
-        if point is None:
-            raise OutsidePolytope(what.format(x))
-        yield point
+def _points(rho: "Representation", coords: np.ndarray, poly: Polytope, tol, what: str):
+    """The points in poly of coords, one (n, 3) row per quadruple of rho: a
+    SimplexPoint for a single quadruple, else an iterator over them in
+    row-major order.  OutsidePolytope (what names the triple) at the first
+    quadruple outside, after the points before it."""
+    points = poly.classify(coords, tol)
+
+    def each() -> Iterator[SimplexPoint]:
+        for x, point in zip(coords, points):
+            if point is None:
+                raise OutsidePolytope(what.format(x))
+            yield point
+
+    return next(each()) if rho.batch_shape == () else each()
 
 
-def moment_mu(rho: "Representation", tol: float = EPS_POLY) -> SimplexPoint:
-    """The moment triple of trace angles, tagged in TILDE_DELTA.
+def moment_mu(
+    rho: "Representation", tol: float | np.ndarray = EPS_POLY
+) -> SimplexPoint | Iterator[SimplexPoint]:
+    """The moment triple of trace angles, tagged in TILDE_DELTA: a
+    SimplexPoint for a single quadruple, an iterator over the points of a
+    batch in row-major order, with tol one value or one per quadruple in
+    that order.
 
     OutsidePolytope signals a numerical bug: the image of the moment map is
     the whole closed tetrahedron, never more.
     """
-    if rho.batch_shape != ():
-        raise ValueError("moment_mu expects a single representation")
-    return next(moment_points(rho, tol))
+    coords = moment_coordinates(rho).reshape(-1, 3)
+    return _points(rho, coords, TILDE_DELTA, tol, "moment triple {} violates the tetrahedron")
 
 
 def mu_lambda_coordinates(rho: "Representation") -> np.ndarray:
@@ -297,11 +302,14 @@ def mu_lambda_coordinates(rho: "Representation") -> np.ndarray:
     return M_P.apply_inverse(moment_coordinates(rho))
 
 
-def mu_lambda(rho: "Representation", tol: float = EPS_POLY) -> SimplexPoint:
-    """The quotient moment map: inverse quotient matrix applied to moment_mu."""
-    if rho.batch_shape != ():
-        raise ValueError("mu_lambda expects a single representation")
-    return next(moment_points(rho, tol, quotient=True))
+def mu_lambda(
+    rho: "Representation", tol: float | np.ndarray = EPS_POLY
+) -> SimplexPoint | Iterator[SimplexPoint]:
+    """The quotient moment map, the inverse quotient matrix applied to the
+    moment triple, tagged in STD_DELTA; single quadruples and batches as in
+    moment_mu."""
+    coords = M_P.apply_inverse(moment_coordinates(rho).reshape(-1, 3))
+    return _points(rho, coords, STD_DELTA, tol, "quotient moment triple {} outside the simplex")
 
 
 def nu_P3(z, tol: float = EPS_POLY) -> SimplexPoint:

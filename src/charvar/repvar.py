@@ -9,12 +9,10 @@
 # All slots share one batch shape, and Representation.slots() stacks them as
 # one (..., 4, 4) array, the layout every batched decision reads.
 # Constructors, invariant maps, is_abelian and the class-equality decision
-# _class_equal run over a batch, and so does slot_distance; class_equal is
-# _class_equal's entry point for one pair of single quadruples, and
-# diagonalize_abelian takes single quadruples.  Class equality is one
-# conjugator solve (su2._find_conjugators) for every kind of pair, abelian
-# and central ones included; diagonalize_abelian is a constructive witness
-# for abelian quadruples, not part of that decision.
+# _class_equal run over a batch, and so does slot_distance; class_equal
+# decides one pair of single quadruples.  Class equality is one conjugator
+# solve (su2.find_conjugator) for every kind of pair, abelian and central
+# ones included.
 
 from __future__ import annotations
 
@@ -24,17 +22,14 @@ import numpy as np
 
 from .errors import PreconditionViolated, RelationViolated
 from .su2 import (
-    AlgebraElement,
     GroupElement,
     _blockwise,
-    _cross,
     _distance,
-    _find_conjugators,
     _surface_word,
     commutator,
     conjugate,
     distance,
-    exp_alg,
+    find_conjugator,
     mul,  # unused here; perfbench/test_perfbench.py checks the tracer restores repvar.mul
 )
 from .tolerances import EPS_MAT, EPS_REL
@@ -45,7 +40,6 @@ __all__ = [
     "relation_residual",
     "is_abelian",
     "class_equal",
-    "diagonalize_abelian",
 ]
 
 _SLOTS = ("g1", "h1", "g2", "h2")
@@ -157,48 +151,6 @@ def is_abelian(rho: Representation, tol: float = EPS_MAT):
     return bool(out) if rho.batch_shape == () else out
 
 
-def _common_axis(rho: Representation, tol: float) -> np.ndarray:
-    """Unit vector along the shared rotation axis of an abelian quadruple.
-
-    All non-central slots of an abelian quadruple have parallel vector parts;
-    returns the direction of the largest one, or +z if every slot is central.
-    """
-    vecs = rho.slots()[:, 1:]  # (4, 3)
-    norms = np.linalg.norm(vecs, axis=-1)
-    i = int(np.argmax(norms))
-    if norms[i] < tol:
-        return np.array([0.0, 0.0, 1.0])
-    return vecs[i] / norms[i]
-
-
-def diagonalize_abelian(
-    rho: Representation, tol: float = EPS_MAT
-) -> tuple[GroupElement, Representation]:
-    """Constructive common diagonalization of an abelian quadruple.
-
-    Returns (k, k rho k^{-1}) with every slot of the conjugated quadruple on
-    the diagonal torus (vector part along z).  PreconditionViolated if the
-    quadruple is not abelian to `tol`.
-    """
-    if rho.batch_shape != ():
-        raise ValueError("diagonalize_abelian is scalar-only")
-    if not is_abelian(rho, tol):
-        raise PreconditionViolated("diagonalize_abelian needs an abelian quadruple")
-    n = _common_axis(rho, tol)
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(n, z))
-    if c > 1.0 - 1e-14:
-        k = GroupElement.identity()
-    elif c < -1.0 + 1e-14:
-        k = GroupElement(np.array([0.0, 1.0, 0.0, 0.0]))  # half-turn about x
-    else:
-        axis = np.array(_cross(n, z))
-        axis /= np.linalg.norm(axis)
-        beta = float(np.arccos(np.clip(c, -1.0, 1.0)))
-        k = exp_alg(AlgebraElement(0.5 * beta * axis))
-    return k, rho.conjugated(k)
-
-
 def _class_equal(
     rho: Representation, other: Representation, tol: float
 ) -> np.ndarray:
@@ -212,7 +164,7 @@ def _class_equal(
     torus, is one such conjugator).  Conjugation keeps commutators trivial,
     so an abelian quadruple never matches an irreducible one.
     """
-    return _find_conjugators(rho.slots(), other.slots())[1] < tol
+    return find_conjugator(GroupElement(rho.slots()), GroupElement(other.slots()))[1] < tol
 
 
 def class_equal(

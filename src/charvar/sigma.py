@@ -25,19 +25,19 @@
 # exactly, hence k^2 = -1 exactly; elsewhere the sign is fixed by making the
 # largest-magnitude component positive.
 #
-# Fixedness is one batched read, _sigma_fixed: one conjugator solve, each
-# row's residual read against the caller's tolerance.  sigma_fixed_conjugator
-# is its entry point for one quadruple, as classify_fixed_point is for the
-# batched classify_fixed_points, whose N2 rows read their pure-imaginary
-# conjugators from the same system with the w column dropped.  Everything
-# else runs over batches too (certify_interval_injectivity over a batch of
-# arcs), except blowup_point.
+# Fixedness is one batched read, sigma_fixed_conjugator: one conjugator
+# solve, each row's residual read against the caller's tolerance.  The
+# classification reads a batch in classify_fixed_points and one quadruple in
+# classify_fixed_point (the demos import both names); its N2 rows take their
+# pure-imaginary conjugators from the same system with the w column dropped.
+# Everything else runs over batches too (certify_interval_injectivity over a
+# batch of arcs), except blowup_point.
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -47,13 +47,13 @@ from .su2 import (
     GroupElement,
     StabilizerType,
     _conjugation_system,
-    _find_conjugators,
     _snap_trig,
-    _stabilizer_types,
     commutator,
     conjugate,
     distance,
+    find_conjugator,
     mul,
+    stabilizer_type,
 )
 from .tolerances import EPS_CENTER, EPS_MAT, EPS_REL
 
@@ -138,31 +138,22 @@ def _fixedness_solve(rho: Representation) -> tuple[Representation, GroupElement,
     conjugator solve over the batch, read by each caller against its own
     tolerance."""
     swapped = sigma(rho)
-    k, worst = _find_conjugators(rho.slots(), swapped.slots())
-    return swapped, _sign_canonical(GroupElement(k)), worst
-
-
-def _sigma_fixed(rho: Representation, tol: float) -> tuple[GroupElement, np.ndarray]:
-    """sigma_fixed_conjugator over a batch: each quadruple's candidate k and
-    whether it conjugates the quadruple to its swap (worst residual below
-    tol).  Row i is bit for bit the read of quadruple i alone."""
-    _, k, worst = _fixedness_solve(rho)
-    return k, worst < tol
+    k, worst = find_conjugator(GroupElement(rho.slots()), GroupElement(swapped.slots()))
+    return swapped, _sign_canonical(k), worst
 
 
 def sigma_fixed_conjugator(
     rho: Representation, tol: float = EPS_MAT
-) -> Optional[GroupElement]:
-    """A k with k rho k^{-1} = sigma(rho), or None if the class is not fixed.
-
-    The decision is _sigma_fixed's, on a batch of one quadruple.  Works for
-    abelian quadruples too (the nullspace solve decides either way).  The
-    sign is canonicalized; pieces that need a pure-imaginary representative
-    get one in classify_fixed_point."""
-    if rho.batch_shape != ():
-        raise ValueError("sigma_fixed_conjugator is scalar-only")
-    k, fixed = _sigma_fixed(rho, tol)
-    return k if fixed else None
+) -> tuple[GroupElement, bool | np.ndarray]:
+    """(k, fixed) for each quadruple: its sign-canonical candidate k for
+    k rho k^{-1} = sigma(rho), and whether k conjugates it to its swap (worst
+    residual below tol), a bool for a single quadruple.  Row i of a batch is
+    bit for bit the read of quadruple i alone.  Works for abelian quadruples
+    too (the nullspace solve decides either way); pieces that need a
+    pure-imaginary representative get one in classify_fixed_points."""
+    _, k, worst = _fixedness_solve(rho)
+    fixed = worst < tol
+    return k, bool(fixed) if rho.batch_shape == () else fixed
 
 
 def _pure_imaginary_conjugators(
@@ -191,7 +182,7 @@ def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator
     fails in sigma, before any point."""
     flat = Representation.from_slots(rho.slots().reshape(-1, 4, 4))
     swapped, k, worst = _fixedness_solve(flat)
-    strata = _stabilizer_types(flat.slots(), axis_tol=tol)
+    strata = stabilizer_type(GroupElement(flat.slots()), axis_tol=tol)
     comm = commutator(flat.g1, flat.h1)
     comm_dist = distance(comm, GroupElement.identity())
     tr_dist = np.abs(comm.trace() + 2.0)
@@ -358,15 +349,16 @@ def certify_interval_injectivity(
     every grid point sigma-fixed, all pairs of distinct parameters in
     distinct classes.
 
-    All arcs' grids are one batch: one fixedness read (_sigma_fixed) covers
-    every point, and one class-equality decision (repvar._class_equal) every
-    pair i < j of every arc; each arc reads bit for bit as if alone."""
+    All arcs' grids are one batch: one fixedness read
+    (sigma_fixed_conjugator) covers every point, and one class-equality
+    decision (repvar._class_equal) every pair i < j of every arc; each arc
+    reads bit for bit as if alone."""
     theta, s = np.broadcast_arrays(np.asarray(theta, np.float64), np.asarray(s, np.float64))
     alphas = np.linspace(0.0, np.pi / 2, grid)
     arcs = n2_interval(theta.reshape(-1, 1), s.reshape(-1, 1), alphas)
     # the grid points arc after arc, as one flat batch: the kernels run slower on 2-D batches
     points = Representation.from_slots(arcs.slots().reshape(-1, 4, 4))
-    _, fixed = _sigma_fixed(points, tol)
+    _, fixed = sigma_fixed_conjugator(points, tol)
     i, j = (grid * np.arange(theta.size)[:, None] + x for x in np.triu_indices(grid, 1))
     equal = _class_equal(points[i.ravel()], points[j.ravel()], tol)
     shape = theta.shape

@@ -22,19 +22,17 @@
 # All types are immutable values (arrays are frozen); every operation is a
 # pure function, safe under concurrency.  Operations broadcast: a GroupElement
 # may hold a single quaternion (shape (4,)) or a batch (shape (..., 4)), and
-# the arithmetic applies elementwise.  The simultaneous-conjugator solve is
-# one batched kernel (_find_conjugators) over element lists stacked as
-# (..., n, 4) arrays; quadruples reach it as repvar.Representation.slots()
-# (n = 4), and find_conjugator and conjugator_nullspace take a Python list of
-# single elements through _element_lists.  _find_conjugators decides nothing:
-# it returns each row's candidate k and worst conjugation residual, and every
-# caller (find_conjugator, the class-equality decision, sigma fixedness)
-# compares that residual with its own tolerance.  The solve needs no case
-# split: any nonzero null vector of k a_i = b_i k is a conjugator, so lists
-# with a one-, two- or four-dimensional solution space (irreducible, abelian
-# or central) are decided alike.  The stabilizer read is batched too:
-# _stabilizer_types takes (..., n, 4) stacks, and stabilizer_type is its read
-# of one list of single elements.
+# the arithmetic applies elementwise.  The simultaneous-conjugator solve,
+# find_conjugator, takes two GroupElements whose last batch axis is the
+# element list, (..., n, 4); quadruples reach it as
+# GroupElement(repvar.Representation.slots()) (n = 4).  find_conjugator
+# decides nothing: it returns each row's candidate k and worst conjugation
+# residual, and every caller (the class-equality decision, sigma fixedness,
+# the fiber chart) compares that residual with its own tolerance.  The solve
+# needs no case split: any nonzero null vector of k a_i = b_i k is a
+# conjugator, so lists with a one-, two- or four-dimensional solution space
+# (irreducible, abelian or central) are decided alike.  stabilizer_type reads
+# the same layout.  Both return the scalar form on a single list.
 #
 # Exactness: products are exact sign flips per row where one operand is exactly
 # +-I (no renormalization, whatever the other rows of a batch hold), and the
@@ -80,7 +78,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -645,73 +642,71 @@ def _conjugation_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[:-3] + (4 * m.shape[-3], 4))
 
 
-def _element_lists(
-    as_: Sequence[GroupElement], bs: Sequence[GroupElement]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two equally long, non-empty element lists as (..., n, 4) arrays, the
-    layout of _find_conjugators; for a quadruple it equals
-    Representation.slots()."""
-    if len(as_) != len(bs) or len(as_) == 0:
-        raise ValueError("need equally sized, non-empty element lists")
-    return np.stack([a.q for a in as_], axis=-2), np.stack([b.q for b in bs], axis=-2)
-
-
-def _find_conjugators(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugator solve over a batch of element lists a, b of shape (..., n, 4).
-
-    Returns (k, worst) over the common batch shape: k is the unit candidate
-    (..., 4) of each system, its smallest right singular vector, and worst is
-    the largest Frobenius residual of k a_i k^-1 against b_i.  A conjugator
-    exists where worst is below the caller's tolerance.  One stacked SVD
-    serves the whole batch, and every row is bit for bit the solve of that
-    row alone.
-    """
-    _, _, vt = np.linalg.svd(_conjugation_system(a, b))
-    k = GroupElement.from_quaternion(vt[..., -1, :])
-    moved = conjugate(GroupElement(k.q[..., None, :]), GroupElement(a))
-    return k.q, np.max(distance(moved, GroupElement(b)), axis=-1)
-
-
 # Singular values below this bound span conjugator_nullspace's basis.
 _NULL_SVAL = 1e-7
 
 
-def conjugator_nullspace(
-    as_: Sequence[GroupElement],
-    bs: Sequence[GroupElement],
-) -> np.ndarray:
-    """Orthonormal basis (columns) of {k in R^4 : k a_i = b_i k for all i}.
+def _check_lists(a: GroupElement, b: GroupElement) -> None:
+    """ValueError unless a and b hold equally long, non-empty element lists
+    on their last batch axis, the layout of find_conjugator."""
+    if a.q.ndim < 2 or b.q.ndim < 2 or a.q.shape[-2] != b.q.shape[-2] or a.q.shape[-2] == 0:
+        raise ValueError("need equally sized, non-empty element lists")
+
+
+def conjugator_nullspace(a: GroupElement, b: GroupElement) -> np.ndarray:
+    """Orthonormal basis (columns) of {k in R^4 : k a_i = b_i k for all i},
+    for one pair of element lists a, b of shape (n, 4).
 
     The constraints are linear in the quaternion coordinates of k; the basis
     collects the right singular vectors with singular value below
     _NULL_SVAL.  Nonzero quaternions are invertible, so any unit-norm element
-    of an exact nullspace is a valid conjugator.
+    of an exact nullspace is a valid conjugator.  ValueError for batches,
+    whose bases would have different sizes, and as in find_conjugator.
     """
-    _, svals, vt = np.linalg.svd(_conjugation_system(*_element_lists(as_, bs)))
+    _check_lists(a, b)
+    if a.q.ndim != 2 or b.q.ndim != 2:
+        raise ValueError("conjugator_nullspace takes one pair of element lists")
+    _, svals, vt = np.linalg.svd(_conjugation_system(a.q, b.q))
     return vt[svals < _NULL_SVAL].T
 
 
-def find_conjugator(
-    as_: Sequence[GroupElement],
-    bs: Sequence[GroupElement],
-    tol: float = EPS_MAT,
-) -> Optional[GroupElement]:
-    """A k in SU(2) with k a_i k^-1 = b_i for all i, or None if none exists.
+def find_conjugator(a: GroupElement, b: GroupElement) -> tuple[GroupElement, np.ndarray]:
+    """The conjugator solve over element lists a, b, each list on the last
+    batch axis, (..., n, 4).
 
-    The candidate is the smallest right singular vector of the stacked linear
-    system k a_i - b_i k = 0; it is accepted iff the worst conjugation
-    residual (Frobenius) is below tol.  Absence is a valid return: traces are
-    conjugation invariants, so mismatched traces simply yield None.
+    Returns (k, worst) over the common batch shape: k is the unit candidate
+    of each system k a_i - b_i k = 0, its smallest right singular vector, and
+    worst is the largest Frobenius residual of k a_i k^-1 against b_i.  A
+    conjugator exists where worst is below the caller's tolerance; traces are
+    conjugation invariants, so mismatched traces give a large worst.  On one
+    list k is a single element and worst a float.  One stacked SVD serves the
+    whole batch, and every row is bit for bit the solve of that row alone.
+    ValueError for lists of unequal length or empty ones.
     """
-    k, worst = _find_conjugators(*_element_lists(as_, bs))
-    return GroupElement(k) if worst < tol else None
+    _check_lists(a, b)
+    _, _, vt = np.linalg.svd(_conjugation_system(a.q, b.q))
+    k = GroupElement.from_quaternion(vt[..., -1, :])
+    moved = conjugate(GroupElement(k.q[..., None, :]), a)
+    return k, np.max(distance(moved, b), axis=-1)
 
 
-def _stabilizer_types(x: np.ndarray, axis_tol: float = EPS_MAT) -> np.ndarray:
-    """stabilizer_type of each element list of a (..., n, 4) stack, as an
-    object array of StabilizerType over the batch shape.  The norms are
-    _vector_norm and the sines _cross, the arithmetic of one list alone."""
-    vec = x[..., 1:]
+def stabilizer_type(x: GroupElement, axis_tol: float = EPS_MAT):
+    """Common-stabilizer class of each element list on the last batch axis
+    of x, (..., n, 4).
+
+    FULL when every element is within EPS_CENTER of +-I (an empty list
+    included); TORUS when the non-central elements share one axis (pairwise
+    parallel vector parts, sine of the angle below axis_tol); CENTER
+    otherwise.  A StabilizerType for one list, an object array of them over
+    the batch shape; the norms are _vector_norm and the sines _cross, so
+    every row is the read of its list alone.
+    """
+    if x.q.ndim < 2:
+        raise ValueError("stabilizer_type expects element lists, shape (..., n, 4)")
+    vec = x.q[..., 1:]
+    # [()] takes the element of a 0-d result and leaves an array whole
+    if vec.shape[-2] == 0:
+        return np.full(vec.shape[:-2], StabilizerType.FULL, dtype=object)[()]
     vn = _vector_norm(vec)
     moving = ~(vn < EPS_CENTER)  # the non-central elements, whose axes must agree
     axes = vec / np.where(moving, vn, 1.0)[..., None]
@@ -719,18 +714,4 @@ def _stabilizer_types(x: np.ndarray, axis_tol: float = EPS_MAT) -> np.ndarray:
     sines = _vector_norm(np.stack(_cross(np.moveaxis(first, -1, 0), np.moveaxis(axes, -1, 0)), -1))
     apart = np.any(moving & (sines > axis_tol), axis=-1)
     kind = np.where(apart, StabilizerType.CENTER, StabilizerType.TORUS)
-    return np.where(np.any(moving, axis=-1), kind, StabilizerType.FULL)
-
-
-def stabilizer_type(xs: Iterable[GroupElement], axis_tol: float = EPS_MAT) -> StabilizerType:
-    """Common-stabilizer class of a list of single elements.
-
-    FULL when every element is within EPS_CENTER of +-I; TORUS when the
-    non-central elements share one axis (pairwise parallel vector parts, sine
-    of the angle below axis_tol); CENTER otherwise.  The one-list read of
-    _stabilizer_types.
-    """
-    q = np.array([x.q for x in xs], dtype=np.float64)
-    if q.ndim > 2:
-        raise ValueError("stabilizer_type expects single elements")
-    return _stabilizer_types(q, axis_tol)[()] if q.size else StabilizerType.FULL
+    return np.where(np.any(moving, axis=-1), kind, StabilizerType.FULL)[()]

@@ -45,7 +45,7 @@ from .errors import FiberSolveFailure, OutsidePolytope, PreconditionViolated, Se
 from .flows import TorusElement, act, generators
 from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda_coordinates
 from .repvar import Representation
-from .su2 import GroupElement, _cross, _find_conjugators, _perpendicular, exp_alg, mul
+from .su2 import GroupElement, _cross, _perpendicular, exp_alg, find_conjugator, mul
 from .tolerances import EPS_MAT, EPS_REL
 
 __all__ = ["FiberCoordinates", "section", "fiber_coordinates", "tau"]
@@ -125,9 +125,10 @@ def fiber_coordinates(rho: Representation) -> FiberCoordinates:
     _raise_first(np.any(active, axis=-1), PreconditionViolated,
                  "fiber coordinates exist over interior base points only", base)
     s_rho = section(base)
-    k, frame = _find_conjugators(rho.slots()[..., 1::2, :], s_rho.slots()[..., 1::2, :])
+    h_rho, h_section = (GroupElement(r.slots()[..., 1::2, :]) for r in (rho, s_rho))
+    k, frame = find_conjugator(h_rho, h_section)
     _raise_first(~(frame < EPS_MAT), FiberSolveFailure, "could not align the (h1, h2) frame", frame)
-    aligned = rho.conjugated(GroupElement(k))
+    aligned = rho.conjugated(k)
 
     gen = generators(s_rho)
     # l1, l3 from g1' = e^{l3 X^} g1_s e^{l1 xi1^}:

@@ -23,9 +23,9 @@ from charvar.claims import (
     _sigma_suite,
     _tau_suite,
 )
-from charvar.errors import PreconditionViolated
+from charvar.errors import OutsidePolytope, PreconditionViolated
 from charvar.flows import TorusElement, act, verify_flow_identities
-from charvar.polytope import mu_lambda_coordinates
+from charvar.polytope import SimplexPoint, moment_mu, mu_lambda, mu_lambda_coordinates
 from charvar.repvar import Representation, class_equal, is_abelian, relation_residual
 from charvar.sampler import (
     _CHUNK,
@@ -45,7 +45,6 @@ from charvar.sampler import (
 )
 from charvar.sigma import (
     Stratum,
-    _sigma_fixed,
     certify_interval_injectivity,
     classify_fixed_point,
     n2_interval,
@@ -111,8 +110,9 @@ def sigma_oracle(n, rng, tol):
     small = max(n // 10, 1)
 
     for _ in range(n):
-        k = sigma_fixed_conjugator(pillow_point(haar_sample(rng), haar_sample(rng)), tol=tol.mat)
-        if k is None:
+        rho = pillow_point(haar_sample(rng), haar_sample(rng))
+        k, fixed = sigma_fixed_conjugator(rho, tol=tol.mat)
+        if not fixed:
             failures += 1
             continue
         dev = float(min(np.linalg.norm(k.q - _ID.q), np.linalg.norm(k.q + _ID.q)))
@@ -147,7 +147,7 @@ def sigma_oracle(n, rng, tol):
 
     batch = _interior_build([_interior_draw(rng) for _ in range(small)])
     for i in range(small):  # interior classes are never swap-fixed
-        if sigma_fixed_conjugator(batch[i], tol=tol.mat) is not None:
+        if sigma_fixed_conjugator(batch[i], tol=tol.mat)[1]:
             failures += 1
     return n + 4 * small + 4, failures, res
 
@@ -276,16 +276,45 @@ def test_fixedness_read_rows_are_single_calls():
         n2_interval(0.9, 0.4, np.linspace(0.0, np.pi / 2, 8)),
         _interior_build([_interior_draw(rng) for _ in range(8)]),
     )
-    k, fixed = _sigma_fixed(rho, DEFAULT.mat)
+    k, fixed = sigma_fixed_conjugator(rho, DEFAULT.mat)
     assert fixed.tolist() == [True] * 24 + [False] * 8
     for i in range(32):
-        single = sigma_fixed_conjugator(rho[i], DEFAULT.mat)
-        assert (single is not None) == fixed[i]
-        k_i, fixed_i = _sigma_fixed(rho[i], DEFAULT.mat)
-        assert bool(fixed_i) == fixed[i]
+        k_i, fixed_i = sigma_fixed_conjugator(rho[i], DEFAULT.mat)
+        assert k_i.batch_shape == () and isinstance(fixed_i, bool)
+        assert fixed_i == fixed[i]
         assert np.array_equal(k.q[i].view(np.int64), k_i.q.view(np.int64))
-        if single is not None:
-            assert np.array_equal(single.q.view(np.int64), k_i.q.view(np.int64))
+
+
+@pytest.mark.parametrize("moment", [moment_mu, mu_lambda])
+def test_moment_map_rows_are_single_calls(moment):
+    # interior, swap, projective and abelian (boundary) rows as one 2-D
+    # batch, read in row-major order with one tolerance per quadruple
+    rng = np.random.default_rng(41)
+    angles = rng.uniform(0.3, np.pi - 0.3, size=(4, 4))
+    flat = stack(
+        _interior_build([_interior_draw(rng) for _ in range(4)]),
+        pillow_point(haar_sample(rng, (4,)), haar_sample(rng, (4,))),
+        rp2_fiber_point(_pure_unit(rng, (4,))),
+        Representation(*(_diag(angles[:, i]) for i in range(4))),
+    )
+    tol = np.repeat([1e-12, 1e-9, 1e-6, 1e-3], 4)
+    points = moment(Representation.from_slots(flat.slots().reshape(2, 8, 4, 4)), tol)
+    assert iter(points) is points  # a lazy iterator, not a point
+    points = list(points)
+    assert len(points) == 16
+    for i, point in enumerate(points):
+        single = moment(flat[i], tol[i])
+        assert isinstance(single, SimplexPoint)
+        assert np.array_equal(single.x.view(np.int64), point.x.view(np.int64))
+        assert (single.region, single.polytope) == (point.region, point.polytope)
+    one = moment(flat[:1])  # a batch of one is a batch
+    assert iter(one) is one and isinstance(next(one), SimplexPoint)
+    # a row outside comes after the points before it
+    tol[5] = -1.0  # no point lies that far inside
+    lazy = moment(flat, tol)
+    assert [next(lazy).region for _ in range(5)] == [p.region for p in points[:5]]
+    with pytest.raises(OutsidePolytope):
+        next(lazy)
 
 
 def test_batched_preconditions_hold_on_every_row():

@@ -383,7 +383,7 @@ def test_tol_reaches_every_check(monkeypatch, command):
     seen: dict = {}
     for name in (
         "certify_interval_injectivity",
-        "_sigma_fixed",
+        "sigma_fixed_conjugator",
         "classify_fixed_points",
         "_class_equal",
         "is_abelian",
@@ -402,7 +402,7 @@ def test_tol_reaches_every_check(monkeypatch, command):
     want = {Tolerances(3e-9).mat}
     assert seen and {name: tols for name, tols in seen.items() if tols != want} == {}
     if "sigma" in command:  # the pillow and interior fixedness reads
-        assert "_sigma_fixed" in seen
+        assert "sigma_fixed_conjugator" in seen
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

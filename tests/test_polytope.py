@@ -25,6 +25,7 @@ from charvar.polytope import (
     NU_NORMALIZATION_NOTE,
     PolytopeTag,
     RegionKind,
+    SimplexPoint,
     boundary_commutation_check,
     moment_coordinates,
     moment_mu,
@@ -177,7 +178,7 @@ class TestRegions:
         assert not TILDE_DELTA.contains(x)
         assert TILDE_DELTA.classify(x) is None
         assert TILDE_DELTA.classify(np.full(3, bad)) is None
-        rows = TILDE_DELTA.classify_rows(np.array([[0.5, 0.5, 0.5], x]))
+        rows = TILDE_DELTA.classify(np.array([[0.5, 0.5, 0.5], x]))
         assert rows[0].is_interior and rows[1] is None
 
     def test_per_row_tolerance(self):
@@ -185,11 +186,19 @@ class TestRegions:
         # a tight and at a loose tolerance
         x = np.repeat([2.0 - 3e-6, 2.0 - 3e-6, 2.0 + 3e-6, 2.0 + 3e-6], 3).reshape(4, 3) / 3.0
         tol = np.array([1e-9, 1e-5, 1e-9, 1e-5])
-        got = TILDE_DELTA.classify_rows(x, tol)
+        got = TILDE_DELTA.classify(x, tol)
         assert [p and p.region.label for p in got] == ["interior", "face(3)", None, "face(3)"]
         for row, t, p in zip(x, tol, got):
             q = TILDE_DELTA.classify(row, t)
             assert (p and p.region) == (q and q.region)
+            if q is not None:  # one point alone: a SimplexPoint, the row's bits
+                assert isinstance(q, SimplexPoint)
+                assert np.array_equal(q.x.view(np.int64), p.x.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(4,), (2,), (2, 4), (2, 2, 3)])
+    def test_classify_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="3-vector or an \\(n, 3\\) array"):
+            TILDE_DELTA.classify(np.zeros(shape))
 
     def test_margin_batched(self):
         pts = np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])

@@ -481,10 +481,15 @@ def test_haar_mean_trace():
 # ---------------------------------------------------------------------------
 
 
+def element_list(xs) -> GroupElement:
+    """Single elements as one list, on the last batch axis."""
+    return GroupElement(np.stack([x.q for x in xs]))
+
+
 def test_find_conjugator_reflexive():
     xs = rand_elements(20, 3)
-    k = find_conjugator(xs, xs)
-    assert k is not None
+    k, worst = find_conjugator(element_list(xs), element_list(xs))
+    assert worst < EPS_MAT
     assert max(float(distance(conjugate(k, x), x)) for x in xs) < EPS_MAT
 
 
@@ -494,8 +499,8 @@ def test_find_conjugator_construct_then_recover():
         k0 = haar_sample(rng)
         xs = [haar_sample(rng), haar_sample(rng)]
         ys = [conjugate(k0, x) for x in xs]
-        k = find_conjugator(xs, ys)
-        assert k is not None
+        k, worst = find_conjugator(element_list(xs), element_list(ys))
+        assert worst < EPS_MAT
         # irreducible pair: conjugator unique up to sign
         assert min(np.abs(k.q - k0.q).max(), np.abs(k.q + k0.q).max()) < 1e-7
 
@@ -503,24 +508,59 @@ def test_find_conjugator_construct_then_recover():
 def test_find_conjugator_trace_obstruction():
     g = GroupElement([0.0, 1.0, 0.0, 0.0])  # trace 0
     gp = GroupElement.from_quaternion([0.5, np.sqrt(0.75), 0.0, 0.0])  # trace 1
-    assert find_conjugator([g], [gp]) is None
+    assert not find_conjugator(element_list([g]), element_list([gp]))[1] < EPS_MAT
 
 
 def test_find_conjugator_symmetric_success():
     rng = np.random.default_rng(22)
     for _ in range(10):
         k0 = haar_sample(rng)
-        xs = [haar_sample(rng), haar_sample(rng)]
-        ys = [conjugate(k0, x) for x in xs]
-        assert (find_conjugator(xs, ys) is None) == (find_conjugator(ys, xs) is None)
+        xs = element_list([haar_sample(rng), haar_sample(rng)])
+        ys = conjugate(k0, xs)
+        assert (find_conjugator(xs, ys)[1] < EPS_MAT) == (find_conjugator(ys, xs)[1] < EPS_MAT)
 
 
 def test_find_conjugator_abelian_nullspace():
     # both lists diagonal: nullspace is 2-dimensional, still must succeed
     a = exp_alg(AlgebraElement([0.0, 0.0, 0.7]))
     b = exp_alg(AlgebraElement([0.0, 0.0, -0.4]))
-    k = find_conjugator([a, b], [a, b])
-    assert k is not None
+    assert find_conjugator(element_list([a, b]), element_list([a, b]))[1] < EPS_MAT
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        ((2, 4), (3, 4)),
+        ((5, 2, 4), (5, 3, 4)),
+        ((0, 4), (0, 4)),
+        ((5, 0, 4), (5, 0, 4)),
+        ((4,), (4,)),
+    ],
+)
+def test_find_conjugator_rejects_unequal_or_empty_lists(shapes):
+    # unequal lengths, empty lists and single elements without a list axis
+    # are refused at the boundary, before any broadcast or SVD
+    a, b = (GroupElement.identity(shape[:-1]) for shape in shapes)
+    with pytest.raises(ValueError, match="equally sized, non-empty"):
+        find_conjugator(a, b)
+    with pytest.raises(ValueError, match="equally sized, non-empty"):
+        su2.conjugator_nullspace(a, b)
+
+
+def test_conjugator_nullspace_dimension():
+    # irreducible, abelian and central lists: a circle of conjugators (one
+    # basis vector up to sign), a torus pair (two) and everything (four)
+    rng = np.random.default_rng(26)
+    xs = element_list(rand_elements(27, 2))
+    t = element_list([exp_alg(AlgebraElement([0.0, 0.0, s])) for s in (0.3, 1.1)])
+    central = element_list([I2, MINUS_I2])
+    for lists, dim in ((xs, 1), (t, 2), (central, 4)):
+        k = haar_sample(rng)
+        assert su2.conjugator_nullspace(lists, conjugate(k, lists)).shape == (4, dim)
+    # a batch of lists has no one basis; the rows' vectors are not mixed into one
+    batch = GroupElement(np.stack([xs.q, t.q]))
+    with pytest.raises(ValueError, match="one pair of element lists"):
+        su2.conjugator_nullspace(batch, batch)
 
 
 def _array_left_mul(q: np.ndarray) -> np.ndarray:
@@ -573,17 +613,17 @@ def test_batched_conjugator_rows_match_scalar_solve(data):
         qb = conjugate(haar_sample(rng, (batch, 1)), GroupElement(qa)).q
     else:
         qb = data.draw(quaternions((batch, n)))
-    k, worst = su2._find_conjugators(qa, qb)
-    assert k.shape == (batch, 4) and worst.shape == (batch,)
+    k, worst = find_conjugator(GroupElement(qa), GroupElement(qb))
+    assert k.batch_shape == (batch,) and worst.shape == (batch,)
     for r in range(batch):
         k_ref, worst_ref = _loop_find_conjugator(qa[r], qb[r])
-        assert _same_bits(k[r], k_ref)
+        assert _same_bits(k.q[r], k_ref)
         assert worst[r] == worst_ref
-        found_ref = worst_ref < EPS_MAT
-        got = find_conjugator([GroupElement(q) for q in qa[r]], [GroupElement(q) for q in qb[r]])
-        assert (got is not None) == found_ref
-        if got is not None:
-            assert _same_bits(got.q, k_ref)
+        # one list alone: a single element and a float, the batch row's bits
+        k_r, worst_r = find_conjugator(GroupElement(qa[r]), GroupElement(qb[r]))
+        assert k_r.batch_shape == () and isinstance(worst_r, float)
+        assert _same_bits(k_r.q, k_ref)
+        assert worst_r == worst_ref
 
 
 def test_conjugate_batched_k_single_g_matches_scalar():
@@ -596,12 +636,14 @@ def test_conjugate_batched_k_single_g_matches_scalar():
 
 
 def test_stabilizer_type_cases():
-    assert stabilizer_type([]) is StabilizerType.FULL
-    assert stabilizer_type([I2, MINUS_I2]) is StabilizerType.FULL
+    assert stabilizer_type(GroupElement(np.zeros((0, 4)))) is StabilizerType.FULL
+    assert stabilizer_type(element_list([I2, MINUS_I2])) is StabilizerType.FULL
     t1 = exp_alg(AlgebraElement([0.0, 0.0, 0.3]))
     t2 = exp_alg(AlgebraElement([0.0, 0.0, 1.1]))
-    assert stabilizer_type([t1, t2]) is StabilizerType.TORUS
-    assert stabilizer_type([DIAG_I, J]) is StabilizerType.CENTER
+    assert stabilizer_type(element_list([t1, t2])) is StabilizerType.TORUS
+    assert stabilizer_type(element_list([DIAG_I, J])) is StabilizerType.CENTER
+    with pytest.raises(ValueError, match="element lists"):
+        stabilizer_type(DIAG_I)  # one element, no list axis
 
 
 def test_stabilizer_type_conjugation_invariant():
@@ -610,29 +652,37 @@ def test_stabilizer_type_conjugation_invariant():
     t2 = exp_alg(AlgebraElement([0.0, 0.0, 1.1]))
     for xs in ([I2, MINUS_I2], [t1, t2], [DIAG_I, J]):
         k = haar_sample(rng)
-        ys = [conjugate(k, x) for x in xs]
-        assert stabilizer_type(ys) is stabilizer_type(xs)
+        xs = element_list(xs)
+        assert stabilizer_type(conjugate(k, xs)) is stabilizer_type(xs)
 
 
 def test_stabilizer_type_rows_match_batched_read():
     # the cases above, plus a list with one central element, and their
     # conjugates as one (2, 4, 2, 4) stack: each row of the batched read is
     # the one-list read
-    from charvar.su2 import _stabilizer_types
-
     rng = np.random.default_rng(25)
     t1 = exp_alg(AlgebraElement([0.0, 0.0, 0.3]))
     t2 = exp_alg(AlgebraElement([0.0, 0.0, 1.1]))
     k = haar_sample(rng)
     plain = [[I2, MINUS_I2], [t1, t2], [DIAG_I, J], [MINUS_I2, t2]]
     lists = [plain, [[conjugate(k, x) for x in xs] for xs in plain]]
-    got = _stabilizer_types(np.array([[[x.q for x in xs] for xs in row] for row in lists]))
+    stack = np.array([[element_list(xs).q for xs in row] for row in lists])
+    got = stabilizer_type(GroupElement(stack))
     assert got.shape == (2, 4)
     want = [StabilizerType.FULL, StabilizerType.TORUS, StabilizerType.CENTER, StabilizerType.TORUS]
     assert list(got[0]) == want
     for i, row in enumerate(lists):
         for j, xs in enumerate(row):
-            assert got[i, j] is stabilizer_type(xs)
+            single = stabilizer_type(element_list(xs))
+            assert isinstance(single, StabilizerType) and got[i, j] is single
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3)])
+def test_stabilizer_type_of_empty_lists_is_full_per_row(shape):
+    # an empty list has no element to move, in a batch as alone
+    got = stabilizer_type(GroupElement(np.zeros(shape + (0, 4))))
+    assert got.shape == shape and got.dtype == object
+    assert all(t is StabilizerType.FULL for t in got.ravel())
 
 
 def test_serialization_shape():

@@ -407,7 +407,7 @@ class TestTau:
         def refuse(*args, **kwargs):
             raise AssertionError("tau must not solve anything")
 
-        for name in ("section", "fiber_coordinates", "_find_conjugators", "generators"):
+        for name in ("section", "fiber_coordinates", "find_conjugator", "generators"):
             monkeypatch.setattr(module, name, refuse)
         g1, h1, g2, h2 = rho.elements()
         want = Representation(mul(h1, g1), h1.inverse(), mul(h2, g2), h2.inverse())
