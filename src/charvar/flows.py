@@ -30,7 +30,9 @@ from .su2 import (
     AlgebraElement,
     GroupElement,
     _blockwise,
+    _exact_center,
     _exp,
+    _level,
     _pack,
     _qmul,
     _row_norm,
@@ -132,28 +134,21 @@ class FlowGenerators:
     Y_hat: AlgebraElement
 
 
-def _axis(g: tuple, name: str) -> tuple:
-    """The components of the unit axis of the element(s) with components
-    g = (w, x, y, z)."""
-    n = _row_norm(g[1:])
-    if np.any(n < EPS_CENTER):
-        raise DegenerateGenerator(
-            f"{name} is within {EPS_CENTER:g} of the center; "
-            "the twist flows are defined on interior classes only"
-        )
-    return tuple(c / n for c in g[1:])
-
-
 def _generators(h1: np.ndarray, h2: np.ndarray) -> tuple:
     """The components of the unit generators (xi1, xi2, X, Y) of the
-    quaternion arrays h1, h2, checked in that order."""
+    quaternion arrays h1, h2: the axes of h1, h2, h2 h1 and h1 h2, whose
+    norms are checked in that order.  The two products are one level
+    (_level), and so are the four norms."""
     h1, h2 = _split(h1), _split(h2)
-    return (
-        _axis(h1, "h1"),
-        _axis(h2, "h2"),
-        _axis(_qmul(h2, h1), "h2*h1"),
-        _axis(_qmul(h1, h2), "h1*h2"),
-    )
+    vecs = [h[1:] for h in (h1, h2, *_level(_qmul, [(h2, h1), (h1, h2)]))]
+    norms = _level(_row_norm, [(v,) for v in vecs])
+    for name, n in zip(("h1", "h2", "h2*h1", "h1*h2"), norms):
+        if np.any(n < EPS_CENTER):
+            raise DegenerateGenerator(
+                f"{name} is within {EPS_CENTER:g} of the center; "
+                "the twist flows are defined on interior classes only"
+            )
+    return tuple(tuple(c / n for c in v) for v, n in zip(vecs, norms))
 
 
 def generators(rho: Representation) -> FlowGenerators:
@@ -171,23 +166,41 @@ def _scaled(hat: AlgebraElement, phi: np.ndarray) -> AlgebraElement:
     return AlgebraElement(hat.v * np.asarray(phi, dtype=np.float64)[..., None])
 
 
-def _twisted(left: tuple, phi_left, g: np.ndarray, right: tuple, phi_right) -> np.ndarray:
-    """e^{phi_left left} g e^{phi_right right} for unit axes given as
-    components: the exponentials and both products on components, packed
-    once.  The arithmetic is that of
-    mul(mul(exp_alg(_scaled(left, phi_left)), g), exp_alg(_scaled(right, phi_right)))."""
+def _twisted(left: tuple, phi_left: tuple, g: tuple, right: tuple, phi_right: tuple) -> tuple:
+    """e^{phi_left left} g e^{phi_right right} for unit axes left, right and
+    g given as components, and angles as tuples of one array.
+
+    The arithmetic is that of
+    mul(mul(exp_alg(phi_left * left), g), exp_alg(phi_right * right)),
+    except where both exponentials are exactly +-I: there the product would
+    carry the exponentials' signed zeros, and the result is g times the
+    product of their scalar parts, an exact sign flip of g (the same bits
+    as the chain on a non-central g).
+    """
     # each exponential is built just before its product, so that the two
     # are never held at once
-    q = _qmul(_exp(*(c * phi_left for c in left)), _split(g))
-    return _pack(*_qmul(q, _exp(*(c * phi_right for c in right))))
+    e = _exp(*(c * phi_left[0] for c in left))
+    central, sign = _exact_center(*e), e[0]
+    q = _qmul(e, g)
+    e = _exp(*(c * phi_right[0] for c in right))
+    q = _qmul(q, e)
+    if central is not False:
+        both = central & _exact_center(*e)
+        if np.any(both):
+            sign = sign * e[0]
+            q = tuple(np.where(both, c * sign, r) for c, r in zip(g, q))
+    return q
 
 
 def _act(phi1, phi2, phi3, g1, h1, g2, h2) -> tuple:
-    """The twisted g1 and g2 of act, on angle and slot quaternion arrays."""
+    """The twisted g1 and g2 of act, on angle and slot quaternion arrays:
+    the two twists are one level (_level)."""
     xi1, xi2, x_hat, y_hat = _generators(h1, h2)
-    g1 = _twisted(x_hat, phi3, g1, xi1, phi1)
-    del xi1, x_hat  # g1's axes are freed before g2 is twisted
-    return g1, _twisted(y_hat, phi3, g2, xi2, phi2)
+    g1, g2 = _level(
+        _twisted,
+        [(x_hat, (phi3,), _split(g1), xi1, (phi1,)), (y_hat, (phi3,), _split(g2), xi2, (phi2,))],
+    )
+    return _pack(*g1), _pack(*g2)
 
 
 def act(t: TorusElement, rho: Representation) -> Representation:

@@ -138,7 +138,7 @@ def _in_open_simplex(x1: float, x2: float, x3: float) -> bool:
 def _interior_base(rng: np.random.Generator) -> np.ndarray:
     # rejection from the unit cube; acceptance ratio 1/6
     while True:
-        x = rng.uniform(0.0, 1.0, size=3)
+        x = rng.random(3)  # rng.uniform(0.0, 1.0, 3) bit for bit, at half the cost
         if _in_open_simplex(*x.tolist()):
             return x
 

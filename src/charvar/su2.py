@@ -72,6 +72,23 @@
 # were slower (BENCH_blocked_rows.json).  Every kernel's arithmetic is per
 # row, so no output bit depends on the block size.  Batches of at most
 # _BLOCK rows, and batches with more than one axis, run whole in one call.
+#
+# Stacked levels: the products on one level of a product tree do not depend
+# on each other -- the two commutators of the surface word (_surface_word,
+# behind relation_residual) and then their four products, the two products
+# of a commutator (_commutator), and in flows.act the products h2 h1 and
+# h1 h2, the four generator norms and the two twists.  On a small batch
+# each costs mostly NumPy's per-call dispatch (about 43 dispatches per
+# _qmul), so _level runs a level as one call over its operands stacked on a
+# new leading axis while calls x rows is at most _STACK_ROWS = _BLOCK // 4
+# (single elements stay chained: NumPy scalars cost less than arrays); the
+# surface word then makes 3 _qmul calls instead of 7, a commutator 2
+# instead of 3, and act 3 instead of 6.  Above that bound the stack copies
+# and the larger temporaries cost about as much as the calls they save (on
+# 2 vCPU a level of 4 calls on 1,024 rows ran slower stacked than chained),
+# and the level runs as chained calls, as every 8,192-row block of a long
+# batch does (BENCH_stacked_levels.json).  Stacking changes no row's
+# arithmetic, so no output bit depends on the grouping.
 
 from __future__ import annotations
 
@@ -314,6 +331,41 @@ def _blockwise(kernel, batches: tuple, *operands):
     return out[0] if single else tuple(out)
 
 
+# Stacked rows (calls on one level of a product tree times the rows of
+# their batch) up to which the level runs as one call; see the header.
+_STACK_ROWS = _BLOCK // 4
+
+
+def _level(kernel, calls: list) -> list:
+    """[kernel(*args) for args in calls]: the independent calls on one level
+    of a product tree.  Every argument is a tuple of component arrays of one
+    shape (an angle array is a tuple of one), the argument at each position
+    has one shape over the calls, and kernel returns a tuple of component
+    arrays or one array.
+
+    While len(calls) times the rows of the arguments' broadcast batch is at
+    most _STACK_ROWS, each argument is stacked over the calls on a new
+    leading axis, with its batch axes aligned on the right, and kernel runs
+    once; each call's result is its row of the stacked result.  Otherwise,
+    and on single elements, whose NumPy scalar arithmetic costs less than
+    any array's, kernel runs once per call.  The kernels' arithmetic is per
+    row, so both give the same bits.
+    """
+    shapes = [arg[0].shape for arg in calls[0]]
+    shape = shapes[0] if len(set(shapes)) == 1 else np.broadcast_shapes(*shapes)
+    if not shape or len(calls) * math.prod(shape) > _STACK_ROWS:
+        return [kernel(*args) for args in calls]
+    stacks = []
+    for j, s in enumerate(shapes):
+        # (components, calls) + s, each component one contiguous array
+        a = np.ascontiguousarray(np.array([args[j] for args in calls]).swapaxes(0, 1))
+        if len(s) < len(shape):
+            a = a.reshape(a.shape[:2] + (1,) * (len(shape) - len(s)) + s)
+        stacks.append(tuple(a))
+    out = kernel(*stacks)
+    return list(out) if isinstance(out, np.ndarray) else list(zip(*out))
+
+
 # ---------------------------------------------------------------------------
 # products and conjugation
 # ---------------------------------------------------------------------------
@@ -451,10 +503,11 @@ def _qmul(a: tuple, b: tuple) -> tuple:
 
 
 def _commutator(g: tuple, h: tuple) -> tuple:
-    """[g, h] = (g h)(g^-1 h^-1) on component quadruples."""
+    """[g, h] = (g h)(g^-1 h^-1) on component quadruples: the products g h
+    and g^-1 h^-1 are one level (_level), then their product."""
     gw, gx, gy, gz = g
     hw, hx, hy, hz = h
-    return _qmul(_qmul(g, h), _qmul((gw, -gx, -gy, -gz), (hw, -hx, -hy, -hz)))
+    return _qmul(*_level(_qmul, [(g, h), ((gw, -gx, -gy, -gz), (hw, -hx, -hy, -hz))]))
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -498,7 +551,7 @@ def _surface_word(g1: np.ndarray, h1: np.ndarray, g2: np.ndarray, h2: np.ndarray
     """The components of the genus-2 surface word [g1, h1][g2, h2] of
     quaternion arrays."""
     a, b, c, d = (_split(x) for x in (g1, h1, g2, h2))
-    return _qmul(_commutator(a, b), _commutator(c, d))
+    return _qmul(*_level(_commutator, [(a, b), (c, d)]))
 
 
 def _distance(d: tuple) -> np.ndarray:

@@ -6,6 +6,7 @@ criterion 5."""
 from __future__ import annotations
 
 import inspect
+import itertools
 import sys
 from collections import Counter
 from unittest import mock
@@ -457,8 +458,8 @@ def test_act_blocks_match_whole_batch_bitwise(n):
     assert _act_bits_match(t, section(POINT))  # batched angles over one point
     assert _act_bits_match(t, rho)  # over a batch
     assert _act_bits_match(TorusElement.kernel(), rho)
-    # the kernel element fixes every slot (a central g-slot's zeros may flip sign)
-    assert np.array_equal(act(TorusElement.kernel(), rho).slots(), rho.slots())
+    # the kernel element fixes every slot bitwise, exactly central g-slots too
+    assert _same_bits(act(TorusElement.kernel(), rho).slots(), rho.slots())
 
 
 @given(st.data())
@@ -490,6 +491,94 @@ def test_blocked_act_raises_the_whole_batch_message():
     assert str(blocked.value) == str(whole.value)
     with pytest.raises(DegenerateGenerator, match="h2\\*h1"):
         act(t, rho[: su2._BLOCK])  # the first block alone fails on a product
+
+
+# ---------------------------------------------------------------------------
+# stacked levels: both twists in one chain
+# ---------------------------------------------------------------------------
+
+# one row; batches of 2 and 4 rows, where a stack axis of 2 or 4 calls taken
+# for the row axis would still broadcast; both sides of the stacking bound
+# for the four generator norms and for the two twists; both sides of a
+# block; 3 blocks and a few rows
+STACK_SIZES = [
+    1, 2, 4,
+    su2._STACK_ROWS // 4, su2._STACK_ROWS // 4 + 1,
+    su2._STACK_ROWS // 2, su2._STACK_ROWS // 2 + 1,
+    su2._BLOCK - 1, su2._BLOCK + 1, 3 * su2._BLOCK + 5,
+]
+
+
+def _with_stack_rows(bound: int, f, *args):
+    with mock.patch.object(su2, "_STACK_ROWS", bound):
+        return f(*args)
+
+
+def _act_stacked_matches_chained(t: TorusElement, rho: Representation) -> bool:
+    """act(t, rho) reads the same bits with the default stacking bound, every
+    level chained and every level stacked."""
+    got = [act(t, rho), _with_stack_rows(0, act, t, rho), _with_stack_rows(1 << 62, act, t, rho)]
+    return all(_same_bits(g.slots(), got[0].slots()) for g in got[1:])
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_act_stacked_matches_chained_bitwise(n):
+    # (pi, pi, pi) and 0 angles over exactly central g-slots with signed zeros
+    rng = np.random.default_rng(n)
+    t, rho = _edge_inputs(rng, n, np.unique([0, n // 2, n - 1]))
+    assert _act_stacked_matches_chained(t, rho)
+    assert _act_stacked_matches_chained(t, section(POINT))  # one quadruple under batched angles
+    assert _act_stacked_matches_chained(TorusElement.kernel(), rho)
+    assert _act_stacked_matches_chained(TorusElement.from_array(t.as_array()[0]), rho)
+
+
+@given(act_inputs())
+@settings(max_examples=60, deadline=None)
+def test_act_stacked_matches_chained_bitwise_on_any_inputs(inputs):
+    assert _act_stacked_matches_chained(*inputs)
+
+
+# every zero-sign pattern of an exactly central element, (+-1, +-0, +-0, +-0)
+_CENTRAL = np.array(
+    [[w, *np.copysign(0.0, s)] for w in (1.0, -1.0) for s in itertools.product((1.0, -1.0), repeat=3)]
+)
+
+
+@pytest.mark.parametrize("bound", [0, 1 << 62])
+def test_kernel_element_fixes_exactly_central_g_slots_bitwise(bound):
+    # the twist exponentials are +-I with signed-zero vector parts; the slot
+    # keeps its own zeros, on the chained and the stacked path, for one
+    # quadruple, a batch, and one quadruple under a batch of angles
+    n = len(_CENTRAL)
+    base = section(POINT)
+    h1, h2 = (GroupElement(np.broadcast_to(h.q, (n, 4)).copy()) for h in (base.h1, base.h2))
+    rho = Representation(GroupElement(_CENTRAL), h1, GroupElement(_CENTRAL[::-1]), h2)
+    fans = TorusElement.from_array(np.full((3, 3), np.pi))
+    with mock.patch.object(su2, "_STACK_ROWS", bound):
+        for t in (TorusElement.kernel(), TorusElement.zero()):
+            assert _same_bits(act(t, rho).slots(), rho.slots())
+            for i in range(n):
+                assert _same_bits(act(t, rho[i]).slots(), rho[i].slots())
+        for i in range(n):
+            want = np.broadcast_to(rho[i].slots(), (3, 4, 4))
+            assert _same_bits(act(fans, rho[i]).slots(), want)
+
+
+def test_stacked_act_raises_the_chained_message():
+    # one central h1 h2 row (so h2 h1, its conjugate, is central too) in a
+    # small batch: the stacked path checks h1, h2, h2 h1 and h1 h2 over the
+    # whole batch in that order, as the chained path does
+    rng = np.random.default_rng(10)
+    g1, h1, g2, h2 = (haar_sample(rng, (10,)).q.copy() for _ in range(4))
+    h2[6] = -h1[6] * [1.0, -1.0, -1.0, -1.0]
+    rho = Representation(*(GroupElement(q) for q in (g1, h1, g2, h2)))
+    t = TorusElement.from_array(rng.uniform(0.0, TWO_PI, size=(10, 3)))
+    with pytest.raises(DegenerateGenerator) as chained:
+        _with_stack_rows(0, act, t, rho)
+    with pytest.raises(DegenerateGenerator) as stacked:
+        act(t, rho)
+    assert str(chained.value).startswith("h2*h1 is within")
+    assert str(stacked.value) == str(chained.value)
 
 
 def _public_calls(f, *args) -> Counter:

@@ -1,5 +1,7 @@
 """Core group arithmetic, checked against the independent 2x2 complex-matrix oracle."""
 
+import contextlib
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -13,7 +15,7 @@ from charvar import su2
 from charvar.errors import CenterAmbiguity, ZeroVector
 from charvar.flows import TorusElement, act
 from charvar.polytope import moment_coordinates
-from charvar.repvar import Representation, relation_residual
+from charvar.repvar import Representation, is_abelian, relation_residual
 from charvar.su2 import (
     AlgebraElement,
     GroupElement,
@@ -815,3 +817,141 @@ def test_blocked_evaluation_holds_one_block_of_temporaries(call):
     three, six = args(3 * b + 5), args(6 * b + 5)
     assert transient_peak(*three) <= 0.5 * unblocked(transient_peak, *three)
     assert transient_peak(*six) <= 1.1 * transient_peak(*three)
+
+
+# ---------------------------------------------------------------------------
+# stacked levels of the product trees
+# ---------------------------------------------------------------------------
+
+# one row; batches of 2 and 4 rows, where a stack axis of 2 or 4 calls taken
+# for the row axis would still broadcast; both sides of the stacking bound
+# for a level of 4 calls and of 2; both sides of a block; 3 blocks and a few
+# rows
+STACK_SIZES = [
+    1, 2, 4,
+    su2._STACK_ROWS // 4, su2._STACK_ROWS // 4 + 1,
+    su2._STACK_ROWS // 2, su2._STACK_ROWS // 2 + 1,
+    su2._BLOCK - 1, su2._BLOCK + 1, 3 * su2._BLOCK + 5,
+]
+
+
+def with_stack_rows(bound: int, f, *args):
+    """f(*args) with su2._STACK_ROWS set to bound: 0 chains every level of a
+    product tree, a huge bound stacks every one."""
+    with mock.patch.object(su2, "_STACK_ROWS", bound):
+        return f(*args)
+
+
+def _same_stacked(f, *args) -> bool:
+    """f(*args) reads the same bits with the default bound, every level
+    chained and every level stacked."""
+    got = [
+        np.asarray(getattr(out, "q", out))
+        for out in (f(*args), with_stack_rows(0, f, *args), with_stack_rows(1 << 62, f, *args))
+    ]
+    if got[0].dtype == bool:
+        return all(g.shape == got[0].shape and np.array_equal(g, got[0]) for g in got[1:])
+    return all(_same_bits(g, got[0]) for g in got[1:])
+
+
+def _stack_quadruples(rng, n: int) -> Representation:
+    """n Haar quadruples with exactly central slots (signed zeros mixed) and a
+    central h1 h2 at the first, middle and last rows."""
+    return _edge_quadruples(rng, n, np.unique([0, n // 2, n - 1]))
+
+
+def _tree_calls(rho: Representation) -> list:
+    """The product-tree entry points on rho: the surface word, commutators of
+    two batches and of one element with a batch (both orders), and the six
+    slot-pair commutators."""
+    return [
+        (relation_residual, rho),
+        (commutator, rho.g1, rho.h1),
+        (commutator, rho.h2[0], rho.g2),
+        (commutator, rho.g2, rho.h1[-1]),
+        (is_abelian, rho),
+    ]
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_stacked_levels_match_chained_bitwise(n):
+    rng = np.random.default_rng(n)
+    plain = Representation(*(haar_sample(rng, (n,)) for _ in range(4)))
+    for rho in (plain, _stack_quadruples(rng, n)):
+        for f, *args in _tree_calls(rho):
+            assert _same_stacked(f, *args)
+
+
+def test_stacked_levels_of_single_elements_and_2d_batches_match_chained_bitwise():
+    rng = np.random.default_rng(14)
+    rho = Representation(*(haar_sample(rng) for _ in range(4)))
+    for quadruple in (rho, Representation(MINUS_I2, rho.h1, I2, rho.h2)):
+        for f, *args in _tree_calls(quadruple[None]) + [(relation_residual, quadruple)]:
+            assert _same_stacked(f, *args)
+    assert _same_stacked(commutator, rho.g1, rho.h1)
+    assert _same_stacked(commutator, MINUS_I2, rho.h1)
+    grid = _stack_quadruples(rng, 6)
+    grid = Representation(*(GroupElement(x.q.reshape(2, 3, 4)) for x in grid.elements()))
+    assert _same_stacked(relation_residual, grid)
+    assert _same_stacked(is_abelian, grid)
+    assert _same_stacked(commutator, grid.g1[0], grid.h1[:, :1])  # (3,) with (2, 1)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_stacked_levels_match_chained_bitwise_near_the_bounds(data):
+    edges = [1, su2._STACK_ROWS // 4, su2._STACK_ROWS // 2]
+    n = max(1, data.draw(st.sampled_from(edges)) + data.draw(st.integers(-3, 3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = np.unique(rng.integers(0, n, size=data.draw(st.integers(1, 6))))
+    rho = _edge_quadruples(rng, n, rows)
+    for f, *args in _tree_calls(rho):
+        assert _same_stacked(f, *args)
+
+
+def _qmul_calls(f, *args) -> int:
+    """The su2._qmul calls f(*args) makes, counted at every charvar module
+    name bound to it."""
+    real, calls = su2._qmul, []
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("charvar")]
+    with contextlib.ExitStack() as stack:
+        for m in modules:
+            if getattr(m, "_qmul", None) is real:
+                stack.enter_context(mock.patch.object(m, "_qmul", counted))
+        f(*args)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "call, small, long",
+    [
+        # on 10 rows each level is one call: the surface word's 4 + 2 + 1
+        # products, a commutator's 2 + 1, and act's h2 h1 and h1 h2, then
+        # both twists' left and right products.  On 3 blocks and 5 rows the
+        # commutators chain over the whole batch, and the blocked entry
+        # points chain in each full block and stack the last 5 rows
+        ("relation_residual", 3, 3 * 7 + 3),
+        ("commutator", 2, 3),
+        ("is_abelian", 2, 3),
+        ("act", 3, 3 * 6 + 3),
+    ],
+)
+def test_product_trees_make_pinned_qmul_calls(call, small, long):
+    def args(n):
+        rng = np.random.default_rng(n)
+        rho = Representation(*(haar_sample(rng, (n,)) for _ in range(4)))
+        t = TorusElement.from_array(rng.uniform(0.0, 2.0 * np.pi, size=(n, 3)))
+        return {
+            "relation_residual": (relation_residual, rho),
+            "commutator": (commutator, rho.g1, rho.h1),
+            "is_abelian": (is_abelian, rho),
+            "act": (act, t, rho),
+        }[call]
+
+    assert _qmul_calls(*args(10)) == small
+    assert _qmul_calls(*args(3 * su2._BLOCK + 5)) == long
