@@ -36,13 +36,13 @@ from .sampler import (
 from .sigma import (
     Piece,
     Stratum,
+    _stacked,
     blowup_point,
     certify_interval_injectivity,
     classify_fixed_points,
     n2_interval,
     pillow_point,
     rp2_fiber_point,
-    sigma,
     sigma_fixed_conjugator,
 )
 from .su2 import (
@@ -104,14 +104,16 @@ def _flows_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
         if i % 10 == 0:
             probes.append(_nonkernel_torus(rng).as_array())
     rho = _interior_build(draws)
-
-    moved = act(TorusElement.from_array(turns), rho)
-    r = relation_residual(moved)
-    ident = verify_flow_identities(rho, np.array(times))
-    k = act(TorusElement.kernel(), rho).slot_distance(rho)
-    ok = (r < tol.mat) & ident.passed(tol.mat) & (k == 0.0)
     every = rho[::10]
-    ok[::10] &= ~_class_equal(act(TorusElement.from_array(probes), every), every, tol.mat)
+
+    # the turns, the kernel element (pi, pi, pi) and the probes are one act
+    angles = np.concatenate((turns, np.full((n, 3), np.pi), probes))
+    moved = act(TorusElement.from_array(angles), _stacked(rho, rho, every))
+    r = relation_residual(moved[:n])
+    ident = verify_flow_identities(rho, np.array(times))
+    k = moved[n : 2 * n].slot_distance(rho)
+    ok = (r < tol.mat) & ident.passed(tol.mat) & (k == 0.0)
+    ok[::10] &= ~_class_equal(moved[2 * n :], every, tol.mat)
     res = {
         "relation-after-flow": _worst(0.0, r),
         "intertwine-h2": _worst(0.0, ident.residual_h2),
@@ -150,11 +152,11 @@ def _polytope_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[
     zero = np.zeros(small)
     bump = exp_alg(AlgebraElement(np.stack([eps, zero, zero], axis=-1)))
     rho = Representation(_diag(zero + 0.1), _diag(t1), _diag(zero + 0.2), bump * _diag(t2))
-    failures += int(np.count_nonzero(~boundary_commutation_check(rho, 10.0 * eps, 10.0 * eps)))
-    # nothing is drawn between the two uses of interior samples below, so
-    # both halves are built as one batch
+    # nothing is drawn between the uses of interior samples below, so both
+    # halves are built as one batch, and both boundary checks are one call
     interior = _interior_build([_interior_draw(rng) for _ in range(2 * small)])
-    ok = boundary_commutation_check(interior[:small], tol.poly, tol.mat)
+    poly, mat = (np.concatenate((10.0 * eps, np.full(small, t))) for t in (tol.poly, tol.mat))
+    ok = boundary_commutation_check(_stacked(rho, interior[:small]), poly, mat)
     failures += int(np.count_nonzero(~ok))
 
     # integer vertex bijection, exact arithmetic
@@ -166,14 +168,16 @@ def _polytope_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[
         res["vertex-bijection"] = 1.0
 
     # quotient coordinates of interior samples stay strictly interior,
-    # and the section inverts the quotient moment
-    m = STD_DELTA.margin(mu_lambda_coordinates(interior[small:]))
-    res["quotient-interior"] = _worst(res["quotient-interior"], m)
-    failures += int(np.count_nonzero(m >= 0.0))
+    # and the section inverts the quotient moment: one quotient moment call
     xs = [rng.uniform(0.05, 0.45, size=3) for _ in range(small)]
     xs = np.array([x for x in xs if float(STD_DELTA.margin(x)) <= -0.02])
+    rows = _stacked(interior[small:], section(xs)) if len(xs) else interior[small:]
+    moments = mu_lambda_coordinates(rows)
+    m = STD_DELTA.margin(moments[:small])
+    res["quotient-interior"] = _worst(res["quotient-interior"], m)
+    failures += int(np.count_nonzero(m >= 0.0))
     if len(xs):
-        err = np.max(np.abs(mu_lambda_coordinates(section(xs)) - xs), axis=-1)
+        err = np.max(np.abs(moments[small:] - xs), axis=-1)
         res["section-roundtrip"] = _worst(res["section-roundtrip"], err)
         failures += int(np.count_nonzero(err > 100.0 * tol.f))
     return n + 3 * small, failures, res
@@ -186,12 +190,16 @@ def _tau_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, 
         draws.append(_interior_draw(rng))
         turns.append(rng.uniform(0.0, 2.0 * np.pi, size=3))
     rho = _interior_build(draws)
-    t = TorusElement.from_array(turns)
 
+    # one call per map over stacked rows; the reversed angles are the negated
+    # draws, which TorusElement reduces as t.inverse() does
     image = tau(rho)
-    drift = np.max(np.abs(mu_lambda_coordinates(image) - mu_lambda_coordinates(rho)), axis=-1)
-    involution = tau(image).slot_distance(rho)
-    reversal = tau(act(t, rho)).slot_distance(act(t.inverse(), image))
+    moments = mu_lambda_coordinates(_stacked(image, rho))
+    drift = np.max(np.abs(moments[:n] - moments[n:]), axis=-1)
+    angles = TorusElement.from_array(np.concatenate((turns, np.negative(turns))))
+    moved = act(angles, _stacked(rho, image))
+    dist = tau(_stacked(image, moved[:n])).slot_distance(_stacked(rho, moved[n:]))
+    involution, reversal = dist[:n], dist[n:]
     ok = (drift < 100.0 * tol.f) & (involution < tol.mat) & (reversal < tol.mat)
     res = {
         "moment-drift": _worst(0.0, drift),
@@ -207,25 +215,27 @@ def _pure_unit(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupEl
 
 
 def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
-    # the pillow points, projective pairs, arcs, central points and interior
-    # points are one batch each, drawn in the per-item order
+    # every batch drawn first, in the per-item order; then one call for the
+    # pillow and interior fixedness, and one each for the projective builds and reads
     small = max(n // 10, 1)
-
     gh = haar_sample(rng, (n, 2))
-    k, fixed = sigma_fixed_conjugator(pillow_point(gh[:, 0], gh[:, 1]), tol.mat)
+    pairs = _pure_unit(rng, (small, 2))
+    arcs = rng.uniform(0.3, np.pi - 0.3, size=(small, 2))
+    interior = _interior_build([_interior_draw(rng) for _ in range(small)])
+
+    k, fixed = sigma_fixed_conjugator(_stacked(pillow_point(gh[:, 0], gh[:, 1]), interior), tol.mat)
+    k, fixed, interior_fixed = k[:n], fixed[:n], fixed[n:]
     dev = np.minimum(_vector_norm(k.q - _ID.q), _vector_norm(k.q + _ID.q))[fixed]
     res = {"pillow-conjugator": float(np.max(dev, initial=0.0)), "interval-fix": 0.0}
     failures = int(np.count_nonzero(~fixed)) + int(np.count_nonzero(dev > tol.mat * 10.0))
 
-    pairs = _pure_unit(rng, (small, 2))
     k1, k2 = pairs[:, 0], pairs[:, 1]
     distinct = _vector_norm(np.stack(_cross(k1.vec.T, k2.vec.T), axis=-1)) > 1e-2
-    base = rp2_fiber_point(k1)
-    same = _class_equal(base, rp2_fiber_point(-k1), tol.mat)
-    collide = _class_equal(base, rp2_fiber_point(k2), tol.mat)
+    fibers = rp2_fiber_point(GroupElement(np.concatenate((k1.q, -k1.q, k2.q))))
+    base = fibers[:small]
+    same, collide = _class_equal(_stacked(base, base), fibers[small:], tol.mat).reshape(2, -1)
     failures += int(np.count_nonzero(~same)) + int(np.count_nonzero(distinct & collide))
 
-    arcs = rng.uniform(0.3, np.pi - 0.3, size=(small, 2))
     passed = certify_interval_injectivity(arcs[:, 0], arcs[:, 1], grid=5, tol=tol.mat).passed
     failures += int(np.count_nonzero(~passed))
 
@@ -235,9 +245,7 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
     failures += sum(point.stratum is not Stratum.III for point in points)
 
     # interior classes are never swap-fixed
-    interior = _interior_build([_interior_draw(rng) for _ in range(small)])
-    _, fixed = sigma_fixed_conjugator(interior, tol.mat)
-    failures += int(np.count_nonzero(fixed))
+    failures += int(np.count_nonzero(interior_fixed))
     return n + 4 * small + 4, failures, res
 
 
@@ -246,10 +254,8 @@ def _density_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[i
     rho = Representation(*(_diag(angles[:, i]) for i in range(4)))
     near = density_witness(rho, 1e-4)
     gap = near.slot_distance(rho)
-    ok = ~is_abelian(near, tol.mat)
-    ok &= ~is_abelian(density_witness(rho, 0.5), tol.mat)
-    ok &= ~is_abelian(density_witness(rho, 1.0), tol.mat)
-    ok &= gap < 1e-3
+    witnesses = _stacked(near, density_witness(rho, 0.5), density_witness(rho, 1.0))
+    ok = ~np.any(is_abelian(witnesses, tol.mat).reshape(3, n), axis=0) & (gap < 1e-3)
     return n, int(np.count_nonzero(~ok)), {"witness-approach": _worst(0.0, gap)}
 
 
@@ -341,7 +347,9 @@ def run_sigma_certification(
         for point in points:
             counts[point.piece.value] += 1
         k = GroupElement(np.stack([point.conjugator.q for point in points]))
-        resid = batch.conjugated(k).slot_distance(sigma(batch))
+        # the plain swap: classify_fixed_points has checked the batch against the relation
+        swapped = Representation(batch.h2, batch.g2, batch.h1, batch.g1)
+        resid = batch.conjugated(k).slot_distance(swapped)
         worst["conjugator-residual"] = max(worst["conjugator-residual"], float(np.max(resid)))
         for idx in np.flatnonzero(resid >= tol.mat * 10.0):
             violations.append(f"sample {start + idx}: conjugator residual {resid[idx]:.3e}")

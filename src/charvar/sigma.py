@@ -30,8 +30,10 @@
 # classification reads a batch in classify_fixed_points and one quadruple in
 # classify_fixed_point (the demos import both names); its N2 rows take their
 # pure-imaginary conjugators from the same system with the w column dropped.
-# Everything else runs over batches too (certify_interval_injectivity over a
-# batch of arcs), except blowup_point.
+# Everything else runs over batches too.  Every solve computes each row as if
+# alone, so independent decisions on different rows are one call over the
+# rows stacked by _stacked: the two surface reads of the N2 rows, and the
+# fixedness and pair reads of certify_interval_injectivity.
 
 from __future__ import annotations
 
@@ -126,6 +128,12 @@ def sigma(rho: Representation) -> Representation:
     return swapped
 
 
+def _stacked(*reps: Representation) -> Representation:
+    """The quadruples of flat batches, one batch after another, as one flat
+    batch: one call decides them all, and each caller splits the result."""
+    return Representation.from_slots(np.concatenate([rho.slots() for rho in reps]))
+
+
 def _sign_canonical(k: GroupElement) -> GroupElement:
     """k, each row's sign chosen to make its largest-magnitude component positive."""
     lead = np.take_along_axis(k.q, np.argmax(np.abs(k.q), axis=-1)[..., None], axis=-1)
@@ -162,7 +170,8 @@ def _pure_imaginary_conjugators(
     """Each row's w = 0 conjugator onto its swap where one exists, else its k:
     the smallest right singular vector of the conjugation system without its
     w column, kept where its worst slot residual is below tol."""
-    _, _, vt = np.linalg.svd(_conjugation_system(rho.slots(), swapped.slots())[..., 1:])
+    system = _conjugation_system(rho.slots(), swapped.slots())[..., 1:]
+    vt = np.linalg.svd(system, full_matrices=False)[2]
     pure = np.concatenate((np.zeros(vt.shape[:-2] + (1,)), vt[..., -1, :]), axis=-1)
     pure = _sign_canonical(GroupElement(pure))
     found = rho.conjugated(pure).slot_distance(swapped) < tol
@@ -174,8 +183,8 @@ def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator
     row-major order, bit for bit the point of that quadruple alone: one swap
     and one conjugator solve (its worst residual reads fixed below tol, gray
     zone below 10*tol), one stabilizer, [g1,h1] and k^2 read, and on the N2
-    rows two class-equality decisions and one pure-imaginary conjugator
-    solve.  The first quadruple not fixed at 10*tol (PreconditionViolated) or
+    rows one pure-imaginary conjugator solve and one class-equality call for
+    both surfaces.  The first quadruple not fixed at 10*tol (PreconditionViolated) or
     with a deciding residual in the gray zone [tol, 10*tol)
     (ClassificationAmbiguity) raises after the points before it: such points
     are reported, never guessed.  A batch with a quadruple off the relation
@@ -191,16 +200,17 @@ def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator
     d_plus, d_minus = distance(k2, GroupElement.identity()), distance(k2, -GroupElement.identity())
     # N2, the arcs between the two surfaces: fixed, non-central rows with [g1,h1] = 1
     n2 = np.flatnonzero((worst < tol) & (strata != StabilizerType.FULL) & (comm_dist < tol))
-    arc = flat[n2]
-    if n2.size:  # the pure solve, skipped on batches without an N2 row
+    arc_piece = {}
+    if n2.size:  # the pure solve and the surface reads, skipped on batches without an N2 row
+        arc = flat[n2]
         q = k.q.copy()
         q[n2] = _pure_imaginary_conjugators(arc, swapped[n2], k[n2], tol).q
         k = GroupElement(q)
-    surface = _class_equal(arc, pillow_point(arc.g1, arc.h1), tol)
-    other = Representation(arc.g1, arc.h1, arc.h1.inverse(), arc.g1.inverse())
-    endpoint = _class_equal(arc, other, tol)
-    interval = np.where(endpoint, Piece.INTERVAL_ENDPOINT, Piece.INTERVAL_INTERIOR)
-    arc_piece = dict(zip(n2.tolist(), np.where(surface, Piece.PILLOW_SURFACE, interval)))
+        other = Representation(arc.g1, arc.h1, arc.h1.inverse(), arc.g1.inverse())
+        ends = _stacked(pillow_point(arc.g1, arc.h1), other)
+        surface, endpoint = _class_equal(_stacked(arc, arc), ends, tol).reshape(2, -1)
+        interval = np.where(endpoint, Piece.INTERVAL_ENDPOINT, Piece.INTERVAL_INTERIOR)
+        arc_piece = dict(zip(n2.tolist(), np.where(surface, Piece.PILLOW_SURFACE, interval)))
     for i in range(len(worst)):
         if not worst[i] < tol:
             if worst[i] < 10 * tol:
@@ -247,22 +257,25 @@ def pillow_point(g: GroupElement, h: GroupElement) -> Representation:
 
 
 def blowup_point(g: GroupElement, h: GroupElement, k: GroupElement) -> Representation:
-    """(g, h, k h k^{-1}, k g k^{-1}) for k^2 = -1 commuting with [g,h].
+    """(g, h, k h k^{-1}, k g k^{-1}) for k^2 = -1 commuting with [g,h],
+    batched over rows of g, h and k of one batch shape; row i is bit for bit
+    the point of row i alone.
 
     Relation: [g,h] [k h k^{-1}, k g k^{-1}] = [g,h] k [g,h]^{-1} k^{-1} = 1
-    by the commuting hypothesis.  PreconditionViolated when k is not a finite
-    unit with k^2 = -1, when [g,h] = 1 (that regime belongs to the arcs), or
-    when k fails to commute with the commutator or the result with the relation."""
-    unit = _unit_slots(k.q)  # finite and unit
-    if not (unit and float(distance(mul(k, k), GroupElement.minus_identity())) < EPS_CENTER):
+    by the commuting hypothesis.  PreconditionViolated when some k is not a
+    finite unit with k^2 = -1, when some [g,h] = 1 (that regime belongs to the
+    arcs), or when some k fails to commute with its commutator or some result
+    with the relation."""
+    k2 = distance(mul(k, k), GroupElement.minus_identity())
+    if not np.all(_unit_slots(k.q) & (k2 < EPS_CENTER)):  # finite and unit
         raise PreconditionViolated("blowup_point needs a unit k with k^2 = -1")
     comm = commutator(g, h)
-    if float(distance(comm, GroupElement.identity())) < EPS_MAT:
+    if np.any(distance(comm, GroupElement.identity()) < EPS_MAT):
         raise PreconditionViolated("blowup_point needs [g,h] != 1")
-    if float(distance(commutator(comm, k), GroupElement.identity())) >= EPS_MAT:
+    if np.any(distance(commutator(comm, k), GroupElement.identity()) >= EPS_MAT):
         raise PreconditionViolated("blowup_point needs k to commute with [g,h]")
     rho = Representation(g, h, conjugate(k, h), conjugate(k, g))
-    if not float(relation_residual(rho)) < EPS_REL:
+    if not np.all(relation_residual(rho) < EPS_REL):
         raise PreconditionViolated("blowup_point result violates the relation")
     return rho
 
@@ -349,18 +362,18 @@ def certify_interval_injectivity(
     every grid point sigma-fixed, all pairs of distinct parameters in
     distinct classes.
 
-    All arcs' grids are one batch: one fixedness read
-    (sigma_fixed_conjugator) covers every point, and one class-equality
-    decision (repvar._class_equal) every pair i < j of every arc; each arc
-    reads bit for bit as if alone."""
+    All arcs' grids are one batch, and one class-equality decision
+    (repvar._class_equal) covers every point against its swap (a point is
+    sigma-fixed exactly when it is one class with its swap) and every pair
+    i < j of every arc; each arc reads bit for bit as if alone."""
     theta, s = np.broadcast_arrays(np.asarray(theta, np.float64), np.asarray(s, np.float64))
     alphas = np.linspace(0.0, np.pi / 2, grid)
     arcs = n2_interval(theta.reshape(-1, 1), s.reshape(-1, 1), alphas)
     # the grid points arc after arc, as one flat batch: the kernels run slower on 2-D batches
     points = Representation.from_slots(arcs.slots().reshape(-1, 4, 4))
-    _, fixed = sigma_fixed_conjugator(points, tol)
     i, j = (grid * np.arange(theta.size)[:, None] + x for x in np.triu_indices(grid, 1))
-    equal = _class_equal(points[i.ravel()], points[j.ravel()], tol)
+    stacked = (_stacked(points, points[i.ravel()]), _stacked(sigma(points), points[j.ravel()]))
+    fixed, equal = np.split(_class_equal(*stacked, tol), [points.batch_shape[0]])
     shape = theta.shape
     return InjectivityReport(
         theta, s, alphas, fixed.reshape(shape + (grid,)), equal.reshape(shape + i.shape[1:])

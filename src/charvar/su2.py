@@ -737,7 +737,7 @@ def find_conjugator(a: GroupElement, b: GroupElement) -> tuple[GroupElement, np.
     ValueError for lists of unequal length or empty ones.
     """
     _check_lists(a, b)
-    _, _, vt = np.linalg.svd(_conjugation_system(a.q, b.q))
+    vt = np.linalg.svd(_conjugation_system(a.q, b.q), full_matrices=False)[2]
     k = GroupElement.from_quaternion(vt[..., -1, :])
     moved = conjugate(GroupElement(k.q[..., None, :]), a)
     return k, np.max(distance(moved, b), axis=-1)

@@ -11,9 +11,14 @@ bit.
 
 from __future__ import annotations
 
+import contextlib
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from charvar import su2
 from charvar.claims import (
     _ID,
     _density_suite,
@@ -22,6 +27,8 @@ from charvar.claims import (
     _pure_unit,
     _sigma_suite,
     _tau_suite,
+    run_sigma_certification,
+    run_verify,
 )
 from charvar.errors import OutsidePolytope, PreconditionViolated
 from charvar.flows import TorusElement, act, verify_flow_identities
@@ -205,6 +212,68 @@ def test_suite_counts_failures_per_item():
     got = _sigma_suite(30, np.random.default_rng(3), loose)
     assert got == sigma_oracle(30, np.random.default_rng(3), loose)
     assert got[1] == 9
+
+
+class TinyFirstTurn:
+    """A Generator whose torus-angle draws, uniform(0, 2 pi, size=3), all
+    start with the angle 1e-20."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        out = self._rng.uniform(low, high, size)
+        if (low, high, size) == (0.0, 2.0 * np.pi, 3):
+            out[0] = 1e-20
+        return out
+
+
+@pytest.mark.parametrize("samples", [1, 10])
+def test_tau_suite_at_a_tiny_turn_equals_per_item_loop(samples):
+    # t.inverse() stores -1e-20 mod 2 pi, which is 2 pi exactly; the suite's
+    # one act over both directions takes its angles from the draws, and every
+    # residual is still the per-item loop's
+    assert TorusElement(-1e-20, 0.0, 0.0).phi1 == 2.0 * np.pi
+    got = _tau_suite(samples, TinyFirstTurn(samples), DEFAULT)
+    assert got == tau_oracle(samples, TinyFirstTurn(samples), DEFAULT)
+
+
+def _solve_calls(f, *args) -> tuple[int, int]:
+    """The su2.find_conjugator calls f(*args) makes, counted at every charvar
+    module name bound to it, and its np.linalg.svd calls."""
+    real_solve, real_svd, calls = su2.find_conjugator, np.linalg.svd, []
+
+    def counted(real, name):
+        def wrapper(*a, **k):
+            calls.append(name)
+            return real(*a, **k)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("charvar")]
+    with contextlib.ExitStack() as stack:
+        solve = counted(real_solve, "solve")
+        for m in modules:
+            if getattr(m, "find_conjugator", None) is real_solve:
+                stack.enter_context(mock.patch.object(m, "find_conjugator", solve))
+        stack.enter_context(mock.patch.object(np.linalg, "svd", counted(real_svd, "svd")))
+        f(*args)
+    return calls.count("solve"), calls.count("svd")
+
+
+def test_certify_round_makes_pinned_solves():
+    # one certify round: 1 solve in flows (the probes' classes), 4 in sigma
+    # (pillow and interior fixedness, projective classes, arc grids, central
+    # classification) and 3 in certify-sigma (classification, both N2
+    # surfaces, arc grids); one SVD each, plus the N2 rows' pure solve
+    def round_():
+        run_verify("all", samples=10, seed=3)
+        run_sigma_certification(10, seed=3, grid=10)
+
+    assert _solve_calls(round_) == (8, 9)
 
 
 SINGLE = {

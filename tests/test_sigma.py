@@ -15,6 +15,7 @@ from charvar.errors import ClassificationAmbiguity, PreconditionViolated
 from charvar.polytope import moment_coordinates
 from charvar.repvar import (
     Representation,
+    _class_equal,
     class_equal,
     is_abelian,
     relation_residual,
@@ -287,6 +288,44 @@ class TestBlowupPoint:
         with pytest.raises(PreconditionViolated):
             blowup_point(g, h, k)
 
+    def test_batch_rows_match_single_calls(self):
+        rng = np.random.default_rng(85)
+        g, h = haar_sample(rng, (3,)), haar_sample(rng, (3,))
+        k = GroupElement(np.stack([axis_conjugator(commutator(g[i], h[i])).q for i in range(3)]))
+        batch = blowup_point(g, h, k)
+        assert batch.batch_shape == (3,)
+        for i in range(3):
+            one = blowup_point(g[i], h[i], k[i])
+            assert np.array_equal(batch[i].slots().view(np.int64), one.slots().view(np.int64))
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("k-squared", "k\\^2 = -1"),
+            ("commuting-pair", "\\[g,h\\] != 1"),
+            ("noncommuting-k", "commute"),
+            ("nan-g", "relation"),
+        ],
+    )
+    def test_batch_with_one_bad_row_raises(self, case, message):
+        # each check reads every row; a bad middle row raises as it does alone
+        rng = np.random.default_rng(86)
+        g, h = haar_sample(rng, (3,)), haar_sample(rng, (3,))
+        k = np.stack([axis_conjugator(commutator(g[i], h[i])).q for i in range(3)])
+        g, h = g.q.copy(), h.q.copy()
+        if case == "k-squared":
+            k[1] = I4.q
+        elif case == "commuting-pair":
+            g[1], h[1] = diag(0.3).q, diag(0.9).q
+            k[1] = DIAG_I.q
+        elif case == "noncommuting-k":
+            k[1] = np.concatenate(([0.0], AlgebraElement(rng.normal(size=3)).unit().v))
+        else:
+            g[1] = np.nan
+        for args in ((g, h, k), (g[1], h[1], k[1])):
+            with pytest.raises(PreconditionViolated, match=message):
+                blowup_point(*(GroupElement(q) for q in args))
+
     def test_stabilizer_pure_units_unique_up_to_sign(self):
         # the pure-imaginary stabilizer of a noncentral commutator is exactly
         # the +-(axis) pair: any pure unit commuting with it is parallel
@@ -488,6 +527,24 @@ class TestInjectivity:
             assert np.array_equal(got.fixed[m, 0], one.fixed)
             assert np.array_equal(got.equal[m, 0], one.equal)
             assert got.passed[m, 0] == one.passed
+
+    @pytest.mark.parametrize("arcs", [1, 2, 3])
+    @pytest.mark.parametrize("grid", range(2, 13))
+    def test_one_class_read_equals_the_two_reads(self, grid, arcs):
+        # the fixedness read is each point's class read against its swap, in
+        # the same call as the pairs: the masks are those of the separate
+        # reads (2e-16 splits the fixed mask, 1.0 the pair mask)
+        rng = np.random.default_rng(100 * grid + arcs)
+        theta, s = rng.uniform(0.3, np.pi - 0.3, size=(2, arcs))
+        points = n2_interval(theta[:, None], s[:, None], np.linspace(0.0, np.pi / 2, grid))
+        flat = Representation.from_slots(points.slots().reshape(-1, 4, 4))
+        i, j = np.triu_indices(grid, 1)
+        for tol in (EPS_MAT, 2e-16, 1.0):
+            got = certify_interval_injectivity(theta, s, grid, tol)
+            _, fixed = sigma_fixed_conjugator(flat, tol)
+            equal = [_class_equal(points[a, i], points[a, j], tol) for a in range(arcs)]
+            assert np.array_equal(got.fixed, fixed.reshape(arcs, grid))
+            assert np.array_equal(got.equal, np.stack(equal))
 
     def test_failures_read_per_arc(self):
         # a tolerance everything meets: every pair of every arc collides
@@ -723,6 +780,36 @@ class TestClassification:
         list(classify_fixed_points(every_piece_batch()))
         assert calls == [(3,)]  # the three N2 rows, in one solve
 
+    @pytest.mark.parametrize(
+        "rows",
+        [range(7), [3, 4, 5, 0], [0, 1, 2, 6], [6, 6, 6, 6]],
+        ids=["all", "n2", "no-n2", "central"],
+    )
+    def test_one_surface_read_equals_the_two_reads(self, monkeypatch, rows):
+        # the pillow-surface and other-surface reads of the N2 rows are one
+        # class-equality call over those rows stacked twice, and none without
+        # an N2 row; pieces and conjugators are those of the two-call read
+        sigma_module = sys.modules["charvar.sigma"]
+        calls, read = [], sigma_module._class_equal
+
+        def counted(rho, other, tol):
+            calls.append(rho.batch_shape)
+            return read(rho, other, tol)
+
+        batch = Representation.from_slots(every_piece_batch().slots()[list(rows)])
+        monkeypatch.setattr(sigma_module, "_class_equal", counted)
+        points = list(classify_fixed_points(batch))
+        monkeypatch.undo()
+        n2 = [i for i, r in enumerate(rows) if 3 <= r <= 5]
+        assert calls == ([(2 * len(n2),)] if n2 else [])
+        assert [point.piece for point in points] == [EVERY_PIECE[r] for r in rows]
+        if n2:
+            assert [points[i].piece for i in n2] == list(two_call_arc_pieces(batch[np.array(n2)]))
+        for i, point in enumerate(points):
+            one = classify_fixed_point(batch[i])
+            bits = (p.conjugator.q.view(np.int64) for p in (point, one))
+            assert np.array_equal(*bits)
+
     def test_batch_rows_match_single_calls(self):
         batch = every_piece_batch()
         points = list(classify_fixed_points(batch))
@@ -761,6 +848,16 @@ class TestClassification:
 
 
 _STRATUM = {StabilizerType.CENTER: Stratum.I, StabilizerType.TORUS: Stratum.II}
+
+
+def two_call_arc_pieces(arc: Representation, tol: float = EPS_MAT) -> np.ndarray:
+    """The pieces of a batch of N2 rows as the classification read them in
+    two class-equality calls, one per surface: kept as a reference."""
+    surface = _class_equal(arc, pillow_point(arc.g1, arc.h1), tol)
+    other = Representation(arc.g1, arc.h1, arc.h1.inverse(), arc.g1.inverse())
+    endpoint = _class_equal(arc, other, tol)
+    interval = np.where(endpoint, Piece.INTERVAL_ENDPOINT, Piece.INTERVAL_INTERIOR)
+    return np.where(surface, Piece.PILLOW_SURFACE, interval)
 
 
 def frozen_n2_read(rho: Representation, tol: float = EPS_MAT) -> tuple[Stratum, Piece]:

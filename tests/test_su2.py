@@ -628,6 +628,35 @@ def test_batched_conjugator_rows_match_scalar_solve(data):
         assert worst_r == worst_ref
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_reduced_svd_keeps_the_right_singular_vectors_bitwise(data):
+    # the conjugator solves read only vt, and the reduced SVD returns the
+    # full one's bits, for the 4-column systems and the 3-column pure ones;
+    # torus and central lists have null spaces of dimension 2 and 4
+    n = data.draw(st.integers(1, 4))
+    kind = data.draw(st.sampled_from(["random", "conjugate", "torus", "central"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        qa, qb = data.draw(quaternions((3, n))), data.draw(quaternions((3, n)))
+    else:
+        if kind == "torus":
+            axis = AlgebraElement(rng.normal(size=(3, 1, 3))).unit().v
+            qa = exp_alg(AlgebraElement(axis * rng.uniform(0.1, 3.0, size=(3, n, 1)))).q
+        elif kind == "central":
+            qa = rng.choice([-1.0, 1.0], size=(3, n, 1)) * I2.q
+        else:
+            qa = data.draw(quaternions((3, n)))
+        qb = conjugate(haar_sample(rng, (3, 1)), GroupElement(qa)).q
+    system = su2._conjugation_system(qa, qb)
+    for m in (system, system[..., 1:]):
+        full, reduced = (np.linalg.svd(m, full_matrices=f)[2] for f in (True, False))
+        assert _same_bits(full, reduced)
+    if kind in ("torus", "central"):
+        null = np.count_nonzero(np.linalg.svd(system, compute_uv=False) < 1e-7, axis=-1)
+        assert np.all(null == {"torus": 2, "central": 4}[kind])
+
+
 def test_conjugate_batched_k_single_g_matches_scalar():
     rng = np.random.default_rng(24)
     k, g = haar_sample(rng, (3,)), haar_sample(rng)
