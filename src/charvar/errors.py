@@ -2,7 +2,10 @@
 
 Every error raised by library code derives from :class:`CharVarError` so that
 callers (in particular the CLI) can distinguish domain failures from bugs.
+A batched map refuses a batch through :func:`_raise_first`, naming its first bad row.
 """
+
+import numpy as np
 
 __all__ = [
     "CharVarError",
@@ -57,3 +60,12 @@ class RelationViolated(PreconditionViolated):
 
 class ClassificationAmbiguity(CharVarError):
     """A fixed-point classification residual falls in the undecidable band."""
+
+
+def _raise_first(bad, error: type, what: str, rows: np.ndarray) -> None:
+    """Raise error if the NumPy bool (array) bad is set anywhere, with what,
+    the value of rows (whose leading axes are bad's shape) at the first set
+    index and, on a batch, that index, as in "(row (2,))"."""
+    if bad.any():
+        i = tuple(np.argwhere(bad)[0].tolist())
+        raise error(f"{what}: {rows[i]}" + (f" (row {i})" if i else ""))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGenerator
+from .errors import DegenerateGenerator, _raise_first
 from .repvar import Representation
 from .su2 import (
     AlgebraElement,
@@ -134,6 +134,11 @@ class FlowGenerators:
     Y_hat: AlgebraElement
 
 
+_DEGENERATE = tuple(
+    f"{name} is within {EPS_CENTER:g} of the center; the twist flows are defined "
+    "on interior classes only; vector norm" for name in ("h1", "h2", "h2*h1", "h1*h2"))
+
+
 def _generators(h1: np.ndarray, h2: np.ndarray) -> tuple:
     """The components of the unit generators (xi1, xi2, X, Y) of the
     quaternion arrays h1, h2: the axes of h1, h2, h2 h1 and h1 h2, whose
@@ -142,12 +147,8 @@ def _generators(h1: np.ndarray, h2: np.ndarray) -> tuple:
     h1, h2 = _split(h1), _split(h2)
     vecs = [h[1:] for h in (h1, h2, *_level(_qmul, [(h2, h1), (h1, h2)]))]
     norms = _level(_row_norm, [(v,) for v in vecs])
-    for name, n in zip(("h1", "h2", "h2*h1", "h1*h2"), norms):
-        if np.any(n < EPS_CENTER):
-            raise DegenerateGenerator(
-                f"{name} is within {EPS_CENTER:g} of the center; "
-                "the twist flows are defined on interior classes only"
-            )
+    for what, n in zip(_DEGENERATE, norms):
+        _raise_first(n < EPS_CENTER, DegenerateGenerator, what, n)
     return tuple(tuple(c / n for c in v) for v, n in zip(vecs, norms))
 
 

@@ -33,7 +33,7 @@ from typing import IO, Iterable, Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import OutsidePolytope, PreconditionViolated, ZeroVector
+from .errors import OutsidePolytope, PreconditionViolated, ZeroVector, _raise_first
 from .su2 import GroupElement, _blockwise, _qmul, _split, _trace_angle, commutator, distance
 from .tolerances import EPS_MAT, EPS_POLY
 
@@ -344,8 +344,7 @@ def boundary_commutation_check(
     outside the tetrahedron, as a non-finite one is."""
     coords = moment_coordinates(rho)
     outside, active = TILDE_DELTA._region_masks(coords, np.broadcast_to(poly_tol, rho.batch_shape))
-    if np.any(outside):
-        raise OutsidePolytope(f"moment triple {coords[outside][0]} violates the tetrahedron")
+    _raise_first(outside, OutsidePolytope, "moment triple violates the tetrahedron", coords)
     commute = distance(commutator(rho.h1, rho.h2), GroupElement.identity()) < mat_tol
     out = np.any(active, axis=-1) == commute
     return bool(out) if rho.batch_shape == () else out

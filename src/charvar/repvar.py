@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolated, RelationViolated
+from .errors import PreconditionViolated, RelationViolated, _raise_first
 from .su2 import (
     GroupElement,
     _blockwise,
@@ -123,13 +123,11 @@ def new_checked(
     PreconditionViolated) if the relation does not hold."""
     rho = Representation(g1, h1, g2, h2)
     for name, x in zip(_SLOTS, rho.elements()):
-        if not _unit_slots(x.q).all():
-            raise PreconditionViolated(f"slot {name} is not a finite unit quaternion")
-    worst = float(np.max(relation_residual(rho)))
-    if not worst < tol:  # a NaN residual or tolerance fails too
-        raise RelationViolated(
-            f"surface relation violated: residual {worst:.3e} >= {tol:.3e}"
-        )
+        _raise_first(~_unit_slots(x.q), PreconditionViolated,
+                     f"slot {name} is not a finite unit quaternion", x.q)
+    residual = relation_residual(rho)
+    _raise_first(~(residual < tol), RelationViolated,  # a NaN residual or tolerance fails too
+                 f"surface relation violated: residual >= {tol:.3e}", residual)
     return rho
 
 

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, _raise_first
 from .repvar import Representation, is_abelian
 from .su2 import AlgebraElement, GroupElement, _perpendicular, _vector_norm, conjugate, exp_alg
 from .su2 import haar_sample, is_central
@@ -285,10 +285,11 @@ def density_witness(rho: Representation, t: float) -> Representation:
     """
     if not (0.0 <= t <= 1.0):
         raise PreconditionViolated(f"path parameter must lie in [0, 1], got {t}")
-    if not np.all(is_abelian(rho)):
-        raise PreconditionViolated("density witness needs an abelian start point")
-    if np.any(is_central(GroupElement(rho.slots()))):
-        raise PreconditionViolated("density witness needs every slot noncentral")
+    slots = rho.slots()
+    _raise_first(np.logical_not(is_abelian(rho)), PreconditionViolated,  # not ~: ~True is -2
+                 "density witness needs an abelian start point", slots)
+    _raise_first(is_central(GroupElement(slots)).any(axis=-1), PreconditionViolated,
+                 "density witness needs every slot noncentral", slots)
     d = _deformation_direction(rho)
     k = exp_alg(AlgebraElement(t * WITNESS_RATE * d))
     return Representation(conjugate(k, rho.g1), conjugate(k, rho.h1), rho.g2, rho.h2)

@@ -43,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ClassificationAmbiguity, PreconditionViolated
+from .errors import ClassificationAmbiguity, PreconditionViolated, _raise_first
 from .repvar import Representation, _class_equal, _unit_slots, relation_residual
 from .su2 import (
     GroupElement,
@@ -120,11 +120,9 @@ def sigma(rho: Representation) -> Representation:
     Preserves the relation, so a residual of EPS_REL or more on the output
     means the input was off the relation manifold to begin with."""
     swapped = Representation(rho.h2, rho.g2, rho.h1, rho.g1)
-    res = float(np.max(relation_residual(swapped), initial=0.0))
-    if not res < EPS_REL:  # a non-finite quadruple reads as off the relation
-        raise PreconditionViolated(
-            f"sigma input violates the relation (output residual {res:.3e})"
-        )
+    res = relation_residual(swapped)
+    _raise_first(~(res < EPS_REL), PreconditionViolated,  # a non-finite row fails too
+                 "sigma input violates the relation; output residual", res)
     return swapped
 
 
@@ -267,16 +265,18 @@ def blowup_point(g: GroupElement, h: GroupElement, k: GroupElement) -> Represent
     arcs), or when some k fails to commute with its commutator or some result
     with the relation."""
     k2 = distance(mul(k, k), GroupElement.minus_identity())
-    if not np.all(_unit_slots(k.q) & (k2 < EPS_CENTER)):  # finite and unit
-        raise PreconditionViolated("blowup_point needs a unit k with k^2 = -1")
+    _raise_first(~(_unit_slots(k.q) & (k2 < EPS_CENTER)), PreconditionViolated,
+                 "blowup_point needs a unit k with k^2 = -1", k.q)  # finite and unit
     comm = commutator(g, h)
-    if np.any(distance(comm, GroupElement.identity()) < EPS_MAT):
-        raise PreconditionViolated("blowup_point needs [g,h] != 1")
-    if np.any(distance(commutator(comm, k), GroupElement.identity()) >= EPS_MAT):
-        raise PreconditionViolated("blowup_point needs k to commute with [g,h]")
+    _raise_first(distance(comm, GroupElement.identity()) < EPS_MAT, PreconditionViolated,
+                 "blowup_point needs [g,h] != 1", comm.q)
+    off = distance(commutator(comm, k), GroupElement.identity())
+    _raise_first(off >= EPS_MAT, PreconditionViolated,
+                 "blowup_point needs k to commute with [g,h]; [[g,h], k] off 1 by", off)
     rho = Representation(g, h, conjugate(k, h), conjugate(k, g))
-    if not np.all(relation_residual(rho) < EPS_REL):
-        raise PreconditionViolated("blowup_point result violates the relation")
+    res = relation_residual(rho)
+    _raise_first(~(res < EPS_REL), PreconditionViolated,
+                 "blowup_point result violates the relation; residual", res)
     return rho
 
 
@@ -288,8 +288,8 @@ def rp2_fiber_point(k: GroupElement) -> Representation:
 
     batched over the shape of k.  Classes depend on k only through +-k (an
     RP^2 of them)."""
-    if not np.all(distance(mul(k, k), GroupElement.minus_identity()) < EPS_CENTER):
-        raise PreconditionViolated("rp2_fiber_point needs k^2 = -1")
+    _raise_first(~(distance(mul(k, k), GroupElement.minus_identity()) < EPS_CENTER),
+                 PreconditionViolated, "rp2_fiber_point needs k^2 = -1", k.q)
     d, j = (GroupElement(np.broadcast_to(x.q, k.batch_shape + (4,))) for x in (DIAG_I, J))
     return Representation(d, j, conjugate(k, J), conjugate(k, DIAG_I))
 
@@ -318,16 +318,15 @@ def n2_interval(
     (theta, s) pair are both multiples of pi (the four degenerate central
     arcs) or when some alpha leaves [0, pi/2]."""
     theta, s, alpha = (np.asarray(x, dtype=np.float64) for x in (theta, s, alpha))
-    if not np.all((0.0 <= alpha) & (alpha <= np.pi / 2)):
-        raise PreconditionViolated("interval parameter must lie in [0, pi/2]")
-    if not (np.isfinite(theta).all() and np.isfinite(s).all()):
-        raise PreconditionViolated("arc angles must be finite")
+    _raise_first(~((0.0 <= alpha) & (alpha <= np.pi / 2)), PreconditionViolated,
+                 "interval parameter must lie in [0, pi/2]", alpha)
+    for x in (theta, s):
+        _raise_first(~np.isfinite(x), PreconditionViolated, "arc angles must be finite", x)
     g = _snapped_diag(theta)
     h = _snapped_diag(s)
-    if np.any((np.abs(g.q[..., 3]) < EPS_CENTER) & (np.abs(h.q[..., 3]) < EPS_CENTER)):
-        raise PreconditionViolated(
-            "degenerate arc: both angles are multiples of pi (central pair)"
-        )
+    sines = np.maximum(np.abs(g.q[..., 3]), np.abs(h.q[..., 3]))
+    _raise_first(sines < EPS_CENTER, PreconditionViolated,
+                 "degenerate arc: both angles are multiples of pi (central pair)", sines)
     ca, sa = _snap_trig(np.cos(alpha), np.sin(alpha))
     zero = np.zeros(alpha.shape)
     k = GroupElement(np.stack([zero, sa, zero, ca], axis=-1))
@@ -365,7 +364,10 @@ def certify_interval_injectivity(
     All arcs' grids are one batch, and one class-equality decision
     (repvar._class_equal) covers every point against its swap (a point is
     sigma-fixed exactly when it is one class with its swap) and every pair
-    i < j of every arc; each arc reads bit for bit as if alone."""
+    i < j of every arc; each arc reads bit for bit as if alone.
+    PreconditionViolated unless grid is an integer >= 0."""
+    if isinstance(grid, bool) or not (isinstance(grid, (int, np.integer)) and grid >= 0):
+        raise PreconditionViolated(f"grid must be an integer >= 0, got {grid}")
     theta, s = np.broadcast_arrays(np.asarray(theta, np.float64), np.asarray(s, np.float64))
     alphas = np.linspace(0.0, np.pi / 2, grid)
     arcs = n2_interval(theta.reshape(-1, 1), s.reshape(-1, 1), alphas)

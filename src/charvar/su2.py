@@ -98,7 +98,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CenterAmbiguity, ZeroVector
+from .errors import CenterAmbiguity, ZeroVector, _raise_first
 from .tolerances import EPS_CENTER, EPS_MAT
 
 __all__ = [
@@ -150,8 +150,7 @@ class GroupElement:
         """Build from quaternion components, renormalizing to unit norm."""
         q = np.array(q, dtype=np.float64)
         n2 = np.sum(q * q, axis=-1)
-        if np.any(n2 == 0.0):
-            raise ZeroVector("cannot normalize a zero quaternion")
+        _raise_first(n2 == 0.0, ZeroVector, "cannot normalize a zero quaternion", q)
         div = np.where(n2 == 1.0, 1.0, np.sqrt(n2))
         return cls(q / div[..., None])
 
@@ -261,8 +260,8 @@ class AlgebraElement:
     def unit(self) -> "AlgebraElement":
         """The unit-norm element along self; ZeroVector at zero."""
         n = self.norm
-        if np.any(n == 0.0):
-            raise ZeroVector("no direction defined for a zero algebra element")
+        _raise_first(n == 0.0, ZeroVector, "no direction defined for a zero algebra element",
+                     self.v)
         return AlgebraElement(self.v / np.asarray(n)[..., None])
 
     def __mul__(self, s: float) -> "AlgebraElement":
@@ -619,8 +618,8 @@ def log_grp(g: GroupElement) -> AlgebraElement:
     """
     w, vec = g.w, g.vec
     vn = np.linalg.norm(vec, axis=-1)
-    if np.any((w < 0.0) & (vn < EPS_CENTER)):
-        raise CenterAmbiguity("logarithm undefined within tolerance of -I")
+    _raise_first((w < 0.0) & (vn < EPS_CENTER), CenterAmbiguity,
+                 "logarithm undefined within tolerance of -I", g.q)
     theta = np.arctan2(vn, w)
     safe = np.where(vn > 0.0, vn, 1.0)
     return AlgebraElement(vec * (theta / safe)[..., None])

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FiberSolveFailure, OutsidePolytope, PreconditionViolated, SectionSolveFailure
+from .errors import FiberSolveFailure, OutsidePolytope, PreconditionViolated
+from .errors import SectionSolveFailure, _raise_first
 from .flows import TorusElement, act, generators
 from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda_coordinates
 from .repvar import Representation
@@ -63,18 +64,6 @@ class FiberCoordinates:
     angles: TorusElement
 
 
-def _as_interior_points(x) -> np.ndarray:
-    coords = x.x if isinstance(x, SimplexPoint) else np.asarray(x, dtype=np.float64)
-    if coords.shape[-1:] != (3,):
-        raise ValueError("section expects base points of shape (..., 3)")
-    outside = ~(STD_DELTA.margin(coords) < 0.0)  # NaN rows are outside too
-    if np.any(outside):
-        raise PreconditionViolated(
-            f"section needs strictly interior base points, got {coords[outside]}"
-        )
-    return coords
-
-
 def section(x) -> Representation:
     """tau's fixed branch (h1^(-1/2), h1, h2^(-1/2), h2) over the open simplex
     (see module header).
@@ -84,12 +73,17 @@ def section(x) -> Representation:
     alone.  The relation residual is at roundoff, and mu_lambda equals x to
     roundoff away from the boundary (README "Boundary envelope").
     """
-    theta = np.pi * M_P.apply(_as_interior_points(x))
+    coords = x.x if isinstance(x, SimplexPoint) else np.asarray(x, dtype=np.float64)
+    if coords.shape[-1:] != (3,):
+        raise ValueError("section expects base points of shape (..., 3)")
+    _raise_first(~(STD_DELTA.margin(coords) < 0.0), PreconditionViolated,  # NaN rows too
+                 "section needs strictly interior base points", coords)
+    theta = np.pi * M_P.apply(coords)
     t1, t2 = theta[..., 0], theta[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         cphi = (np.cos(t1) * np.cos(t2) - np.cos(theta[..., 2])) / (np.sin(t1) * np.sin(t2))
-    if not np.all(np.isfinite(cphi)):
-        raise SectionSolveFailure("base point too close to the vertex x = 0: the h2 axis is 0/0")
+    _raise_first(~np.isfinite(cphi), SectionSolveFailure,
+                 "base point too close to the vertex x = 0: the h2 axis is 0/0", coords)
     phi = np.arccos(np.clip(cphi, -1.0, 1.0))
     zero = np.zeros_like(t1)
     m = np.stack([np.sin(phi), zero, np.cos(phi)], axis=-1)  # the axis of h2
@@ -98,13 +92,6 @@ def section(x) -> Representation:
     g1 = np.stack([np.cos(t1 / 2), zero, zero, -np.sin(t1 / 2)], axis=-1)
     g2 = np.concatenate((np.cos(t2 / 2)[..., None], -np.sin(t2 / 2)[..., None] * m), axis=-1)
     return Representation(*(GroupElement(q) for q in (g1, h1, g2, h2)))
-
-
-def _raise_first(bad: np.ndarray, error: type, what: str, rows: np.ndarray) -> None:
-    """Raise error for the batch, naming the first row flagged in bad."""
-    if np.any(bad):
-        i = tuple(np.argwhere(bad)[0].tolist())
-        raise error(f"{what}: {rows[i]}" + (f" (row {i})" if i else ""))
 
 
 def fiber_coordinates(rho: Representation) -> FiberCoordinates:

@@ -1,4 +1,4 @@
-"""The batched flows, tau, sigma and density verify suites, the chunked
+"""The batched flows, polytope, tau, sigma and density verify suites, the chunked
 interior sampler and the batched sigma and density constructions, against the
 per-item loops they replaced.
 
@@ -23,7 +23,9 @@ from charvar.claims import (
     _ID,
     _density_suite,
     _flows_suite,
+    _near_boundary_draw,
     _nonkernel_torus,
+    _polytope_suite,
     _pure_unit,
     _sigma_suite,
     _tau_suite,
@@ -32,7 +34,17 @@ from charvar.claims import (
 )
 from charvar.errors import OutsidePolytope, PreconditionViolated
 from charvar.flows import TorusElement, act, verify_flow_identities
-from charvar.polytope import SimplexPoint, moment_mu, mu_lambda, mu_lambda_coordinates
+from charvar.polytope import (
+    M_P,
+    STD_DELTA,
+    TILDE_DELTA,
+    SimplexPoint,
+    boundary_commutation_check,
+    moment_mu,
+    mu_lambda,
+    mu_lambda_coordinates,
+    trace_triple,
+)
 from charvar.repvar import Representation, class_equal, is_abelian, relation_residual
 from charvar.sampler import (
     _CHUNK,
@@ -59,7 +71,7 @@ from charvar.sigma import (
     rp2_fiber_point,
     sigma_fixed_conjugator,
 )
-from charvar.su2 import GroupElement, _cross, haar_sample
+from charvar.su2 import AlgebraElement, GroupElement, _cross, exp_alg, haar_sample
 from charvar.tau import section, tau
 from charvar.tolerances import DEFAULT, Tolerances
 
@@ -91,6 +103,48 @@ def flows_oracle(n, rng, tol):
             ok &= not class_equal(act(_nonkernel_torus(rng), rho), rho, tol=tol.mat)
         failures += 0 if ok else 1
     return n, failures, res
+
+
+def polytope_oracle(n, rng, tol):
+    failures = 0
+    res = {
+        "tetra-membership": -np.inf,
+        "vertex-bijection": 0.0,
+        "quotient-interior": -np.inf,
+        "section-roundtrip": 0.0,
+    }
+    a, b = haar_sample(rng, (n,)), haar_sample(rng, (n,))
+    for i in range(n):
+        margin = float(TILDE_DELTA.margin(trace_triple(a[i], b[i])))
+        res["tetra-membership"] = max(res["tetra-membership"], margin)
+        failures += margin > tol.poly
+
+    small = n // 10 + 1
+    for _ in range(small):  # each near-boundary row at its own tolerances
+        eps, t1, t2 = _near_boundary_draw(rng)
+        bump = exp_alg(AlgebraElement(np.array([eps, 0.0, 0.0])))
+        rho = Representation(_diag(0.1), _diag(t1), _diag(0.2), bump * _diag(t2))
+        failures += not boundary_commutation_check(rho, 10.0 * eps, 10.0 * eps)
+    for _ in range(small):
+        failures += not boundary_commutation_check(single_interior(rng), tol.poly, tol.mat)
+
+    images = (M_P.m.astype(np.int64) @ STD_DELTA.vertices.astype(np.int64).T).T
+    got = {tuple(int(x) for x in v) for v in images}
+    if got != {tuple(int(x) for x in v) for v in TILDE_DELTA.vertices.astype(np.int64)}:
+        failures += 1
+        res["vertex-bijection"] = 1.0
+
+    for _ in range(small):
+        m = float(STD_DELTA.margin(mu_lambda_coordinates(single_interior(rng))))
+        res["quotient-interior"] = max(res["quotient-interior"], m)
+        failures += m >= 0.0
+    for _ in range(small):
+        x = rng.uniform(0.05, 0.45, size=3)
+        if float(STD_DELTA.margin(x)) <= -0.02:
+            err = float(np.max(np.abs(mu_lambda_coordinates(section(x)) - x)))
+            res["section-roundtrip"] = max(res["section-roundtrip"], err)
+            failures += err > 100.0 * tol.f
+    return n + 3 * small, failures, res
 
 
 def tau_oracle(n, rng, tol):
@@ -178,6 +232,7 @@ def density_oracle(n, rng, tol):
 
 SUITES = [
     (_flows_suite, flows_oracle),
+    (_polytope_suite, polytope_oracle),
     (_tau_suite, tau_oracle),
     (_sigma_suite, sigma_oracle),
     (_density_suite, density_oracle),

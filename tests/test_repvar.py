@@ -122,6 +122,11 @@ class TestRelation:
         with pytest.raises(RelationViolated):  # nor does a NaN tolerance accept
             new_checked(g1, h1, g2, h2, tol=float("nan"))
 
+    def test_new_checked_takes_an_empty_batch(self):
+        empty = GroupElement(np.zeros((0, 4)))
+        rho = new_checked(empty, empty, empty, empty)
+        assert rho.batch_shape == (0,) and all(x is empty for x in rho.elements())
+
     def test_new_checked_rejects_non_unit_slots(self):
         # the products renormalize: four copies of 2*I have residual 0
         two = GroupElement(np.array([2.0, 0.0, 0.0, 0.0]))

@@ -494,6 +494,12 @@ class TestInjectivity:
         with pytest.raises(PreconditionViolated):  # also with no grid point
             certify_interval_injectivity(0.0, np.pi, grid=0)
 
+    @pytest.mark.parametrize("grid", [-1, 2.5])
+    def test_bad_grid_rejected(self, grid):
+        # a precondition, not the ValueError or TypeError of NumPy
+        with pytest.raises(PreconditionViolated, match="grid must be an integer >= 0"):
+            certify_interval_injectivity(0.7, 1.3, grid)
+
     @given(ANGLE, ANGLE, st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_loop(self, theta, s, grid):
