@@ -209,9 +209,14 @@ def _tau_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, 
     return n, int(np.count_nonzero(~ok)), res
 
 
+def _pure(v: np.ndarray) -> GroupElement:
+    """The pure unit quaternions along the vectors v, of shape (..., 3)."""
+    u = AlgebraElement(v).unit().v
+    return GroupElement(np.concatenate((np.zeros(u.shape[:-1] + (1,)), u), axis=-1))
+
+
 def _pure_unit(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupElement:
-    v = AlgebraElement(rng.normal(size=shape + (3,))).unit()
-    return GroupElement(np.concatenate((np.zeros(shape + (1,)), v.v), axis=-1))
+    return _pure(rng.normal(size=shape + (3,)))
 
 
 def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
@@ -252,9 +257,8 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
 def _density_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
     angles = rng.uniform(0.3, np.pi - 0.3, size=(n, 4))
     rho = Representation(*(_diag(angles[:, i]) for i in range(4)))
-    near = density_witness(rho, 1e-4)
-    gap = near.slot_distance(rho)
-    witnesses = _stacked(near, density_witness(rho, 0.5), density_witness(rho, 1.0))
+    witnesses = density_witness(_stacked(rho, rho, rho), np.repeat([1e-4, 0.5, 1.0], n))
+    gap = witnesses[:n].slot_distance(rho)
     ok = ~np.any(is_abelian(witnesses, tol.mat).reshape(3, n), axis=0) & (gap < 1e-3)
     return n, int(np.count_nonzero(~ok)), {"witness-approach": _worst(0.0, gap)}
 
@@ -306,26 +310,40 @@ def run_verify(
     )
 
 
+_FIXED_POINT_BUILDS = (
+    lambda g, h, _: pillow_point(GroupElement(g), GroupElement(h)),
+    lambda g, h, axis: blowup_point(GroupElement(g), GroupElement(h), _pure(axis)),
+    lambda v: rp2_fiber_point(_pure(v)),
+    n2_interval,
+)
+
+
 def _fixed_point_stream(count: int, rng: np.random.Generator) -> Iterator[Representation]:
-    # pillow, blow-up, RP^2 and arc points in turn, drawn item by item and stacked
+    # pillow, blow-up, RP^2 and arc points in turn.  Each chunk makes every
+    # item's draws in stream order (a pair whose commutator's axis is shorter
+    # than 1e-3 is drawn again), then builds each kind in one call; as _CHUNK
+    # is a multiple of 4, kind j is every fourth row from row j.
     for start in range(0, count, _CHUNK):
-        rows: list[np.ndarray] = []
-        while len(rows) < min(_CHUNK, count - start):
-            kind = (start + len(rows)) % 4
+        size = min(_CHUNK, count - start)
+        draws: list[list] = [[], [], [], []]
+        for kind in (np.arange(size) % 4).tolist():
             if kind < 2:
-                g, h = haar_sample(rng), haar_sample(rng)
-                axis = commutator(g, h).vec
-                if float(np.linalg.norm(axis)) < 1e-3:
-                    continue
-                k = GroupElement(np.concatenate(([0.0], AlgebraElement(axis).unit().v)))
-                rho = pillow_point(g, h) if kind == 0 else blowup_point(g, h, k)
+                axis = np.zeros(3)
+                while float(np.linalg.norm(axis)) < 1e-3:
+                    g, h = haar_sample(rng), haar_sample(rng)
+                    axis = commutator(g, h).vec
+                draws[kind].append((g.q, h.q, axis))
             elif kind == 2:
-                rho = rp2_fiber_point(_pure_unit(rng))
+                draws[2].append((rng.normal(size=3),))
             else:
-                theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
-                rho = n2_interval(float(theta), float(s), float(rng.uniform(0.1, np.pi / 2 - 0.1)))
-            rows.append(rho.slots())
-        yield Representation.from_slots(np.stack(rows))
+                theta_s = rng.uniform(0.3, np.pi - 0.3, size=2)
+                draws[3].append((*theta_s, rng.uniform(0.1, np.pi / 2 - 0.1)))
+        slots = np.empty((size, 4, 4))
+        for kind, rows in enumerate(draws):
+            if rows:
+                built = _FIXED_POINT_BUILDS[kind](*(np.array(a) for a in zip(*rows)))
+                slots[kind::4] = built.slots()
+        yield Representation.from_slots(slots)
 
 
 def run_sigma_certification(

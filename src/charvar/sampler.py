@@ -10,8 +10,8 @@ The interior sampler draws the base uniformly on the open simplex.  That is a
 convenience measure chosen for coverage of the polytope, not a canonical
 volume on the class space.
 
-Interior items and density witnesses are built in batches, each row bit for
-bit the item built alone.
+Interior items and density witnesses (at one path parameter, or one per
+quadruple) are built in batches, each row bit for bit the item built alone.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def _deformation_direction(rho: Representation) -> np.ndarray:
     return _perpendicular(axis / np.take_along_axis(norms, first, axis=-1))
 
 
-def density_witness(rho: Representation, t: float) -> Representation:
+def density_witness(rho: Representation, t: float | np.ndarray) -> Representation:
     """Deform abelian quadruples off their torus along an explicit path.
 
     Conjugates the first pair ``(g1, h1)`` by ``k(t) = exp(t * (pi/4) * d)``
@@ -268,30 +268,33 @@ def density_witness(rho: Representation, t: float) -> Representation:
     ``(g2, h2)`` untouched.  ``k(0)`` is the identity, and for every
     ``t in (0, 1]`` the rotated axis differs from the original, so the output
     is non-abelian while still solving the relation exactly (both pair
-    commutators stay trivial).  Batched over ``rho``; row i is bit for bit
-    the witness of quadruple i alone.
+    commutators stay trivial).  Batched over ``rho`` and ``t``; row i is bit
+    for bit the witness of quadruple i alone at its own ``t``.
 
     Parameters
     ----------
     rho:
         Abelian quadruples with no slot equal to plus or minus the identity.
     t:
-        Path parameter in [0, 1].
+        Path parameter in [0, 1], one value or one per quadruple.
 
     Raises
     ------
     PreconditionViolated
         If ``rho`` is not abelian, a slot is central, or ``t`` leaves [0, 1].
     """
-    if not (0.0 <= t <= 1.0):
+    if np.ndim(t) == 0 and not (0.0 <= t <= 1.0):
         raise PreconditionViolated(f"path parameter must lie in [0, 1], got {t}")
+    t = np.asarray(t, dtype=np.float64)
+    _raise_first(~((0.0 <= t) & (t <= 1.0)), PreconditionViolated,
+                 "path parameter must lie in [0, 1]", t)
     slots = rho.slots()
     _raise_first(np.logical_not(is_abelian(rho)), PreconditionViolated,  # not ~: ~True is -2
                  "density witness needs an abelian start point", slots)
     _raise_first(is_central(GroupElement(slots)).any(axis=-1), PreconditionViolated,
                  "density witness needs every slot noncentral", slots)
     d = _deformation_direction(rho)
-    k = exp_alg(AlgebraElement(t * WITNESS_RATE * d))
+    k = exp_alg(AlgebraElement((t * WITNESS_RATE)[..., None] * d))
     return Representation(conjugate(k, rho.g1), conjugate(k, rho.h1), rho.g2, rho.h2)
 
 

@@ -1,6 +1,6 @@
 """The batched flows, polytope, tau, sigma and density verify suites, the chunked
-interior sampler and the batched sigma and density constructions, against the
-per-item loops they replaced.
+interior sampler, the sigma fixed-point stream and the batched sigma, density
+and flow-identity constructions, against the per-item loops they replaced.
 
 The oracles below build one sample at a time (for interior samples: base
 point, torus angles, Haar conjugator, each drawn just before it is used) and
@@ -18,10 +18,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from charvar import su2
+from charvar import claims, su2
 from charvar.claims import (
     _ID,
     _density_suite,
+    _fixed_point_stream,
     _flows_suite,
     _near_boundary_draw,
     _nonkernel_torus,
@@ -64,6 +65,7 @@ from charvar.sampler import (
 )
 from charvar.sigma import (
     Stratum,
+    blowup_point,
     certify_interval_injectivity,
     classify_fixed_point,
     n2_interval,
@@ -71,7 +73,7 @@ from charvar.sigma import (
     rp2_fiber_point,
     sigma_fixed_conjugator,
 )
-from charvar.su2 import AlgebraElement, GroupElement, _cross, exp_alg, haar_sample
+from charvar.su2 import AlgebraElement, GroupElement, _cross, commutator, exp_alg, haar_sample
 from charvar.tau import section, tau
 from charvar.tolerances import DEFAULT, Tolerances
 
@@ -230,6 +232,42 @@ def density_oracle(n, rng, tol):
     return n, failures, res
 
 
+def fixed_point_oracle(count, rng, haar=haar_sample):
+    """The fixed-point stream built item by item, as lists of slot arrays per
+    chunk, and the number of near-commuting pairs drawn again."""
+    chunks, redraws = [], 0
+    for start in range(0, count, _CHUNK):
+        rows = []
+        while len(rows) < min(_CHUNK, count - start):
+            kind = (start + len(rows)) % 4
+            if kind < 2:
+                g, h = haar(rng), haar(rng)
+                axis = commutator(g, h).vec
+                if float(np.linalg.norm(axis)) < 1e-3:
+                    redraws += 1
+                    continue
+                k = GroupElement(np.concatenate(([0.0], AlgebraElement(axis).unit().v)))
+                rho = pillow_point(g, h) if kind == 0 else blowup_point(g, h, k)
+            elif kind == 2:
+                rho = rp2_fiber_point(_pure_unit(rng))
+            else:
+                theta, s = rng.uniform(0.3, np.pi - 0.3, size=2)
+                rho = n2_interval(float(theta), float(s), float(rng.uniform(0.1, np.pi / 2 - 0.1)))
+            rows.append(rho.slots())
+        chunks.append(rows)
+    return chunks, redraws
+
+
+def flow_identities_oracle(rho, t):
+    """The residuals of verify_flow_identities by the public su2 calls."""
+    t = np.asarray(t, dtype=np.float64)[..., None]
+    etx = exp_alg(AlgebraElement(2.0 * su2.mul(rho.h2, rho.h1).vec * t))
+    ety = exp_alg(AlgebraElement(2.0 * su2.mul(rho.h1, rho.h2).vec * t))
+    residual_h2 = su2.distance(su2.mul(etx, rho.h2), su2.mul(rho.h2, ety))
+    residual_h1 = su2.distance(su2.mul(rho.h1, etx), su2.mul(ety, rho.h1))
+    return residual_h2, residual_h1
+
+
 SUITES = [
     (_flows_suite, flows_oracle),
     (_polytope_suite, polytope_oracle),
@@ -296,10 +334,12 @@ def test_tau_suite_at_a_tiny_turn_equals_per_item_loop(samples):
     assert got == tau_oracle(samples, TinyFirstTurn(samples), DEFAULT)
 
 
-def _solve_calls(f, *args) -> tuple[int, int]:
-    """The su2.find_conjugator calls f(*args) makes, counted at every charvar
-    module name bound to it, and its np.linalg.svd calls."""
-    real_solve, real_svd, calls = su2.find_conjugator, np.linalg.svd, []
+def _counted_calls(f, *args, names=("find_conjugator",)) -> dict:
+    """The calls f(*args) makes to the charvar functions of the given names,
+    each counted at every charvar module name bound to it, and its
+    np.linalg.svd calls (under "svd")."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("charvar")]
+    calls: list[str] = []
 
     def counted(real, name):
         def wrapper(*a, **k):
@@ -308,15 +348,21 @@ def _solve_calls(f, *args) -> tuple[int, int]:
 
         return wrapper
 
-    modules = [m for name, m in sys.modules.items() if name.startswith("charvar")]
     with contextlib.ExitStack() as stack:
-        solve = counted(real_solve, "solve")
-        for m in modules:
-            if getattr(m, "find_conjugator", None) is real_solve:
-                stack.enter_context(mock.patch.object(m, "find_conjugator", solve))
-        stack.enter_context(mock.patch.object(np.linalg, "svd", counted(real_svd, "svd")))
+        for name in names:
+            real = next(getattr(m, name) for m in modules if hasattr(m, name))
+            wrapper = counted(real, name)
+            for m in modules:
+                if getattr(m, name, None) is real:
+                    stack.enter_context(mock.patch.object(m, name, wrapper))
+        stack.enter_context(mock.patch.object(np.linalg, "svd", counted(np.linalg.svd, "svd")))
         f(*args)
-    return calls.count("solve"), calls.count("svd")
+    return {name: calls.count(name) for name in (*names, "svd")}
+
+
+def certify_round(samples=10):
+    run_verify("all", samples=10, seed=3)
+    run_sigma_certification(samples, seed=3, grid=10)
 
 
 def test_certify_round_makes_pinned_solves():
@@ -324,11 +370,22 @@ def test_certify_round_makes_pinned_solves():
     # (pillow and interior fixedness, projective classes, arc grids, central
     # classification) and 3 in certify-sigma (classification, both N2
     # surfaces, arc grids); one SVD each, plus the N2 rows' pure solve
-    def round_():
-        run_verify("all", samples=10, seed=3)
-        run_sigma_certification(10, seed=3, grid=10)
+    assert _counted_calls(certify_round) == {"find_conjugator": 8, "svd": 9}
 
-    assert _solve_calls(round_) == (8, 9)
+
+@pytest.mark.parametrize("samples, chunks", [(10, 1), (_CHUNK + 2, 2)])
+def test_certify_round_makes_pinned_builds(samples, chunks):
+    # one density witness call and one blow-up build per fixed-point chunk (the
+    # second chunk holds a pillow and a blow-up point); the flow identities and
+    # the fixed-point builds call the kernels, not the public product or exponential.
+    # The products left: 4 in tau, the polytope suite's bump, 2 projective
+    # builds, the central classification, and per chunk the classification
+    # and blowup_point's k^2; the exponentials: 8 diagonal slots, the bump
+    # and the witnesses' conjugators
+    names = ("density_witness", "blowup_point", "mul", "exp_alg")
+    calls = _counted_calls(certify_round, samples, names=names)
+    assert calls == {"density_witness": 1, "blowup_point": chunks, "mul": 8 + 2 * chunks,
+                     "exp_alg": 10, "svd": 9 + chunks - 1}
 
 
 SINGLE = {
@@ -381,6 +438,14 @@ def test_density_witness_rows_are_single_calls():
         assert batch.batch_shape == (40,)
         for i in range(40):
             assert same_bits(batch[i], density_witness(rho[i], t))
+    # one path parameter per quadruple, the ends of the path included
+    t = rng.uniform(0.0, 1.0, size=40)
+    t[:4] = 0.0, 1e-4, 0.5, 1.0
+    batch = density_witness(rho, t)
+    assert batch.batch_shape == (40,)
+    for i in range(40):
+        assert same_bits(batch[i], density_witness(rho[i], float(t[i])))
+        assert same_bits(batch[i], density_witness(rho, float(t[i]))[i])
 
 
 def test_rp2_fiber_point_rows_are_single_calls():
@@ -457,3 +522,63 @@ def test_batched_preconditions_hold_on_every_row():
     k[4] = haar_sample(rng).q  # k^2 != -1 in one row
     with pytest.raises(PreconditionViolated):
         rp2_fiber_point(GroupElement(k))
+
+
+def stream_bits(count, rng) -> list:
+    return [batch.slots() for batch in _fixed_point_stream(count, rng)]
+
+
+@pytest.mark.parametrize("count", [*range(1, 10), 40, 257])
+@pytest.mark.parametrize("seed", [0, 3, 5, 7919])
+def test_fixed_point_stream_equals_per_item_loop(count, seed):
+    # 257 crosses a chunk boundary; every slot bit and the generator's state
+    # after the stream are the per-item loop's
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = stream_bits(count, rng)
+    want, _ = fixed_point_oracle(count, want_rng)
+    assert [len(chunk) for chunk in got] == [len(chunk) for chunk in want]
+    for chunk, rows in zip(got, want):
+        assert np.array_equal(chunk.view(np.int64), np.stack(rows).view(np.int64))
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def commuting_haar(rng, shape=()):
+    """haar_sample, with every draw whose scalar part exceeds 0.3 turned onto
+    the z axis: a pair of two such draws commutes and is drawn again."""
+    q = haar_sample(rng, shape).q
+    if shape or q[0] <= 0.3:
+        return GroupElement(q)
+    return GroupElement(np.array([q[0], 0.0, 0.0, np.sqrt(1.0 - q[0] * q[0])]))
+
+
+@pytest.mark.parametrize("count", [9, 40])
+def test_fixed_point_stream_redraws_commuting_pairs(count):
+    rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    with mock.patch.object(claims, "haar_sample", commuting_haar):
+        got = stream_bits(count, rng)
+    want, redraws = fixed_point_oracle(count, want_rng, haar=commuting_haar)
+    assert redraws > 0
+    assert np.array_equal(got[0].view(np.int64), np.stack(want[0]).view(np.int64))
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_flow_identities_equal_public_call_chain():
+    rng = np.random.default_rng(43)
+    rho = _interior_build([_interior_draw(rng) for _ in range(12)])
+    slots = rho.slots().copy()
+    slots[0, 1] = [1.0, 0.0, 0.0, 0.0]  # h1 exactly central: the exact-centre branch
+    slots[1, 3] = [-1.0, 0.0, 0.0, 0.0]
+    slots[2, 1], slots[2, 3] = [-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]
+    rho = Representation.from_slots(slots)
+    # times at multiples of pi/2, and times where |X| t is one (the trig snap)
+    norm = 2.0 * np.linalg.norm(su2.mul(rho.h2, rho.h1).vec, axis=-1)
+    quarter = np.arange(12) * (np.pi / 2)
+    snapped = np.where(norm > 0.0, quarter / np.where(norm > 0.0, norm, 1.0), 0.0)
+    cases = [(rho, t) for t in (quarter, snapped, rng.uniform(0.0, 2.0 * np.pi, 12), 0.37)]
+    cases += [(rho[i], t[i]) for i in range(12) for t in (quarter, snapped)]
+    cases += [(rho[5], quarter)]  # one quadruple at many times
+    for r, t in cases:
+        report = verify_flow_identities(r, t)
+        for got, want in zip((report.residual_h2, report.residual_h1), flow_identities_oracle(r, t)):
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))

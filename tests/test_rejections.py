@@ -195,6 +195,13 @@ def central_slot(rng):
     return witness(slots)
 
 
+def t_outside(rng):
+    rho = Representation.from_slots(abelian_slots(rng))
+    t = np.linspace(0.0, 1.0, 4)
+    t[2] = 1.5
+    return (rho, t), (rho[2], t[2])
+
+
 def base_on_boundary(rng):
     x = np.full((2, 3, 3), 0.2)
     x[1, 2] = [0.5, 0.5, 0.0]
@@ -248,6 +255,8 @@ CASES = {
                                 "density witness needs an abelian start point", (2,)),
     "density_witness-central": (density_witness, central_slot, PreconditionViolated,
                                 "density witness needs every slot noncentral", (2,)),
+    "density_witness-t": (density_witness, t_outside, PreconditionViolated,
+                          "path parameter must lie in [0, 1]", (2,)),
     "section-interior": (section, base_on_boundary, PreconditionViolated,
                          "section needs strictly interior base points", (1, 2)),
     "section-vertex": (section, base_at_vertex, SectionSolveFailure,
