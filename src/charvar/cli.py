@@ -2,7 +2,8 @@
 
 Formats: JSONL for representation streams, CSV for point clouds, JSON for
 reports.  Every run is a deterministic function of its flags: all randomness
-flows from ``--seed``.
+flows from ``--seed``.  The stream stages render each chunk of lines from one
+float array, through one line template, to the bytes json.dumps or csv.writer gave.
 
 Exit codes: 0 success, 1 verification failures, 2 flag, config, input or path
 errors, 3 solve failures.
@@ -30,7 +31,7 @@ from .errors import (
     SectionSolveFailure,
 )
 from .flows import TorusElement, act
-from .polytope import M_P, moment_coordinates, moment_mu, mu_lambda, write_simplex_csv
+from .polytope import _CSV_HEADER, M_P, _write_moment_rows, moment_coordinates
 from .repvar import _SLOTS, Representation, _class_equal, _unit_slots, relation_residual
 from .sampler import _CHUNK, SampleSpec, Target, sample_batches
 from .sigma import classify_fixed_points
@@ -40,25 +41,36 @@ from .tolerances import DEFAULT, Tolerances
 
 __all__ = ["main"]
 
-_KEYS = (*_SLOTS, "residual", "mu", "mu_lambda")
-
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
+# A line is json.dumps of its row's dict.  Every value the CLI writes is finite: slots
+# are unit-checked or built from finite draws, the other columns finite functions of
+# them.  json.dumps writes a finite float as float.__repr__, which %r gives for the Python
+# floats of tolist (not for np.float64).  Stratum names and piece values are plain ASCII.
+_BODY = ", ".join([*(f'"{key}": [%r, %r, %r, %r]' for key in _SLOTS), '"residual": %r'])
+_BODY += ', "mu": [%r, %r, %r], "mu_lambda": [%r, %r, %r]'
+_LINE = "{" + _BODY + "}\n"
+_TAGGED = "{" + _BODY + ', "stratum": "%s", "piece": "%s"}\n'
 
-def _rep_objs(rho: Representation) -> list[dict]:
-    """JSON-ready dicts of a batch: slots, residual and moment columns, each computed once."""
+
+def _rep_columns(rho: Representation) -> np.ndarray:
+    """The (n, 23) columns of a batch's lines: 16 slot components, residual, mu, mu_lambda."""
     mu = moment_coordinates(rho)
-    columns = (rho.slots(), relation_residual(rho), mu, M_P.apply_inverse(mu))
-    rows = zip(*(column.tolist() for column in columns))
-    return [dict(zip(_KEYS, (*slots, *rest))) for slots, *rest in rows]
+    slots = rho.slots().reshape(-1, 16)
+    return np.column_stack([slots, relation_residual(rho), mu, M_P.apply_inverse(mu)])
+
+
+def _lines(rho: Representation) -> str:
+    """The JSONL lines of a batch, one _LINE per row of its columns."""
+    return "".join(_LINE % tuple(row) for row in _rep_columns(rho).tolist())
 
 
 def rep_to_obj(rho: Representation) -> dict:
-    """JSON-ready dict for one representation: the one-row case of _rep_objs."""
-    return _rep_objs(rho[None])[0]
+    """JSON-ready dict for one representation: its line, parsed."""
+    return json.loads(_lines(rho[None]))
 
 
 def rep_from_obj(obj: dict) -> Representation:
@@ -122,10 +134,6 @@ def read_jsonl(stream: IO[str], rel_tol: float) -> Iterator[Representation]:
             raise type(error)(f"line {chunk[rho.batch_shape[0]][0]}: {error}")
 
 
-def _write_lines(stream: IO[str], objs: list[dict]) -> None:
-    stream.write("".join(json.dumps(obj) + "\n" for obj in objs))
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -172,7 +180,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     )
     with _opened(args.out, "w", sys.stdout) as out:
         for rho in sample_batches(spec):
-            _write_lines(out, _rep_objs(rho))
+            out.write(_lines(rho))
     return 0
 
 
@@ -187,19 +195,18 @@ def cmd_flow(args: argparse.Namespace) -> int:
                 moved = act(t, rho)
             except DegenerateGenerator:  # write the rows before the boundary class
                 for i in range(rho.batch_shape[0]):
-                    _write_lines(out, _rep_objs(act(t, rho[i : i + 1])))
+                    out.write(_lines(act(t, rho[i : i + 1])))
                 raise
-            _write_lines(out, _rep_objs(moved))
+            out.write(_lines(moved))
     return 0
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
-        rows = read_jsonl(src, tol.rel)
-        moment = mu_lambda if args.quotient else moment_mu
-        points = (p for rho in rows for p in moment(rho, tol.poly))
-        write_simplex_csv(points, out)
+        out.write(_CSV_HEADER)
+        for rho in read_jsonl(src, tol.rel):
+            _write_moment_rows(out, moment_coordinates(rho), args.quotient, tol.poly)
     return 0
 
 
@@ -211,7 +218,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
             image = tau(rho)
             if args.check:
                 bad += int(np.count_nonzero(~_class_equal(tau(image), rho, tol.mat)))
-            _write_lines(out, _rep_objs(image))
+            out.write(_lines(image))
     return 1 if bad else 0
 
 
@@ -220,10 +227,9 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     with _opened(args.out, "w", sys.stdout) as out:
         for batch in _fixed_point_stream(args.count, rng):
-            # at an unclassifiable row, the lines before it are written
-            for obj, point in zip(_rep_objs(batch), classify_fixed_points(batch, tol=tol.mat)):
-                obj["stratum"], obj["piece"] = point.stratum.name, point.piece.value
-                _write_lines(out, [obj])
+            rows = zip(_rep_columns(batch).tolist(), classify_fixed_points(batch, tol.mat))
+            for row, point in rows:  # at an unclassifiable row, the lines before it are written
+                out.write(_TAGGED % (*row, point.stratum.name, point.piece.value))
     return 0
 
 

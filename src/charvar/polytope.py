@@ -26,7 +26,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator, Optional, TYPE_CHECKING
@@ -99,6 +98,11 @@ class Region:
         return f"{self.kind.value}({'|'.join(str(i) for i in self.active)})"
 
 
+# the region of each bitmask of active constraints (RegionKind in order, 3 or 4: a vertex)
+_ACTIVE = [tuple(i for i in range(4) if m >> i & 1) for m in range(16)]
+_REGIONS = [Region(list(RegionKind)[min(len(on), 3)], on) for on in _ACTIVE]
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """A 3-vector tagged with its region relative to one of the polytopes."""
@@ -167,11 +171,9 @@ class Polytope:
             raise ValueError("classify expects a 3-vector or an (n, 3) array")
         rows = x.reshape(-1, 3)
         outside, active = self._region_masks(rows, tol)
-        kinds = (RegionKind.INTERIOR, RegionKind.FACE, RegionKind.EDGE, *[RegionKind.VERTEX] * 2)
-        active = [tuple(np.flatnonzero(row).tolist()) for row in active]
         points = [
-            None if out else SimplexPoint(p, Region(kinds[len(on)], on), self.tag)
-            for p, out, on in zip(rows, outside.tolist(), active)
+            None if out else SimplexPoint(p, _REGIONS[mask], self.tag)
+            for p, out, mask in zip(rows, outside.tolist(), (active @ (1, 2, 4, 8)).tolist())
         ]
         return points[0] if x.ndim == 1 else points
 
@@ -266,17 +268,23 @@ def moment_coordinates(rho: "Representation") -> np.ndarray:
     return _blockwise(_trace_triple, (rho.batch_shape,), rho.h1.q, rho.h2.q)
 
 
-def _points(rho: "Representation", coords: np.ndarray, poly: Polytope, tol, what: str):
+_OUTSIDE = {
+    PolytopeTag.TILDE_DELTA: "moment triple {} violates the tetrahedron",
+    PolytopeTag.STD_DELTA: "quotient moment triple {} outside the simplex",
+}
+
+
+def _points(rho: "Representation", coords: np.ndarray, poly: Polytope, tol):
     """The points in poly of coords, one (n, 3) row per quadruple of rho: a
     SimplexPoint for a single quadruple, else an iterator over them in
-    row-major order.  OutsidePolytope (what names the triple) at the first
-    quadruple outside, after the points before it."""
+    row-major order.  OutsidePolytope at the first quadruple outside, after
+    the points before it."""
     points = poly.classify(coords, tol)
 
     def each() -> Iterator[SimplexPoint]:
         for x, point in zip(coords, points):
             if point is None:
-                raise OutsidePolytope(what.format(x))
+                raise OutsidePolytope(_OUTSIDE[poly.tag].format(x))
             yield point
 
     return next(each()) if rho.batch_shape == () else each()
@@ -293,8 +301,7 @@ def moment_mu(
     OutsidePolytope signals a numerical bug: the image of the moment map is
     the whole closed tetrahedron, never more.
     """
-    coords = moment_coordinates(rho).reshape(-1, 3)
-    return _points(rho, coords, TILDE_DELTA, tol, "moment triple {} violates the tetrahedron")
+    return _points(rho, moment_coordinates(rho).reshape(-1, 3), TILDE_DELTA, tol)
 
 
 def mu_lambda_coordinates(rho: "Representation") -> np.ndarray:
@@ -308,8 +315,7 @@ def mu_lambda(
     """The quotient moment map, the inverse quotient matrix applied to the
     moment triple, tagged in STD_DELTA; single quadruples and batches as in
     moment_mu."""
-    coords = M_P.apply_inverse(moment_coordinates(rho).reshape(-1, 3))
-    return _points(rho, coords, STD_DELTA, tol, "quotient moment triple {} outside the simplex")
+    return _points(rho, M_P.apply_inverse(moment_coordinates(rho).reshape(-1, 3)), STD_DELTA, tol)
 
 
 def nu_P3(z, tol: float = EPS_POLY) -> SimplexPoint:
@@ -355,14 +361,27 @@ def boundary_commutation_check(
 # ---------------------------------------------------------------------------
 
 
+# Labels and tags hold no comma, quote or newline, so no field needs quoting.
+_CSV_HEADER, _CSV_ROW = "x1,x2,x3,region,polytope\n", "%.17g,%.17g,%.17g,%s,%s\n"
+_LABELS = [region.label for region in _REGIONS]
+
+
 def write_simplex_csv(points: Iterable[SimplexPoint], stream: IO[str]) -> int:
     """Write (x1, x2, x3, region, polytope) rows; returns the row count."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["x1", "x2", "x3", "region", "polytope"])
+    stream.write(_CSV_HEADER)
     n = 0
-    for p in points:
-        writer.writerow(
-            ["%.17g" % p.x[0], "%.17g" % p.x[1], "%.17g" % p.x[2], p.region.label, p.polytope.value]
-        )
-        n += 1
+    for n, p in enumerate(points, 1):
+        stream.write(_CSV_ROW % (*p.x.tolist(), p.region.label, p.polytope.value))
     return n
+
+
+def _write_moment_rows(stream: IO[str], f: np.ndarray, quotient: bool, tol: float) -> None:
+    """write_simplex_csv of the moment_mu (with quotient, mu_lambda) points of the moment
+    triples f (n, 3) in one write, up to the first outside at tol: OutsidePolytope there."""
+    x, poly = (M_P.apply_inverse(f), STD_DELTA) if quotient else (f, TILDE_DELTA)
+    outside, active = poly._region_masks(x, tol)
+    k = int(np.argmax(outside)) if outside.any() else len(x)
+    rows, tag = zip(x[:k].tolist(), (active[:k] @ (1, 2, 4, 8)).tolist()), poly.tag.value
+    stream.write("".join(_CSV_ROW % (*p, _LABELS[mask], tag) for p, mask in rows))
+    if k < len(x):
+        raise OutsidePolytope(_OUTSIDE[poly.tag].format(x[k]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import inspect
@@ -11,15 +12,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from charvar import claims, cli
+from charvar import claims, cli, polytope
 from charvar.claims import run_sigma_certification, run_verify
 from charvar.cli import main, rep_from_obj, rep_to_obj
-from charvar.errors import PreconditionViolated
+from charvar.errors import OutsidePolytope, PreconditionViolated
 from charvar.flows import TorusElement, act
-from charvar.repvar import Representation, relation_residual
+from charvar.polytope import moment_mu, mu_lambda, write_simplex_csv
+from charvar.repvar import _SLOTS, Representation, relation_residual
+from charvar.sampler import _CHUNK
+from charvar.sigma import Piece, Stratum
 from charvar.su2 import haar_sample
-from charvar.tolerances import Tolerances
+from charvar.tolerances import DEFAULT, Tolerances
 
 
 def run(argv) -> tuple[int, str]:
@@ -626,6 +632,129 @@ def test_flow_boundary_line_keeps_the_rows_before(interior_lines, monkeypatch):
     assert "twist flows are defined on interior classes only" in err
     _, partial = _run_on(argv, lines, monkeypatch)
     assert partial == _run_on(argv, lines[:299], monkeypatch)[1]
+
+
+# ---------------------------------------------------------------------------
+# one array per chunk: the bytes json.dumps and csv.writer gave
+# ---------------------------------------------------------------------------
+
+
+def _row(*values: float) -> list[float]:
+    """23 columns cycling through values."""
+    return [values[i % len(values)] for i in range(23)]
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=23, max_size=23),
+    st.sampled_from(Stratum),
+    st.sampled_from(Piece),
+)
+# -0.0, subnormals, and where repr switches to exponent form (1e16, below 1e-4)
+@example(_row(-0.0, 0.0), Stratum.I, Piece.PILLOW_INTERIOR)
+@example(_row(5e-324, -2.225073858507201e-308, 2.2250738585072014e-308), Stratum.I, Piece.RP2_FIBER)
+@example(_row(1e16, 9999999999999998.0, -1e16, 1.0000000000000002e16), Stratum.III, Piece.RP2_FIBER)
+@example(_row(1e-4, 9.999999999999999e-05, 1e-5, -1e-5, 9.99e-6), Stratum.II, Piece.RP2_FIBER)
+@settings(max_examples=300, deadline=None)
+def test_line_template_is_json_dumps(row, stratum, piece):
+    obj = {key: row[4 * i : 4 * i + 4] for i, key in enumerate(_SLOTS)}
+    obj.update(residual=row[16], mu=row[17:20], mu_lambda=row[20:])
+    assert cli._LINE % tuple(row) == json.dumps(obj) + "\n"
+    tagged = {**obj, "stratum": stratum.name, "piece": piece.value}
+    assert cli._TAGGED % (*row, stratum.name, piece.value) == json.dumps(tagged) + "\n"
+
+
+def _reps(lines: list[str]) -> Representation:
+    return Representation.from_slots(np.array([[json.loads(t)[k] for k in _SLOTS] for t in lines]))
+
+
+def _oracle_csv(lines: list[str], quotient: bool) -> tuple[str, str]:
+    """What write_simplex_csv writes of the moment_mu or mu_lambda points of
+    the lines, and the OutsidePolytope message it stops at ("" if none)."""
+    buf = io.StringIO()
+    try:
+        write_simplex_csv((mu_lambda if quotient else moment_mu)(_reps(lines), DEFAULT.poly), buf)
+    except OutsidePolytope as bad:
+        return buf.getvalue(), f"solve failure: {bad}\n"
+    return buf.getvalue(), ""
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("target", ["interior", "face", "edge", "vertex", "abelian"])
+def test_moment_rows_equal_write_simplex_csv(target, quotient, monkeypatch):
+    # 300 lines: two chunks
+    lines = _sampled(["--count", "300", "--seed", "5", "--target", target, "--conjugate"])
+    code, out = _run_on(["moment", *["--quotient"] * quotient], lines, monkeypatch)
+    assert code == 0
+    assert out == _oracle_csv(lines, quotient)[0]
+
+
+@pytest.mark.parametrize("argv", [["moment"], ["moment", "--quotient"]])
+@pytest.mark.parametrize("lines", [[], ["\n", "  \n"]])
+def test_moment_of_no_lines_is_the_header(argv, lines, monkeypatch):
+    assert _run_on(argv, lines, monkeypatch) == (0, "x1,x2,x3,region,polytope\n")
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("k", [0, 137, _CHUNK - 1, _CHUNK, 299])
+def test_moment_outside_row_keeps_the_rows_before(k, quotient, interior_lines, monkeypatch):
+    # the triple of input row k moves 2 past every facet, in the CLI and in the oracle
+    lines, real = interior_lines[:300], cli.moment_coordinates
+    h1 = np.array(json.loads(lines[k])["h1"])
+
+    def pushed(rho):
+        x = real(rho)
+        return np.where(np.all(rho.h1.q == h1, axis=-1)[:, None], x + 2.0, x)
+
+    monkeypatch.setattr(cli, "moment_coordinates", pushed)
+    monkeypatch.setattr(polytope, "moment_coordinates", pushed)
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["moment", *["--quotient"] * quotient])
+    assert code == 3
+    want_out, want_err = _oracle_csv(lines, quotient)
+    what = "quotient moment triple [" if quotient else "moment triple ["
+    assert err.getvalue().startswith("solve failure: " + what)
+    assert err.getvalue() == want_err
+    assert out.getvalue() == want_out
+    assert out.getvalue().count("\n") == k + 1
+
+
+_COUNTED = ((json, "dumps"), (cli, "relation_residual"), (cli, "moment_coordinates"),
+            (polytope, "SimplexPoint"))
+
+
+@pytest.mark.parametrize(
+    "argv, residuals",
+    [
+        (["sample", "--count", str(_CHUNK + 3), "--seed", "3"], 2),
+        (["fixed-points", "--count", str(_CHUNK + 3), "--seed", "3"], 2),
+        (["flow", "--t", "0.3,1.2,0.5"], 4),
+        (["tau"], 4),
+        (["moment", "--quotient"], 2),
+    ],
+)
+def test_stages_make_pinned_calls_per_chunk(argv, residuals, monkeypatch):
+    # two chunks (_CHUNK + 3 rows), each with no json.dumps call and no
+    # SimplexPoint, and one moment_coordinates call; relation_residual runs once
+    # per chunk for the output columns and once in read_jsonl's relation check
+    # (moment has no output column)
+    lines = _sampled(["--count", str(_CHUNK + 3), "--seed", "3"])
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return real(*a, **k)
+
+        return wrapper
+
+    for owner, name in _COUNTED:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    assert _run_on(argv, lines, monkeypatch)[0] == 0
+    assert {name: calls[name] for _, name in _COUNTED} == {
+        "dumps": 0, "relation_residual": residuals, "moment_coordinates": 2, "SimplexPoint": 0
+    }
 
 
 _SPELLINGS = {

@@ -8,6 +8,7 @@ arithmetic, and its inverse in exact rational arithmetic.
 
 from __future__ import annotations
 
+import csv
 import io
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial import ConvexHull
 
+from charvar import polytope
 from charvar.errors import OutsidePolytope, PreconditionViolated, ZeroVector
 from charvar.polytope import (
     HALF_STD_DELTA,
@@ -517,12 +519,23 @@ class TestCsv:
         assert n == 3
         lines = buf.getvalue().splitlines()
         assert lines[0] == "x1,x2,x3,region,polytope"
-        import csv as _csv
-
-        rows = list(_csv.reader(lines[1:]))
+        rows = list(csv.reader(lines[1:]))
         assert [float(c) for c in rows[0][:3]] == [0.5, 0.5, 0.5]
         assert rows[0][3] == "interior" and rows[0][4] == "tilde-delta"
         assert rows[1][3] == "face(3)"
         assert rows[2][3] == "vertex(0|1|2)" and rows[2][4] == "delta"
         # %.17g survives the float round trip exactly
         assert float(rows[1][0]) == 2.0 / 3
+
+    def test_row_template_writes_csv_writer_rows(self):
+        # every label of the 16 sets of active constraints, in every polytope:
+        # no field needs quoting, so the template writes the csv.writer row
+        assert polytope._LABELS[0] == "interior" and polytope._LABELS[0b1011] == "vertex(0|1|3)"
+        assert len(set(polytope._LABELS)) == 16
+        for label in polytope._LABELS:
+            for tag in PolytopeTag:
+                for x in ([0.5, -0.0, 1e-5], [2.0 / 3, 1e16, 5e-324]):
+                    buf = io.StringIO()
+                    row = ["%.17g" % v for v in x] + [label, tag.value]
+                    csv.writer(buf, lineterminator="\n").writerow(row)
+                    assert polytope._CSV_ROW % (*x, label, tag.value) == buf.getvalue()
