@@ -1,9 +1,9 @@
 """Command-line front end: sampling, flowing, involutions, verification.
 
-Formats: JSONL for representation streams, CSV for point clouds, JSON for
-reports.  Every run is a deterministic function of its flags: all randomness
-flows from ``--seed``.  The stream stages render each chunk of lines from one
-float array, through one line template, to the bytes json.dumps or csv.writer gave.
+Formats: JSONL for representation streams, CSV for point clouds, JSON for reports.
+A run is a deterministic function of its flags: all randomness flows from ``--seed``.
+Input is checked by one repvar.new_checked per chunk, and a refusal names its earliest
+bad line.  Output chunks render from one float array through one template each.
 
 Exit codes: 0 success, 1 verification failures, 2 flag, config, input or path
 errors, 3 solve failures.
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .flows import TorusElement, act
 from .polytope import _CSV_HEADER, M_P, _write_moment_rows, moment_coordinates
-from .repvar import _SLOTS, Representation, _class_equal, _unit_slots, relation_residual
+from .repvar import _SLOTS, Representation, _class_equal, new_checked, relation_residual
 from .sampler import _CHUNK, SampleSpec, Target, sample_batches
 from .sigma import classify_fixed_points
 from .su2 import GroupElement
@@ -73,7 +73,8 @@ def rep_to_obj(rho: Representation) -> dict:
     return json.loads(_lines(rho[None]))
 
 
-def rep_from_obj(obj: dict) -> Representation:
+def _slot_arrays(obj) -> list[np.ndarray]:
+    """The four slot quaternions of a parsed line, four numbers each, not yet checked."""
     if not isinstance(obj, dict):
         raise PreconditionViolated("input line is not a JSON object")
     slots = []
@@ -81,57 +82,58 @@ def rep_from_obj(obj: dict) -> Representation:
         if key not in obj:
             raise PreconditionViolated(f"input line lacks slot {key!r}")
         try:
-            q = np.asarray(obj[key], dtype=float)
+            slots.append(np.asarray(obj[key], dtype=float))
         except (TypeError, ValueError, OverflowError):
             raise PreconditionViolated(f"slot {key!r} must hold numbers") from None
-        if q.shape != (4,):
+        if slots[-1].shape != (4,):
             raise PreconditionViolated(f"slot {key!r} must hold four components")
-        if not np.all(np.isfinite(q)):
-            raise PreconditionViolated(f"slot {key!r} has a non-finite component")
-        if not _unit_slots(q):
-            raise PreconditionViolated(f"slot {key!r} is not a unit quaternion")
-        # keep the parsed bits verbatim so parse/serialize round-trips exactly
-        slots.append(GroupElement(q))
-    return Representation(*slots)
+    return slots
 
 
-def _checked_slots(lines: list[str]) -> tuple[np.ndarray, Optional[PreconditionViolated]]:
-    """The (n, 4, 4) slot array of JSONL lines, checked as one batch: the rows
-    before the first line rep_from_obj rejects, and its error (or None)."""
+def rep_from_obj(obj: dict) -> Representation:
+    # keep the parsed bits verbatim so parse/serialize round-trips exactly
+    return new_checked(*(GroupElement(q) for q in _slot_arrays(obj)))
+
+
+def _classes(texts: Sequence[str], tol: float) -> Representation:
+    """The classes of JSONL lines, checked by new_checked at tol.  PreconditionViolated,
+    with its row, at the first line that is not an object of four numbers per slot."""
     try:
-        objs = [json.loads(line) for line in lines]
-        q = np.array([[obj[key] for key in _SLOTS] for obj in objs], dtype=float)
-        if q.shape == (len(lines), 4, 4) and _unit_slots(q).all():
-            return q, None
+        q = np.array([[obj[key] for key in _SLOTS] for obj in map(json.loads, texts)], dtype=float)
     except (TypeError, KeyError, ValueError, OverflowError):  # JSONDecodeError too
         pass
-    rows = []  # some line is bad: read them one by one to find the first
-    for line in lines:
+    else:
+        if q.shape == (len(texts), 4, 4):
+            return new_checked(*Representation.from_slots(q).elements(), tol=tol)
+    for i, text in enumerate(texts):  # some line is bad: read them one by one to find the first
         try:
-            rows.append(rep_from_obj(json.loads(line)).slots())
+            _slot_arrays(json.loads(text))
         except (ValueError, PreconditionViolated) as bad:  # JSONDecodeError is a ValueError
-            return np.reshape(rows, (-1, 4, 4)), PreconditionViolated(str(bad))
-    return np.array(rows), None
+            error = PreconditionViolated(str(bad))
+            error.row = (i,)
+            raise error from None
 
 
-def read_jsonl(stream: IO[str], rel_tol: float) -> Iterator[Representation]:
-    """Representations from JSONL lines, each a solution of the relation to rel_tol,
-    checked and yielded in batches of up to _CHUNK lines.  At a bad line the
-    rows before it are yielded first; the error then names the line."""
+def _before_refusal(check, numbers: tuple, rows) -> Iterator[tuple]:
+    """Yield (numbers, check(rows)); at a refusal, the same for the rows before the earliest
+    bad row, then its error, naming its line.  check runs its tests in order over the whole
+    batch, so a retry on the rows before the row named fails a later test or passes."""
+    try:
+        out = check(rows)
+    except (PreconditionViolated, DegenerateGenerator) as bad:
+        if i := bad.row[0]:  # the row the refusal names
+            yield from _before_refusal(check, numbers[:i], rows[:i])
+        raise type(bad)(f"line {numbers[i]}: " + str(bad).removesuffix(f" (row {bad.row})"))
+    yield numbers, out
+
+
+def read_jsonl(stream: IO[str], rel_tol: float) -> Iterator[tuple[tuple, Representation]]:
+    """(line numbers, classes) of JSONL lines in batches of up to _CHUNK lines, checked by
+    _classes at rel_tol; at a bad line, the rows before it, then its error, naming the line."""
     lines = ((n, text) for n, text in enumerate((raw.strip() for raw in stream), 1) if text)
+    check = functools.partial(_classes, tol=rel_tol)
     while chunk := list(islice(lines, _CHUNK)):
-        q, error = _checked_slots([text for _, text in chunk])
-        rho = Representation.from_slots(q)
-        residual = relation_residual(rho)
-        off = np.flatnonzero(residual >= rel_tol)
-        if off.size:
-            rho, error = rho[: off[0]], RelationViolated(
-                f"surface relation violated: residual {residual[off[0]]:.3e} >= {rel_tol:.3e}"
-            )
-        if rho.batch_shape[0]:
-            yield rho
-        if error is not None:
-            raise type(error)(f"line {chunk[rho.batch_shape[0]][0]}: {error}")
+        yield from _before_refusal(check, *zip(*chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +192,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
     phi = _parse_triple(args.t, "--t")
     t = TorusElement(float(phi[0]), float(phi[1]), float(phi[2]))
     with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
-        for rho in read_jsonl(src, DEFAULT.rel):
-            try:
-                moved = act(t, rho)
-            except DegenerateGenerator:  # write the rows before the boundary class
-                for i in range(rho.batch_shape[0]):
-                    out.write(_lines(act(t, rho[i : i + 1])))
-                raise
-            out.write(_lines(moved))
+        for numbers, rho in read_jsonl(src, DEFAULT.rel):
+            for _, moved in _before_refusal(functools.partial(act, t), numbers, rho):
+                out.write(_lines(moved))
     return 0
 
 
@@ -205,7 +202,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
         out.write(_CSV_HEADER)
-        for rho in read_jsonl(src, tol.rel):
+        for _, rho in read_jsonl(src, tol.rel):
             _write_moment_rows(out, moment_coordinates(rho), args.quotient, tol.poly)
     return 0
 
@@ -214,7 +211,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     bad = 0
     with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
-        for rho in read_jsonl(src, tol.rel):
+        for _, rho in read_jsonl(src, tol.rel):
             image = tau(rho)
             if args.check:
                 bad += int(np.count_nonzero(~_class_equal(tau(image), rho, tol.mat)))

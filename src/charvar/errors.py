@@ -63,9 +63,11 @@ class ClassificationAmbiguity(CharVarError):
 
 
 def _raise_first(bad, error: type, what: str, rows: np.ndarray) -> None:
-    """Raise error if the NumPy bool (array) bad is set anywhere, with what,
-    the value of rows (whose leading axes are bad's shape) at the first set
-    index and, on a batch, that index, as in "(row (2,))"."""
+    """Raise error if the NumPy bool (array) bad is set anywhere, with what, the value of
+    rows (whose leading axes are bad's shape) at the first set index and, on a batch, that
+    index, as in "(row (2,))"; the error's row is that index, () on a single input."""
     if bad.any():
         i = tuple(np.argwhere(bad)[0].tolist())
-        raise error(f"{what}: {rows[i]}" + (f" (row {i})" if i else ""))
+        refusal = error(f"{what}: {rows[i]}" + (f" (row {i})" if i else ""))
+        refusal.row = i
+        raise refusal

@@ -283,8 +283,6 @@ def density_witness(rho: Representation, t: float | np.ndarray) -> Representatio
     PreconditionViolated
         If ``rho`` is not abelian, a slot is central, or ``t`` leaves [0, 1].
     """
-    if np.ndim(t) == 0 and not (0.0 <= t <= 1.0):
-        raise PreconditionViolated(f"path parameter must lie in [0, 1], got {t}")
     t = np.asarray(t, dtype=np.float64)
     _raise_first(~((0.0 <= t) & (t <= 1.0)), PreconditionViolated,
                  "path parameter must lie in [0, 1]", t)

@@ -9,13 +9,14 @@ import hashlib
 import inspect
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charvar import claims, cli, polytope
+from charvar import claims, cli, polytope, repvar
 from charvar.claims import run_sigma_certification, run_verify
 from charvar.cli import main, rep_from_obj, rep_to_obj
 from charvar.errors import OutsidePolytope, PreconditionViolated
@@ -86,7 +87,7 @@ class TestSerialization:
             rep_from_obj(bad)
         for value in (float("nan"), float("inf")):
             bad["g1"] = [value] * 4
-            with pytest.raises(PreconditionViolated, match="non-finite"):
+            with pytest.raises(PreconditionViolated, match="not a finite unit quaternion"):
                 rep_from_obj(bad)
 
     @pytest.mark.parametrize("command", [["flow", "--t", "0,0,0"], ["moment"]])
@@ -630,8 +631,91 @@ def test_flow_boundary_line_keeps_the_rows_before(interior_lines, monkeypatch):
     code, err = _run_err_on(argv, lines, monkeypatch)
     assert code == 3
     assert "twist flows are defined on interior classes only" in err
+    assert "line 300:" in err and "(row" not in err
     _, partial = _run_on(argv, lines, monkeypatch)
     assert partial == _run_on(argv, lines[:299], monkeypatch)[1]
+
+
+def _diagonal_line(*angles: float) -> str:
+    """A line of four slots on one circle, (cos a, 0, 0, sin a): abelian, on the relation."""
+    obj = {key: [np.cos(a), 0.0, 0.0, np.sin(a)] for key, a in zip(_SLOTS, angles)}
+    return json.dumps(obj) + "\n"
+
+
+def test_flow_names_the_earliest_boundary_line(interior_lines, monkeypatch):
+    # act checks h1, h2, h2*h1, h1*h2, each over the whole chunk: the h1 check
+    # names line 20 first, yet line 10 (h2 = h1^-1, so h2*h1 = 1) is earlier
+    lines = list(interior_lines[:30])
+    lines[9], lines[19] = _diagonal_line(0.3, 1.1, 2.0, -1.1), _diagonal_line(0.3, 0.0, 2.0, 0.7)
+    argv = ["flow", "--t", "0.3,1.2,0.5"]
+    code, err = _run_err_on(argv, lines, monkeypatch)
+    assert code == 3
+    assert "line 10: h2*h1 is within" in err and "(row" not in err
+    _, partial = _run_on(argv, lines, monkeypatch)
+    assert partial == _run_on(argv, lines[:9], monkeypatch)[1]
+    assert partial.count("\n") == 9
+
+
+def _stdin_run(argv, lines) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one run on lines as stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("".join(lines))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def boundary_lines() -> list[str]:
+    """Classes over vertices and edges of the tetrahedron: good input to
+    moment and tau, but flow refuses them (some h-word is central)."""
+    lines = _sampled(["--count", "3", "--seed", "2", "--target", "vertex", "--conjugate"])
+    return lines + _sampled(["--count", "3", "--seed", "4", "--target", "edge", "--conjugate"])
+
+
+# kind -> exit code; "boundary" lines are bad for flow only
+_BAD_KINDS = {"malformed": 2, "non-finite": 2, "non-unit": 2, "off-relation": 3, "boundary": 3}
+
+
+@given(
+    st.integers(1, 300),
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(sorted(_BAD_KINDS)),
+                  st.integers(0, 5)),
+        max_size=3,
+    ),
+)
+# new_checked tests unit norm before the relation, act h1 before h2*h1: each
+# names a later line first; and bad lines in the second chunk only
+@example(100, [(0.1, "off-relation", 0), (0.2, "non-unit", 0), (0.3, "boundary", 0)])
+@example(300, [(0.9, "non-unit", 0), (0.95, "malformed", 0), (0.5, "boundary", 4)])
+@settings(max_examples=50, deadline=None)
+def test_stages_stop_at_the_earliest_bad_line(interior_lines, boundary_lines, n, bad):
+    # up to 300 lines with up to three bad ones: each stage exits with the
+    # earliest line bad for it, names that line, and writes what the lines
+    # before it give
+    lines, kinds = list(interior_lines[:n]), {}
+    for where, kind, pick in bad:
+        i = int(where * n)
+        kinds[i] = kind
+        good = interior_lines[i]  # a later draw at the same line replaces an earlier one
+        if kind == "boundary":
+            lines[i] = boundary_lines[pick]
+        elif kind == "non-unit":
+            lines[i] = json.dumps({**json.loads(good), "g1": [2.0, 0.0, 0.0, 0.0]}) + "\n"
+        else:
+            lines[i] = _bad_line(kind, good) + "\n"
+    for argv in (["flow", "--t", "0.3,1.2,0.5"], ["moment"], ["tau"]):
+        code, out, err = _stdin_run(argv, lines)
+        first = min((i for i, k in kinds.items() if k != "boundary" or argv[0] == "flow"),
+                    default=None)
+        if first is None:
+            assert (code, err) == (0, "")
+            continue
+        assert code == _BAD_KINDS[kinds[first]]
+        assert err.startswith(("error: ", "solve failure: "))
+        assert f": line {first + 1}: " in err and "(row" not in err
+        assert out == _stdin_run(argv, lines[:first])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +804,8 @@ def test_moment_outside_row_keeps_the_rows_before(k, quotient, interior_lines, m
     assert out.getvalue().count("\n") == k + 1
 
 
-_COUNTED = ((json, "dumps"), (cli, "relation_residual"), (cli, "moment_coordinates"),
-            (polytope, "SimplexPoint"))
+_COUNTED = ((json, "dumps"), (cli, "relation_residual"), (repvar, "relation_residual"),
+            (cli, "moment_coordinates"), (polytope, "SimplexPoint"))
 
 
 @pytest.mark.parametrize(
@@ -737,8 +821,8 @@ _COUNTED = ((json, "dumps"), (cli, "relation_residual"), (cli, "moment_coordinat
 def test_stages_make_pinned_calls_per_chunk(argv, residuals, monkeypatch):
     # two chunks (_CHUNK + 3 rows), each with no json.dumps call and no
     # SimplexPoint, and one moment_coordinates call; relation_residual runs once
-    # per chunk for the output columns and once in read_jsonl's relation check
-    # (moment has no output column)
+    # per chunk for the output columns and once in new_checked on input (moment
+    # has no output column)
     lines = _sampled(["--count", str(_CHUNK + 3), "--seed", "3"])
     calls = collections.Counter()
 
@@ -755,6 +839,29 @@ def test_stages_make_pinned_calls_per_chunk(argv, residuals, monkeypatch):
     assert {name: calls[name] for _, name in _COUNTED} == {
         "dumps": 0, "relation_residual": residuals, "moment_coordinates": 2, "SimplexPoint": 0
     }
+
+
+@pytest.mark.parametrize("argv", [["flow", "--t", "0.3,1.2,0.5"], ["moment"], ["tau"]])
+def test_input_is_checked_once_per_chunk_by_new_checked(argv, monkeypatch):
+    # two chunks of good lines: one new_checked call each (one unit check per
+    # slot, all inside it; cli has no check of its own) and, for flow, one act
+    lines = _sampled(["--count", str(_CHUNK + 3), "--seed", "3"])
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return real(*a, **k)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((cli, "new_checked"), (repvar, "_unit_slots"), (cli, "act")):
+        counted(owner, name)
+    assert _run_on(argv, lines, monkeypatch)[0] == 0
+    assert "_unit_slots" not in vars(cli)
+    assert calls == collections.Counter(new_checked=2, _unit_slots=8, act=2 * (argv[0] == "flow"))
 
 
 _SPELLINGS = {

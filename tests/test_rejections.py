@@ -1,6 +1,6 @@
 """Every batched precondition refuses its batch the same way: one bad row
 raises the error that row raises alone, and the message names the first bad
-row and its value (errors._raise_first).
+row and its value (errors._raise_first), and so does the error's row.
 
 Each case builds a batch whose first bad row is (2,), or (1, 2) on a 2-D
 batch, and that row on its own.
@@ -274,7 +274,9 @@ def test_bad_row_names_itself(case):
     assert type(raised.value) is error
     assert text in message
     assert message.endswith(f" (row {row})")
+    assert raised.value.row == row
     with pytest.raises(error) as alone:
         fn(*one)
     assert type(alone.value) is error
     assert text in str(alone.value) and "(row" not in str(alone.value)
+    assert alone.value.row == ()
