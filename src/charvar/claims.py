@@ -27,9 +27,10 @@ from .polytope import (
 from .repvar import Representation, _class_equal, is_abelian, relation_residual
 from .sampler import (
     _CHUNK,
+    _build,
     _diag,
-    _interior_build,
-    _interior_draw,
+    _diag_build,
+    _draw,
     _random_torus,
     density_witness,
 )
@@ -98,12 +99,12 @@ def _flows_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
     # every draw first, in per-item order; then each check once over the batch
     draws, turns, times, probes = [], [], [], []
     for i in range(n):
-        draws.append(_interior_draw(rng))
+        draws.append(_draw(rng))
         turns.append(rng.uniform(0.0, 2.0 * np.pi, size=3))
         times.append(rng.uniform(0.0, 2.0 * np.pi))
         if i % 10 == 0:
             probes.append(_nonkernel_torus(rng).as_array())
-    rho = _interior_build(draws)
+    rho = _build(draws)
     every = rho[::10]
 
     # the turns, the kernel element (pi, pi, pi) and the probes are one act
@@ -154,7 +155,7 @@ def _polytope_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[
     rho = Representation(_diag(zero + 0.1), _diag(t1), _diag(zero + 0.2), bump * _diag(t2))
     # nothing is drawn between the uses of interior samples below, so both
     # halves are built as one batch, and both boundary checks are one call
-    interior = _interior_build([_interior_draw(rng) for _ in range(2 * small)])
+    interior = _build([_draw(rng) for _ in range(2 * small)])
     poly, mat = (np.concatenate((10.0 * eps, np.full(small, t))) for t in (tol.poly, tol.mat))
     ok = boundary_commutation_check(_stacked(rho, interior[:small]), poly, mat)
     failures += int(np.count_nonzero(~ok))
@@ -187,9 +188,9 @@ def _tau_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, 
     # every draw first, in per-item order; then each check once over the batch
     draws, turns = [], []
     for _ in range(n):
-        draws.append(_interior_draw(rng))
+        draws.append(_draw(rng))
         turns.append(rng.uniform(0.0, 2.0 * np.pi, size=3))
-    rho = _interior_build(draws)
+    rho = _build(draws)
 
     # one call per map over stacked rows; the reversed angles are the negated
     # draws, which TorusElement reduces as t.inverse() does
@@ -226,7 +227,7 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
     gh = haar_sample(rng, (n, 2))
     pairs = _pure_unit(rng, (small, 2))
     arcs = rng.uniform(0.3, np.pi - 0.3, size=(small, 2))
-    interior = _interior_build([_interior_draw(rng) for _ in range(small)])
+    interior = _build([_draw(rng) for _ in range(small)])
 
     k, fixed = sigma_fixed_conjugator(_stacked(pillow_point(gh[:, 0], gh[:, 1]), interior), tol.mat)
     k, fixed, interior_fixed = k[:n], fixed[:n], fixed[n:]
@@ -256,7 +257,7 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
 
 def _density_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int, int, dict]:
     angles = rng.uniform(0.3, np.pi - 0.3, size=(n, 4))
-    rho = Representation(*(_diag(angles[:, i]) for i in range(4)))
+    rho = _diag_build(angles)
     witnesses = density_witness(_stacked(rho, rho, rho), np.repeat([1e-4, 0.5, 1.0], n))
     gap = witnesses[:n].slot_distance(rho)
     ok = ~np.any(is_abelian(witnesses, tol.mat).reshape(3, n), axis=0) & (gap < 1e-3)
@@ -341,8 +342,7 @@ def _fixed_point_stream(count: int, rng: np.random.Generator) -> Iterator[Repres
         slots = np.empty((size, 4, 4))
         for kind, rows in enumerate(draws):
             if rows:
-                built = _FIXED_POINT_BUILDS[kind](*(np.array(a) for a in zip(*rows)))
-                slots[kind::4] = built.slots()
+                slots[kind::4] = _build(rows, _FIXED_POINT_BUILDS[kind], conjugate=False).slots()
         yield Representation.from_slots(slots)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     SectionSolveFailure,
 )
 from .flows import TorusElement, act
-from .polytope import _CSV_HEADER, M_P, _write_moment_rows, moment_coordinates
+from .polytope import _CSV_HEADER, M_P, _moment_rows, moment_coordinates
 from .repvar import _SLOTS, Representation, _class_equal, new_checked, relation_residual
 from .sampler import _CHUNK, SampleSpec, Target, sample_batches
 from .sigma import classify_fixed_points
@@ -120,7 +120,7 @@ def _before_refusal(check, numbers: tuple, rows) -> Iterator[tuple]:
     batch, so a retry on the rows before the row named fails a later test or passes."""
     try:
         out = check(rows)
-    except (PreconditionViolated, DegenerateGenerator) as bad:
+    except (PreconditionViolated, DegenerateGenerator, OutsidePolytope) as bad:
         if i := bad.row[0]:  # the row the refusal names
             yield from _before_refusal(check, numbers[:i], rows[:i])
         raise type(bad)(f"line {numbers[i]}: " + str(bad).removesuffix(f" (row {bad.row})"))
@@ -200,10 +200,12 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 def cmd_moment(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
+    rows = functools.partial(_moment_rows, quotient=args.quotient, tol=tol.poly)
     with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
         out.write(_CSV_HEADER)
-        for _, rho in read_jsonl(src, tol.rel):
-            _write_moment_rows(out, moment_coordinates(rho), args.quotient, tol.poly)
+        for numbers, rho in read_jsonl(src, tol.rel):
+            for _, text in _before_refusal(rows, numbers, moment_coordinates(rho)):
+                out.write(text)
     return 0
 
 

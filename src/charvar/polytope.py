@@ -269,8 +269,8 @@ def moment_coordinates(rho: "Representation") -> np.ndarray:
 
 
 _OUTSIDE = {
-    PolytopeTag.TILDE_DELTA: "moment triple {} violates the tetrahedron",
-    PolytopeTag.STD_DELTA: "quotient moment triple {} outside the simplex",
+    PolytopeTag.TILDE_DELTA: "moment triple violates the tetrahedron",
+    PolytopeTag.STD_DELTA: "quotient moment triple outside the simplex",
 }
 
 
@@ -284,7 +284,7 @@ def _points(rho: "Representation", coords: np.ndarray, poly: Polytope, tol):
     def each() -> Iterator[SimplexPoint]:
         for x, point in zip(coords, points):
             if point is None:
-                raise OutsidePolytope(_OUTSIDE[poly.tag].format(x))
+                raise OutsidePolytope(f"{_OUTSIDE[poly.tag]}: {x}")
             yield point
 
     return next(each()) if rho.batch_shape == () else each()
@@ -375,13 +375,11 @@ def write_simplex_csv(points: Iterable[SimplexPoint], stream: IO[str]) -> int:
     return n
 
 
-def _write_moment_rows(stream: IO[str], f: np.ndarray, quotient: bool, tol: float) -> None:
-    """write_simplex_csv of the moment_mu (with quotient, mu_lambda) points of the moment
-    triples f (n, 3) in one write, up to the first outside at tol: OutsidePolytope there."""
+def _moment_rows(f: np.ndarray, quotient: bool, tol: float) -> str:
+    """The rows write_simplex_csv writes of the moment_mu (with quotient, mu_lambda)
+    points of the moment triples f (n, 3) at tol; OutsidePolytope at the first outside."""
     x, poly = (M_P.apply_inverse(f), STD_DELTA) if quotient else (f, TILDE_DELTA)
     outside, active = poly._region_masks(x, tol)
-    k = int(np.argmax(outside)) if outside.any() else len(x)
-    rows, tag = zip(x[:k].tolist(), (active[:k] @ (1, 2, 4, 8)).tolist()), poly.tag.value
-    stream.write("".join(_CSV_ROW % (*p, _LABELS[mask], tag) for p, mask in rows))
-    if k < len(x):
-        raise OutsidePolytope(_OUTSIDE[poly.tag].format(x[k]))
+    _raise_first(outside, OutsidePolytope, _OUTSIDE[poly.tag], x)
+    rows, tag = zip(x.tolist(), (active @ (1, 2, 4, 8)).tolist()), poly.tag.value
+    return "".join(_CSV_ROW % (*p, _LABELS[mask], tag) for p, mask in rows)

@@ -1,17 +1,13 @@
 """Random and targeted construction of relation solutions.
 
-Sampling strategies for the class space: uniform-base interior samples
-(random base point x, random twist angles, optional global conjugation),
-targeted boundary families (faces, edges, vertices of the trace polytope),
-fully abelian quadruples, and the explicit near-abelian deformation used to
-witness density of the irreducible locus.
-
-The interior sampler draws the base uniformly on the open simplex.  That is a
-convenience measure chosen for coverage of the polytope, not a canonical
-volume on the class space.
-
-Interior items and density witnesses (at one path parameter, or one per
-quadruple) are built in batches, each row bit for bit the item built alone.
+Targets: uniform-base interior samples (random base point x, twist angles),
+boundary families (faces, edges, vertices of the trace polytope) and abelian
+quadruples, each optionally Haar-conjugated.  The interior base is uniform on
+the open simplex, a convenience measure for coverage of the polytope, not a
+canonical volume on the class space.  Every target is one draw and one build:
+items are drawn one by one in stream order and built in batches, as are the
+near-abelian deformations that witness density of the irreducible locus; each
+row is bit for bit the item built alone.
 """
 
 from __future__ import annotations
@@ -125,8 +121,7 @@ def _random_axis(rng: np.random.Generator) -> np.ndarray:
 
 
 def _random_torus(rng: np.random.Generator) -> TorusElement:
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    return TorusElement(phi[0], phi[1], phi[2])
+    return TorusElement(*rng.uniform(0.0, 2.0 * np.pi, size=3))
 
 
 def _in_open_simplex(x1: float, x2: float, x3: float) -> bool:
@@ -143,78 +138,90 @@ def _interior_base(rng: np.random.Generator) -> np.ndarray:
             return x
 
 
-def _interior_draw(
-    rng: np.random.Generator, base: Optional[np.ndarray] = None, conjugate: bool = True
-) -> tuple:
-    """One interior item's random inputs in stream order: the base point
-    (unless pinned), the torus angles, then the Haar conjugator (or None)."""
-    x = _interior_base(rng) if base is None else base
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    return x, angles, haar_sample(rng).q if conjugate else None
+def _interior_draw(rng: np.random.Generator, base: Optional[np.ndarray] = None) -> tuple:
+    """The base point (unless pinned), then the torus angles."""
+    return (_interior_base(rng) if base is None else base), rng.uniform(0.0, 2.0 * np.pi, size=3)
 
 
-def _interior_build(draws: list) -> Representation:
-    """The interior quadruples of a list of draws as one batch: one section,
-    one act and one conjugation.  Row i is bit for bit the item built alone."""
-    x, angles, k = zip(*draws)
-    rho = act(TorusElement.from_array(np.array(angles)), section(np.array(x)))
-    return rho if k[0] is None else rho.conjugated(GroupElement(np.array(k)))
+def _interior_build(x: np.ndarray, angles: np.ndarray) -> Representation:
+    return act(TorusElement.from_array(angles), section(x))
 
 
-def _face_sample(rng: np.random.Generator) -> Representation:
-    # Common-axis quadruples whose moment lands in the interior of one of the
-    # four facets.  Over a generic facet point every relation solution is
-    # abelian (an axis-aligned commutator has a pinned sign in its axis
-    # component, so two of them can only cancel trivially), hence sampling
-    # the facets means sampling shared-axis angle data.
+def _face_draw(rng: np.random.Generator, base=None) -> tuple:
+    # Common-axis quadruples over the interior of a facet, where every relation
+    # solution is abelian: an axis-aligned commutator has a pinned sign in its
+    # axis component, so two of them can only cancel trivially.
     theta1, theta2 = rng.uniform(0.0, np.pi, size=2)
     if rng.uniform() < 0.5:
         theta2 = -theta2  # hit the difference facets as well as the sum ones
     a1, a2 = rng.uniform(-np.pi, np.pi, size=2)
-    return Representation(_diag(a1), _diag(theta1), _diag(a2), _diag(theta2))
+    return (np.array([a1, theta1, a2, theta2]),)
 
 
-def _edge_sample(rng: np.random.Generator) -> Representation:
+def _abelian_draw(rng: np.random.Generator, base=None) -> tuple:
+    return (rng.uniform(-np.pi, np.pi, size=4),)
+
+
+def _diag_build(angles: np.ndarray) -> Representation:
+    """Four _diag slots, one per column of an (n, 4) angle array."""
+    return Representation(*(_diag(angles[:, i]) for i in range(4)))
+
+
+def _edge_draw(rng: np.random.Generator, base=None) -> tuple:
     # One boundary angle collapses entirely: h1 = 1 frees g1, and the
     # relation reduces to [g2, h2] = 1.
-    g1 = haar_sample(rng)
-    axis = AlgebraElement(_random_axis(rng))
+    g1, axis = haar_sample(rng).q, _random_axis(rng)
     a, b = rng.uniform(-np.pi, np.pi, size=2)
-    g2 = exp_alg(AlgebraElement(a * axis.v))
-    h2 = exp_alg(AlgebraElement(b * axis.v))
-    return Representation(g1, GroupElement.identity(), g2, h2)
+    return g1, a * axis, b * axis
 
 
-def _vertex_sample(rng: np.random.Generator) -> Representation:
+def _edge_build(g1: np.ndarray, v2: np.ndarray, w2: np.ndarray) -> Representation:
+    g2, h2 = (exp_alg(AlgebraElement(v)) for v in (v2, w2))
+    return Representation(GroupElement(g1), GroupElement.identity((len(g1),)), g2, h2)
+
+
+def _vertex_draw(rng: np.random.Generator, base=None) -> tuple:
     # Both h-slots die; the class is an unconstrained pair (g1, g2) up to
-    # simultaneous conjugation.
-    return Representation(
-        haar_sample(rng),
-        GroupElement.identity(),
-        haar_sample(rng),
-        GroupElement.identity(),
-    )
+    # simultaneous conjugation.  The slots are built as drawn.
+    one = (1.0, 0.0, 0.0, 0.0)
+    return (np.array([haar_sample(rng).q, one, haar_sample(rng).q, one]),)
 
 
-def _abelian_sample(rng: np.random.Generator) -> Representation:
-    angles = rng.uniform(-np.pi, np.pi, size=4)
-    return Representation(*(_diag(float(a)) for a in angles))
-
-
-_BOUNDARY_SAMPLES = {
-    Target.BOUNDARY_FACE: _face_sample,
-    Target.BOUNDARY_EDGE: _edge_sample,
-    Target.VERTEX: _vertex_sample,
-    Target.ABELIAN_TORUS: _abelian_sample,
+#: Each target's (draw, build): draw(rng, base) makes one item's random inputs
+#: in stream order (base is None but on the fixed-base target), and build makes
+#: a batch from each input stacked over its items.
+_DRAW_BUILD = {
+    Target.INTERIOR_UNIFORM_BASE: (_interior_draw, _interior_build),
+    Target.FIXED_BASE: (_interior_draw, _interior_build),
+    Target.BOUNDARY_FACE: (_face_draw, _diag_build),
+    Target.BOUNDARY_EDGE: (_edge_draw, _edge_build),
+    Target.VERTEX: (_vertex_draw, Representation.from_slots),
+    Target.ABELIAN_TORUS: (_abelian_draw, _diag_build),
 }
+
+
+def _draw(rng: np.random.Generator, draw=_interior_draw, base=None, conjugate=True) -> tuple:
+    """One item's random inputs: draw's, then its Haar conjugator when conjugate."""
+    inputs = draw(rng, base)
+    return (*inputs, haar_sample(rng).q) if conjugate else inputs
+
+
+def _build(draws: list, build=_interior_build, conjugate=True) -> Representation:
+    """The items of a list of _draw results as one batch: one build and, when conjugate,
+    one conjugation; by default the verify suites' conjugated interior samples."""
+    inputs = [np.array(column) for column in zip(*draws)]
+    if not conjugate:
+        return build(*inputs)
+    return build(*inputs[:-1]).conjugated(GroupElement(inputs[-1]))
 
 
 def sample_batches(spec: SampleSpec) -> Iterator[Representation]:
     """The stream of ``sample(spec)`` as batches of up to ``_CHUNK`` items.
 
-    Interior items are drawn first, in stream order, and built at once; the
-    others are built one by one and stacked.  Row i of a batch is bit for bit
-    the item built alone.
+    Every target takes one path: each item's random inputs are drawn in
+    stream order (its Haar conjugator last, when the spec conjugates), then
+    each batch is built by one call of the target's build and one
+    conjugation.  Row i of a batch is bit for bit the item built alone.
 
     Raises
     ------
@@ -224,20 +231,11 @@ def sample_batches(spec: SampleSpec) -> Iterator[Representation]:
         is 0/0.
     """
     rng = np.random.default_rng(spec.seed)
-    interior = spec.target in (Target.INTERIOR_UNIFORM_BASE, Target.FIXED_BASE)
+    draw, build = _DRAW_BUILD[spec.target]
     for start in range(0, spec.count, _CHUNK):
         size = min(_CHUNK, spec.count - start)
-        if interior:
-            draws = [_interior_draw(rng, spec.base, spec.conjugate) for _ in range(size)]
-            yield _interior_build(draws)
-            continue
-        items = []
-        for _ in range(size):
-            rho = _BOUNDARY_SAMPLES[spec.target](rng)
-            if spec.conjugate:
-                rho = rho.conjugated(haar_sample(rng))
-            items.append(rho.slots())
-        yield Representation.from_slots(np.stack(items))
+        draws = [_draw(rng, draw, spec.base, spec.conjugate) for _ in range(size)]
+        yield _build(draws, build, spec.conjugate)
 
 
 def sample(spec: SampleSpec) -> Iterator[Representation]:

@@ -1,5 +1,5 @@
 """The batched flows, polytope, tau, sigma and density verify suites, the chunked
-interior sampler, the sigma fixed-point stream and the batched sigma, density
+sampler (every target), the sigma fixed-point stream and the batched sigma, density
 and flow-identity constructions, against the per-item loops they replaced.
 
 The oracles below build one sample at a time (for interior samples: base
@@ -51,17 +51,15 @@ from charvar.sampler import (
     _CHUNK,
     SampleSpec,
     Target,
-    _abelian_sample,
+    _build,
     _diag,
-    _edge_sample,
-    _face_sample,
+    _draw,
     _interior_base,
-    _interior_build,
-    _interior_draw,
+    _random_axis,
     _random_torus,
-    _vertex_sample,
     density_witness,
     sample,
+    sample_batches,
 )
 from charvar.sigma import (
     Stratum,
@@ -208,7 +206,7 @@ def sigma_oracle(n, rng, tol):
         if classify_fixed_point(rho, tol=tol.mat).stratum is not Stratum.III:
             failures += 1
 
-    batch = _interior_build([_interior_draw(rng) for _ in range(small)])
+    batch = _build([_draw(rng) for _ in range(small)])
     for i in range(small):  # interior classes are never swap-fixed
         if sigma_fixed_conjugator(batch[i], tol=tol.mat)[1]:
             failures += 1
@@ -388,11 +386,39 @@ def test_certify_round_makes_pinned_builds(samples, chunks):
                      "exp_alg": 10, "svd": 9 + chunks - 1}
 
 
+def single_face(rng):
+    theta1, theta2 = rng.uniform(0.0, np.pi, size=2)
+    if rng.uniform() < 0.5:
+        theta2 = -theta2
+    a1, a2 = rng.uniform(-np.pi, np.pi, size=2)
+    return Representation(_diag(a1), _diag(theta1), _diag(a2), _diag(theta2))
+
+
+def single_edge(rng):
+    g1 = haar_sample(rng)
+    axis = AlgebraElement(_random_axis(rng))
+    a, b = rng.uniform(-np.pi, np.pi, size=2)
+    g2 = exp_alg(AlgebraElement(a * axis.v))
+    h2 = exp_alg(AlgebraElement(b * axis.v))
+    return Representation(g1, GroupElement.identity(), g2, h2)
+
+
+def single_vertex(rng):
+    one = GroupElement.identity()
+    return Representation(haar_sample(rng), one, haar_sample(rng), one)
+
+
+def single_abelian(rng):
+    angles = rng.uniform(-np.pi, np.pi, size=4)
+    return Representation(*(_diag(float(a)) for a in angles))
+
+
+# the sampler's per-item builders before every target was built in batches
 SINGLE = {
-    Target.BOUNDARY_FACE: _face_sample,
-    Target.BOUNDARY_EDGE: _edge_sample,
-    Target.VERTEX: _vertex_sample,
-    Target.ABELIAN_TORUS: _abelian_sample,
+    Target.BOUNDARY_FACE: single_face,
+    Target.BOUNDARY_EDGE: single_edge,
+    Target.VERTEX: single_vertex,
+    Target.ABELIAN_TORUS: single_abelian,
 }
 
 
@@ -410,12 +436,14 @@ def test_sample_equals_per_item_construction(target, conjugate):
     base = np.array([0.2, 0.3, 0.1]) if target is Target.FIXED_BASE else None
     spec = SampleSpec(count=_CHUNK + 3, seed=17, target=target, base=base, conjugate=conjugate)
     rng = np.random.default_rng(17)
-    got = list(sample(spec))
-    assert len(got) == spec.count
-    for rho in got:
-        want = single_item(spec, rng)
-        assert rho.batch_shape == ()
-        assert np.array_equal(rho.slots().view(np.int64), want.slots().view(np.int64))
+    want = np.stack([single_item(spec, rng).slots() for _ in range(spec.count)])
+    batches = list(sample_batches(spec))
+    assert [batch.batch_shape for batch in batches] == [(_CHUNK,), (3,)]
+    got = np.concatenate([batch.slots() for batch in batches])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    items = list(sample(spec))
+    assert [rho.batch_shape for rho in items] == [()] * spec.count
+    assert np.array_equal(np.stack([rho.slots() for rho in items]).view(np.int64), want.view(np.int64))
 
 
 
@@ -463,7 +491,7 @@ def test_fixedness_read_rows_are_single_calls():
         pillow_point(haar_sample(rng, (8,)), haar_sample(rng, (8,))),
         rp2_fiber_point(_pure_unit(rng, (8,))),
         n2_interval(0.9, 0.4, np.linspace(0.0, np.pi / 2, 8)),
-        _interior_build([_interior_draw(rng) for _ in range(8)]),
+        _build([_draw(rng) for _ in range(8)]),
     )
     k, fixed = sigma_fixed_conjugator(rho, DEFAULT.mat)
     assert fixed.tolist() == [True] * 24 + [False] * 8
@@ -481,7 +509,7 @@ def test_moment_map_rows_are_single_calls(moment):
     rng = np.random.default_rng(41)
     angles = rng.uniform(0.3, np.pi - 0.3, size=(4, 4))
     flat = stack(
-        _interior_build([_interior_draw(rng) for _ in range(4)]),
+        _build([_draw(rng) for _ in range(4)]),
         pillow_point(haar_sample(rng, (4,)), haar_sample(rng, (4,))),
         rp2_fiber_point(_pure_unit(rng, (4,))),
         Representation(*(_diag(angles[:, i]) for i in range(4))),
@@ -564,7 +592,7 @@ def test_fixed_point_stream_redraws_commuting_pairs(count):
 
 def test_flow_identities_equal_public_call_chain():
     rng = np.random.default_rng(43)
-    rho = _interior_build([_interior_draw(rng) for _ in range(12)])
+    rho = _build([_draw(rng) for _ in range(12)])
     slots = rho.slots().copy()
     slots[0, 1] = [1.0, 0.0, 0.0, 0.0]  # h1 exactly central: the exact-centre branch
     slots[1, 3] = [-1.0, 0.0, 0.0, 0.0]

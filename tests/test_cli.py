@@ -529,6 +529,37 @@ def test_readme_pipeline_output_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# sha256 of `sample --count 300 --seed 11 --target T` (two sampler batches),
+# without and with --conjugate, as the per-item builders wrote them
+BOUNDARY_SHA256 = {
+    "face": (
+        "a4e8cd458a58c5e52c56087c91cd02d98fac5814306a05d052e195325f49b7dc",
+        "e657b1059815ff85e5fc8ae4f1c7b01e63a27d429ced0208bc9b7785d5b28a12",
+    ),
+    "edge": (
+        "67ce1114d4933f1bda6a921c61e2cdc269cea464e3bda845193f9a6729e81103",
+        "a26d66e65510f1896f8900c6eb4b9587e9612c907ccc770761c06a3a92e19328",
+    ),
+    "vertex": (
+        "c5ae53aea3eb1daa31486e876b1668f9ad7adf9fe38ba04b8cdf844534bd1628",
+        "629c6048b837c99f3cf5cdc19964e4b05b85a45dc9ab39c2e2e0c297e7626280",
+    ),
+    "abelian": (
+        "a5f46fec3a36b1e30aa2f39aac7fe4a910473ce54ff2a86a87f7c71ea3f47404",
+        "13cdd6e2e029eb4b607496184fdd912dd5cb80b13f1ba59ec213912808b5310b",
+    ),
+}
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("target", list(BOUNDARY_SHA256))
+def test_boundary_sample_output_pinned(target, conjugate):
+    argv = ["sample", "--count", "300", "--seed", "11", "--target", target]
+    code, out = run(argv + ["--conjugate"] * conjugate)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDARY_SHA256[target][conjugate]
+
+
 # ---------------------------------------------------------------------------
 # the JSONL stages run in chunks: byte for byte the one-line runs
 # ---------------------------------------------------------------------------
@@ -797,9 +828,10 @@ def test_moment_outside_row_keeps_the_rows_before(k, quotient, interior_lines, m
         code = main(["moment", *["--quotient"] * quotient])
     assert code == 3
     want_out, want_err = _oracle_csv(lines, quotient)
-    what = "quotient moment triple [" if quotient else "moment triple ["
-    assert err.getvalue().startswith("solve failure: " + what)
-    assert err.getvalue() == want_err
+    what = "quotient moment triple outside the simplex: [" if quotient else (
+        "moment triple violates the tetrahedron: [")
+    assert want_err.startswith("solve failure: " + what)
+    assert err.getvalue() == want_err.replace("solve failure: ", f"solve failure: line {k + 1}: ")
     assert out.getvalue() == want_out
     assert out.getvalue().count("\n") == k + 1
 
