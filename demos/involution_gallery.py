@@ -20,7 +20,6 @@ from charvar import (
     blowup_point,
     class_equal,
     classify_fixed_point,
-    classify_fixed_points,
     commutator,
     exp_alg,
     moment_coordinates,
@@ -84,11 +83,11 @@ print("RP^2 fiber classified as        :", classify_fixed_point(fiber).piece.val
 
 # piece 4: the interval family interpolating between a pillow-type endpoint
 # and a corner of the fixed locus
-# (the three parameters are classified as one batch)
-arc = n2_interval(1.1, 0.9, np.array([0.0, 0.7, np.pi / 2]))
+# (the three parameters are classified as one batch, read as arrays)
+arc = classify_fixed_point(n2_interval(1.1, 0.9, np.array([0.0, 0.7, np.pi / 2])))
 labels = ["alpha = 0   ", "alpha = 0.7 ", "alpha = pi/2"]
-for label, point in zip(labels, classify_fixed_points(arc)):
-    print(label, "->", point.stratum.name, "/", point.piece.value)
+for label, stratum, piece in zip(labels, arc.stratum, arc.piece):
+    print(label, "->", stratum.name, "/", piece.value)
 
 # the classifier also hands back a conjugator witnessing fixedness
 witness = classify_fixed_point(blow)

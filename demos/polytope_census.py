@@ -18,7 +18,6 @@ from charvar import (
     haar_sample,
     is_abelian,
     moment_mu,
-    sample,
     sample_batches,
     trace_triple,
     write_simplex_csv,
@@ -59,8 +58,9 @@ print("abelian interior hits :", abelian_hits, "/ 300")
 # ------------------------------------------------------------------
 # emit a tagged cloud for external plotting
 # ------------------------------------------------------------------
+# one moment_mu call per sampled batch
 spec = SampleSpec(count=500, seed=99, target=Target.INTERIOR_UNIFORM_BASE)
-points = (moment_mu(rho) for rho in sample(spec))
+points = (point for rho in sample_batches(spec) for point in moment_mu(rho))
 with open("moment_cloud.csv", "w", encoding="utf-8") as fh:
     rows = write_simplex_csv(points, fh)
 print("wrote moment_cloud.csv:", rows, "rows")

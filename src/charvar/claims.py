@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import ClassificationAmbiguity, PreconditionViolated, _relabelled
 from .flows import TorusElement, act, verify_flow_identities
 from .polytope import (
     M_P,
@@ -40,7 +40,7 @@ from .sigma import (
     _stacked,
     blowup_point,
     certify_interval_injectivity,
-    classify_fixed_points,
+    classify_fixed_point,
     n2_interval,
     pillow_point,
     rp2_fiber_point,
@@ -247,8 +247,8 @@ def _sigma_suite(n: int, rng: np.random.Generator, tol: Tolerances) -> tuple[int
 
     # the four central swap quadruples (s1, s2, s2, s1), s1 and s2 = +-1
     signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, [0, 1, 1, 0], None]
-    points = classify_fixed_points(Representation.from_slots(signs * _ID.q), tol=tol.mat)
-    failures += sum(point.stratum is not Stratum.III for point in points)
+    point = classify_fixed_point(Representation.from_slots(signs * _ID.q), tol=tol.mat)
+    failures += int(np.count_nonzero(point.stratum != Stratum.III))
 
     # interior classes are never swap-fixed
     failures += int(np.count_nonzero(interior_fixed))
@@ -361,13 +361,15 @@ def run_sigma_certification(
     worst = {"conjugator-residual": 0.0}
 
     for start, batch in zip(range(0, samples, _CHUNK), _fixed_point_stream(samples, rng)):
-        points = list(classify_fixed_points(batch, tol=tol.mat))
-        for point in points:
-            counts[point.piece.value] += 1
-        k = GroupElement(np.stack([point.conjugator.q for point in points]))
-        # the plain swap: classify_fixed_points has checked the batch against the relation
+        try:
+            point = classify_fixed_point(batch, tol=tol.mat)
+        except (PreconditionViolated, ClassificationAmbiguity) as bad:
+            raise _relabelled(bad, f"sample {start + bad.row[0]}") from None
+        for piece in point.piece.tolist():
+            counts[piece.value] += 1
+        # the plain swap: classify_fixed_point has checked the batch against the relation
         swapped = Representation(batch.h2, batch.g2, batch.h1, batch.g1)
-        resid = batch.conjugated(k).slot_distance(swapped)
+        resid = batch.conjugated(point.conjugator).slot_distance(swapped)
         worst["conjugator-residual"] = max(worst["conjugator-residual"], float(np.max(resid)))
         for idx in np.flatnonzero(resid >= tol.mat * 10.0):
             violations.append(f"sample {start + idx}: conjugator residual {resid[idx]:.3e}")

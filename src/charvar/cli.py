@@ -29,12 +29,13 @@ from .errors import (
     PreconditionViolated,
     RelationViolated,
     SectionSolveFailure,
+    _relabelled,
 )
 from .flows import TorusElement, act
 from .polytope import _CSV_HEADER, M_P, _moment_rows, moment_coordinates
 from .repvar import _SLOTS, Representation, _class_equal, new_checked, relation_residual
 from .sampler import _CHUNK, SampleSpec, Target, sample_batches
-from .sigma import classify_fixed_points
+from .sigma import classify_fixed_point
 from .su2 import GroupElement
 from .tau import tau
 from .tolerances import DEFAULT, Tolerances
@@ -116,14 +117,15 @@ def _classes(texts: Sequence[str], tol: float) -> Representation:
 
 def _before_refusal(check, numbers: tuple, rows) -> Iterator[tuple]:
     """Yield (numbers, check(rows)); at a refusal, the same for the rows before the earliest
-    bad row, then its error, naming its line.  check runs its tests in order over the whole
-    batch, so a retry on the rows before the row named fails a later test or passes."""
+    bad row, then its error, naming its line (library maps refuse a batch whole).  check runs
+    its tests in order, so a retry on the rows before the row named fails a later one or passes."""
     try:
         out = check(rows)
-    except (PreconditionViolated, DegenerateGenerator, OutsidePolytope) as bad:
+    except (PreconditionViolated, DegenerateGenerator, OutsidePolytope,
+            ClassificationAmbiguity) as bad:
         if i := bad.row[0]:  # the row the refusal names
             yield from _before_refusal(check, numbers[:i], rows[:i])
-        raise type(bad)(f"line {numbers[i]}: " + str(bad).removesuffix(f" (row {bad.row})"))
+        raise _relabelled(bad, f"line {numbers[i]}")
     yield numbers, out
 
 
@@ -222,13 +224,15 @@ def cmd_tau(args: argparse.Namespace) -> int:
 
 
 def cmd_fixed_points(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    rng = np.random.default_rng(args.seed)
+    classify = functools.partial(classify_fixed_point, tol=_tolerances(args).mat)
+    batches = _fixed_point_stream(args.count, np.random.default_rng(args.seed))
     with _opened(args.out, "w", sys.stdout) as out:
-        for batch in _fixed_point_stream(args.count, rng):
-            rows = zip(_rep_columns(batch).tolist(), classify_fixed_points(batch, tol.mat))
-            for row, point in rows:  # at an unclassifiable row, the lines before it are written
-                out.write(_TAGGED % (*row, point.stratum.name, point.piece.value))
+        for start, batch in zip(range(1, args.count + 1, _CHUNK), batches):
+            numbers = tuple(range(start, start + batch.batch_shape[0]))
+            for _, point in _before_refusal(classify, numbers, batch):
+                tags = zip(point.stratum.tolist(), point.piece.tolist())
+                rows = zip(_rep_columns(point.rep).tolist(), tags)
+                out.write("".join(_TAGGED % (*row, s.name, p.value) for row, (s, p) in rows))
     return 0
 
 

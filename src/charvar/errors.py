@@ -71,3 +71,9 @@ def _raise_first(bad, error: type, what: str, rows: np.ndarray) -> None:
         refusal = error(f"{what}: {rows[i]}" + (f" (row {i})" if i else ""))
         refusal.row = i
         raise refusal
+
+
+def _relabelled(refusal: CharVarError, label: str) -> CharVarError:
+    """A refusal of _raise_first on one chunk of a stream, as the same error type with its
+    message led by label (as in "line 5") in place of its chunk-relative "(row (i,))"."""
+    return type(refusal)(f"{label}: " + str(refusal).removesuffix(f" (row {refusal.row})"))

@@ -21,14 +21,15 @@
 # a tolerance that is one value or one per row; a non-finite point is outside.
 # Every region read starts from one pair of masks, Polytope._region_masks.
 # Polytope.classify takes one point or an (n, 3) array; moment_mu and
-# mu_lambda return one SimplexPoint for a single quadruple and the points of
-# a batch lazily, in row-major order.
+# mu_lambda return one SimplexPoint for a single quadruple and the list of the
+# points of a batch, in row-major order, and refuse a batch with a point
+# outside whole, naming its row.
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Iterator, Optional, TYPE_CHECKING
+from typing import IO, Iterable, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -276,27 +277,20 @@ _OUTSIDE = {
 
 def _points(rho: "Representation", coords: np.ndarray, poly: Polytope, tol):
     """The points in poly of coords, one (n, 3) row per quadruple of rho: a
-    SimplexPoint for a single quadruple, else an iterator over them in
-    row-major order.  OutsidePolytope at the first quadruple outside, after
-    the points before it."""
+    SimplexPoint for a single quadruple, else their list in row-major order.
+    OutsidePolytope, naming the quadruple, if one is outside."""
     points = poly.classify(coords, tol)
-
-    def each() -> Iterator[SimplexPoint]:
-        for x, point in zip(coords, points):
-            if point is None:
-                raise OutsidePolytope(f"{_OUTSIDE[poly.tag]}: {x}")
-            yield point
-
-    return next(each()) if rho.batch_shape == () else each()
+    outside = np.array([point is None for point in points]).reshape(rho.batch_shape)
+    _raise_first(outside, OutsidePolytope, _OUTSIDE[poly.tag], coords.reshape(outside.shape + (3,)))
+    return points[0] if rho.batch_shape == () else points
 
 
 def moment_mu(
     rho: "Representation", tol: float | np.ndarray = EPS_POLY
-) -> SimplexPoint | Iterator[SimplexPoint]:
-    """The moment triple of trace angles, tagged in TILDE_DELTA: a
-    SimplexPoint for a single quadruple, an iterator over the points of a
-    batch in row-major order, with tol one value or one per quadruple in
-    that order.
+) -> SimplexPoint | list[SimplexPoint]:
+    """The moment triple of trace angles, tagged in TILDE_DELTA: a SimplexPoint
+    for a single quadruple, the list of a batch's points in row-major order,
+    with tol one value or one per quadruple in that order.
 
     OutsidePolytope signals a numerical bug: the image of the moment map is
     the whole closed tetrahedron, never more.
@@ -311,7 +305,7 @@ def mu_lambda_coordinates(rho: "Representation") -> np.ndarray:
 
 def mu_lambda(
     rho: "Representation", tol: float | np.ndarray = EPS_POLY
-) -> SimplexPoint | Iterator[SimplexPoint]:
+) -> SimplexPoint | list[SimplexPoint]:
     """The quotient moment map, the inverse quotient matrix applied to the
     moment triple, tagged in STD_DELTA; single quadruples and batches as in
     moment_mu."""

@@ -27,9 +27,10 @@
 #
 # Fixedness is one batched read, sigma_fixed_conjugator: one conjugator
 # solve, each row's residual read against the caller's tolerance.  The
-# classification reads a batch in classify_fixed_points and one quadruple in
-# classify_fixed_point (the demos import both names); its N2 rows take their
-# pure-imaginary conjugators from the same system with the w column dropped.
+# classification, classify_fixed_point, reads a quadruple or a batch of any
+# shape into arrays of strata and pieces, and refuses a batch at its first
+# unclassifiable row; its N2 rows take their pure-imaginary conjugators from
+# the same system with the w column dropped.
 # Everything else runs over batches too.  Every solve computes each row as if
 # alone, so independent decisions on different rows are one call over the
 # rows stacked by _stacked: the two surface reads of the N2 rows, and the
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
@@ -69,7 +69,6 @@ __all__ = [
     "sigma",
     "sigma_fixed_conjugator",
     "classify_fixed_point",
-    "classify_fixed_points",
     "pillow_point",
     "blowup_point",
     "rp2_fiber_point",
@@ -106,12 +105,13 @@ _STRATUM_OF = {
 
 @dataclass(frozen=True)
 class SigmaFixedPoint:
-    """A sigma-fixed class with its witnessing conjugator and location."""
+    """Sigma-fixed classes with their witnessing conjugators and locations: a Stratum
+    and a Piece for a single quadruple, object arrays of its shape for a batch."""
 
     rep: Representation
     conjugator: GroupElement
-    stratum: Stratum
-    piece: Piece
+    stratum: Stratum | np.ndarray
+    piece: Piece | np.ndarray
 
 
 def sigma(rho: Representation) -> Representation:
@@ -156,7 +156,7 @@ def sigma_fixed_conjugator(
     residual below tol), a bool for a single quadruple.  Row i of a batch is
     bit for bit the read of quadruple i alone.  Works for abelian quadruples
     too (the nullspace solve decides either way); pieces that need a
-    pure-imaginary representative get one in classify_fixed_points."""
+    pure-imaginary representative get one in classify_fixed_point."""
     _, k, worst = _fixedness_solve(rho)
     fixed = worst < tol
     return k, bool(fixed) if rho.batch_shape == () else fixed
@@ -176,17 +176,16 @@ def _pure_imaginary_conjugators(
     return GroupElement(np.where(found[..., None], pure.q, k.q))
 
 
-def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator[SigmaFixedPoint]:
-    """Each quadruple of a batch in the stratum/piece decomposition, in
-    row-major order, bit for bit the point of that quadruple alone: one swap
-    and one conjugator solve (its worst residual reads fixed below tol, gray
-    zone below 10*tol), one stabilizer, [g1,h1] and k^2 read, and on the N2
-    rows one pure-imaginary conjugator solve and one class-equality call for
-    both surfaces.  The first quadruple not fixed at 10*tol (PreconditionViolated) or
-    with a deciding residual in the gray zone [tol, 10*tol)
-    (ClassificationAmbiguity) raises after the points before it: such points
-    are reported, never guessed.  A batch with a quadruple off the relation
-    fails in sigma, before any point."""
+def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixedPoint:
+    """The points of a quadruple or a batch of any shape in the stratum/piece
+    decomposition: one SigmaFixedPoint whose conjugator, stratum and piece have the
+    batch's shape (a Stratum and a Piece for a single quadruple), row i bit for bit
+    the point of quadruple i alone.  One swap and one conjugator solve, one
+    stabilizer, [g1,h1] and k^2 read, and on the N2 rows one pure-imaginary solve and
+    one class-equality call for both surfaces.  The first row not fixed at 10*tol
+    (PreconditionViolated) or with a deciding residual in the gray zone [tol, 10*tol)
+    (ClassificationAmbiguity) refuses the batch by its first failing check: such
+    points are reported, never guessed.  A quadruple off the relation fails in sigma."""
     flat = Representation.from_slots(rho.slots().reshape(-1, 4, 4))
     swapped, k, worst = _fixedness_solve(flat)
     strata = stabilizer_type(GroupElement(flat.slots()), axis_tol=tol)
@@ -196,57 +195,41 @@ def classify_fixed_points(rho: Representation, tol: float = EPS_MAT) -> Iterator
     # on N1, k^2 is central, and k = +-1 exactly when the class sits on the swap pillow
     k2 = mul(k, k)
     d_plus, d_minus = distance(k2, GroupElement.identity()), distance(k2, -GroupElement.identity())
-    # N2, the arcs between the two surfaces: fixed, non-central rows with [g1,h1] = 1
-    n2 = np.flatnonzero((worst < tol) & (strata != StabilizerType.FULL) & (comm_dist < tol))
-    arc_piece = {}
-    if n2.size:  # the pure solve and the surface reads, skipped on batches without an N2 row
+    full, pillow = strata == StabilizerType.FULL, d_plus < d_minus  # full: stratum III
+    n1 = ~full & ~(comm_dist < 10 * tol)  # [g1,h1] != 1, past its gray zone
+    residuals = np.stack((worst, comm_dist, tr_dist))
+    worst_gray, comm_gray, tr_gray = (tol <= residuals) & (residuals < 10 * tol)
+    refusals = (  # the checks in the order each row runs them; a NaN residual is not fixed
+        (worst_gray, ClassificationAmbiguity, "sigma-fixedness residual in the gray zone", worst),
+        (~(worst < tol), PreconditionViolated, "class is not sigma-fixed; residual", worst),
+        (~full & comm_gray, ClassificationAmbiguity,
+         "[g1,h1] centrality residual in the gray zone", comm_dist),
+        (n1 & (np.minimum(d_plus, d_minus) >= EPS_CENTER), ClassificationAmbiguity,
+         "k^2 is not numerically central; distances to 1 and -1", np.stack((d_plus, d_minus), -1)),
+        (n1 & ~pillow & tr_gray, ClassificationAmbiguity,
+         "tr[g1,h1] = -2 residual in the gray zone", tr_dist),
+    )
+    first = np.cumsum(np.logical_or.reduce([bad for bad, *_ in refusals])) == 1
+    shape = rho.batch_shape
+    for bad, error, what, values in refusals:  # only at the first refused row
+        values = values.reshape(shape + values.shape[1:])
+        _raise_first((bad & first).reshape(shape), error, what, values)
+    # every row is fixed: the central vertices, the N2 arcs between the two surfaces, and N1
+    n2 = ~full & (comm_dist < tol)
+    piece = np.where(tr_dist < tol, Piece.RP2_FIBER, Piece.BLOWUP_INTERIOR)
+    piece[pillow], piece[full] = Piece.PILLOW_INTERIOR, Piece.CENTRAL_VERTEX
+    q = np.where(full[:, None], DIAG_I.q, k.q)
+    if n2.any():  # the pure solve and the surface reads, skipped on batches without an N2 row
         arc = flat[n2]
-        q = k.q.copy()
         q[n2] = _pure_imaginary_conjugators(arc, swapped[n2], k[n2], tol).q
-        k = GroupElement(q)
         other = Representation(arc.g1, arc.h1, arc.h1.inverse(), arc.g1.inverse())
         ends = _stacked(pillow_point(arc.g1, arc.h1), other)
         surface, endpoint = _class_equal(_stacked(arc, arc), ends, tol).reshape(2, -1)
         interval = np.where(endpoint, Piece.INTERVAL_ENDPOINT, Piece.INTERVAL_INTERIOR)
-        arc_piece = dict(zip(n2.tolist(), np.where(surface, Piece.PILLOW_SURFACE, interval)))
-    for i in range(len(worst)):
-        if not worst[i] < tol:
-            if worst[i] < 10 * tol:
-                raise ClassificationAmbiguity(
-                    "sigma-fixedness residual lies between tol and 10*tol"
-                )
-            raise PreconditionViolated("class is not sigma-fixed")
-        rep, stratum = flat[i], _STRATUM_OF[strata[i]]
-        if stratum is Stratum.III:
-            yield SigmaFixedPoint(rep, DIAG_I, stratum, Piece.CENTRAL_VERTEX)
-            continue
-        if tol <= comm_dist[i] < 10 * tol:
-            raise ClassificationAmbiguity(
-                f"[g1,h1] centrality residual {comm_dist[i]:.3e} in the gray zone"
-            )
-        if i in arc_piece:
-            piece = arc_piece[i]
-        elif min(d_plus[i], d_minus[i]) >= EPS_CENTER:
-            raise ClassificationAmbiguity(
-                f"k^2 is not numerically central (residuals {d_plus[i]:.3e}/{d_minus[i]:.3e})"
-            )
-        elif d_plus[i] < d_minus[i]:
-            piece = Piece.PILLOW_INTERIOR
-        elif tol <= tr_dist[i] < 10 * tol:
-            raise ClassificationAmbiguity(
-                f"tr[g1,h1] = -2 residual {tr_dist[i]:.3e} in the gray zone"
-            )
-        else:
-            piece = Piece.RP2_FIBER if tr_dist[i] < tol else Piece.BLOWUP_INTERIOR
-        yield SigmaFixedPoint(rep, k[i], stratum, piece)
-
-
-def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixedPoint:
-    """The point of one quadruple in the stratum/piece decomposition:
-    classify_fixed_points on a batch of one, with the same errors."""
-    if rho.batch_shape != ():
-        raise ValueError("classify_fixed_point is scalar-only")
-    return next(classify_fixed_points(rho, tol))
+        piece[n2] = np.where(surface, Piece.PILLOW_SURFACE, interval)
+    k = GroupElement(q.reshape(shape + (4,)))
+    stratum = np.frompyfunc(_STRATUM_OF.get, 1, 1)(strata).reshape(shape)[()]
+    return SigmaFixedPoint(rho, k, stratum, piece.reshape(shape)[()])
 
 
 def pillow_point(g: GroupElement, h: GroupElement) -> Representation:

@@ -22,7 +22,7 @@ from charvar.repvar import relation_residual
 from charvar.sigma import (
     Piece,
     certify_interval_injectivity,
-    classify_fixed_points,
+    classify_fixed_point,
     n2_interval,
     pillow_point,
 )
@@ -171,8 +171,8 @@ def test_criterion_7_sigma_suite():
     rng = np.random.default_rng(107)
     theta, s = rng.uniform(0.3, np.pi - 0.3, size=(100, 2)).T
     ends = n2_interval(theta[:, None], s[:, None], np.array([0.0, np.pi / 2]))
-    points = classify_fixed_points(ends)
-    assert [point.piece for point in points] == [Piece.PILLOW_SURFACE, Piece.INTERVAL_ENDPOINT] * 100
+    pieces = classify_fixed_point(ends).piece.ravel()
+    assert pieces.tolist() == [Piece.PILLOW_SURFACE, Piece.INTERVAL_ENDPOINT] * 100
     assert certify_interval_injectivity(theta, s, grid=10).passed.all()
     _report(
         "7",

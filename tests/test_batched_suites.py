@@ -12,6 +12,8 @@ bit.
 from __future__ import annotations
 
 import contextlib
+import importlib
+import itertools
 import sys
 from unittest import mock
 
@@ -33,7 +35,12 @@ from charvar.claims import (
     run_sigma_certification,
     run_verify,
 )
-from charvar.errors import OutsidePolytope, PreconditionViolated
+from charvar.errors import (
+    CharVarError,
+    ClassificationAmbiguity,
+    OutsidePolytope,
+    PreconditionViolated,
+)
 from charvar.flows import TorusElement, act, verify_flow_identities
 from charvar.polytope import (
     M_P,
@@ -46,7 +53,7 @@ from charvar.polytope import (
     mu_lambda_coordinates,
     trace_triple,
 )
-from charvar.repvar import Representation, class_equal, is_abelian, relation_residual
+from charvar.repvar import Representation, _class_equal, class_equal, is_abelian, relation_residual
 from charvar.sampler import (
     _CHUNK,
     SampleSpec,
@@ -62,6 +69,9 @@ from charvar.sampler import (
     sample_batches,
 )
 from charvar.sigma import (
+    DIAG_I,
+    Piece,
+    SigmaFixedPoint,
     Stratum,
     blowup_point,
     certify_interval_injectivity,
@@ -71,9 +81,21 @@ from charvar.sigma import (
     rp2_fiber_point,
     sigma_fixed_conjugator,
 )
-from charvar.su2 import AlgebraElement, GroupElement, _cross, commutator, exp_alg, haar_sample
+from charvar.su2 import (
+    AlgebraElement,
+    GroupElement,
+    StabilizerType,
+    _cross,
+    commutator,
+    exp_alg,
+    haar_sample,
+    stabilizer_type,
+)
 from charvar.tau import section, tau
-from charvar.tolerances import DEFAULT, Tolerances
+from charvar.tolerances import DEFAULT, EPS_CENTER, Tolerances
+from test_sigma import EVERY_PIECE, diag, every_piece_batch, swap_rep
+
+sigma_module = importlib.import_module("charvar.sigma")  # the package's sigma is the function
 
 
 def single_interior(rng, base=None, conjugate=True):
@@ -254,6 +276,61 @@ def fixed_point_oracle(count, rng, haar=haar_sample):
             rows.append(rho.slots())
         chunks.append(rows)
     return chunks, redraws
+
+
+def classify_oracle(rho, tol=DEFAULT.mat):
+    """The point of each quadruple of a batch, one row at a time in row-major order, as
+    the classification read them before it returned arrays: at the first row it cannot
+    classify, its error, after the points before it.  Kept as the reference."""
+    flat = Representation.from_slots(rho.slots().reshape(-1, 4, 4))
+    swapped, k, worst = sigma_module._fixedness_solve(flat)
+    strata = stabilizer_type(GroupElement(flat.slots()), axis_tol=tol)
+    comm = commutator(flat.g1, flat.h1)
+    comm_dist = su2.distance(comm, GroupElement.identity())
+    tr_dist = np.abs(comm.trace() + 2.0)
+    k2 = su2.mul(k, k)
+    d_plus = su2.distance(k2, GroupElement.identity())
+    d_minus = su2.distance(k2, -GroupElement.identity())
+    n2 = np.flatnonzero((worst < tol) & (strata != StabilizerType.FULL) & (comm_dist < tol))
+    arc_piece = {}
+    if n2.size:
+        arc = flat[n2]
+        q = k.q.copy()
+        q[n2] = sigma_module._pure_imaginary_conjugators(arc, swapped[n2], k[n2], tol).q
+        k = GroupElement(q)
+        other = Representation(arc.g1, arc.h1, arc.h1.inverse(), arc.g1.inverse())
+        ends = sigma_module._stacked(pillow_point(arc.g1, arc.h1), other)
+        surface, endpoint = _class_equal(sigma_module._stacked(arc, arc), ends, tol).reshape(2, -1)
+        interval = np.where(endpoint, Piece.INTERVAL_ENDPOINT, Piece.INTERVAL_INTERIOR)
+        arc_piece = dict(zip(n2.tolist(), np.where(surface, Piece.PILLOW_SURFACE, interval)))
+    for i in range(len(worst)):
+        if not worst[i] < tol:
+            if worst[i] < 10 * tol:
+                raise ClassificationAmbiguity("sigma-fixedness residual lies between tol and 10*tol")
+            raise PreconditionViolated("class is not sigma-fixed")
+        rep, stratum = flat[i], sigma_module._STRATUM_OF[strata[i]]
+        if stratum is Stratum.III:
+            yield SigmaFixedPoint(rep, DIAG_I, stratum, Piece.CENTRAL_VERTEX)
+            continue
+        if tol <= comm_dist[i] < 10 * tol:
+            raise ClassificationAmbiguity(
+                f"[g1,h1] centrality residual {comm_dist[i]:.3e} in the gray zone"
+            )
+        if i in arc_piece:
+            piece = arc_piece[i]
+        elif min(d_plus[i], d_minus[i]) >= EPS_CENTER:
+            raise ClassificationAmbiguity(
+                f"k^2 is not numerically central (residuals {d_plus[i]:.3e}/{d_minus[i]:.3e})"
+            )
+        elif d_plus[i] < d_minus[i]:
+            piece = Piece.PILLOW_INTERIOR
+        elif tol <= tr_dist[i] < 10 * tol:
+            raise ClassificationAmbiguity(
+                f"tr[g1,h1] = -2 residual {tr_dist[i]:.3e} in the gray zone"
+            )
+        else:
+            piece = Piece.RP2_FIBER if tr_dist[i] < tol else Piece.BLOWUP_INTERIOR
+        yield SigmaFixedPoint(rep, k[i], stratum, piece)
 
 
 def flow_identities_oracle(rho, t):
@@ -516,22 +593,23 @@ def test_moment_map_rows_are_single_calls(moment):
     )
     tol = np.repeat([1e-12, 1e-9, 1e-6, 1e-3], 4)
     points = moment(Representation.from_slots(flat.slots().reshape(2, 8, 4, 4)), tol)
-    assert iter(points) is points  # a lazy iterator, not a point
-    points = list(points)
-    assert len(points) == 16
+    assert isinstance(points, list) and len(points) == 16
     for i, point in enumerate(points):
         single = moment(flat[i], tol[i])
         assert isinstance(single, SimplexPoint)
         assert np.array_equal(single.x.view(np.int64), point.x.view(np.int64))
         assert (single.region, single.polytope) == (point.region, point.polytope)
     one = moment(flat[:1])  # a batch of one is a batch
-    assert iter(one) is one and isinstance(next(one), SimplexPoint)
-    # a row outside comes after the points before it
+    assert isinstance(one, list) and isinstance(one[0], SimplexPoint)
+    # a row outside refuses the whole batch and names itself, on a 2-D batch too
     tol[5] = -1.0  # no point lies that far inside
-    lazy = moment(flat, tol)
-    assert [next(lazy).region for _ in range(5)] == [p.region for p in points[:5]]
-    with pytest.raises(OutsidePolytope):
-        next(lazy)
+    square = Representation.from_slots(flat.slots().reshape(2, 8, 4, 4))
+    for rho, row in ((flat, (5,)), (square, (0, 5))):
+        with pytest.raises(OutsidePolytope) as raised:
+            moment(rho, tol)
+        assert raised.value.row == row and str(raised.value).endswith(f" (row {row})")
+    # the rows before it are the points the batch's prefix reads
+    assert [p.region for p in moment(flat[:5], tol[:5])] == [p.region for p in points[:5]]
 
 
 def test_batched_preconditions_hold_on_every_row():
@@ -588,6 +666,92 @@ def test_fixed_point_stream_redraws_commuting_pairs(count):
     assert redraws > 0
     assert np.array_equal(got[0].view(np.int64), np.stack(want[0]).view(np.int64))
     assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def assert_points_equal_oracle(rho, tol=DEFAULT.mat):
+    """classify_fixed_point of a batch: arrays of the batch's shape whose rows are the
+    per-row loop's points, conjugators bit for bit."""
+    point, want = classify_fixed_point(rho, tol), list(classify_oracle(rho, tol))
+    shape = rho.batch_shape
+    assert point.rep is rho
+    assert point.conjugator.batch_shape == point.stratum.shape == point.piece.shape == shape
+    assert point.stratum.ravel().tolist() == [p.stratum for p in want]
+    assert point.piece.ravel().tolist() == [p.piece for p in want]
+    bits = np.stack([p.conjugator.q for p in want]).view(np.int64)
+    assert np.array_equal(point.conjugator.q.reshape(-1, 4).view(np.int64), bits)
+
+
+@pytest.mark.parametrize(
+    "rows", [range(7), [3, 4, 5, 0], [0, 1, 2, 6], [6, 6, 6, 6], [5], [2, 0, 4]]
+)
+def test_classification_rows_equal_per_row_loop(rows):
+    batch = Representation.from_slots(every_piece_batch().slots()[list(rows)])
+    assert_points_equal_oracle(batch)
+    assert [p.piece for p in classify_oracle(batch)] == [EVERY_PIECE[r] for r in rows]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 1), (1, 7)])
+def test_classification_of_a_2d_batch_equals_per_row_loop(shape):
+    rows = every_piece_batch().slots()[: shape[0] * shape[1]]
+    assert_points_equal_oracle(Representation.from_slots(rows.reshape(shape + (4, 4))))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7919])
+def test_classification_of_stream_chunks_equals_per_row_loop(seed):
+    chunks = list(_fixed_point_stream(_CHUNK + 37, np.random.default_rng(seed)))
+    assert [chunk.batch_shape for chunk in chunks] == [(_CHUNK,), (37,)]
+    for chunk in chunks:
+        assert_points_equal_oracle(chunk)
+
+
+# the checks of the classification, by the start of their messages, in the order they run
+CHECKS = ("sigma-fixedness", "class is not sigma-fixed", "[g1,h1] centrality",
+          "k^2 is not numerically central", "tr[g1,h1] = -2")
+
+
+def check_of(refusal: Exception) -> str:
+    return next(check for check in CHECKS if str(refusal).startswith(check))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_classification_refuses_where_the_per_row_loop_stops(seed):
+    # at --tol 0.1 the 40-item stream of each seed holds a gray-zone row: of
+    # the centrality check, and of the trace check at seeds 6 and 7
+    tol = Tolerances(0.1).mat
+    batch = next(_fixed_point_stream(40, np.random.default_rng(seed)))
+    before = []
+    with pytest.raises(CharVarError) as want:
+        for point in classify_oracle(batch, tol):
+            before.append(point)
+    with pytest.raises(CharVarError) as got:
+        classify_fixed_point(batch, tol)
+    assert type(got.value) is type(want.value) is ClassificationAmbiguity
+    assert got.value.row == (len(before),)
+    assert check_of(got.value) == check_of(want.value)
+    assert check_of(got.value) == ("tr[g1,h1] = -2" if seed in (6, 7) else "[g1,h1] centrality")
+    value = float(str(got.value).removesuffix(f" (row {got.value.row})").rsplit(": ", 1)[1])
+    assert f" {value:.3e} " in str(want.value)
+    if before:  # the rows before it classify as the per-row loop read them
+        assert_points_equal_oracle(batch[: len(before)], tol)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_classification_refuses_the_first_bad_row_by_its_first_check(order):
+    # a pillow point, a centrality gray-zone point (fails the third check)
+    # and a class that is not sigma-fixed (fails the second), in every order
+    gray = pillow_point(diag(0.7), su2.mul(exp_alg(AlgebraElement(np.array([2e-9, 0.0, 0.0]))), diag(1.3)))
+    unfixed = act(TorusElement(0.9, 0.0, 0.0), swap_rep(np.random.default_rng(93)))
+    rows = np.stack([every_piece_batch().slots()[0], gray.slots(), unfixed.slots()])
+    batch = Representation.from_slots(rows[list(order)])
+    with pytest.raises(CharVarError) as want:
+        list(classify_oracle(batch))
+    with pytest.raises(CharVarError) as got:
+        classify_fixed_point(batch)
+    first = min(order.index(1), order.index(2))
+    assert type(got.value) is type(want.value)
+    assert type(got.value) is (ClassificationAmbiguity if order[first] == 1 else PreconditionViolated)
+    assert got.value.row == (first,)
+    assert check_of(got.value) == check_of(want.value)
 
 
 def test_flow_identities_equal_public_call_chain():

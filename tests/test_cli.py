@@ -263,6 +263,23 @@ class TestTau:
         assert "line 1: surface relation violated" in err
 
 
+# (lines written, sha256 of stdout) of `fixed-points --count 40 --seed S --tol 0.1`
+AMBIGUOUS_STREAMS = [
+    (13, "dee11ee42940c7d0542fade8216f5b9b96dea9b3713feea58e27131f8cb2446b"),
+    (5, "0700ecf8fc449eb94a9b118b4e54d3c957844abd6f163e86fa26fab222098470"),
+    (9, "70e86150869775c7bd257d52ceb710dc06859f7f28b1c3199dfe7404b069a39a"),
+    (4, "14258d5211203f600bc334ae2fad2543d7752e0a1bba81be7e285e94bf2d0e8a"),
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, "d8f5eefb8bb1ae14d5c5205fbb6acda859085df5976274105318691d24377afd"),
+    (9, "bda8932b49d2e0a39ba76b0afcd287fbb6787f3a83d8c3544b2f36ac7167311d"),
+    (9, "16659e3443f9e6e7028a4bfba698994e91acd9ffce15070d96b9ae64380dadb7"),
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (36, "484d9e6830947d12114f5433df8184f435bb746835736d56aba7af17ec15f411"),
+    (1, "9e7ae11becbd2cf3f56b22b2de0811b57b758ba7abe40ce640aff54ccef75c9c"),
+    (16, "9a9055d5c81417972f07ae21a9d62854fd652822c4d52f664642dc28e1629865"),
+]
+
+
 class TestFixedPoints:
     def test_tagged_stream(self):
         lines = sample_lines(["fixed-points", "--count", "8", "--seed", "3"])
@@ -281,7 +298,7 @@ class TestFixedPoints:
     def test_ambiguous_row_exit_3_after_the_rows_before(self):
         # at --tol 0.1 the fifth sample's [g1,h1] centrality residual (0.508)
         # lies in the gray zone: the four lines before it are written, and
-        # the run ends as a solve failure
+        # the run ends as a solve failure naming line 5
         argv = ["fixed-points", "--count", "40", "--seed", "3", "--tol", "0.1"]
         code, out = run(argv)
         assert code == 3
@@ -292,8 +309,34 @@ class TestFixedPoints:
         code, err = run_err(argv)
         assert code == 3
         assert err.splitlines() == [
-            "solve failure: [g1,h1] centrality residual 5.079e-01 in the gray zone"
+            "solve failure: line 5: [g1,h1] centrality residual in the gray zone: 0.5078766221917136"
         ]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ambiguous_stream_pinned(self, seed):
+        # --count 40 --tol 0.1: every seed stops at a gray-zone row, of the
+        # [g1,h1] centrality check or (seeds 6 and 7) of the trace check
+        argv = ["fixed-points", "--count", "40", "--seed", str(seed), "--tol", "0.1"]
+        code, out = run(argv)
+        assert code == 3
+        lines, digest = AMBIGUOUS_STREAMS[seed]
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, err = run_err(argv)
+        check = "tr[g1,h1] = -2" if seed in (6, 7) else "[g1,h1] centrality"
+        assert err.startswith(f"solve failure: line {lines + 1}: {check} residual in the gray zone: ")
+
+    def test_refusal_in_a_later_chunk_names_its_line(self):
+        # the third 256-line chunk refuses at its 158th row: 669 lines, then line 670
+        argv = ["fixed-points", "--count", "700", "--seed", "2", "--tol", "0.01"]
+        code, out = run(argv)
+        assert code == 3
+        assert out.count("\n") == 669
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "43a5e46fffe72a7a76cd04da9d79e5dda506bb52ef09649f357e1d83e16dc47b"
+        )
+        assert run_err(argv) == (3, "solve failure: line 670: [g1,h1] centrality residual"
+                                    " in the gray zone: 0.09043384076448845\n")
 
 
 class TestCertifySigma:
@@ -309,7 +352,16 @@ class TestCertifySigma:
         code, err = run_err(["certify-sigma", "--samples", "8", "--seed", "3", "--tol", "0.5"])
         assert code == 3
         assert err.splitlines() == [
-            "solve failure: [g1,h1] centrality residual 2.187e+00 in the gray zone"
+            "solve failure: sample 0: [g1,h1] centrality residual in the gray zone: 2.187278662508823"
+        ]
+
+    def test_ambiguous_sample_in_a_later_chunk_names_its_index(self):
+        # the stream sample fixed-points writes as line 670, by its 0-based index
+        code, err = run_err(["certify-sigma", "--samples", "700", "--seed", "2", "--tol", "0.01"])
+        assert code == 3
+        assert err.splitlines() == [
+            "solve failure: sample 669: [g1,h1] centrality residual in the gray zone:"
+            " 0.09043384076448845"
         ]
 
     def test_library_entry_point(self):
@@ -391,7 +443,7 @@ def test_tol_reaches_every_check(monkeypatch, command):
     for name in (
         "certify_interval_injectivity",
         "sigma_fixed_conjugator",
-        "classify_fixed_points",
+        "classify_fixed_point",
         "_class_equal",
         "is_abelian",
     ):
@@ -784,13 +836,17 @@ def _reps(lines: list[str]) -> Representation:
 
 def _oracle_csv(lines: list[str], quotient: bool) -> tuple[str, str]:
     """What write_simplex_csv writes of the moment_mu or mu_lambda points of
-    the lines, and the OutsidePolytope message it stops at ("" if none)."""
-    buf = io.StringIO()
+    the lines, and the OutsidePolytope message ("" if none) that refuses
+    them, less its row; at a refusal, the points of the lines before it."""
+    moment, buf, err = mu_lambda if quotient else moment_mu, io.StringIO(), ""
     try:
-        write_simplex_csv((mu_lambda if quotient else moment_mu)(_reps(lines), DEFAULT.poly), buf)
+        points = moment(_reps(lines), DEFAULT.poly)
     except OutsidePolytope as bad:
-        return buf.getvalue(), f"solve failure: {bad}\n"
-    return buf.getvalue(), ""
+        i = bad.row[0]
+        points = moment(_reps(lines[:i]), DEFAULT.poly) if i else []
+        err = f"solve failure: {str(bad).removesuffix(f' (row {bad.row})')}\n"
+    write_simplex_csv(points, buf)
+    return buf.getvalue(), err
 
 
 @pytest.mark.parametrize("quotient", [False, True])
@@ -837,7 +893,7 @@ def test_moment_outside_row_keeps_the_rows_before(k, quotient, interior_lines, m
 
 
 _COUNTED = ((json, "dumps"), (cli, "relation_residual"), (repvar, "relation_residual"),
-            (cli, "moment_coordinates"), (polytope, "SimplexPoint"))
+            (cli, "moment_coordinates"), (polytope, "SimplexPoint"), (cli, "classify_fixed_point"))
 
 
 @pytest.mark.parametrize(
@@ -854,7 +910,7 @@ def test_stages_make_pinned_calls_per_chunk(argv, residuals, monkeypatch):
     # two chunks (_CHUNK + 3 rows), each with no json.dumps call and no
     # SimplexPoint, and one moment_coordinates call; relation_residual runs once
     # per chunk for the output columns and once in new_checked on input (moment
-    # has no output column)
+    # has no output column); fixed-points classifies each chunk in one call
     lines = _sampled(["--count", str(_CHUNK + 3), "--seed", "3"])
     calls = collections.Counter()
 
@@ -869,7 +925,8 @@ def test_stages_make_pinned_calls_per_chunk(argv, residuals, monkeypatch):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     assert _run_on(argv, lines, monkeypatch)[0] == 0
     assert {name: calls[name] for _, name in _COUNTED} == {
-        "dumps": 0, "relation_residual": residuals, "moment_coordinates": 2, "SimplexPoint": 0
+        "dumps": 0, "relation_residual": residuals, "moment_coordinates": 2, "SimplexPoint": 0,
+        "classify_fixed_point": 2 * (argv[0] == "fixed-points"),
     }
 
 

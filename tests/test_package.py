@@ -55,7 +55,7 @@ FROZEN_EXPORTS = {
     "sampler": ["Target", "SampleSpec", "sample", "density_witness", "strict_inclusion_witness"],
     "tolerances": ["Tolerances", "DEFAULT"],
 }
-ADDED_EXPORTS = {"sigma": ["classify_fixed_points"], "sampler": ["sample_batches"]}
+ADDED_EXPORTS = {"sampler": ["sample_batches"]}
 
 
 def _module(name: str):
@@ -96,13 +96,13 @@ def test_package_all_is_the_union_of_its_modules():
     assert inspect.isfunction(charvar.sigma) and inspect.isfunction(charvar.tau)
 
 
-def test_exports_kept_and_only_two_added():
+def test_exports_kept_and_only_one_added():
     for name in PACKAGE_MODULES:
         want = FROZEN_EXPORTS[name] + ADDED_EXPORTS.get(name, [])
         assert sorted(_module(name).__all__) == sorted(want), name
     frozen = [export for names in FROZEN_EXPORTS.values() for export in names]
     assert len(frozen) == 80
-    assert set(charvar.__all__) - set(frozen) == {"classify_fixed_points", "sample_batches"}
+    assert set(charvar.__all__) - set(frozen) == {"sample_batches"}
 
 
 def test_star_import_gives_the_api_only():

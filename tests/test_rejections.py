@@ -21,10 +21,10 @@ from charvar.errors import (
     ZeroVector,
 )
 from charvar.flows import generators
-from charvar.polytope import boundary_commutation_check
+from charvar.polytope import boundary_commutation_check, moment_mu, mu_lambda
 from charvar.repvar import Representation, new_checked
 from charvar.sampler import density_witness
-from charvar.sigma import blowup_point, n2_interval, rp2_fiber_point, sigma
+from charvar.sigma import blowup_point, classify_fixed_point, n2_interval, rp2_fiber_point, sigma
 from charvar.su2 import AlgebraElement, GroupElement, commutator, haar_sample, log_grp
 from charvar.tau import section
 from charvar.tolerances import EPS_CENTER
@@ -102,6 +102,18 @@ def quadruple(slots: np.ndarray, i):
 def moment_not_finite(rng):
     slots = swap_slots(rng)
     slots[2, 1] = np.nan
+    return quadruple(slots, 2)
+
+
+def quotient_not_finite(rng):
+    slots = np.stack([swap_slots(rng), swap_slots(rng)])
+    slots[1, 2, 3] = np.nan
+    return quadruple(slots, (1, 2))
+
+
+def not_sigma_fixed(rng):
+    slots = swap_slots(rng)
+    slots[2] = section(np.array([0.2, 0.3, 0.1])).slots()  # interior classes are never fixed
     return quadruple(slots, 2)
 
 
@@ -227,6 +239,12 @@ CASES = {
                              "surface relation violated: residual", (2,)),
     "boundary_commutation_check": (boundary_commutation_check, moment_not_finite,
                                    OutsidePolytope, "violates the tetrahedron", (2,)),
+    "moment_mu": (moment_mu, moment_not_finite, OutsidePolytope,
+                  "moment triple violates the tetrahedron", (2,)),
+    "mu_lambda": (mu_lambda, quotient_not_finite, OutsidePolytope,
+                  "quotient moment triple outside the simplex", (1, 2)),
+    "classify_fixed_point": (classify_fixed_point, not_sigma_fixed, PreconditionViolated,
+                             "class is not sigma-fixed", (2,)),
     "generators": (generators, central_h1, DegenerateGenerator,
                    f"h1 is within {EPS_CENTER:g} of the center", (2,)),
     "sigma": (sigma, sigma_off_relation, PreconditionViolated,

@@ -28,7 +28,6 @@ from charvar.sigma import (
     blowup_point,
     certify_interval_injectivity,
     classify_fixed_point,
-    classify_fixed_points,
     n2_interval,
     pillow_point,
     rp2_fiber_point,
@@ -148,7 +147,7 @@ class TestSigma:
                 call(bad)
         batch = Representation.from_slots(np.stack([pillow_point(g, h).slots(), bad.slots()]))
         with pytest.raises(PreconditionViolated):
-            next(classify_fixed_points(batch))
+            classify_fixed_point(batch)
 
     def test_descends_to_classes(self):
         rng = np.random.default_rng(74)
@@ -737,8 +736,7 @@ class TestClassification:
         elif case == "interval":
             assert classify_fixed_point(n2_interval(0.7, 1.3, 0.4)).piece is Piece.INTERVAL_INTERIOR
         else:
-            points = list(classify_fixed_points(every_piece_batch()))
-            assert {point.piece for point in points} == set(Piece)
+            assert set(classify_fixed_point(every_piece_batch()).piece) == set(Piece)
         assert counts == {"sigma": 1, "solve": 1}
 
     @given(st.lists(st.tuples(ANGLE, ANGLE, ARC_PARAMETER), min_size=1, max_size=6))
@@ -752,13 +750,13 @@ class TestClassification:
             )
         except PreconditionViolated:  # a degenerate (central) pair of angles
             assume(False)
-        points = list(classify_fixed_points(batch))
-        for i, point in enumerate(points):
-            conj, swapped = point.conjugator, sigma(batch[i])
+        point = classify_fixed_point(batch)
+        for i in range(len(rows)):
+            conj, swapped = point.conjugator[i], sigma(batch[i])
             assert conj.q[0] == 0.0
             assert conj.q[np.argmax(np.abs(conj.q))] > 0.0
             assert batch[i].conjugated(conj).slot_distance(swapped) < EPS_MAT
-            assert (point.stratum, point.piece) == frozen_n2_read(batch[i])
+            assert (point.stratum[i], point.piece[i]) == frozen_n2_read(batch[i])
 
     def test_classification_never_reads_the_nullspace_basis(self, monkeypatch):
         import charvar.su2 as su2
@@ -767,8 +765,7 @@ class TestClassification:
             raise AssertionError("conjugator_nullspace called")
 
         monkeypatch.setattr(su2, "conjugator_nullspace", refuse)
-        points = list(classify_fixed_points(every_piece_batch()))
-        assert [point.piece for point in points] == EVERY_PIECE
+        assert classify_fixed_point(every_piece_batch()).piece.tolist() == EVERY_PIECE
 
     def test_pure_solve_only_on_batches_with_n2_rows(self, monkeypatch):
         sigma_module = sys.modules["charvar.sigma"]
@@ -781,9 +778,9 @@ class TestClassification:
 
         monkeypatch.setattr(sigma_module, "_pure_imaginary_conjugators", counted)
         no_arc = every_piece_batch().slots()[[0, 1, 2, 6]]
-        list(classify_fixed_points(Representation.from_slots(no_arc)))
+        classify_fixed_point(Representation.from_slots(no_arc))
         assert calls == []
-        list(classify_fixed_points(every_piece_batch()))
+        classify_fixed_point(every_piece_batch())
         assert calls == [(3,)]  # the three N2 rows, in one solve
 
     @pytest.mark.parametrize(
@@ -804,28 +801,27 @@ class TestClassification:
 
         batch = Representation.from_slots(every_piece_batch().slots()[list(rows)])
         monkeypatch.setattr(sigma_module, "_class_equal", counted)
-        points = list(classify_fixed_points(batch))
+        point = classify_fixed_point(batch)
         monkeypatch.undo()
         n2 = [i for i, r in enumerate(rows) if 3 <= r <= 5]
         assert calls == ([(2 * len(n2),)] if n2 else [])
-        assert [point.piece for point in points] == [EVERY_PIECE[r] for r in rows]
+        assert point.piece.tolist() == [EVERY_PIECE[r] for r in rows]
         if n2:
-            assert [points[i].piece for i in n2] == list(two_call_arc_pieces(batch[np.array(n2)]))
-        for i, point in enumerate(points):
+            assert list(point.piece[n2]) == list(two_call_arc_pieces(batch[np.array(n2)]))
+        for i in range(len(rows)):
             one = classify_fixed_point(batch[i])
-            bits = (p.conjugator.q.view(np.int64) for p in (point, one))
-            assert np.array_equal(*bits)
+            assert np.array_equal(point.conjugator.q[i].view(np.int64), one.conjugator.q.view(np.int64))
 
     def test_batch_rows_match_single_calls(self):
         batch = every_piece_batch()
-        points = list(classify_fixed_points(batch))
-        assert [point.piece for point in points] == EVERY_PIECE
-        for i, point in enumerate(points):
+        point = classify_fixed_point(batch)
+        assert point.rep is batch and point.piece.tolist() == EVERY_PIECE
+        for i in range(len(EVERY_PIECE)):
             one = classify_fixed_point(batch[i])
-            assert (point.piece, point.stratum) == (one.piece, one.stratum)
-            bits = (p.conjugator.q.view(np.int64) for p in (point, one))
-            assert np.array_equal(*bits)
-            assert np.array_equal(point.rep.slots(), batch[i].slots())
+            assert (point.piece[i], point.stratum[i]) == (one.piece, one.stratum)
+            assert isinstance(one.piece, Piece) and isinstance(one.stratum, Stratum)
+            assert np.array_equal(point.conjugator.q[i].view(np.int64), one.conjugator.q.view(np.int64))
+            assert np.array_equal(one.rep.slots(), batch[i].slots())
 
     @pytest.mark.parametrize("error", [PreconditionViolated, ClassificationAmbiguity])
     def test_batch_raises_at_first_failing_row(self, error):
@@ -839,11 +835,15 @@ class TestClassification:
             bad = pillow_point(diag(0.7), h)
         rows = every_piece_batch().slots()
         batch = Representation.from_slots(np.concatenate([rows[:3], bad.slots()[None], rows[3:]]))
-        points = classify_fixed_points(batch)
-        assert [next(points).piece for _ in range(3)] == EVERY_PIECE[:3]
         with pytest.raises(error) as raised:
-            next(points)
+            classify_fixed_point(batch)
         assert type(raised.value) is error
+        assert raised.value.row == (3,) and str(raised.value).endswith(" (row (3,))")
+        # the rows before it classify; a single quadruple's refusal names no row
+        assert classify_fixed_point(batch[:3]).piece.tolist() == EVERY_PIECE[:3]
+        with pytest.raises(error) as alone:
+            classify_fixed_point(bad)
+        assert alone.value.row == () and "(row" not in str(alone.value)
 
     def test_conjugated_fixed_points_still_classified(self):
         rng = np.random.default_rng(92)
