@@ -2,8 +2,8 @@
 
 Formats: JSONL for representation streams, CSV for point clouds, JSON for reports.
 A run is a deterministic function of its flags: all randomness flows from ``--seed``.
-Input is checked by one repvar.new_checked per chunk, and a refusal names its earliest
-bad line.  Output chunks render from one float array through one template each.
+Input is checked by one repvar.new_checked per chunk; a refusal names the earliest bad line
+over all its checks.  Output chunks render from one float array through one template each.
 
 Exit codes: 0 success, 1 verification failures, 2 flag, config, input or path
 errors, 3 solve failures.
@@ -97,34 +97,32 @@ def rep_from_obj(obj: dict) -> Representation:
 
 
 def _classes(texts: Sequence[str], tol: float) -> Representation:
-    """The classes of JSONL lines, checked by new_checked at tol.  PreconditionViolated,
-    with its row, at the first line that is not an object of four numbers per slot."""
-    try:
+    """The classes of JSONL lines, checked by new_checked at tol.  PreconditionViolated, with
+    its row, at the first line not an object of four numbers per slot, if no line before fails."""
+    with contextlib.suppress(TypeError, KeyError, ValueError, OverflowError):  # JSONDecodeError too
         q = np.array([[obj[key] for key in _SLOTS] for obj in map(json.loads, texts)], dtype=float)
-    except (TypeError, KeyError, ValueError, OverflowError):  # JSONDecodeError too
-        pass
-    else:
         if q.shape == (len(texts), 4, 4):
             return new_checked(*Representation.from_slots(q).elements(), tol=tol)
     for i, text in enumerate(texts):  # some line is bad: read them one by one to find the first
         try:
             _slot_arrays(json.loads(text))
         except (ValueError, PreconditionViolated) as bad:  # JSONDecodeError is a ValueError
+            _classes(texts[:i], tol)  # a line before it may refuse first
             error = PreconditionViolated(str(bad))
             error.row = (i,)
             raise error from None
 
 
 def _before_refusal(check, numbers: tuple, rows) -> Iterator[tuple]:
-    """Yield (numbers, check(rows)); at a refusal, the same for the rows before the earliest
-    bad row, then its error, naming its line (library maps refuse a batch whole).  check runs
-    its tests in order, so a retry on the rows before the row named fails a later one or passes."""
+    """Yield (numbers, check(rows)); at a refusal, the same for the rows before its row,
+    then its error, naming its line (library maps refuse a batch whole).  A refusal names
+    the earliest bad row (errors._raise_first), so the rows before it pass."""
     try:
         out = check(rows)
     except (PreconditionViolated, DegenerateGenerator, OutsidePolytope,
             ClassificationAmbiguity) as bad:
         if i := bad.row[0]:  # the row the refusal names
-            yield from _before_refusal(check, numbers[:i], rows[:i])
+            yield numbers[:i], check(rows[:i])
         raise _relabelled(bad, f"line {numbers[i]}")
     yield numbers, out
 

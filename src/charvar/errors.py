@@ -2,7 +2,7 @@
 
 Every error raised by library code derives from :class:`CharVarError` so that
 callers (in particular the CLI) can distinguish domain failures from bugs.
-A batched map refuses a batch through :func:`_raise_first`, naming its first bad row.
+A batched map refuses a batch through :func:`_raise_first`, at its earliest bad row.
 """
 
 import numpy as np
@@ -62,12 +62,14 @@ class ClassificationAmbiguity(CharVarError):
     """A fixed-point classification residual falls in the undecidable band."""
 
 
-def _raise_first(bad, error: type, what: str, rows: np.ndarray) -> None:
-    """Raise error if the NumPy bool (array) bad is set anywhere, with what, the value of
-    rows (whose leading axes are bad's shape) at the first set index and, on a batch, that
-    index, as in "(row (2,))"; the error's row is that index, () on a single input."""
-    if bad.any():
-        i = tuple(np.argwhere(bad)[0].tolist())
+def _raise_first(*checks) -> None:
+    """Refuse a batch as its earliest bad row alone.  checks are a row's (bad, error, what,
+    rows) in the order it runs them: bad a NumPy bool (array) of the batch shape, rows led by
+    that shape.  At the first index i (row-major) set in any bad, raise the first check's
+    error set at i as "{what}: {rows[i]} (row {i})", row = i; a single input's i is ()."""
+    if failing := [check for check in checks if check[0].any()]:
+        i = min(tuple(np.argwhere(bad)[0].tolist()) for bad, *_ in failing)
+        _, error, what, rows = next(check for check in failing if check[0][i])
         refusal = error(f"{what}: {rows[i]}" + (f" (row {i})" if i else ""))
         refusal.row = i
         raise refusal

@@ -145,8 +145,8 @@ def _generators(h1: np.ndarray, h2: np.ndarray) -> tuple:
     h1, h2 = _split(h1), _split(h2)
     vecs = [h[1:] for h in (h1, h2, *_level(_qmul, [(h2, h1), (h1, h2)]))]
     norms = _level(_row_norm, [(v,) for v in vecs])
-    for what, n in zip(_DEGENERATE, norms):
-        _raise_first(n < EPS_CENTER, DegenerateGenerator, what, n)
+    _raise_first(*((n < EPS_CENTER, DegenerateGenerator, what, n)
+                   for what, n in zip(_DEGENERATE, norms)))
     return tuple(tuple(c / n for c in v) for v, n in zip(vecs, norms))
 
 
@@ -213,7 +213,7 @@ def act(t: TorusElement, rho: Representation) -> Representation:
     try:
         g1, g2 = _blockwise(_act, (phis[0].shape, rho.batch_shape), *phis, *slots)
     except DegenerateGenerator:
-        _generators(slots[1], slots[3])  # raises the whole batch's first failing check
+        _generators(slots[1], slots[3])  # raises the whole batch's earliest bad row
         raise
     h1, h2 = rho.h1, rho.h2
     if g1.shape[:-1] != h1.batch_shape:

@@ -281,7 +281,7 @@ def _points(rho: "Representation", coords: np.ndarray, poly: Polytope, tol):
     OutsidePolytope, naming the quadruple, if one is outside."""
     points = poly.classify(coords, tol)
     outside = np.array([point is None for point in points]).reshape(rho.batch_shape)
-    _raise_first(outside, OutsidePolytope, _OUTSIDE[poly.tag], coords.reshape(outside.shape + (3,)))
+    _raise_first((outside, OutsidePolytope, _OUTSIDE[poly.tag], coords.reshape(*outside.shape, 3)))
     return points[0] if rho.batch_shape == () else points
 
 
@@ -344,7 +344,7 @@ def boundary_commutation_check(
     outside the tetrahedron, as a non-finite one is."""
     coords = moment_coordinates(rho)
     outside, active = TILDE_DELTA._region_masks(coords, np.broadcast_to(poly_tol, rho.batch_shape))
-    _raise_first(outside, OutsidePolytope, "moment triple violates the tetrahedron", coords)
+    _raise_first((outside, OutsidePolytope, "moment triple violates the tetrahedron", coords))
     commute = distance(commutator(rho.h1, rho.h2), GroupElement.identity()) < mat_tol
     out = np.any(active, axis=-1) == commute
     return bool(out) if rho.batch_shape == () else out
@@ -374,6 +374,6 @@ def _moment_rows(f: np.ndarray, quotient: bool, tol: float) -> str:
     points of the moment triples f (n, 3) at tol; OutsidePolytope at the first outside."""
     x, poly = (M_P.apply_inverse(f), STD_DELTA) if quotient else (f, TILDE_DELTA)
     outside, active = poly._region_masks(x, tol)
-    _raise_first(outside, OutsidePolytope, _OUTSIDE[poly.tag], x)
+    _raise_first((outside, OutsidePolytope, _OUTSIDE[poly.tag], x))
     rows, tag = zip(x.tolist(), (active @ (1, 2, 4, 8)).tolist()), poly.tag.value
     return "".join(_CSV_ROW % (*p, _LABELS[mask], tag) for p, mask in rows)

@@ -7,7 +7,8 @@
 # triple of (h1, h2).
 #
 # All slots share one batch shape, and Representation.slots() stacks them as
-# one (..., 4, 4) array, the layout every batched decision reads.
+# one (..., 4, 4) array, the layout every batched decision reads; new_checked
+# reads it in one unit check and refuses at the earliest bad row.
 # Constructors, invariant maps, is_abelian and the class-equality decision
 # _class_equal run over a batch, and so does slot_distance; class_equal
 # decides one pair of single quadruples.  Class equality is one conjugator
@@ -117,17 +118,18 @@ def new_checked(
 ) -> Representation:
     """Build a Representation, insisting each slot passes _unit_slots (the
     products renormalize, so the residual alone cannot see a bad one) and the
-    surface relation holds to `tol`.
+    surface relation holds to `tol`, all read by one refusal.
 
     PreconditionViolated for a bad slot; RelationViolated (a
     PreconditionViolated) if the relation does not hold."""
     rho = Representation(g1, h1, g2, h2)
-    for name, x in zip(_SLOTS, rho.elements()):
-        _raise_first(~_unit_slots(x.q), PreconditionViolated,
-                     f"slot {name} is not a finite unit quaternion", x.q)
-    residual = relation_residual(rho)
-    _raise_first(~(residual < tol), RelationViolated,  # a NaN residual or tolerance fails too
-                 f"surface relation violated: residual >= {tol:.3e}", residual)
+    with np.errstate(over="ignore", invalid="ignore"):  # on slots refused as not finite units
+        bad, residual = ~_unit_slots(rho.slots()), relation_residual(rho)
+    _raise_first(*((bad[..., i], PreconditionViolated,
+                    f"slot {name} is not a finite unit quaternion", x.q)
+                   for i, (name, x) in enumerate(zip(_SLOTS, rho.elements()))),
+                 (~(residual < tol), RelationViolated,  # a NaN residual or tolerance fails too
+                  f"surface relation violated: residual >= {tol:.3e}", residual))
     return rho
 
 

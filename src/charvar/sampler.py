@@ -281,14 +281,14 @@ def density_witness(rho: Representation, t: float | np.ndarray) -> Representatio
     PreconditionViolated
         If ``rho`` is not abelian, a slot is central, or ``t`` leaves [0, 1].
     """
-    t = np.asarray(t, dtype=np.float64)
-    _raise_first(~((0.0 <= t) & (t <= 1.0)), PreconditionViolated,
-                 "path parameter must lie in [0, 1]", t)
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), rho.batch_shape)
     slots = rho.slots()
-    _raise_first(np.logical_not(is_abelian(rho)), PreconditionViolated,  # not ~: ~True is -2
-                 "density witness needs an abelian start point", slots)
-    _raise_first(is_central(GroupElement(slots)).any(axis=-1), PreconditionViolated,
-                 "density witness needs every slot noncentral", slots)
+    _raise_first((~((0.0 <= t) & (t <= 1.0)), PreconditionViolated,
+                  "path parameter must lie in [0, 1]", t),
+                 (np.logical_not(is_abelian(rho)), PreconditionViolated,  # not ~: ~True is -2
+                  "density witness needs an abelian start point", slots),
+                 (is_central(GroupElement(slots)).any(axis=-1), PreconditionViolated,
+                  "density witness needs every slot noncentral", slots))
     d = _deformation_direction(rho)
     k = exp_alg(AlgebraElement((t * WITNESS_RATE)[..., None] * d))
     return Representation(conjugate(k, rho.g1), conjugate(k, rho.h1), rho.g2, rho.h2)

@@ -121,8 +121,8 @@ def sigma(rho: Representation) -> Representation:
     means the input was off the relation manifold to begin with."""
     swapped = Representation(rho.h2, rho.g2, rho.h1, rho.g1)
     res = relation_residual(swapped)
-    _raise_first(~(res < EPS_REL), PreconditionViolated,  # a non-finite row fails too
-                 "sigma input violates the relation; output residual", res)
+    _raise_first((~(res < EPS_REL), PreconditionViolated,  # a non-finite row fails too
+                  "sigma input violates the relation; output residual", res))
     return swapped
 
 
@@ -184,7 +184,7 @@ def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixe
     stabilizer, [g1,h1] and k^2 read, and on the N2 rows one pure-imaginary solve and
     one class-equality call for both surfaces.  The first row not fixed at 10*tol
     (PreconditionViolated) or with a deciding residual in the gray zone [tol, 10*tol)
-    (ClassificationAmbiguity) refuses the batch by its first failing check: such
+    (ClassificationAmbiguity) refuses the batch, by that row's first failing check: such
     points are reported, never guessed.  A quadruple off the relation fails in sigma."""
     flat = Representation.from_slots(rho.slots().reshape(-1, 4, 4))
     swapped, k, worst = _fixedness_solve(flat)
@@ -199,7 +199,9 @@ def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixe
     n1 = ~full & ~(comm_dist < 10 * tol)  # [g1,h1] != 1, past its gray zone
     residuals = np.stack((worst, comm_dist, tr_dist))
     worst_gray, comm_gray, tr_gray = (tol <= residuals) & (residuals < 10 * tol)
-    refusals = (  # the checks in the order each row runs them; a NaN residual is not fixed
+    shape = rho.batch_shape
+    _raise_first(*((bad.reshape(shape), error, what, values.reshape(shape + values.shape[1:]))
+                   for bad, error, what, values in (  # a row's order; a NaN is not fixed
         (worst_gray, ClassificationAmbiguity, "sigma-fixedness residual in the gray zone", worst),
         (~(worst < tol), PreconditionViolated, "class is not sigma-fixed; residual", worst),
         (~full & comm_gray, ClassificationAmbiguity,
@@ -207,13 +209,7 @@ def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixe
         (n1 & (np.minimum(d_plus, d_minus) >= EPS_CENTER), ClassificationAmbiguity,
          "k^2 is not numerically central; distances to 1 and -1", np.stack((d_plus, d_minus), -1)),
         (n1 & ~pillow & tr_gray, ClassificationAmbiguity,
-         "tr[g1,h1] = -2 residual in the gray zone", tr_dist),
-    )
-    first = np.cumsum(np.logical_or.reduce([bad for bad, *_ in refusals])) == 1
-    shape = rho.batch_shape
-    for bad, error, what, values in refusals:  # only at the first refused row
-        values = values.reshape(shape + values.shape[1:])
-        _raise_first((bad & first).reshape(shape), error, what, values)
+         "tr[g1,h1] = -2 residual in the gray zone", tr_dist))))
     # every row is fixed: the central vertices, the N2 arcs between the two surfaces, and N1
     n2 = ~full & (comm_dist < tol)
     piece = np.where(tr_dist < tol, Piece.RP2_FIBER, Piece.BLOWUP_INTERIOR)
@@ -247,19 +243,20 @@ def blowup_point(g: GroupElement, h: GroupElement, k: GroupElement) -> Represent
     finite unit with k^2 = -1, when some [g,h] = 1 (that regime belongs to the
     arcs), or when some k fails to commute with its commutator or some result
     with the relation."""
-    k2 = distance(mul(k, k), GroupElement.minus_identity())
-    _raise_first(~(_unit_slots(k.q) & (k2 < EPS_CENTER)), PreconditionViolated,
-                 "blowup_point needs a unit k with k^2 = -1", k.q)  # finite and unit
-    comm = commutator(g, h)
-    _raise_first(distance(comm, GroupElement.identity()) < EPS_MAT, PreconditionViolated,
-                 "blowup_point needs [g,h] != 1", comm.q)
-    off = distance(commutator(comm, k), GroupElement.identity())
-    _raise_first(off >= EPS_MAT, PreconditionViolated,
-                 "blowup_point needs k to commute with [g,h]; [[g,h], k] off 1 by", off)
-    rho = Representation(g, h, conjugate(k, h), conjugate(k, g))
-    res = relation_residual(rho)
-    _raise_first(~(res < EPS_REL), PreconditionViolated,
-                 "blowup_point result violates the relation; residual", res)
+    with np.errstate(over="ignore", invalid="ignore"):  # on rows refused below
+        unit = _unit_slots(k.q) & (distance(mul(k, k), GroupElement.minus_identity()) < EPS_CENTER)
+        comm = commutator(g, h)
+        off = distance(commutator(comm, k), GroupElement.identity())
+        rho = Representation(g, h, conjugate(k, h), conjugate(k, g))
+        res = relation_residual(rho)
+    _raise_first((~unit, PreconditionViolated,
+                  "blowup_point needs a unit k with k^2 = -1", k.q),  # finite and unit
+                 (distance(comm, GroupElement.identity()) < EPS_MAT, PreconditionViolated,
+                  "blowup_point needs [g,h] != 1", comm.q),
+                 (off >= EPS_MAT, PreconditionViolated,
+                  "blowup_point needs k to commute with [g,h]; [[g,h], k] off 1 by", off),
+                 (~(res < EPS_REL), PreconditionViolated,
+                  "blowup_point result violates the relation; residual", res))
     return rho
 
 
@@ -271,8 +268,8 @@ def rp2_fiber_point(k: GroupElement) -> Representation:
 
     batched over the shape of k.  Classes depend on k only through +-k (an
     RP^2 of them)."""
-    _raise_first(~(distance(mul(k, k), GroupElement.minus_identity()) < EPS_CENTER),
-                 PreconditionViolated, "rp2_fiber_point needs k^2 = -1", k.q)
+    _raise_first((~(distance(mul(k, k), GroupElement.minus_identity()) < EPS_CENTER),
+                  PreconditionViolated, "rp2_fiber_point needs k^2 = -1", k.q))
     d, j = (GroupElement(np.broadcast_to(x.q, k.batch_shape + (4,))) for x in (DIAG_I, J))
     return Representation(d, j, conjugate(k, J), conjugate(k, DIAG_I))
 
@@ -300,22 +297,20 @@ def n2_interval(
     PreconditionViolated when some theta or s is not finite, when some
     (theta, s) pair are both multiples of pi (the four degenerate central
     arcs) or when some alpha leaves [0, pi/2]."""
-    theta, s, alpha = (np.asarray(x, dtype=np.float64) for x in (theta, s, alpha))
-    _raise_first(~((0.0 <= alpha) & (alpha <= np.pi / 2)), PreconditionViolated,
-                 "interval parameter must lie in [0, pi/2]", alpha)
-    for x in (theta, s):
-        _raise_first(~np.isfinite(x), PreconditionViolated, "arc angles must be finite", x)
-    g = _snapped_diag(theta)
-    h = _snapped_diag(s)
+    theta, s, alpha = np.broadcast_arrays(*(np.asarray(x, np.float64) for x in (theta, s, alpha)))
+    with np.errstate(invalid="ignore"):  # the trig of non-finite angles, refused below
+        g, h = _snapped_diag(theta), _snapped_diag(s)
     sines = np.maximum(np.abs(g.q[..., 3]), np.abs(h.q[..., 3]))
-    _raise_first(sines < EPS_CENTER, PreconditionViolated,
-                 "degenerate arc: both angles are multiples of pi (central pair)", sines)
+    _raise_first((~((0.0 <= alpha) & (alpha <= np.pi / 2)), PreconditionViolated,
+                  "interval parameter must lie in [0, pi/2]", alpha),
+                 *((~np.isfinite(x), PreconditionViolated, "arc angles must be finite", x)
+                   for x in (theta, s)),
+                 (sines < EPS_CENTER, PreconditionViolated,
+                  "degenerate arc: both angles are multiples of pi (central pair)", sines))
     ca, sa = _snap_trig(np.cos(alpha), np.sin(alpha))
     zero = np.zeros(alpha.shape)
     k = GroupElement(np.stack([zero, sa, zero, ca], axis=-1))
-    shape = np.broadcast_shapes(theta.shape, s.shape, alpha.shape) + (4,)
-    g1, h1 = (GroupElement(np.broadcast_to(x.q, shape)) for x in (g, h))
-    return Representation(g1, h1, conjugate(k, h1), conjugate(k, g1))
+    return Representation(g, h, conjugate(k, h), conjugate(k, g))
 
 
 @dataclass(frozen=True)
@@ -353,6 +348,8 @@ def certify_interval_injectivity(
         raise PreconditionViolated(f"grid must be an integer >= 0, got {grid}")
     theta, s = np.broadcast_arrays(np.asarray(theta, np.float64), np.asarray(s, np.float64))
     alphas = np.linspace(0.0, np.pi / 2, grid)
+    if grid == 0:  # no grid point to check the arcs at: check them at alpha = 0
+        n2_interval(theta, s, 0.0)
     arcs = n2_interval(theta.reshape(-1, 1), s.reshape(-1, 1), alphas)
     # the grid points arc after arc, as one flat batch: the kernels run slower on 2-D batches
     points = Representation.from_slots(arcs.slots().reshape(-1, 4, 4))

@@ -150,7 +150,7 @@ class GroupElement:
         """Build from quaternion components, renormalizing to unit norm."""
         q = np.array(q, dtype=np.float64)
         n2 = np.sum(q * q, axis=-1)
-        _raise_first(n2 == 0.0, ZeroVector, "cannot normalize a zero quaternion", q)
+        _raise_first((n2 == 0.0, ZeroVector, "cannot normalize a zero quaternion", q))
         div = np.where(n2 == 1.0, 1.0, np.sqrt(n2))
         return cls(q / div[..., None])
 
@@ -260,8 +260,8 @@ class AlgebraElement:
     def unit(self) -> "AlgebraElement":
         """The unit-norm element along self; ZeroVector at zero."""
         n = self.norm
-        _raise_first(n == 0.0, ZeroVector, "no direction defined for a zero algebra element",
-                     self.v)
+        _raise_first((n == 0.0, ZeroVector, "no direction defined for a zero algebra element",
+                      self.v))
         return AlgebraElement(self.v / np.asarray(n)[..., None])
 
     def __mul__(self, s: float) -> "AlgebraElement":
@@ -618,8 +618,8 @@ def log_grp(g: GroupElement) -> AlgebraElement:
     """
     w, vec = g.w, g.vec
     vn = np.linalg.norm(vec, axis=-1)
-    _raise_first((w < 0.0) & (vn < EPS_CENTER), CenterAmbiguity,
-                 "logarithm undefined within tolerance of -I", g.q)
+    _raise_first(((w < 0.0) & (vn < EPS_CENTER), CenterAmbiguity,
+                  "logarithm undefined within tolerance of -I", g.q))
     theta = np.arctan2(vn, w)
     safe = np.where(vn > 0.0, vn, 1.0)
     return AlgebraElement(vec * (theta / safe)[..., None])

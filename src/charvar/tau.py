@@ -76,14 +76,14 @@ def section(x) -> Representation:
     coords = x.x if isinstance(x, SimplexPoint) else np.asarray(x, dtype=np.float64)
     if coords.shape[-1:] != (3,):
         raise ValueError("section expects base points of shape (..., 3)")
-    _raise_first(~(STD_DELTA.margin(coords) < 0.0), PreconditionViolated,  # NaN rows too
-                 "section needs strictly interior base points", coords)
-    theta = np.pi * M_P.apply(coords)
-    t1, t2 = theta[..., 0], theta[..., 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # the rows refused below may hold any numbers
+        theta = np.pi * M_P.apply(coords)
+        t1, t2 = theta[..., 0], theta[..., 1]
         cphi = (np.cos(t1) * np.cos(t2) - np.cos(theta[..., 2])) / (np.sin(t1) * np.sin(t2))
-    _raise_first(~np.isfinite(cphi), SectionSolveFailure,
-                 "base point too close to the vertex x = 0: the h2 axis is 0/0", coords)
+    _raise_first((~(STD_DELTA.margin(coords) < 0.0), PreconditionViolated,  # NaN rows too
+                  "section needs strictly interior base points", coords),
+                 (~np.isfinite(cphi), SectionSolveFailure,
+                  "base point too close to the vertex x = 0: the h2 axis is 0/0", coords))
     phi = np.arccos(np.clip(cphi, -1.0, 1.0))
     zero = np.zeros_like(t1)
     m = np.stack([np.sin(phi), zero, np.cos(phi)], axis=-1)  # the axis of h2
@@ -108,13 +108,12 @@ def fiber_coordinates(rho: Representation) -> FiberCoordinates:
     """
     base = mu_lambda_coordinates(rho)
     outside, active = STD_DELTA._region_masks(base)
-    _raise_first(outside, OutsidePolytope, "quotient moment triple outside the simplex", base)
-    _raise_first(np.any(active, axis=-1), PreconditionViolated,
-                 "fiber coordinates exist over interior base points only", base)
+    _raise_first((outside, OutsidePolytope, "quotient moment triple outside the simplex", base),
+                 (np.any(active, axis=-1), PreconditionViolated,
+                  "fiber coordinates exist over interior base points only", base))
     s_rho = section(base)
     h_rho, h_section = (GroupElement(r.slots()[..., 1::2, :]) for r in (rho, s_rho))
     k, frame = find_conjugator(h_rho, h_section)
-    _raise_first(~(frame < EPS_MAT), FiberSolveFailure, "could not align the (h1, h2) frame", frame)
     aligned = rho.conjugated(k)
 
     gen = generators(s_rho)
@@ -140,7 +139,9 @@ def fiber_coordinates(rho: Representation) -> FiberCoordinates:
         np.where(phi[..., 2:] >= np.pi, np.mod(phi + np.pi, 2 * np.pi), phi)
     )
     worst = np.asarray(act(angles, s_rho).slot_distance(aligned))
-    _raise_first(~(worst < EPS_REL), FiberSolveFailure, "angle solve residual >= EPS_REL", worst)
+    _raise_first(  # the frame and the angles, read on rows that pass the checks above
+        (~(frame < EPS_MAT), FiberSolveFailure, "could not align the (h1, h2) frame", frame),
+        (~(worst < EPS_REL), FiberSolveFailure, "angle solve residual >= EPS_REL", worst))
     return FiberCoordinates(base=base, angles=angles)
 
 

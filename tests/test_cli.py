@@ -9,6 +9,7 @@ import hashlib
 import inspect
 import io
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -768,8 +769,8 @@ _BAD_KINDS = {"malformed": 2, "non-finite": 2, "non-unit": 2, "off-relation": 3,
         max_size=3,
     ),
 )
-# new_checked tests unit norm before the relation, act h1 before h2*h1: each
-# names a later line first; and bad lines in the second chunk only
+# new_checked tests unit norm before the relation, act h1 before h2*h1, but each
+# names the earliest line over all its checks; and bad lines in the second chunk only
 @example(100, [(0.1, "off-relation", 0), (0.2, "non-unit", 0), (0.3, "boundary", 0)])
 @example(300, [(0.9, "non-unit", 0), (0.95, "malformed", 0), (0.5, "boundary", 4)])
 @settings(max_examples=50, deadline=None)
@@ -799,6 +800,22 @@ def test_stages_stop_at_the_earliest_bad_line(interior_lines, boundary_lines, n,
         assert err.startswith(("error: ", "solve failure: "))
         assert f": line {first + 1}: " in err and "(row" not in err
         assert out == _stdin_run(argv, lines[:first])[1]
+
+
+@pytest.mark.parametrize("value, shown", [("Infinity", "inf"), ("1e300", "1.e+300")])
+@pytest.mark.parametrize("argv", [["flow", "--t", "0.3,1.2,0.5"], ["moment"], ["tau"]])
+def test_non_finite_or_huge_slot_is_one_stderr_line(argv, value, shown, interior_lines):
+    # the checks after the unit check run on the bad slot too; a warning they raised
+    # would print to stderr ahead of the error line when the command runs
+    slots = {key: [1, 0, 0, 0] for key in _SLOTS}
+    bad = json.dumps(slots).replace("[1, 0, 0, 0]", f"[{', '.join([value] * 4)}]", 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = _stdin_run(argv, [interior_lines[0], bad + "\n"])
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    shown = " ".join([shown] * 4)
+    assert err == f"error: line 2: slot g1 is not a finite unit quaternion: [{shown}]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +949,8 @@ def test_stages_make_pinned_calls_per_chunk(argv, residuals, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["flow", "--t", "0.3,1.2,0.5"], ["moment"], ["tau"]])
 def test_input_is_checked_once_per_chunk_by_new_checked(argv, monkeypatch):
-    # two chunks of good lines: one new_checked call each (one unit check per
-    # slot, all inside it; cli has no check of its own) and, for flow, one act
+    # two chunks of good lines: one new_checked call each (one unit check of
+    # all four slots, inside it; cli has no check of its own) and, for flow, one act
     lines = _sampled(["--count", str(_CHUNK + 3), "--seed", "3"])
     calls = collections.Counter()
 
@@ -950,7 +967,7 @@ def test_input_is_checked_once_per_chunk_by_new_checked(argv, monkeypatch):
         counted(owner, name)
     assert _run_on(argv, lines, monkeypatch)[0] == 0
     assert "_unit_slots" not in vars(cli)
-    assert calls == collections.Counter(new_checked=2, _unit_slots=8, act=2 * (argv[0] == "flow"))
+    assert calls == collections.Counter(new_checked=2, _unit_slots=2, act=2 * (argv[0] == "flow"))
 
 
 _SPELLINGS = {

@@ -474,8 +474,8 @@ def test_act_blocked_near_block_edges_matches_whole_bitwise(data):
 
 def test_blocked_act_raises_the_whole_batch_message():
     # a central h1 h2 (and so h2 h1, its conjugate) in the first block and a
-    # central h1 in the last: the whole batch checks h1 first, so its message
-    # names h1, and the blocked evaluation raises that message too
+    # central h1 in the last: the whole batch names its earliest bad row, row 0
+    # on h2*h1, and the blocked evaluation raises that message too
     n = 3 * su2._BLOCK + 5
     rng = np.random.default_rng(9)
     g1, h1, g2, h2 = (haar_sample(rng, (n,)).q.copy() for _ in range(4))
@@ -487,7 +487,7 @@ def test_blocked_act_raises_the_whole_batch_message():
         _unblocked(act, t, rho)
     with pytest.raises(DegenerateGenerator) as blocked:
         act(t, rho)
-    assert str(whole.value).startswith("h1 is within")
+    assert str(whole.value).startswith("h2*h1 is within")
     assert str(blocked.value) == str(whole.value)
     with pytest.raises(DegenerateGenerator, match="h2\\*h1"):
         act(t, rho[: su2._BLOCK])  # the first block alone fails on a product

@@ -1,9 +1,11 @@
-"""Every batched precondition refuses its batch the same way: one bad row
-raises the error that row raises alone, and the message names the first bad
-row and its value (errors._raise_first), and so does the error's row.
+"""Every batched precondition refuses its batch the same way: the batch
+raises the error its earliest bad row raises alone, over all of a row's
+checks, and the message names that row and its value (errors._raise_first),
+and so does the error's row.
 
-Each case builds a batch whose first bad row is (2,), or (1, 2) on a 2-D
-batch, and that row on its own.
+Each case builds a batch whose earliest bad row is (2,), or (1, 2) on a 2-D
+batch, and that row on its own.  The earliest-row cases give a map with more
+than one check two bad rows: row 2 fails a later check than row 3.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 
 from charvar.errors import (
     CenterAmbiguity,
+    ClassificationAmbiguity,
     DegenerateGenerator,
     OutsidePolytope,
     PreconditionViolated,
@@ -25,9 +28,9 @@ from charvar.polytope import boundary_commutation_check, moment_mu, mu_lambda
 from charvar.repvar import Representation, new_checked
 from charvar.sampler import density_witness
 from charvar.sigma import blowup_point, classify_fixed_point, n2_interval, rp2_fiber_point, sigma
-from charvar.su2 import AlgebraElement, GroupElement, commutator, haar_sample, log_grp
-from charvar.tau import section
-from charvar.tolerances import EPS_CENTER
+from charvar.su2 import AlgebraElement, GroupElement, commutator, distance, haar_sample, log_grp
+from charvar.tau import fiber_coordinates, section
+from charvar.tolerances import EPS_CENTER, EPS_MAT
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -226,6 +229,76 @@ def base_at_vertex(rng):
     return (x,), (x[2],)
 
 
+# earliest-row cases: row 2 fails a later check of the map than row 3
+
+
+def relation_before_slot(rng):
+    slots = swap_slots(rng)
+    slots[2, 0] = haar_sample(rng).q
+    slots[3, 1] *= 2.0
+    batch, one = rows([slots[:, i] for i in range(4)], 2)
+    return [GroupElement(q) for q in batch], [GroupElement(q) for q in one]
+
+
+def central_h2_before_h1(rng):
+    slots = haar_sample(rng, (4, 4)).q.copy()
+    slots[2, 3], slots[3, 1] = ONE, ONE
+    return quadruple(slots, 2)
+
+
+def central_product_before_h1(rng):
+    slots = haar_sample(rng, (4, 4)).q.copy()
+    slots[2, 3] = slots[2, 1] * [1.0, -1.0, -1.0, -1.0]  # h2 = h1^-1
+    slots[3, 1] = ONE
+    return quadruple(slots, 2)
+
+
+def relation_before_k(rng, g, h, k):
+    g[2] = np.nan
+    k[3] = ONE
+
+
+def gray_centrality_before_not_fixed(rng):
+    # a swap quadruple (g, h, h, g) is fixed; with [g,h] 3 tol off 1 it is in the gray zone
+    g, h = diag(np.array([0.7, 1.1]))
+    tilt = np.array([0.0, 1e-6, 0.0, 0.0])
+    off = distance(commutator(GroupElement(g), GroupElement.from_quaternion(h + tilt)),
+                   GroupElement.identity())  # linear in the tilt, this small
+    h = GroupElement.from_quaternion(h + tilt * 3 * EPS_MAT / off).q
+    slots = swap_slots(rng)
+    slots[2] = [g, h, h, g]
+    slots[3] = section(np.array([0.2, 0.3, 0.1])).slots()  # interior classes are never fixed
+    return quadruple(slots, 2)
+
+
+def boundary_before_outside(rng):
+    slots = section(np.full((4, 3), 0.2)).slots().copy()
+    slots[2] = abelian_slots(rng)[0]
+    slots[3, 1] = np.nan
+    return quadruple(slots, 2)
+
+
+def central_slot_before_t(rng):
+    slots = abelian_slots(rng)
+    slots[2, 1] = ONE
+    rho = Representation.from_slots(slots)
+    t = np.linspace(0.0, 1.0, 4)
+    t[3] = 1.5
+    return (rho, t), (rho[2], t[2])
+
+
+def angle_before_alpha(rng):
+    theta, alpha = rng.uniform(0.3, 2.8, size=4), np.linspace(0.0, np.pi / 2, 4)
+    theta[2], alpha[3] = np.nan, 2.0
+    return (theta, 1.3, alpha), (theta[2], 1.3, alpha[2])
+
+
+def vertex_before_boundary(rng):
+    x = np.full((4, 3), 0.2)
+    x[2], x[3] = 1e-170, [0.5, 0.5, 0.0]
+    return (x,), (x[2],)
+
+
 CASES = {
     "from_quaternion": (GroupElement.from_quaternion, quaternion_zero, ZeroVector,
                         "cannot normalize a zero quaternion", (1, 2)),
@@ -279,6 +352,27 @@ CASES = {
                          "section needs strictly interior base points", (1, 2)),
     "section-vertex": (section, base_at_vertex, SectionSolveFailure,
                        "base point too close to the vertex x = 0: the h2 axis is 0/0", (2,)),
+    "new_checked-earliest": (new_checked, relation_before_slot, RelationViolated,
+                             "surface relation violated: residual", (2,)),
+    "generators-earliest-h2": (generators, central_h2_before_h1, DegenerateGenerator,
+                               f"h2 is within {EPS_CENTER:g} of the center", (2,)),
+    "generators-earliest-product": (generators, central_product_before_h1, DegenerateGenerator,
+                                    f"h2*h1 is within {EPS_CENTER:g} of the center", (2,)),
+    "blowup_point-earliest": (blowup_point, blowup_case(relation_before_k), PreconditionViolated,
+                              "blowup_point result violates the relation", (2,)),
+    "section-earliest": (section, vertex_before_boundary, SectionSolveFailure,
+                         "base point too close to the vertex x = 0: the h2 axis is 0/0", (2,)),
+    "fiber_coordinates-earliest": (fiber_coordinates, boundary_before_outside,
+                                   PreconditionViolated,
+                                   "fiber coordinates exist over interior base points only",
+                                   (2,)),
+    "density_witness-earliest": (density_witness, central_slot_before_t, PreconditionViolated,
+                                 "density witness needs every slot noncentral", (2,)),
+    "n2_interval-earliest": (n2_interval, angle_before_alpha, PreconditionViolated,
+                             "arc angles must be finite", (2,)),
+    "classify_fixed_point-earliest": (classify_fixed_point, gray_centrality_before_not_fixed,
+                                      ClassificationAmbiguity,
+                                      "[g1,h1] centrality residual in the gray zone", (2,)),
 }
 
 
