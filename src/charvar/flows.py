@@ -205,16 +205,12 @@ def act(t: TorusElement, rho: Representation) -> Representation:
 
     h-slots pass through untouched (the moment triple is invariant bitwise);
     the relation is preserved to roundoff.  DegenerateGenerator on boundary
-    classes, as for generators(); a long batch raises the message of its
-    whole batch, whichever block fails first.
+    classes, as for generators(), naming the batch's earliest bad row (a long
+    batch runs in blocks, and su2._blockwise refuses it as a whole).
     """
     phis = np.broadcast_arrays(t.phi1, t.phi2, t.phi3)
     slots = [x.q for x in rho.elements()]
-    try:
-        g1, g2 = _blockwise(_act, (phis[0].shape, rho.batch_shape), *phis, *slots)
-    except DegenerateGenerator:
-        _generators(slots[1], slots[3])  # raises the whole batch's earliest bad row
-        raise
+    g1, g2 = _blockwise(_act, (phis[0].shape, rho.batch_shape), *phis, *slots)
     h1, h2 = rho.h1, rho.h2
     if g1.shape[:-1] != h1.batch_shape:
         # batched angles over a scalar tuple: fan the untouched slots out

@@ -113,11 +113,8 @@ def _diag(angle) -> GroupElement:
 
 
 def _random_axis(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = rng.normal(size=3)
-        n = float(np.linalg.norm(v))
-        if n > 1e-6:
-            return v / n
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
 
 
 def _random_torus(rng: np.random.Generator) -> TorusElement:

@@ -28,9 +28,10 @@
 # Fixedness is one batched read, sigma_fixed_conjugator: one conjugator
 # solve, each row's residual read against the caller's tolerance.  The
 # classification, classify_fixed_point, reads a quadruple or a batch of any
-# shape into arrays of strata and pieces, and refuses a batch at its first
-# unclassifiable row; its N2 rows take their pure-imaginary conjugators from
-# the same system with the w column dropped.
+# shape as given into arrays of strata and pieces of that shape, and refuses
+# a batch at its first unclassifiable row, named by its index into that
+# shape; its N2 rows take their pure-imaginary conjugators from the same
+# system with the w column dropped.
 # Everything else runs over batches too.  Every solve computes each row as if
 # alone, so independent decisions on different rows are one call over the
 # rows stacked by _stacked: the two surface reads of the N2 rows, and the
@@ -185,11 +186,12 @@ def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixe
     one class-equality call for both surfaces.  The first row not fixed at 10*tol
     (PreconditionViolated) or with a deciding residual in the gray zone [tol, 10*tol)
     (ClassificationAmbiguity) refuses the batch, by that row's first failing check: such
-    points are reported, never guessed.  A quadruple off the relation fails in sigma."""
-    flat = Representation.from_slots(rho.slots().reshape(-1, 4, 4))
-    swapped, k, worst = _fixedness_solve(flat)
-    strata = stabilizer_type(GroupElement(flat.slots()), axis_tol=tol)
-    comm = commutator(flat.g1, flat.h1)
+    points are reported, never guessed.  A quadruple off the relation fails in sigma.
+    Every refusal names its row by its index into the batch's shape."""
+    swapped, k, worst = _fixedness_solve(rho)
+    # a StabilizerType for one quadruple: as an array, ~full is a bool's negation
+    strata = np.asarray(stabilizer_type(GroupElement(rho.slots()), axis_tol=tol))
+    comm = commutator(rho.g1, rho.h1)
     comm_dist = distance(comm, GroupElement.identity())
     tr_dist = np.abs(comm.trace() + 2.0)
     # on N1, k^2 is central, and k = +-1 exactly when the class sits on the swap pillow
@@ -199,9 +201,7 @@ def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixe
     n1 = ~full & ~(comm_dist < 10 * tol)  # [g1,h1] != 1, past its gray zone
     residuals = np.stack((worst, comm_dist, tr_dist))
     worst_gray, comm_gray, tr_gray = (tol <= residuals) & (residuals < 10 * tol)
-    shape = rho.batch_shape
-    _raise_first(*((bad.reshape(shape), error, what, values.reshape(shape + values.shape[1:]))
-                   for bad, error, what, values in (  # a row's order; a NaN is not fixed
+    _raise_first(  # a row's order; a NaN is not fixed
         (worst_gray, ClassificationAmbiguity, "sigma-fixedness residual in the gray zone", worst),
         (~(worst < tol), PreconditionViolated, "class is not sigma-fixed; residual", worst),
         (~full & comm_gray, ClassificationAmbiguity,
@@ -209,23 +209,22 @@ def classify_fixed_point(rho: Representation, tol: float = EPS_MAT) -> SigmaFixe
         (n1 & (np.minimum(d_plus, d_minus) >= EPS_CENTER), ClassificationAmbiguity,
          "k^2 is not numerically central; distances to 1 and -1", np.stack((d_plus, d_minus), -1)),
         (n1 & ~pillow & tr_gray, ClassificationAmbiguity,
-         "tr[g1,h1] = -2 residual in the gray zone", tr_dist))))
+         "tr[g1,h1] = -2 residual in the gray zone", tr_dist))
     # every row is fixed: the central vertices, the N2 arcs between the two surfaces, and N1
     n2 = ~full & (comm_dist < tol)
     piece = np.where(tr_dist < tol, Piece.RP2_FIBER, Piece.BLOWUP_INTERIOR)
     piece[pillow], piece[full] = Piece.PILLOW_INTERIOR, Piece.CENTRAL_VERTEX
-    q = np.where(full[:, None], DIAG_I.q, k.q)
+    q = np.where(full[..., None], DIAG_I.q, k.q)
     if n2.any():  # the pure solve and the surface reads, skipped on batches without an N2 row
-        arc = flat[n2]
+        arc = rho[n2]
         q[n2] = _pure_imaginary_conjugators(arc, swapped[n2], k[n2], tol).q
         other = Representation(arc.g1, arc.h1, arc.h1.inverse(), arc.g1.inverse())
         ends = _stacked(pillow_point(arc.g1, arc.h1), other)
         surface, endpoint = _class_equal(_stacked(arc, arc), ends, tol).reshape(2, -1)
         interval = np.where(endpoint, Piece.INTERVAL_ENDPOINT, Piece.INTERVAL_INTERIOR)
         piece[n2] = np.where(surface, Piece.PILLOW_SURFACE, interval)
-    k = GroupElement(q.reshape(shape + (4,)))
-    stratum = np.frompyfunc(_STRATUM_OF.get, 1, 1)(strata).reshape(shape)[()]
-    return SigmaFixedPoint(rho, k, stratum, piece.reshape(shape)[()])
+    stratum = np.frompyfunc(_STRATUM_OF.get, 1, 1)(strata)  # a Stratum on a 0-d array
+    return SigmaFixedPoint(rho, GroupElement(q), stratum, piece[()])
 
 
 def pillow_point(g: GroupElement, h: GroupElement) -> Representation:
@@ -351,7 +350,7 @@ def certify_interval_injectivity(
     if grid == 0:  # no grid point to check the arcs at: check them at alpha = 0
         n2_interval(theta, s, 0.0)
     arcs = n2_interval(theta.reshape(-1, 1), s.reshape(-1, 1), alphas)
-    # the grid points arc after arc, as one flat batch: the kernels run slower on 2-D batches
+    # the grid points arc after arc, as one flat batch: _stacked joins flat batches
     points = Representation.from_slots(arcs.slots().reshape(-1, 4, 4))
     i, j = (grid * np.arange(theta.size)[:, None] + x for x in np.triu_indices(grid, 1))
     stacked = (_stacked(points, points[i.ravel()]), _stacked(sigma(points), points[j.ravel()]))

@@ -72,6 +72,10 @@
 # were slower (BENCH_blocked_rows.json).  Every kernel's arithmetic is per
 # row, so no output bit depends on the block size.  Batches of at most
 # _BLOCK rows, and batches with more than one axis, run whole in one call.
+# A kernel that refuses a block (flows.act's generator norms) names a row
+# of the block; _blockwise then re-runs it on the whole batch, whose
+# refusal names the whole batch's earliest bad row, so a caller never
+# learns that its batch ran in blocks.
 #
 # Stacked levels: the products on one level of a product tree do not depend
 # on each other -- the two commutators of the surface word (_surface_word,
@@ -98,7 +102,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CenterAmbiguity, ZeroVector, _raise_first
+from .errors import CenterAmbiguity, CharVarError, ZeroVector, _raise_first
 from .tolerances import EPS_CENTER, EPS_MAT
 
 __all__ = [
@@ -151,8 +155,7 @@ class GroupElement:
         q = np.array(q, dtype=np.float64)
         n2 = np.sum(q * q, axis=-1)
         _raise_first((n2 == 0.0, ZeroVector, "cannot normalize a zero quaternion", q))
-        div = np.where(n2 == 1.0, 1.0, np.sqrt(n2))
-        return cls(q / div[..., None])
+        return cls(q / np.sqrt(n2)[..., None])  # sqrt(1.0) == 1.0: a unit q is divided by 1
 
     @classmethod
     def identity(cls, shape: tuple[int, ...] = ()) -> "GroupElement":
@@ -304,7 +307,9 @@ def _blockwise(kernel, batches: tuple, *operands):
     the others passed whole, and each block's results are written into
     arrays of n rows allocated after the first block.  Otherwise the kernel
     makes its one call.  The kernel returns an array or a tuple of arrays,
-    batch axis first, and so does _blockwise.
+    batch axis first, and so does _blockwise.  A refusal (CharVarError) in a
+    block names a row of that block, so it re-runs the kernel on the whole
+    batch, which refuses at the whole batch's earliest bad row.
     """
     n = 0
     for b in batches:
@@ -318,7 +323,10 @@ def _blockwise(kernel, batches: tuple, *operands):
     out = None
     for start in range(0, n, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        parts = kernel(*(a[rows] if s else a for a, s in zip(operands, sliced)))
+        try:
+            parts = kernel(*(a[rows] if s else a for a, s in zip(operands, sliced)))
+        except CharVarError:
+            return kernel(*operands)
         single = isinstance(parts, np.ndarray)
         if single:
             parts = (parts,)
@@ -647,16 +655,8 @@ def haar_sample(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupE
         # one draw: _row_norm's operations in Python floats, the same IEEE
         # arithmetic without NumPy's per-call cost on a single row
         w, x, y, z = q.tolist()
-        n = math.sqrt(((w * w + x * x) + y * y) + z * z)
-        if n == 0.0:  # pragma: no cover - measure zero
-            return haar_sample(rng)
-        return GroupElement(q / n)
-    n = _row_norm(_split(q))
-    while np.any(n == 0.0):  # pragma: no cover - measure zero
-        bad = n == 0.0
-        q[bad] = rng.normal(size=(int(np.sum(bad)), 4))
-        n = _row_norm(_split(q))
-    return GroupElement(q / n[..., None])
+        return GroupElement(q / math.sqrt(((w * w + x * x) + y * y) + z * z))
+    return GroupElement(q / _row_norm(_split(q))[..., None])
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,25 @@ class TestSerialization:
         assert "line 3:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, line",
+    [
+        pytest.param(["moment", "--in", "{path}"],
+                     json.dumps({**PILLOW_OBJ, "g1": [1.0, 0.0, 0.0]}),
+                     "line 1: slot 'g1' must hold four components", id="three-component-slot"),
+        pytest.param(["flow", "--t", "a,b,c", "--in", "{path}"], json.dumps(PILLOW_OBJ),
+                     "--t expects numbers, got 'a,b,c'", id="twist-not-numbers"),
+        pytest.param(["--config", "{path}", "sample"], "count",
+                     "{path}:1: expected key=value", id="config-line-without-equals"),
+    ],
+)
+def test_input_refusal_is_its_one_stderr_line(tmp_path, argv, text, line):
+    path = tmp_path / "input"
+    path.write_text(text + "\n")
+    code, err = run_err([a.format(path=path) for a in argv])
+    assert (code, err) == (2, f"error: {line.format(path=path)}\n")
+
+
 class TestSample:
     def test_interior_lines(self):
         lines = sample_lines(["sample", "--count", "10", "--seed", "7", "--target", "interior"])
@@ -254,6 +273,17 @@ class TestTau:
         code, out = run(["tau", "--in", str(src), "--check"])
         assert code == 0
         np.testing.assert_allclose(json.loads(out)["h1"], [np.cos(1.1), 0.0, 0.0, -np.sin(1.1)])
+
+    def test_check_fails_on_a_non_involution(self, tmp_path, monkeypatch):
+        # a twist off the kernel applied twice moves every interior class
+        src = tmp_path / "in.jsonl"
+        _, payload = run(["sample", "--count", "5", "--seed", "8", "--target", "interior"])
+        src.write_text(payload)
+        monkeypatch.setattr(cli, "tau", lambda rho: act(TorusElement(0.3, 0.0, 0.0), rho))
+        code, out = run(["tau", "--in", str(src), "--check"])
+        assert code == 1
+        assert out.count("\n") == 5
+        assert run(["tau", "--in", str(src)])[0] == 0
 
     def test_solve_failure_exit_3(self, tmp_path):
         # not a relation solution: rejected where the line is read

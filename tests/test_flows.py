@@ -493,6 +493,24 @@ def test_blocked_act_raises_the_whole_batch_message():
         act(t, rho[: su2._BLOCK])  # the first block alone fails on a product
 
 
+def test_blocked_act_names_a_bad_row_of_its_last_block():
+    # the only central h1 is row 7 of the third and last block: the refusal
+    # names the row's index into the whole batch, as the unblocked call does
+    n, bad = 2 * su2._BLOCK + 100, 2 * su2._BLOCK + 7
+    rng = np.random.default_rng(10)
+    g1, h1, g2, h2 = (haar_sample(rng, (n,)).q.copy() for _ in range(4))
+    h1[bad] = [1.0, 0.0, 0.0, 0.0]
+    rho = Representation(*(GroupElement(q) for q in (g1, h1, g2, h2)))
+    t = TorusElement.from_array(rng.uniform(0.0, TWO_PI, size=(n, 3)))
+    with pytest.raises(DegenerateGenerator) as whole:
+        _unblocked(act, t, rho)
+    with pytest.raises(DegenerateGenerator) as blocked:
+        act(t, rho)
+    assert str(blocked.value) == str(whole.value)
+    assert str(blocked.value).startswith("h1 is within")
+    assert blocked.value.row == whole.value.row == (16391,)
+
+
 # ---------------------------------------------------------------------------
 # stacked levels: both twists in one chain
 # ---------------------------------------------------------------------------

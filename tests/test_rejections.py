@@ -132,6 +132,12 @@ def sigma_off_relation(rng):
     return quadruple(slots, 2)
 
 
+def pillow_batch_off_relation(rng):
+    slots = np.stack([swap_slots(rng)[:3], swap_slots(rng)[:3]])
+    slots[1, 2] = haar_sample(rng, (4,)).q
+    return quadruple(slots, (1, 2))
+
+
 def blowup_case(change):
     def build(rng):
         args = blowup_args(rng)
@@ -318,6 +324,9 @@ CASES = {
                   "quotient moment triple outside the simplex", (1, 2)),
     "classify_fixed_point": (classify_fixed_point, not_sigma_fixed, PreconditionViolated,
                              "class is not sigma-fixed", (2,)),
+    "classify_fixed_point-relation": (classify_fixed_point, pillow_batch_off_relation,
+                                      PreconditionViolated, "sigma input violates the relation",
+                                      (1, 2)),
     "generators": (generators, central_h1, DegenerateGenerator,
                    f"h1 is within {EPS_CENTER:g} of the center", (2,)),
     "sigma": (sigma, sigma_off_relation, PreconditionViolated,
