@@ -2,8 +2,9 @@
 
 Formats: JSONL for representation streams, CSV for point clouds, JSON for reports.
 A run is a deterministic function of its flags: all randomness flows from ``--seed``.
-Input is checked by one repvar.new_checked per chunk; a refusal names the earliest bad line
-over all its checks.  Output chunks render from one float array through one template each.
+Each input line is decoded once, and each chunk is checked by one repvar.new_checked inside
+the one retry that also runs the stage's map; a refusal names the earliest bad line over
+parse, check and map.  Output chunks render from one float array through one template each.
 
 Exit codes: 0 success, 1 verification failures, 2 flag, config, input or path
 errors, 3 solve failures.
@@ -36,7 +37,6 @@ from .polytope import _CSV_HEADER, M_P, _moment_rows, moment_coordinates
 from .repvar import _SLOTS, Representation, new_checked, relation_residual
 from .sampler import _CHUNK, SampleSpec, Target, sample_batches
 from .sigma import classify_fixed_point
-from .su2 import GroupElement
 from .tau import tau
 from .tolerances import DEFAULT, Tolerances
 
@@ -74,64 +74,68 @@ def rep_to_obj(rho: Representation) -> dict:
     return json.loads(_lines(rho[None]))
 
 
-def _slot_arrays(obj) -> list[np.ndarray]:
-    """The four slot quaternions of a parsed line, four numbers each, not yet checked."""
+# An integer reads as the float it names (huge ones as inf), so a slot holds JSON floats only.
+_DECODER = json.JSONDecoder(parse_int=float)
+
+
+def _quadruple(text: str) -> list:
+    """The four slots of a JSONL line, each a list of four floats, not yet checked as units."""
+    obj = _DECODER.decode(text)
     if not isinstance(obj, dict):
         raise PreconditionViolated("input line is not a JSON object")
-    slots = []
     for key in _SLOTS:
         if key not in obj:
             raise PreconditionViolated(f"input line lacks slot {key!r}")
-        try:
-            slots.append(np.asarray(obj[key], dtype=float))
-        except (TypeError, ValueError, OverflowError):
-            raise PreconditionViolated(f"slot {key!r} must hold numbers") from None
-        if slots[-1].shape != (4,):
+        if type(obj[key]) is not list or any(type(x) is not float for x in obj[key]):
+            raise PreconditionViolated(f"slot {key!r} must hold numbers")
+        if len(obj[key]) != 4:
             raise PreconditionViolated(f"slot {key!r} must hold four components")
-    return slots
-
-
-def rep_from_obj(obj: dict) -> Representation:
-    # keep the parsed bits verbatim so parse/serialize round-trips exactly
-    return new_checked(*(GroupElement(q) for q in _slot_arrays(obj)))
+    return [obj[key] for key in _SLOTS]
 
 
 def _classes(texts: Sequence[str], tol: float) -> Representation:
-    """The classes of JSONL lines, checked by new_checked at tol.  PreconditionViolated, with
-    its row, at the first line not an object of four numbers per slot, if no line before fails."""
-    with contextlib.suppress(TypeError, KeyError, ValueError, OverflowError):  # JSONDecodeError too
-        q = np.array([[obj[key] for key in _SLOTS] for obj in map(json.loads, texts)], dtype=float)
-        if q.shape == (len(texts), 4, 4):
-            return new_checked(*Representation.from_slots(q).elements(), tol=tol)
-    for i, text in enumerate(texts):  # some line is bad: read them one by one to find the first
+    """The classes of JSONL lines, each decoded once and checked by one new_checked at tol.
+    At the first line not an object of four numbers per slot, the lines before it are
+    checked, then PreconditionViolated names its row."""
+    rows, refusal = [], None
+    for text in texts:
         try:
-            _slot_arrays(json.loads(text))
+            rows.append(_quadruple(text))
         except (ValueError, PreconditionViolated) as bad:  # JSONDecodeError is a ValueError
-            _classes(texts[:i], tol)  # a line before it may refuse first
-            error = PreconditionViolated(str(bad))
-            error.row = (i,)
-            raise error from None
+            refusal = PreconditionViolated(str(bad))
+            refusal.row = (len(rows),)
+            break
+    q = np.array(rows, dtype=float).reshape(-1, 4, 4)
+    rho = new_checked(*Representation.from_slots(q).elements(), tol=tol)
+    if refusal is not None:
+        raise refusal
+    return rho
 
 
 def _before_refusal(check, numbers: tuple, rows) -> Iterator[tuple]:
-    """Yield (numbers, check(rows)); at a refusal, the same for the rows before its row,
-    then its error, naming its line (library maps refuse a batch whole).  A refusal names
-    the earliest bad row (errors._raise_first), so the rows before it pass."""
+    """Yield (numbers, check(rows)); at a refusal, what this yields for the rows before its
+    row, then its error, naming its line (library maps refuse a batch whole).  check may
+    compose maps: one that refuses names its earliest bad row, but a later map has not yet
+    run on the rows before it, so they may still refuse at an earlier row."""
     try:
         out = check(rows)
     except (PreconditionViolated, DegenerateGenerator, OutsidePolytope,
             ClassificationAmbiguity) as bad:
         if i := bad.row[0]:  # the row the refusal names
-            yield numbers[:i], check(rows[:i])
+            yield from _before_refusal(check, numbers[:i], rows[:i])
         raise _relabelled(bad, f"line {numbers[i]}")
     yield numbers, out
 
 
-def read_jsonl(stream: IO[str], rel_tol: float) -> Iterator[tuple[tuple, Representation]]:
-    """(line numbers, classes) of JSONL lines in batches of up to _CHUNK lines, checked by
-    _classes at rel_tol; at a bad line, the rows before it, then its error, naming the line."""
+def read_jsonl(stream: IO[str], rel_tol: float, step=lambda rho: rho) -> Iterator[tuple]:
+    """(line numbers, step(classes)) of JSONL lines in batches of up to _CHUNK lines, the
+    classes checked by _classes at rel_tol; at a bad line, the same for the lines before
+    it, then its error, naming the earliest bad line over parse, check and step."""
     lines = ((n, text) for n, text in enumerate((raw.strip() for raw in stream), 1) if text)
-    check = functools.partial(_classes, tol=rel_tol)
+
+    def check(texts: Sequence[str]):
+        return step(_classes(texts, rel_tol))
+
     while chunk := list(islice(lines, _CHUNK)):
         yield from _before_refusal(check, *zip(*chunk))
 
@@ -171,14 +175,10 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    target = Target(args.target)
-    base = None
-    if args.base is not None:
-        base = _parse_triple(args.base, "--base")
-        if target is Target.INTERIOR_UNIFORM_BASE:
-            target = Target.FIXED_BASE
+    base = None if args.base is None else _parse_triple(args.base, "--base")
     spec = SampleSpec(
-        count=args.count, seed=args.seed, target=target, base=base, conjugate=args.conjugate
+        count=args.count, seed=args.seed, target=Target(args.target), base=base,
+        conjugate=args.conjugate,
     )
     with _opened(args.out, "w", sys.stdout) as out:
         for rho in sample_batches(spec):
@@ -192,20 +192,21 @@ def cmd_flow(args: argparse.Namespace) -> int:
     phi = _parse_triple(args.t, "--t")
     t = TorusElement(float(phi[0]), float(phi[1]), float(phi[2]))
     with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
-        for numbers, rho in read_jsonl(src, DEFAULT.rel):
-            for _, moved in _before_refusal(functools.partial(act, t), numbers, rho):
-                out.write(_lines(moved))
+        for _, moved in read_jsonl(src, DEFAULT.rel, functools.partial(act, t)):
+            out.write(_lines(moved))
     return 0
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    rows = functools.partial(_moment_rows, quotient=args.quotient, tol=tol.poly)
+
+    def rows(rho: Representation) -> str:
+        return _moment_rows(moment_coordinates(rho), quotient=args.quotient, tol=tol.poly)
+
     with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
         out.write(_CSV_HEADER)
-        for numbers, rho in read_jsonl(src, tol.rel):
-            for _, text in _before_refusal(rows, numbers, moment_coordinates(rho)):
-                out.write(text)
+        for _, text in read_jsonl(src, tol.rel, rows):
+            out.write(text)
     return 0
 
 
@@ -251,9 +252,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-
-_TARGETS = [t.value for t in Target if t is not Target.FIXED_BASE]
 
 
 def _at_least(minimum: int):
@@ -344,7 +342,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--seed", type=_SEED, default=0)
     sp.add_argument(
         "--target",
-        choices=_TARGETS,
+        choices=[t.value for t in Target],
         default="interior",
     )
     sp.add_argument("--base", help="x1,x2,x3 interior base point (pins the fiber)")

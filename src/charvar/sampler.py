@@ -4,10 +4,10 @@ Targets: uniform-base interior samples (random base point x, twist angles),
 boundary families (faces, edges, vertices of the trace polytope) and abelian
 quadruples, each optionally Haar-conjugated.  The interior base is uniform on
 the open simplex, a convenience measure for coverage of the polytope, not a
-canonical volume on the class space.  Every target is one draw and one build:
-items are drawn one by one in stream order and built in batches, as are the
-near-abelian deformations that witness density of the irreducible locus; each
-row is bit for bit the item built alone.
+canonical volume on the class space, unless a base point pins it.  Every
+target is one draw and one build: items are drawn one by one in stream order
+and built in batches, as are the near-abelian deformations that witness
+density of the irreducible locus; each row is bit for bit the item built alone.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class Target(Enum):
     """What a sampling run should produce."""
 
     INTERIOR_UNIFORM_BASE = "interior"
-    FIXED_BASE = "fixed-base"
     BOUNDARY_FACE = "face"
     BOUNDARY_EDGE = "edge"
     VERTEX = "vertex"
@@ -71,8 +70,8 @@ class SampleSpec:
     target:
         Which family to sample; see `Target`.
     base:
-        Strictly interior base point, required when ``target`` is
-        ``Target.FIXED_BASE`` and refused with any other target.
+        Strictly interior base point that pins every item's base on
+        ``Target.INTERIOR_UNIFORM_BASE``; refused with any other target.
     conjugate:
         When true, each emitted quadruple is conjugated by an independent
         Haar-random element, so the stream explores whole classes rather
@@ -90,20 +89,17 @@ class SampleSpec:
             raise PreconditionViolated(f"count must be >= 1, got {self.count}")
         if not (0 <= self.seed < _MAX_SEED):
             raise PreconditionViolated("seed must fit in 64 unsigned bits")
-        if self.target is Target.FIXED_BASE:
-            if self.base is None:
-                raise PreconditionViolated("fixed-base sampling requires a base point")
+        if self.base is not None:
+            if self.target is not Target.INTERIOR_UNIFORM_BASE:
+                raise PreconditionViolated(
+                    f"a base point pins the interior target, not {self.target.value!r}"
+                )
             x = np.asarray(self.base, dtype=float)
             if x.shape != (3,):
                 raise PreconditionViolated("base must be a 3-vector")
             if not float(STD_DELTA.margin(x)) < 0.0:  # NaN is not interior either
                 raise PreconditionViolated("base point must be strictly interior")
             object.__setattr__(self, "base", x)
-        elif self.base is not None:
-            raise PreconditionViolated(
-                "a base point needs the fixed-base target (interior with --base),"
-                f" not {self.target.value!r}"
-            )
 
 
 def _diag(angle) -> GroupElement:
@@ -185,11 +181,10 @@ def _vertex_draw(rng: np.random.Generator, base=None) -> tuple:
 
 
 #: Each target's (draw, build): draw(rng, base) makes one item's random inputs
-#: in stream order (base is None but on the fixed-base target), and build makes
-#: a batch from each input stacked over its items.
+#: in stream order (base is the spec's: None, or the pinned interior base), and
+#: build makes a batch from each input stacked over its items.
 _DRAW_BUILD = {
     Target.INTERIOR_UNIFORM_BASE: (_interior_draw, _interior_build),
-    Target.FIXED_BASE: (_interior_draw, _interior_build),
     Target.BOUNDARY_FACE: (_face_draw, _diag_build),
     Target.BOUNDARY_EDGE: (_edge_draw, _edge_build),
     Target.VERTEX: (_vertex_draw, Representation.from_slots),

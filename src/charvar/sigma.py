@@ -342,13 +342,11 @@ def certify_interval_injectivity(
     (repvar._class_equal) covers every point against its swap (a point is
     sigma-fixed exactly when it is one class with its swap) and every pair
     i < j of every arc; each arc reads bit for bit as if alone.
-    PreconditionViolated unless grid is an integer >= 0."""
-    if isinstance(grid, bool) or not (isinstance(grid, (int, np.integer)) and grid >= 0):
-        raise PreconditionViolated(f"grid must be an integer >= 0, got {grid}")
+    PreconditionViolated unless grid is an integer >= 1."""
+    if isinstance(grid, bool) or not (isinstance(grid, (int, np.integer)) and grid >= 1):
+        raise PreconditionViolated(f"grid must be an integer >= 1, got {grid}")
     theta, s = np.broadcast_arrays(np.asarray(theta, np.float64), np.asarray(s, np.float64))
     alphas = np.linspace(0.0, np.pi / 2, grid)
-    if grid == 0:  # no grid point to check the arcs at: check them at alpha = 0
-        n2_interval(theta, s, 0.0)
     arcs = n2_interval(theta.reshape(-1, 1), s.reshape(-1, 1), alphas)
     # the grid points arc after arc, as one flat batch: _stacked joins flat batches
     points = Representation.from_slots(arcs.slots().reshape(-1, 4, 4))

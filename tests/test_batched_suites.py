@@ -500,17 +500,20 @@ SINGLE = {
 
 
 def single_item(spec, rng):
-    if spec.target in (Target.INTERIOR_UNIFORM_BASE, Target.FIXED_BASE):
+    if spec.target is Target.INTERIOR_UNIFORM_BASE:
         return single_interior(rng, spec.base, spec.conjugate)
     rho = SINGLE[spec.target](rng)
     return rho.conjugated(haar_sample(rng)) if spec.conjugate else rho
 
 
 @pytest.mark.parametrize("conjugate", [True, False])
-@pytest.mark.parametrize("target", list(Target))
-def test_sample_equals_per_item_construction(target, conjugate):
+@pytest.mark.parametrize(
+    "target, base",
+    [*(pytest.param(target, None, id=str(target)) for target in Target),
+     pytest.param(Target.INTERIOR_UNIFORM_BASE, (0.2, 0.3, 0.1), id="pinned-base")],
+)
+def test_sample_equals_per_item_construction(target, base, conjugate):
     # one chunk and three more items: the stream crosses a chunk boundary
-    base = np.array([0.2, 0.3, 0.1]) if target is Target.FIXED_BASE else None
     spec = SampleSpec(count=_CHUNK + 3, seed=17, target=target, base=base, conjugate=conjugate)
     rng = np.random.default_rng(17)
     want = np.stack([single_item(spec, rng).slots() for _ in range(spec.count)])

@@ -5,10 +5,12 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import io
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -19,14 +21,14 @@ from hypothesis import strategies as st
 
 from charvar import claims, cli, polytope, repvar
 from charvar.claims import run_sigma_certification, run_verify
-from charvar.cli import main, rep_from_obj, rep_to_obj
+from charvar.cli import main, rep_to_obj
 from charvar.errors import OutsidePolytope, PreconditionViolated
 from charvar.flows import TorusElement, act
 from charvar.polytope import moment_mu, mu_lambda, write_simplex_csv
 from charvar.repvar import _SLOTS, Representation, relation_residual
 from charvar.sampler import _CHUNK
 from charvar.sigma import Piece, Stratum
-from charvar.su2 import haar_sample
+from charvar.su2 import GroupElement, haar_sample
 from charvar.tolerances import DEFAULT, Tolerances
 
 
@@ -62,6 +64,11 @@ def non_solution() -> Representation:
             return rho
 
 
+def read_obj(obj: dict) -> Representation:
+    """The class of one JSONL line holding obj, read as the JSONL stages read it."""
+    return cli._classes([json.dumps(obj)], DEFAULT.rel)[0]
+
+
 PILLOW_OBJ = {
     "g1": [0.0, 0.0, 0.0, 1.0],
     "h1": [0.0, -1.0, 0.0, 0.0],
@@ -70,26 +77,29 @@ PILLOW_OBJ = {
 }
 
 
+IDENTITY_OBJ = {key: [1.0, 0.0, 0.0, 0.0] for key in _SLOTS}
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(30)
         a, b = haar_sample(rng), haar_sample(rng)
         rho = Representation(a, b, b, a)
-        back = rep_from_obj(json.loads(json.dumps(rep_to_obj(rho))))
+        back = read_obj(rep_to_obj(rho))
         for x, y in zip(back.elements(), rho.elements()):
             assert np.array_equal(x.q, y.q)
 
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionViolated):
-            rep_from_obj({"g1": [1, 0, 0, 0]})
+            read_obj({"g1": [1, 0, 0, 0]})
         bad = dict(PILLOW_OBJ)
         bad["g1"] = [2.0, 0.0, 0.0, 0.0]
         with pytest.raises(PreconditionViolated):
-            rep_from_obj(bad)
+            read_obj(bad)
         for value in (float("nan"), float("inf")):
             bad["g1"] = [value] * 4
             with pytest.raises(PreconditionViolated, match="not a finite unit quaternion"):
-                rep_from_obj(bad)
+                read_obj(bad)
 
     @pytest.mark.parametrize("command", [["flow", "--t", "0,0,0"], ["moment"]])
     def test_non_finite_line_exit_2(self, tmp_path, command):
@@ -138,6 +148,13 @@ class TestSerialization:
                      "--t expects numbers, got 'a,b,c'", id="twist-not-numbers"),
         pytest.param(["--config", "{path}", "sample"], "count",
                      "{path}:1: expected key=value", id="config-line-without-equals"),
+        # a slot holds JSON numbers only: a string, true or null is not read as a number
+        *(pytest.param([*argv, "--in", "{path}"],
+                       json.dumps({**IDENTITY_OBJ, "g1": [value, 0, 0, 0]}),
+                       "line 1: slot 'g1' must hold numbers", id=f"{argv[0]}-{name}-component")
+          for argv in (["flow", "--t", "0.3,1.2,0.5"], ["moment"], ["tau"])
+          for name, value in (("string", "1"), ("bool", True), ("underscored", "1_000"),
+                              ("null", None))),
     ],
 )
 def test_input_refusal_is_its_one_stderr_line(tmp_path, argv, text, line):
@@ -153,7 +170,7 @@ class TestSample:
         assert len(lines) == 10
         for obj in lines:
             assert obj["residual"] < 1e-8
-            rho = rep_from_obj(obj)
+            rho = read_obj(obj)
             assert float(relation_residual(rho)) < 1e-8
 
     def test_deterministic_bytes(self):
@@ -187,7 +204,7 @@ class TestSample:
         for target, base in (("face", "5,5,5"), ("edge", "0.2,0.3,0.2"), ("vertex", "0.2,0.3,0.2")):
             code, err = run_err(["sample", "--target", target, "--base", base])
             assert code == 2
-            assert "a base point needs the fixed-base target" in err
+            assert f"a base point pins the interior target, not {target!r}" in err
 
     def test_base_near_the_vertex(self):
         # about 1e-170 from x = 0 the section's closed form is 0/0; at 1e-9
@@ -400,6 +417,32 @@ class TestCertifySigma:
         assert rep["violations"] == []
         assert any("factor-2" in note for note in rep["notes"])
 
+    def test_violations_exit_1(self, monkeypatch):
+        # sample 2's conjugator is off by a 1e-3 turn (far above 10 * tol.mat), and the
+        # first arc has one unfixed grid point and one colliding pair
+        classify, certify = claims.classify_fixed_point, claims.certify_interval_injectivity
+        arcs = []
+
+        def off_conjugator(batch, tol):
+            point = classify(batch, tol=tol)
+            q = point.conjugator.q.copy()
+            q[2] = (GroupElement(q[2]) * GroupElement.from_quaternion([1.0, 1e-3, 0.0, 0.0])).q
+            return dataclasses.replace(point, conjugator=GroupElement(q))
+
+        def one_unfixed_one_collision(theta, s, grid, tol):
+            arcs.append((theta[0], s[0]))
+            report = certify(theta, s, grid, tol)
+            report.fixed[0, 0], report.equal[0, 0] = False, True
+            return report
+
+        monkeypatch.setattr(claims, "classify_fixed_point", off_conjugator)
+        monkeypatch.setattr(claims, "certify_interval_injectivity", one_unfixed_one_collision)
+        code, out = run(["certify-sigma", "--samples", "12", "--seed", "4", "--grid", "4"])
+        assert code == 1
+        conjugator, interval = json.loads(out)["violations"]
+        assert re.fullmatch(r"sample 2: conjugator residual \d\.\d{3}e-0[34]", conjugator)
+        assert interval == "interval (%.4f,%.4f): 1 unfixed, 1 collisions" % arcs[0]
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["flows", "polytope", "tau", "sigma", "density"])
@@ -584,6 +627,11 @@ def test_run_verify_rejects_no_trials(suite, samples):
 def test_run_sigma_certification_rejects_no_trials(samples, grid):
     with pytest.raises(PreconditionViolated, match="need samples >= 1 and grid >= 2"):
         run_sigma_certification(samples, 0, grid=grid)
+
+
+def test_run_verify_rejects_an_unknown_suite():
+    with pytest.raises(PreconditionViolated, match="unknown suite 'nowhere'"):
+        run_verify("nowhere", samples=1)
 
 
 def test_library_entry_points_reject_negative_seed():
@@ -803,6 +851,8 @@ _BAD_KINDS = {"malformed": 2, "non-finite": 2, "non-unit": 2, "off-relation": 3,
 # names the earliest line over all its checks; and bad lines in the second chunk only
 @example(100, [(0.1, "off-relation", 0), (0.2, "non-unit", 0), (0.3, "boundary", 0)])
 @example(300, [(0.9, "non-unit", 0), (0.95, "malformed", 0), (0.5, "boundary", 4)])
+# a malformed line refuses its chunk before flow's act runs; a boundary line before it names itself
+@example(200, [(0.3, "boundary", 1), (0.6, "malformed", 0)])
 @settings(max_examples=50, deadline=None)
 def test_stages_stop_at_the_earliest_bad_line(interior_lines, boundary_lines, n, bad):
     # up to 300 lines with up to three bad ones: each stage exits with the

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
@@ -113,3 +114,47 @@ def test_star_import_gives_the_api_only():
         namespace = {}
         exec(f"from charvar.{name} import *", namespace)
         assert set(namespace) - {"__builtins__"} == set(_module(name).__all__)
+
+
+# repvar imports the product without using it: perfbench/test_perfbench.py checks
+# that the tracer restores every name it patched, repvar.mul among them
+UNUSED_IMPORTS = {("repvar", "mul")}
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """The names a module reads, in its code or in its quoted annotations."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for note in filter(None, _annotations(tree)):
+        for node in ast.walk(note):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _read_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def _imported_names(tree: ast.AST) -> set[str]:
+    """The names a module's imports bind, less __future__ features and star imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+    return names
+
+
+def test_every_imported_name_is_used():
+    unused = set()
+    for path in sorted(Path(charvar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        unused |= {(path.stem, name) for name in _imported_names(tree) - _read_names(tree)}
+    assert unused == UNUSED_IMPORTS

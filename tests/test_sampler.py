@@ -58,13 +58,17 @@ class TestSampleSpec:
             SampleSpec(count=1, seed=2**64, target=Target.VERTEX)
 
     def test_fixed_base_needs_interior_point(self):
-        with pytest.raises(PreconditionViolated):
-            SampleSpec(count=1, seed=1, target=Target.FIXED_BASE)
+        # a base point pins the interior target's base, and only there
+        base = np.array([0.2, 0.3, 0.2])
+        for target in set(Target) - {Target.INTERIOR_UNIFORM_BASE}:
+            with pytest.raises(PreconditionViolated, match="pins the interior target, not"):
+                SampleSpec(count=1, seed=1, target=target, base=base)
         with pytest.raises(PreconditionViolated):
             SampleSpec(
-                count=1, seed=1, target=Target.FIXED_BASE, base=np.array([0.0, 0.5, 0.5])
+                count=1, seed=1, target=Target.INTERIOR_UNIFORM_BASE,
+                base=np.array([0.0, 0.5, 0.5]),
             )
-        SampleSpec(count=1, seed=1, target=Target.FIXED_BASE, base=np.array([0.2, 0.3, 0.2]))
+        SampleSpec(count=1, seed=1, target=Target.INTERIOR_UNIFORM_BASE, base=base)
 
 
 _UNIT = st.floats(0.0, 1.0)
@@ -143,7 +147,9 @@ class TestInteriorTarget:
 
     def test_fixed_base_pins_moment(self):
         base = np.array([0.25, 0.35, 0.2])
-        spec = SampleSpec(count=40, seed=14, target=Target.FIXED_BASE, base=base, conjugate=True)
+        spec = SampleSpec(
+            count=40, seed=14, target=Target.INTERIOR_UNIFORM_BASE, base=base, conjugate=True
+        )
         for rho in sample(spec):
             assert_allclose(mu_lambda(rho).x, base, atol=1e-7)
 

@@ -462,7 +462,7 @@ class TestN2Interval:
             n2_interval(theta[:, None], s[:, None], np.array([0.0, 0.4]))
         with pytest.raises(PreconditionViolated):
             certify_interval_injectivity(theta, s, grid=5)
-        with pytest.raises(PreconditionViolated):  # also with no grid point
+        with pytest.raises(PreconditionViolated):  # and a grid of no point
             certify_interval_injectivity(theta, s, grid=0)
 
 
@@ -490,13 +490,13 @@ class TestInjectivity:
     def test_degenerate_rejected(self):
         with pytest.raises(PreconditionViolated):
             certify_interval_injectivity(0.0, np.pi, grid=5)
-        with pytest.raises(PreconditionViolated):  # also with no grid point
+        with pytest.raises(PreconditionViolated):  # and a grid of no point
             certify_interval_injectivity(0.0, np.pi, grid=0)
 
-    @pytest.mark.parametrize("grid", [-1, 2.5])
+    @pytest.mark.parametrize("grid", [-1, 0, 2.5])
     def test_bad_grid_rejected(self, grid):
         # a precondition, not the ValueError or TypeError of NumPy
-        with pytest.raises(PreconditionViolated, match="grid must be an integer >= 0"):
+        with pytest.raises(PreconditionViolated, match="grid must be an integer >= 1"):
             certify_interval_injectivity(0.7, 1.3, grid)
 
     @given(ANGLE, ANGLE, st.integers(1, 12))
