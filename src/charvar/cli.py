@@ -29,7 +29,6 @@ from .errors import (
     OutsidePolytope,
     PreconditionViolated,
     RelationViolated,
-    SectionSolveFailure,
     _relabelled,
 )
 from .flows import TorusElement, act
@@ -416,7 +415,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     except (
         RelationViolated,
-        SectionSolveFailure,
         OutsidePolytope,
         DegenerateGenerator,
         ClassificationAmbiguity,

@@ -3,6 +3,8 @@
 Every error raised by library code derives from :class:`CharVarError` so that
 callers (in particular the CLI) can distinguish domain failures from bugs.
 A batched map refuses a batch through :func:`_raise_first`, at its earliest bad row.
+Each type below is raised by the package: a public error that no other module
+names is one that nothing raises, and tests/test_package.py refuses it.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ __all__ = [
     "ZeroVector",
     "OutsidePolytope",
     "DegenerateGenerator",
-    "SectionSolveFailure",
     "FiberSolveFailure",
     "PreconditionViolated",
     "RelationViolated",
@@ -39,11 +40,6 @@ class OutsidePolytope(CharVarError):
 
 class DegenerateGenerator(CharVarError):
     """A flow generator is undefined because a required group element is central."""
-
-
-class SectionSolveFailure(CharVarError):
-    """The closed-form section is not finite at the base point (within about
-    1e-160 of the vertex x = 0, where its h2 axis is 0/0)."""
 
 
 class FiberSolveFailure(CharVarError):

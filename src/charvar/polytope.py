@@ -252,10 +252,10 @@ M_P = QuotientMatrix(
 
 
 def _trace_triple(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """trace_triple on quaternion arrays a, b of shape (..., 4); the scalar
-    part of ab is that of mul(a, b)."""
-    ab_w = _qmul(_split(a), _split(b))[0]
-    return np.stack([_trace_angle(w) for w in (a[..., 0], b[..., 0], ab_w)], axis=-1)
+    """trace_triple on quaternion arrays a, b of shape (..., 4); the product
+    ab is that of mul(a, b)."""
+    a, b = _split(a), _split(b)
+    return np.stack([_trace_angle(*q) for q in (a, b, _qmul(a, b))], axis=-1)
 
 
 def trace_triple(a: GroupElement, b: GroupElement) -> np.ndarray:

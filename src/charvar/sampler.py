@@ -214,13 +214,6 @@ def sample_batches(spec: SampleSpec) -> Iterator[Representation]:
     stream order (its Haar conjugator last, when the spec conjugates), then
     each batch is built by one call of the target's build and one
     conjugation.  Row i of a batch is bit for bit the item built alone.
-
-    Raises
-    ------
-    SectionSolveFailure
-        From the base-point section on interior targets, only for a base
-        point within about 1e-160 of the vertex x = 0, where its closed form
-        is 0/0.
     """
     rng = np.random.default_rng(spec.seed)
     draw, build = _DRAW_BUILD[spec.target]

@@ -633,14 +633,16 @@ def log_grp(g: GroupElement) -> AlgebraElement:
     return AlgebraElement(vec * (theta / safe)[..., None])
 
 
-def _trace_angle(w) -> np.ndarray:
-    """trace_angle from the scalar part(s) w."""
-    return np.arccos(np.clip(w, -1.0, 1.0)) / np.pi
+def _trace_angle(w, x, y, z) -> np.ndarray:
+    """trace_angle from the components (w, x, y, z) of quaternion(s)."""
+    return np.arctan2(_row_norm((x, y, z)), w) / np.pi
 
 
 def trace_angle(g: GroupElement) -> np.ndarray:
-    """Modified trace coordinate f(g) = arccos(tr(g)/2) / pi, in [0, 1]."""
-    return _trace_angle(g.w)
+    """Modified trace coordinate f(g) = arccos(tr(g)/2) / pi, in [0, 1], read as
+    atan2(|vec|, w) / pi: to roundoff on the whole group, where arccos(w)
+    reads an angle of 1e-9 as 0."""
+    return _trace_angle(*_split(g.q))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@
 #   (1) h1 = (cos t1, 0, 0, sin t1)                       -- axis z;
 #   (2) h2 = (cos t2, sin t2 * m),  m = (sin phi, 0, cos phi) in the xz-plane,
 #       cos phi = (cos t1 cos t2 - cos t3)/(sin t1 sin t2), so that
-#       tr(h1 h2) = 2 cos t3 (re-derived and unit-tested);
+#       tr(h1 h2) = 2 cos t3 (re-derived and unit-tested); phi is read in
+#       half angles, tan^2(phi/2) = sin(pi(x1+x2+x3)) sin(pi x2) /
+#       (sin(pi x1) sin(pi x3)), a ratio of positive sines on the open simplex;
 #   (3) g1 = h1^(-1/2) = (cos(t1/2), 0, 0, -sin(t1/2)),
 #       g2 = h2^(-1/2) = (cos(t2/2), -sin(t2/2) m).
 #   Each g_i commutes with its h_i, so [g1,h1] = [g2,h2] = 1 and the relation
@@ -25,9 +27,8 @@
 #
 # section takes one base point or a batch (..., 3) and runs the same array
 # expressions on both, so every row is bit for bit the section of that point
-# alone.  The closed form fails only where it is not finite: within ~1e-160
-# of the vertex x = 0, sin t1 sin t2 underflows to 0 and cos phi reads 0/0;
-# section raises SectionSolveFailure there.
+# alone.  The closed form is finite on the whole open simplex, so section
+# refuses only base points that are not strictly interior.
 #
 # Fiber coordinates, over one class or a batch (every row bit for bit the
 # class alone): one conjugator solve puts rho into the section's (h1, h2)
@@ -41,13 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FiberSolveFailure, OutsidePolytope, PreconditionViolated
-from .errors import SectionSolveFailure, _raise_first
+from .errors import FiberSolveFailure, OutsidePolytope, PreconditionViolated, _raise_first
 from .flows import TorusElement, act, generators
 from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda_coordinates
 from .repvar import Representation
 from .su2 import GroupElement, _cross, _perpendicular, exp_alg, find_conjugator, mul
-from .tolerances import EPS_MAT, EPS_REL
+from .tolerances import EPS_MAT
 
 __all__ = ["FiberCoordinates", "section", "fiber_coordinates", "tau"]
 
@@ -71,20 +71,18 @@ def section(x) -> Representation:
     x is one base point (3,) or a batch (..., 3); a single point gives a
     single quadruple.  Every row is bit for bit the section of that point
     alone.  The relation residual is at roundoff, and mu_lambda equals x to
-    roundoff away from the boundary (README "Boundary envelope").
+    roundoff up to the boundary (README "Boundary envelope").
     """
     coords = x.x if isinstance(x, SimplexPoint) else np.asarray(x, dtype=np.float64)
     if coords.shape[-1:] != (3,):
         raise ValueError("section expects base points of shape (..., 3)")
-    with np.errstate(all="ignore"):  # the rows refused below may hold any numbers
-        theta = np.pi * M_P.apply(coords)
-        t1, t2 = theta[..., 0], theta[..., 1]
-        cphi = (np.cos(t1) * np.cos(t2) - np.cos(theta[..., 2])) / (np.sin(t1) * np.sin(t2))
     _raise_first((~(STD_DELTA.margin(coords) < 0.0), PreconditionViolated,  # NaN rows too
-                  "section needs strictly interior base points", coords),
-                 (~np.isfinite(cphi), SectionSolveFailure,
-                  "base point too close to the vertex x = 0: the h2 axis is 0/0", coords))
-    phi = np.arccos(np.clip(cphi, -1.0, 1.0))
+                  "section needs strictly interior base points", coords))
+    theta = np.pi * M_P.apply(coords)
+    t1, t2 = theta[..., 0], theta[..., 1]
+    s1, s2, s3 = np.moveaxis(np.sin(np.pi * coords), -1, 0)
+    s123 = np.sin(np.pi * coords.sum(axis=-1))
+    phi = 2.0 * np.arctan2(np.sqrt(s123 * s2), np.sqrt(s1 * s3))  # half angles (header)
     zero = np.zeros_like(t1)
     m = np.stack([np.sin(phi), zero, np.cos(phi)], axis=-1)  # the axis of h2
     h1 = np.stack([np.cos(t1), zero, zero, np.sin(t1)], axis=-1)
@@ -100,7 +98,7 @@ def fiber_coordinates(rho: Representation) -> FiberCoordinates:
     rho is one class or a batch; every row is bit for bit the call on that
     class alone.  Conjugates rho so its (h1, h2) agree with the section's,
     then reads the three angles by phase alignment against the section's
-    g-slots, and checks act(angles, section(base)) against rho to EPS_REL.
+    g-slots, and checks act(angles, section(base)) against rho to EPS_MAT.
     A bad row fails the batch, and the message names the first one:
     OutsidePolytope for a base point outside the simplex (or not finite),
     PreconditionViolated for one on its boundary, FiberSolveFailure where
@@ -141,7 +139,7 @@ def fiber_coordinates(rho: Representation) -> FiberCoordinates:
     worst = np.asarray(act(angles, s_rho).slot_distance(aligned))
     _raise_first(  # the frame and the angles, read on rows that pass the checks above
         (~(frame < EPS_MAT), FiberSolveFailure, "could not align the (h1, h2) frame", frame),
-        (~(worst < EPS_REL), FiberSolveFailure, "angle solve residual >= EPS_REL", worst))
+        (~(worst < EPS_MAT), FiberSolveFailure, "angle solve residual >= EPS_MAT", worst))
     return FiberCoordinates(base=base, angles=angles)
 
 

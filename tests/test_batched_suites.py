@@ -189,7 +189,7 @@ def tau_oracle(n, rng, tol):
 
 def sigma_oracle(n, rng, tol):
     failures = 0
-    res = {"pillow-conjugator": 0.0, "interval-fix": 0.0}
+    res = {"pillow-conjugator": 0.0}
     small = max(n // 10, 1)
 
     for _ in range(n):

@@ -29,7 +29,7 @@ from charvar.repvar import _SLOTS, Representation, relation_residual
 from charvar.sampler import _CHUNK
 from charvar.sigma import Piece, Stratum
 from charvar.su2 import GroupElement, haar_sample
-from charvar.tolerances import DEFAULT, Tolerances
+from charvar.tolerances import DEFAULT, EPS_CENTER, Tolerances
 
 
 def run(argv) -> tuple[int, str]:
@@ -207,12 +207,12 @@ class TestSample:
             assert f"a base point pins the interior target, not {target!r}" in err
 
     def test_base_near_the_vertex(self):
-        # about 1e-170 from x = 0 the section's closed form is 0/0; at 1e-9
-        # it solves (at 1e-12 h1 is within EPS_CENTER of the center, and the
-        # twist flows of the sampler refuse it)
+        # at 1e-9 from x = 0 the sample builds; closer in (1e-12, 1e-170) h1
+        # is within EPS_CENTER of the center, and the twist flows of the
+        # sampler refuse it
         code, err = run_err(["sample", "--base", "1e-170,1e-170,1e-170"])
         assert code == 3
-        assert "vertex" in err
+        assert err.startswith(f"solve failure: h1 is within {EPS_CENTER:g} of the center")
         code, _ = run(["sample", "--base", "1e-9,1e-9,1e-9"])
         assert code == 0
 
@@ -313,18 +313,18 @@ class TestTau:
 
 # (lines written, sha256 of stdout) of `fixed-points --count 40 --seed S --tol 0.1`
 AMBIGUOUS_STREAMS = [
-    (13, "dee11ee42940c7d0542fade8216f5b9b96dea9b3713feea58e27131f8cb2446b"),
-    (5, "0700ecf8fc449eb94a9b118b4e54d3c957844abd6f163e86fa26fab222098470"),
-    (9, "70e86150869775c7bd257d52ceb710dc06859f7f28b1c3199dfe7404b069a39a"),
-    (4, "14258d5211203f600bc334ae2fad2543d7752e0a1bba81be7e285e94bf2d0e8a"),
+    (13, "a77926534162a3d59f27815fbbd6e1110924b0e5881dd31c5d69073b4e3ac39f"),
+    (5, "e85eeffd497761d6ebe6f85263b29770a9457ea925861bb048692957a581dc96"),
+    (9, "a3306fb0b998972f02b0ea0d7a7e00062e04ab157c9e8c289489be1b0693a666"),
+    (4, "e7cdbaa5aaa5b3437123e08c17433521f0c1359434c1f1c730999f1b24c50838"),
     (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (1, "d8f5eefb8bb1ae14d5c5205fbb6acda859085df5976274105318691d24377afd"),
-    (9, "bda8932b49d2e0a39ba76b0afcd287fbb6787f3a83d8c3544b2f36ac7167311d"),
-    (9, "16659e3443f9e6e7028a4bfba698994e91acd9ffce15070d96b9ae64380dadb7"),
+    (1, "8260459fa7bea4b721fff3fe8322b523dfd0618d383152eeea651e50cf173e83"),
+    (9, "47a2a459335ddedb85b6eef6324a47ed1abb864e3418465937a6cbed60f7c7df"),
+    (9, "7acfeb3de985a3d8dc62c2b4820e1b1de4b082dab429de4b4ef562c6a3f139a8"),
     (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (36, "484d9e6830947d12114f5433df8184f435bb746835736d56aba7af17ec15f411"),
+    (36, "73cab0b7e89a436bbc8bf8acca0d1814753b48e010e9fc757d650a10fd32cc6e"),
     (1, "9e7ae11becbd2cf3f56b22b2de0811b57b758ba7abe40ce640aff54ccef75c9c"),
-    (16, "9a9055d5c81417972f07ae21a9d62854fd652822c4d52f664642dc28e1629865"),
+    (16, "153e44c65953627b6083de86287f932852984dfd4f3ba46002200e4e884493a8"),
 ]
 
 
@@ -352,7 +352,7 @@ class TestFixedPoints:
         assert code == 3
         assert out.count("\n") == 4
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "14258d5211203f600bc334ae2fad2543d7752e0a1bba81be7e285e94bf2d0e8a"
+            "e7cdbaa5aaa5b3437123e08c17433521f0c1359434c1f1c730999f1b24c50838"
         )
         code, err = run_err(argv)
         assert code == 3
@@ -381,7 +381,7 @@ class TestFixedPoints:
         assert code == 3
         assert out.count("\n") == 669
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "43a5e46fffe72a7a76cd04da9d79e5dda506bb52ef09649f357e1d83e16dc47b"
+            "a8e55c53315344836b16d9bf54ab709904beff56f988ce156eb9228fa2df47ef"
         )
         assert run_err(argv) == (3, "solve failure: line 670: [g1,h1] centrality residual"
                                     " in the gray zone: 0.09043384076448845\n")
@@ -645,9 +645,9 @@ def test_library_entry_points_reject_negative_seed():
 # sha256 of the README pipeline's files (300 tuples: more than one sampler
 # batch)
 PIPELINE_SHA256 = {
-    "cloud.jsonl": "d17a329653da3dbdfa334d088bab05f8f4942eed71da9dfa1e4dbe468cf52339",
-    "twisted.jsonl": "76436d5e7ef5f803d69041572a5f9d87f007c4801c6fa6cd12db2ef738023b45",
-    "points.csv": "0b669650b5dd5ae68d02f79138e55d63fff4aaa9347db77d184f9b44ef85d711",
+    "cloud.jsonl": "02b45d4f1b13554d524b7673d24a6f60e224b3778027cac07b80ea321d7727f6",
+    "twisted.jsonl": "64c4d8390cef8b45aebf8c4cf6e1840401d9e4145976c28db3ea1c391f3759de",
+    "points.csv": "e192beb3a92c576a4688e723249130d825c769a6d95250b98282524b5b160b90",
 }
 
 
@@ -664,20 +664,20 @@ def test_readme_pipeline_output_pinned(tmp_path):
 # without and with --conjugate, as the per-item builders wrote them
 BOUNDARY_SHA256 = {
     "face": (
-        "a4e8cd458a58c5e52c56087c91cd02d98fac5814306a05d052e195325f49b7dc",
-        "e657b1059815ff85e5fc8ae4f1c7b01e63a27d429ced0208bc9b7785d5b28a12",
+        "7fa662ca5398af7d261aa1ef6b7d5f8e7d826e47878b1902df87e32530de57c5",
+        "f7a3ac2d6bcf1d66b423f5530056e4383a664eb1b6e58531017435298e2ea901",
     ),
     "edge": (
-        "67ce1114d4933f1bda6a921c61e2cdc269cea464e3bda845193f9a6729e81103",
-        "a26d66e65510f1896f8900c6eb4b9587e9612c907ccc770761c06a3a92e19328",
+        "2819ae711e938b56f4d7b06aefac7e95a4f287e2d4b91e4c6875d6b910d7b9b5",
+        "1b3dba10f863b597bb8483e52216fe230674cf4e68b08e958c5f627e7b67fac3",
     ),
     "vertex": (
         "c5ae53aea3eb1daa31486e876b1668f9ad7adf9fe38ba04b8cdf844534bd1628",
         "629c6048b837c99f3cf5cdc19964e4b05b85a45dc9ab39c2e2e0c297e7626280",
     ),
     "abelian": (
-        "a5f46fec3a36b1e30aa2f39aac7fe4a910473ce54ff2a86a87f7c71ea3f47404",
-        "13cdd6e2e029eb4b607496184fdd912dd5cb80b13f1ba59ec213912808b5310b",
+        "70700bdbf69cdb5fd4528df1e86d84d68f87663060f470a12e29a2088d2743d0",
+        "76f228258d3bc3a52f48e536bfabe7239628afd8b5b337e8a8ccc5fbba4a187b",
     ),
 }
 

@@ -20,7 +20,6 @@ from charvar.errors import (
     OutsidePolytope,
     PreconditionViolated,
     RelationViolated,
-    SectionSolveFailure,
     ZeroVector,
 )
 from charvar.flows import generators
@@ -229,12 +228,6 @@ def base_on_boundary(rng):
     return (x,), (x[1, 2],)
 
 
-def base_at_vertex(rng):
-    x = np.full((4, 3), 0.2)
-    x[2] = 1e-170
-    return (x,), (x[2],)
-
-
 # earliest-row cases: row 2 fails a later check of the map than row 3
 
 
@@ -299,12 +292,6 @@ def angle_before_alpha(rng):
     return (theta, 1.3, alpha), (theta[2], 1.3, alpha[2])
 
 
-def vertex_before_boundary(rng):
-    x = np.full((4, 3), 0.2)
-    x[2], x[3] = 1e-170, [0.5, 0.5, 0.0]
-    return (x,), (x[2],)
-
-
 CASES = {
     "from_quaternion": (GroupElement.from_quaternion, quaternion_zero, ZeroVector,
                         "cannot normalize a zero quaternion", (1, 2)),
@@ -359,8 +346,6 @@ CASES = {
                           "path parameter must lie in [0, 1]", (2,)),
     "section-interior": (section, base_on_boundary, PreconditionViolated,
                          "section needs strictly interior base points", (1, 2)),
-    "section-vertex": (section, base_at_vertex, SectionSolveFailure,
-                       "base point too close to the vertex x = 0: the h2 axis is 0/0", (2,)),
     "new_checked-earliest": (new_checked, relation_before_slot, RelationViolated,
                              "surface relation violated: residual", (2,)),
     "generators-earliest-h2": (generators, central_h2_before_h1, DegenerateGenerator,
@@ -369,8 +354,6 @@ CASES = {
                                     f"h2*h1 is within {EPS_CENTER:g} of the center", (2,)),
     "blowup_point-earliest": (blowup_point, blowup_case(relation_before_k), PreconditionViolated,
                               "blowup_point result violates the relation", (2,)),
-    "section-earliest": (section, vertex_before_boundary, SectionSolveFailure,
-                         "base point too close to the vertex x = 0: the h2 axis is 0/0", (2,)),
     "fiber_coordinates-earliest": (fiber_coordinates, boundary_before_outside,
                                    PreconditionViolated,
                                    "fiber coordinates exist over interior base points only",

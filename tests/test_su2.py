@@ -434,6 +434,16 @@ def test_trace_angle_values():
     assert float(trace_angle(MINUS_I2)) == 1.0
 
 
+@pytest.mark.parametrize("angle", [1e-9, 1e-12, 1 - 1e-9])
+def test_trace_angle_near_the_center(angle):
+    # an angle within 1e-9 of 0 or 1 reads to roundoff; the element near -I
+    # is built from its small supplement 1 - angle, which is exact
+    small = min(angle, 1.0 - angle)
+    w = np.cos(np.pi * small) * (1.0 if angle < 0.5 else -1.0)
+    g = GroupElement(np.array([w, 0.0, 0.0, np.sin(np.pi * small)]))
+    assert abs(float(trace_angle(g)) - angle) <= 2 * np.spacing(angle)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_trace_angle_conjugation_invariant(seed):
