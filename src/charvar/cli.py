@@ -6,6 +6,11 @@ Each input line is decoded once, and each chunk is checked by one repvar.new_che
 the one retry that also runs the stage's map; a refusal names the earliest bad line over
 parse, check and map.  Output chunks render from one float array through one template each.
 
+An --out file is written in place: it is opened without truncation and cut, on every exit
+(a refusal's included), to what this run wrote, so it holds the same bytes as a fresh file
+would.  A target that is not a regular file (/dev/null, a FIFO, a terminal) is written to
+and never cut.  One file named by both --in and --out is refused before anything is written.
+
 Exit codes: 0 success, 1 verification failures, 2 flag, config, input or path
 errors, 3 solve failures.
 """
@@ -16,6 +21,8 @@ import argparse
 import contextlib
 import functools
 import json
+import os
+import stat
 import sys
 from itertools import islice
 from typing import IO, Iterator, Optional, Sequence
@@ -144,15 +151,39 @@ def read_jsonl(stream: IO[str], rel_tol: float, step=lambda rho: rho) -> Iterato
 # ---------------------------------------------------------------------------
 
 
+def _in_place(path: str, flags: int) -> int:
+    """open()'s os.open with O_TRUNC cleared, so _opened writes over a file in place."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 @contextlib.contextmanager
-def _opened(path: Optional[str], mode: str, default: IO[str]) -> Iterator[IO[str]]:
-    """The file at path, closed on exit; without a path, default (stdin or
-    stdout), which is left open."""
+def _opened(path: Optional[str]) -> Iterator[IO[str]]:
+    """The output at path, closed on exit; without a path, stdout, which is left open.
+    A regular file is written from its start without being truncated first, and cut on
+    every exit, normal or by a refusal, to what was written: the bytes a fresh file would
+    hold.  Any other target (/dev/null, a FIFO, a terminal) is never cut."""
     if not path:
-        yield default
+        yield sys.stdout
         return
-    with open(path, mode) as stream:
-        yield stream
+    with open(path, "w", opener=_in_place) as out:
+        try:
+            yield out
+        finally:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()  # flushes, then cuts at the position written to
+
+
+@contextlib.contextmanager
+def _piped(args: argparse.Namespace) -> Iterator[tuple[IO[str], IO[str]]]:
+    """The input (--in, or stdin) and the output (--out through _opened) of a JSONL stage.
+    One file named by both is refused before the output is opened, as writing it would
+    overwrite the lines not yet read."""
+    paths = (args.infile, args.out)
+    if all(paths) and os.path.exists(args.out) and os.path.samefile(*paths):
+        raise PreconditionViolated(f"--in and --out name one file: {args.out!r}")
+    source = open(args.infile) if args.infile else contextlib.nullcontext(sys.stdin)
+    with source as src, _opened(args.out) as out:
+        yield src, out
 
 
 def _parse_triple(text: str, flag: str) -> np.ndarray:
@@ -179,7 +210,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         count=args.count, seed=args.seed, target=Target(args.target), base=base,
         conjugate=args.conjugate,
     )
-    with _opened(args.out, "w", sys.stdout) as out:
+    with _opened(args.out) as out:
         for rho in sample_batches(spec):
             out.write(_lines(rho))
     return 0
@@ -190,7 +221,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         raise PreconditionViolated("flow needs --t phi1,phi2,phi3 (or a t= config line)")
     phi = _parse_triple(args.t, "--t")
     t = TorusElement(float(phi[0]), float(phi[1]), float(phi[2]))
-    with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
+    with _piped(args) as (src, out):
         for _, moved in read_jsonl(src, DEFAULT.rel, functools.partial(act, t)):
             out.write(_lines(moved))
     return 0
@@ -202,7 +233,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
     def rows(rho: Representation) -> str:
         return _moment_rows(moment_coordinates(rho), quotient=args.quotient, tol=tol.poly)
 
-    with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
+    with _piped(args) as (src, out):
         out.write(_CSV_HEADER)
         for _, text in read_jsonl(src, tol.rel, rows):
             out.write(text)
@@ -212,7 +243,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
 def cmd_tau(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     bad = 0
-    with _opened(args.infile, "r", sys.stdin) as src, _opened(args.out, "w", sys.stdout) as out:
+    with _piped(args) as (src, out):
         for _, rho in read_jsonl(src, tol.rel):
             image = tau(rho)
             if args.check:
@@ -225,7 +256,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
 def cmd_fixed_points(args: argparse.Namespace) -> int:
     classify = functools.partial(classify_fixed_point, tol=_tolerances(args).mat)
     batches = _fixed_point_stream(args.count, np.random.default_rng(args.seed))
-    with _opened(args.out, "w", sys.stdout) as out:
+    with _opened(args.out) as out:
         for start, batch in zip(range(1, args.count + 1, _CHUNK), batches):
             numbers = tuple(range(start, start + batch.batch_shape[0]))
             for _, point in _before_refusal(classify, numbers, batch):
@@ -237,7 +268,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
 
 def cmd_certify_sigma(args: argparse.Namespace) -> int:
     report = run_sigma_certification(args.samples, args.seed, _tolerances(args), args.grid)
-    with _opened(args.out, "w", sys.stdout) as out:
+    with _opened(args.out) as out:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 1 if report["violations"] else 0
 

@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "CharVarError",
-    "CenterAmbiguity",
     "ZeroVector",
     "OutsidePolytope",
     "DegenerateGenerator",
@@ -24,10 +23,6 @@ __all__ = [
 
 class CharVarError(Exception):
     """Base class for all library errors."""
-
-
-class CenterAmbiguity(CharVarError):
-    """Logarithm requested at (or numerically at) -I, where the axis is undefined."""
 
 
 class ZeroVector(CharVarError):

@@ -102,7 +102,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CenterAmbiguity, CharVarError, ZeroVector, _raise_first
+from .errors import CharVarError, ZeroVector, _raise_first
 from .tolerances import EPS_CENTER, EPS_MAT
 
 __all__ = [
@@ -115,7 +115,6 @@ __all__ = [
     "distance",
     "is_central",
     "exp_alg",
-    "log_grp",
     "trace_angle",
     "haar_sample",
     "conjugator_nullspace",
@@ -577,7 +576,7 @@ def is_central(g: GroupElement) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exponential / logarithm / trace angle
+# exponential / trace angle
 # ---------------------------------------------------------------------------
 
 
@@ -616,21 +615,6 @@ def exp_alg(v: AlgebraElement) -> GroupElement:
     sin(theta) * v / theta (series-continued at theta -> 0).
     """
     return GroupElement(_pack(*_exp(*_split(v.v))))
-
-
-def log_grp(g: GroupElement) -> AlgebraElement:
-    """Principal-branch logarithm: the unique v with |v| in [0, pi), exp(v) = g.
-
-    Raises CenterAmbiguity where g is within EPS_CENTER of -I (no preferred
-    axis); g = +I maps to 0.
-    """
-    w, vec = g.w, g.vec
-    vn = np.linalg.norm(vec, axis=-1)
-    _raise_first(((w < 0.0) & (vn < EPS_CENTER), CenterAmbiguity,
-                  "logarithm undefined within tolerance of -I", g.q))
-    theta = np.arctan2(vn, w)
-    safe = np.where(vn > 0.0, vn, 1.0)
-    return AlgebraElement(vec * (theta / safe)[..., None])
 
 
 def _trace_angle(w, x, y, z) -> np.ndarray:

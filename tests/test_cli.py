@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
 import warnings
 from unittest import mock
@@ -653,11 +654,92 @@ PIPELINE_SHA256 = {
 
 def test_readme_pipeline_output_pinned(tmp_path):
     cloud, twisted, points = (str(tmp_path / name) for name in PIPELINE_SHA256)
-    assert main(["sample", "--count", "300", "--seed", "7", "--conjugate", "--out", cloud]) == 0
-    assert main(["flow", "--t", "0.3,1.2,0.5", "--in", cloud, "--out", twisted]) == 0
-    assert main(["moment", "--quotient", "--in", twisted, "--out", points]) == 0
-    for name, digest in PIPELINE_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    # into fresh paths, then over files longer than each output: the same bytes
+    for stale in (None, b"stale\n" * 40_000):
+        if stale:
+            for name in PIPELINE_SHA256:
+                (tmp_path / name).write_bytes(stale)
+        assert main(["sample", "--count", "300", "--seed", "7", "--conjugate", "--out", cloud]) == 0
+        assert main(["flow", "--t", "0.3,1.2,0.5", "--in", cloud, "--out", twisted]) == 0
+        assert main(["moment", "--quotient", "--in", twisted, "--out", points]) == 0
+        for name, digest in PIPELINE_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# --out is written in place and cut on exit to what the run wrote
+# ---------------------------------------------------------------------------
+
+# each command that writes --out; the JSONL stages read {src}
+_WRITERS = {
+    "sample": ["sample", "--count", "7", "--seed", "4", "--conjugate"],
+    "flow": ["flow", "--t", "0.3,1.2,0.5", "--in", "{src}"],
+    "moment": ["moment", "--quotient", "--in", "{src}"],
+    "tau": ["tau", "--check", "--in", "{src}"],
+    "fixed-points": ["fixed-points", "--count", "7", "--seed", "2"],
+    "certify-sigma": ["certify-sigma", "--samples", "2", "--seed", "1"],
+}
+
+
+def _written(argv, src, out, stale: bytes | None = None) -> tuple[int, str, bytes]:
+    """Exit code, stderr and the bytes at out of one run of argv on src, out first
+    holding stale when given."""
+    if stale is not None:
+        out.write_bytes(stale)
+    code, err = run_err([a.format(src=src) for a in argv] + ["--out", str(out)])
+    return code, err, out.read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_out_over_a_longer_file_is_a_fresh_run(tmp_path, command):
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(_sampled(["--count", "7", "--seed", "5", "--conjugate"])))
+    fresh = _written(_WRITERS[command], src, tmp_path / "fresh")
+    assert fresh[:2] == (0, "") and fresh[2]
+    stale = b"\xff" * (2 * len(fresh[2]) + 100)  # not even text
+    with mock.patch("os.open", wraps=os.open) as os_open:
+        assert _written(_WRITERS[command], src, tmp_path / "stale", stale) == fresh
+    # the output is opened once, and never truncated on opening
+    assert os_open.call_count == 1 and not os_open.call_args.args[1] & os.O_TRUNC
+
+
+@pytest.mark.parametrize("argv, want", [
+    *(pytest.param(_WRITERS[name], 2, id=name) for name in ("flow", "moment", "tau")),
+    # a class in the classification's gray zone (README)
+    pytest.param(["fixed-points", "--count", "40", "--seed", "3", "--tol", "0.1"], 3,
+                 id="fixed-points"),
+])
+def test_refusal_over_a_longer_file_keeps_the_rows_before(tmp_path, argv, want):
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(_sampled(["--count", "2", "--seed", "5"])) + '{"g1": [1, 0, 0\n')
+    code, err, fresh = _written(argv, src, tmp_path / "fresh")
+    assert code == want and err.count("\n") == 1 and fresh
+    stale = b"stale\n" * (len(fresh) // 3)
+    assert _written(argv, src, tmp_path / "stale", stale) == (code, err, fresh)
+
+
+@pytest.mark.parametrize("command", ["sample", "flow"])
+def test_out_to_dev_null_is_written_not_cut(tmp_path, command):
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(_sampled(["--count", "3", "--seed", "5"])))
+    argv = [a.format(src=src) for a in _WRITERS[command]]
+    assert run_err(argv + ["--out", os.devnull]) == (0, "")
+
+
+@pytest.mark.parametrize("spelling", ["dot-slash", "hard-link"])
+@pytest.mark.parametrize("command", ["flow", "moment", "tau"])
+def test_in_and_out_one_file_exit_2(tmp_path, monkeypatch, command, spelling):
+    monkeypatch.chdir(tmp_path)
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(_sampled(["--count", "3", "--seed", "5"])))
+    before = src.read_bytes()
+    out = "./in.jsonl"
+    if spelling == "hard-link":
+        os.link(src, tmp_path / "linked.jsonl")
+        out = str(tmp_path / "linked.jsonl")
+    code, err = run_err([a.format(src="in.jsonl") for a in _WRITERS[command]] + ["--out", out])
+    assert (code, err) == (2, f"error: --in and --out name one file: {out!r}\n")
+    assert src.read_bytes() == before
 
 
 # sha256 of `sample --count 300 --seed 11 --target T` (two sampler batches),

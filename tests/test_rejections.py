@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from charvar.errors import (
-    CenterAmbiguity,
     ClassificationAmbiguity,
     DegenerateGenerator,
     OutsidePolytope,
@@ -27,7 +26,7 @@ from charvar.polytope import boundary_commutation_check, moment_mu, mu_lambda
 from charvar.repvar import Representation, new_checked
 from charvar.sampler import density_witness
 from charvar.sigma import blowup_point, classify_fixed_point, n2_interval, rp2_fiber_point, sigma
-from charvar.su2 import AlgebraElement, GroupElement, commutator, distance, haar_sample, log_grp
+from charvar.su2 import AlgebraElement, GroupElement, commutator, distance, haar_sample
 from charvar.tau import fiber_coordinates, section
 from charvar.tolerances import EPS_CENTER, EPS_MAT
 
@@ -74,12 +73,6 @@ def algebra_zero(rng):
     v = rng.normal(size=(4, 3))
     v[2] = 0.0
     return (AlgebraElement(v),), (AlgebraElement(v[2]),)
-
-
-def log_at_minus_one(rng):
-    q = haar_sample(rng, (4,)).q.copy()
-    q[2] = -ONE
-    return (GroupElement(q),), (GroupElement(q[2]),)
 
 
 def slot_not_unit(rng):
@@ -297,8 +290,6 @@ CASES = {
                         "cannot normalize a zero quaternion", (1, 2)),
     "unit": (AlgebraElement.unit, algebra_zero, ZeroVector,
              "no direction defined for a zero algebra element", (2,)),
-    "log_grp": (log_grp, log_at_minus_one, CenterAmbiguity,
-                "logarithm undefined within tolerance of -I", (2,)),
     "new_checked-slot": (new_checked, slot_not_unit, PreconditionViolated,
                          "slot g1 is not a finite unit quaternion", (2,)),
     "new_checked-relation": (new_checked, relation_broken, RelationViolated,

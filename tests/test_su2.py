@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from charvar import su2
-from charvar.errors import CenterAmbiguity, ZeroVector
+from charvar.errors import ZeroVector
 from charvar.flows import TorusElement, act
 from charvar.polytope import moment_coordinates
 from charvar.repvar import Representation, is_abelian, relation_residual
@@ -26,7 +26,6 @@ from charvar.su2 import (
     exp_alg,
     find_conjugator,
     haar_sample,
-    log_grp,
     mul,
     stabilizer_type,
     trace_angle,
@@ -401,31 +400,15 @@ def test_exp_inverse_pairs():
         assert distance(mul(exp_alg(v), exp_alg(-v)), I2) < EPS_MAT
 
 
-def test_log_trivial_and_diagonal():
-    assert np.array_equal(log_grp(I2).v, np.zeros(3))
-    # diag(e^{i pi/2}, e^{-i pi/2}): angle pi/2 about the diagonal axis
-    g = GroupElement.from_matrix(np.diag([np.exp(1j * np.pi / 2), np.exp(-1j * np.pi / 2)]))
-    v = log_grp(g)
-    assert abs(float(v.norm) - np.pi / 2) < 1e-12
-    np.testing.assert_allclose(v.v / float(v.norm), [0, 0, 1], atol=1e-12)
-
-
-def test_log_raises_at_minus_identity():
-    with pytest.raises(CenterAmbiguity):
-        log_grp(MINUS_I2)
-    with pytest.raises(CenterAmbiguity):
-        log_grp(GroupElement.from_quaternion([-1.0, 1e-12, 0.0, 0.0]))
-
-
 @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_exp_log_round_trip(vec):
+def test_exp_is_cos_and_sin_along_the_axis(vec):
+    # exp(v) = cos|v| + sin|v| v/|v|: the vector part is parallel to v
     v = np.asarray(vec)
-    n = np.linalg.norm(v)
-    if n >= np.pi - 0.01:
-        v = v * (np.pi - 0.02) / n
-    back = log_grp(exp_alg(AlgebraElement(v)))
-    assert np.abs(back.v - v).max() < EPS_ALG
+    theta = np.linalg.norm(v)
+    g = exp_alg(AlgebraElement(v))
+    assert abs(float(g.w) - np.cos(theta)) < EPS_ALG
+    np.testing.assert_allclose(g.vec * theta, np.sin(theta) * v, rtol=0.0, atol=EPS_ALG)
 
 
 def test_trace_angle_values():
