@@ -176,14 +176,18 @@ def _opened(path: Optional[str]) -> Iterator[IO[str]]:
 @contextlib.contextmanager
 def _piped(args: argparse.Namespace) -> Iterator[tuple[IO[str], IO[str]]]:
     """The input (--in, or stdin) and the output (--out through _opened) of a JSONL stage.
-    One file named by both is refused before the output is opened, as writing it would
-    overwrite the lines not yet read."""
-    paths = (args.infile, args.out)
-    if all(paths) and os.path.exists(args.out) and os.path.samefile(*paths):
-        raise PreconditionViolated(f"--in and --out name one file: {args.out!r}")
+    An input that is the regular file at --out (one device and inode: --in in any spelling,
+    a hard link, a redirected stdin) is refused before the output is opened, as writing it
+    would overwrite the lines not yet read."""
     source = open(args.infile) if args.infile else contextlib.nullcontext(sys.stdin)
-    with source as src, _opened(args.out) as out:
-        yield src, out
+    with source as src:
+        with contextlib.suppress(OSError):  # an in-memory stdin, or no file at --out yet
+            st = os.fstat(src.fileno())
+            if stat.S_ISREG(st.st_mode) and args.out and os.path.samestat(st, os.stat(args.out)):
+                raise PreconditionViolated(
+                    f"{'--in' if args.infile else 'stdin'} and --out name one file: {args.out!r}")
+        with _opened(args.out) as out:
+            yield src, out
 
 
 def _parse_triple(text: str, flag: str) -> np.ndarray:

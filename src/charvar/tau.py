@@ -32,9 +32,9 @@
 #
 # Fiber coordinates, over one class or a batch (every row bit for bit the
 # class alone): one conjugator solve puts rho into the section's (h1, h2)
-# frame, and phase alignment reads the angles -- (cos l1, sin l1) is the null
-# vector of a 2x2 system (one stacked SVD), l3 and l2 are atan2 reads.  The
-# angles are canonical modulo the kernel {(0,0,0), (pi,pi,pi)}: phi3 in [0, pi).
+# frame; l1 (half an atan2, the least-squares angle), l3 and l2 are closed-form
+# reads; one check of act(angles, section(base)) refuses frame and angles alike.
+# The angles are canonical modulo the kernel {(0,0,0), (pi,pi,pi)}: phi3 in [0, pi).
 
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from .errors import FiberSolveFailure, OutsidePolytope, PreconditionViolated, _r
 from .flows import TorusElement, act, generators
 from .polytope import M_P, STD_DELTA, SimplexPoint, mu_lambda_coordinates
 from .repvar import Representation
-from .su2 import GroupElement, _cross, _perpendicular, exp_alg, find_conjugator, mul
+from .su2 import GroupElement, exp_alg, find_conjugator, mul
 from .tolerances import EPS_MAT
 
 __all__ = ["FiberCoordinates", "section", "fiber_coordinates", "tau"]
@@ -102,7 +102,7 @@ def fiber_coordinates(rho: Representation) -> FiberCoordinates:
     A bad row fails the batch, and the message names the first one:
     OutsidePolytope for a base point outside the simplex (or not finite),
     PreconditionViolated for one on its boundary, FiberSolveFailure where
-    the frame or the angles do not check.
+    that one check fails, on a bad frame or bad angles alike.
     """
     base = mu_lambda_coordinates(rho)
     outside, active = STD_DELTA._region_masks(base)
@@ -111,35 +111,30 @@ def fiber_coordinates(rho: Representation) -> FiberCoordinates:
                   "fiber coordinates exist over interior base points only", base))
     s_rho = section(base)
     h_rho, h_section = (GroupElement(r.slots()[..., 1::2, :]) for r in (rho, s_rho))
-    k, frame = find_conjugator(h_rho, h_section)
-    aligned = rho.conjugated(k)
+    aligned = rho.conjugated(find_conjugator(h_rho, h_section)[0])
 
     gen = generators(s_rho)
-    # l1, l3 from g1' = e^{l3 X^} g1_s e^{l1 xi1^}:
-    #   g1' e^{-l1 xi1^} (g1_s)^{-1} = cos(l1) A - sin(l1) B = e^{l3 X^}
-    g1_inv = s_rho.g1.inverse()
-    xi1_q = GroupElement(np.insert(gen.xi1_hat.v, 0, 0.0, axis=-1))
-    a_q = mul(aligned.g1, g1_inv)
-    b_q = mul(mul(aligned.g1, xi1_q), g1_inv)
-    e1 = _perpendicular(gen.X_hat.v)
-    e2 = np.stack(_cross(np.moveaxis(gen.X_hat.v, -1, 0), np.moveaxis(e1, -1, 0)), axis=-1)
-    # m[i, j] = e_i . (A, -B)_j, each entry one np.vecdot (the arithmetic of np.dot)
-    e = np.stack([e1, e2], axis=-2)[..., :, None, :]
-    m = np.vecdot(e, np.stack([a_q.vec, -b_q.vec], axis=-2)[..., None, :, :])
-    cos_l1, sin_l1 = np.moveaxis(np.linalg.svd(m)[2][..., -1, :], -1, 0)
-    f_q = GroupElement(cos_l1[..., None] * a_q.q - sin_l1[..., None] * b_q.q)
+    # l1, l3 from g1' = e^{l3 X^} g1_s e^{l1 xi1^}, where xi1^ = z^ commutes with g1_s:
+    #   g1' e^{-l1 xi1^} (g1_s)^{-1} = cos(l1) A - sin(l1) B = e^{l3 X^},  B = A z^
+    # so cos(l1) a = sin(l1) b for the parts a, b of A, B across X^, and l1 is
+    # the least-squares angle, the smaller eigenvector of their Gram matrix
+    a_q = mul(aligned.g1, s_rho.g1.inverse()).q
+    b_q = a_q[..., ::-1] * np.array([-1.0, 1.0, -1.0, 1.0])  # (-a_z, a_y, -a_x, a_w)
+    a, b = (np.cross(q[..., 1:], gen.X_hat.v) for q in (a_q, b_q))
+    l1 = 0.5 * np.arctan2(-2.0 * np.vecdot(a, b), np.vecdot(a, a) - np.vecdot(b, b)) + np.pi / 2
+    f_q = GroupElement(np.cos(l1)[..., None] * a_q - np.sin(l1)[..., None] * b_q)
     l3 = np.arctan2(np.vecdot(f_q.vec, gen.X_hat.v), f_q.w)
     # l2 from (g2_s)^{-1} e^{-l3 Y^} g2' = e^{l2 xi2^}
     g_q = mul(mul(s_rho.g2.inverse(), exp_alg(gen.Y_hat * -l3[..., None])), aligned.g2)
     l2 = np.arctan2(np.vecdot(g_q.vec, gen.xi2_hat.v), g_q.w)
-    phi = np.mod(np.stack([np.arctan2(sin_l1, cos_l1), l2, l3], axis=-1), 2 * np.pi)
+    phi = np.mod(np.stack([l1, l2, l3], axis=-1), 2 * np.pi)
     angles = TorusElement.from_array(
         np.where(phi[..., 2:] >= np.pi, np.mod(phi + np.pi, 2 * np.pi), phi)
     )
+    # act passes the h-slots through, so worst also holds the frame residual of find_conjugator
     worst = np.asarray(act(angles, s_rho).slot_distance(aligned))
-    _raise_first(  # the frame and the angles, read on rows that pass the checks above
-        (~(frame < EPS_MAT), FiberSolveFailure, "could not align the (h1, h2) frame", frame),
-        (~(worst < EPS_MAT), FiberSolveFailure, "angle solve residual >= EPS_MAT", worst))
+    _raise_first((~(worst < EPS_MAT), FiberSolveFailure,
+                  "chart residual (frame and angles) >= EPS_MAT", worst))
     return FiberCoordinates(base=base, angles=angles)
 
 

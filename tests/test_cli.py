@@ -12,7 +12,10 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -740,6 +743,38 @@ def test_in_and_out_one_file_exit_2(tmp_path, monkeypatch, command, spelling):
     code, err = run_err([a.format(src="in.jsonl") for a in _WRITERS[command]] + ["--out", out])
     assert (code, err) == (2, f"error: --in and --out name one file: {out!r}\n")
     assert src.read_bytes() == before
+
+
+# one 113-byte class line, repeated far past the first lines a stage reads
+_REDIRECTED = ('{"g1": [0.6, 0.8, 0.0, 0.0], "h1": [0.0, 0.0, 0.6, 0.8], '
+               '"g2": [0.0, 0.0, 0.6, 0.8], "h2": [0.6, 0.8, 0.0, 0.0]}\n') * 1000
+
+
+def _run_with_stdin(argv, stdin_path) -> subprocess.CompletedProcess:
+    """One run of argv in a new process whose stdin is the file at stdin_path."""
+    script = "import sys; from charvar.cli import main; sys.exit(main())"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with open(stdin_path) as stdin:
+        return subprocess.run([sys.executable, "-c", script, *argv], stdin=stdin, env=env,
+                              capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["flow", "moment", "tau"])
+def test_stdin_redirected_from_out_exit_2(tmp_path, command):
+    # `charvar flow ... --out s.jsonl < s.jsonl`: the stdin of a process has a descriptor
+    src = tmp_path / "s.jsonl"
+    src.write_text(_REDIRECTED)
+    argv = [*_WRITERS[command][:-2], "--out", str(src)]  # the argv without --in
+    done = _run_with_stdin(argv, src)
+    assert (done.returncode, done.stderr) == (
+        2, f"error: stdin and --out name one file: {str(src)!r}\n")
+    assert src.read_text() == _REDIRECTED
+
+
+def test_stdin_and_out_one_device_is_not_refused():
+    # only a regular file is refused: reading and writing /dev/null loses nothing
+    done = _run_with_stdin(["flow", "--t", "0.1,0.2,0.3", "--out", os.devnull], os.devnull)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 # sha256 of `sample --count 300 --seed 11 --target T` (two sampler batches),

@@ -256,7 +256,7 @@ class TestFiberCoordinates:
         t = rng.uniform(0.0, TWO_PI, size=(30, 3))
         fc = fiber_coordinates(act(TorusElement.from_array(t), section(x)))
         for got, want in zip(fc.angles.as_array(), t):
-            assert angle_diff(got, canonical(want)) < 1e-9
+            assert angle_diff(got, canonical(want)) < 1e-12
 
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(53)
@@ -352,6 +352,24 @@ class TestFiberCoordinates:
             fiber_coordinates(Representation.from_slots(slots))
         with pytest.raises(error):
             fiber_coordinates(bad)
+
+    def test_wrong_frame_fails_the_one_check(self, monkeypatch):
+        # act passes the section's h-slots through, so the final check also reads
+        # the frame: a wrong conjugator on row 2, whose reported residual is kept
+        # small, fails the batch at that row
+        module = importlib.import_module("charvar.tau")
+        solve = module.find_conjugator
+
+        def wrong_on_row_2(a, b):
+            k, worst = solve(a, b)
+            q = k.q.copy()
+            q[2] = mul(GroupElement(np.array([0.6, 0.8, 0.0, 0.0])), k[2]).q
+            return GroupElement(q), worst
+
+        monkeypatch.setattr(module, "find_conjugator", wrong_on_row_2)
+        rho = swap_and_section_classes(np.random.default_rng(75), 4)
+        with pytest.raises(FiberSolveFailure, match=r"\(row \(2,\)\)"):
+            fiber_coordinates(rho)
 
     @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-8])
     def test_boundary_envelope(self, d):
